@@ -14,10 +14,7 @@ from .algebra import (
     duplicate_algebra,
     field_algebra,
     kn_algebra,
-    multiply,
-    opposite,
     quadratic_algebra,
-    structure_matrix,
     truncated_poly_algebra,
     validate_algebra,
 )
@@ -66,7 +63,6 @@ from .linalg import (
     AlgMatrix,
     EndoMatrix,
     KMatrix,
-    LinearEndo,
     algmat_mul,
     endo_mat_mul,
     kernel_basis,

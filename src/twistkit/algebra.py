@@ -94,18 +94,6 @@ class FiniteDimAlgebra:
         return replace(self, lam=self.lam.transpose(1, 0, 2).copy())
 
 
-def multiply(algebra: FiniteDimAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return algebra.multiply(x, y)
-
-
-def structure_matrix(algebra: FiniteDimAlgebra, k: int) -> KMatrix:
-    return algebra.structure_matrix(k)
-
-
-def opposite(algebra: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    return algebra.opposite()
-
-
 def validate_algebra(algebra: FiniteDimAlgebra) -> VerificationReport:
     """Check associativity and two-sided-unit identities of the constants.
 

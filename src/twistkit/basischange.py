@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, MorphismError
-from .linalg import KMatrix, _alg_entry_product, _freeze, mat_inverse
+from .linalg import KMatrix, _alg_entry_product, _endo_products, _freeze, mat_inverse
 from .report import Failure, VerificationReport, family_failures
 from .twisting import GammaFamily, TwistingCandidate, _require_verified, _rho_tensor, certify
 
@@ -92,8 +92,6 @@ def check_induced_morphism(
         raise DimensionMismatchError("morphism does not connect the two carriers")
     field = fam_chi.field
     lamA, unitA = fam_chi.A.lam, fam_chi.A.unit
-    d = fam_chi.A.dim
-    n, m = fam_chi.B.dim, fam_varpi.B.dim
     z = f.zeta
 
     failures = []
@@ -102,11 +100,8 @@ def check_induced_morphism(
     mmat = field.tensordot(z, unitA, axes=0)                        # (m, n, d)
     phi_chi = fam_chi.gamma.transpose(3, 1, 0, 2)                   # (x, j, k, w)
     phi_varpi = fam_varpi.gamma.transpose(3, 1, 0, 2)
-    left1 = field.zeros((d, m, n, d))
-    right1 = field.zeros((d, m, n, d))
-    for x in range(d):
-        left1[x] = _alg_entry_product(field, lamA, phi_varpi[x], mmat)
-        right1[x] = _alg_entry_product(field, lamA, mmat, phi_chi[x])
+    left1 = _alg_entry_product(field, lamA, phi_varpi, mmat[None])[:, 0]
+    right1 = _alg_entry_product(field, lamA, mmat[None], phi_chi)[0]
     matrix_fails = list(family_failures(field, "eq.matrix", left1, right1))
     failures.extend(matrix_fails)
 
@@ -177,28 +172,18 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix, labels=None) -> RebaseResu
     minv_a = field.tensordot(p, unitA, axes=0)
     phi_old = family.gamma.transpose(3, 1, 0, 2)
     phi_new = new_gamma.transpose(3, 1, 0, 2)
-    left = field.zeros((d, n, n, d))
-    right = field.zeros((d, n, n, d))
-    for x in range(d):
-        left[x] = phi_new[x]
-        right[x] = _alg_entry_product(
-            field, lamA, _alg_entry_product(field, lamA, m_a, phi_old[x]), minv_a
-        )
-    failures.extend(family_failures(field, "conj.phi", left, right))
+    conj = _alg_entry_product(field, lamA, m_a[None], phi_old)[0]
+    right = _alg_entry_product(field, lamA, conj, minv_a[None])[:, 0]
+    failures.extend(family_failures(field, "conj.phi", phi_new, right))
 
-    rho_old = _rho_tensor(family)                                   # (k, i, m, r, c)
-    rho_new = _rho_tensor(new_family)
+    rho_old = _rho_tensor(field, family.B.lam, family.gamma)        # (k, i, m, r, c)
+    rho_new = _rho_tensor(field, new_lam, new_gamma)
     eye_d = field.identity(d)
     m_e = field.reduce(pinv[:, :, None, None] * eye_d[None, None, :, :])
     minv_e = field.reduce(p[:, :, None, None] * eye_d[None, None, :, :])
-
-    def endo_mm(x, y):
-        return field.tensordot(x, y, axes=([1, 3], [0, 2])).transpose(0, 2, 1, 3)
-
     left_r = field.tensordot(pinv, rho_new, axes=([0], [0]))        # (k, i, m, r, c)
-    right_r = field.zeros(left_r.shape)
-    for k in range(n):
-        right_r[k] = endo_mm(endo_mm(m_e, rho_old[k]), minv_e)
+    conj_r = _endo_products(field, m_e[None], rho_old)[0]
+    right_r = _endo_products(field, conj_r, minv_e[None])[:, 0]
     failures.extend(family_failures(field, "conj.rho", left_r, right_r))
 
     return RebaseResult(new_b, candidate, VerificationReport.from_failures(failures))

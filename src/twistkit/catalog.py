@@ -31,7 +31,7 @@ from .errors import DimensionMismatchError
 from .fields import Field
 from .linalg import KMatrix
 from .report import VerificationReport, family_failures
-from .twisting import GammaFamily, TwistingCandidate
+from .twisting import GammaFamily, TwistingCandidate, _transposed, _twisted_products, _unit_images
 
 
 def _endo_array(field: Field, d: int, value) -> np.ndarray:
@@ -54,38 +54,23 @@ def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
 # -- shared condition families --------------------------------------------------
 
 
-def _mult_failures(field, lam, tag, fm):
-    """f(a_p a_q) = f(a_p) f(a_q) on basis pairs; witness (p, q, w)."""
-    left = field.tensordot(fm, lam, axes=([1], [2])).transpose(1, 2, 0)
-    t = field.tensordot(fm, lam, axes=([0], [0]))                   # (p, v, w)
-    right = field.tensordot(fm, t, axes=([0], [1])).transpose(1, 0, 2)
-    yield from family_failures(field, tag, left, right)
+def _duplicate_grid(field: Field, d: int, f, delta) -> np.ndarray:
+    """Identity over the unit basis vector, (delta, f) over X."""
+    grid = field.zeros((2, 2, d, d))
+    grid[0, 0] = field.identity(d)
+    grid[1, 0] = _endo_array(field, d, delta)
+    grid[1, 1] = _endo_array(field, d, f)
+    return grid
 
 
-def _derivation_failures(field, lam, tag, dm, fm):
-    """delta(a_p a_q) = a_p delta(a_q) + delta(a_p) f(a_q); witness (p, q, w)."""
-    left = field.tensordot(dm, lam, axes=([1], [2])).transpose(1, 2, 0)
-    term1 = field.tensordot(dm, lam, axes=([0], [1])).transpose(1, 0, 2)
-    t = field.tensordot(dm, lam, axes=([0], [0]))                   # (p, v, w)
-    term2 = field.tensordot(fm, t, axes=([0], [1])).transpose(1, 0, 2)
-    yield from family_failures(field, tag, left, field.add(term1, term2))
-
-
-def _grid_mult_failures(field, lam, tag, grid):
-    """Twisted multiplicativity of a full grid on basis pairs:
-    grid[j][i](a b) = sum_p grid[p][i](a) grid[j][p](b); witness (i, j, p, q, w)."""
-    left = field.tensordot(grid, lam, axes=([3], [2])).transpose(0, 1, 3, 4, 2)
-    t1 = field.tensordot(grid, lam, axes=([2], [0]))                # (p', i, x, v, w)
-    right = field.tensordot(t1, grid, axes=([0, 3], [1, 2]))        # (i, x, w, j, y)
-    yield from family_failures(field, tag, left, right.transpose(3, 0, 1, 4, 2))
-
-
-def _grid_unit_failures(field, unitA, tag, grid):
-    """grid[i][j](1) = delta_ij 1; witness (i, j, r)."""
-    n = grid.shape[0]
-    left = field.tensordot(grid, unitA, axes=([3], [0]))
-    right = field.reduce(field.identity(n)[:, :, None] * unitA[None, None, :])
-    yield from family_failures(field, tag, left, right)
+def _duplicate_rule_failures(A: FiniteDimAlgebra, tags, fm, dm):
+    """delta(a_p a_q) = a_p delta(a_q) + delta(a_p) f(a_q), then f(a_p a_q) =
+    f(a_p) f(a_q); witness (p, q, w).  Both are entries of the twisted
+    multiplicativity of the duplicate grid."""
+    field = A.field
+    left, right = _twisted_products(field, _duplicate_grid(field, A.dim, fm, dm), A.lam)
+    for tag, (j, k) in zip(tags, ((0, 1), (1, 1))):
+        yield from family_failures(field, tag, left[:, :, j, k], right[:, :, j, k])
 
 
 # -- duplicates (carrier K[X]/(X^2 - X)) -----------------------------------------
@@ -94,14 +79,8 @@ def _grid_unit_failures(field, unitA, tag, grid):
 def make_ncd(A: FiniteDimAlgebra, f, delta) -> TwistingCandidate:
     """Duplicate candidate: identity over the unit basis vector, (delta, f)
     over X.  Verification is a separate call."""
-    field = A.field
-    d = A.dim
-    carrier = duplicate_algebra(field)
-    grid = field.zeros((2, 2, d, d))
-    grid[0, 0] = field.identity(d)
-    grid[1, 0] = _endo_array(field, d, delta)
-    grid[1, 1] = _endo_array(field, d, f)
-    return TwistingCandidate(GammaFamily(A, carrier, grid))
+    grid = _duplicate_grid(A.field, A.dim, f, delta)
+    return TwistingCandidate(GammaFamily(A, duplicate_algebra(A.field), grid))
 
 
 def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
@@ -121,7 +100,7 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
     d = A.dim
     fm = _endo_array(field, d, f)
     dm = _endo_array(field, d, delta)
-    lam, unit = A.lam, A.unit
+    unit = A.unit
 
     failures = []
     failures.extend(family_failures(field, "ncd.1", field.matmul(dm, dm), dm))
@@ -131,8 +110,7 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
     failures.extend(family_failures(field, "ncd.3", field.matmul(s, s), s))
     failures.extend(family_failures(field, "ncd.4", field.matmul(dm, unit), field.zeros((d,))))
     failures.extend(family_failures(field, "ncd.5", field.matmul(fm, unit), unit))
-    failures.extend(_derivation_failures(field, lam, "ncd.6", dm, fm))
-    failures.extend(_mult_failures(field, lam, "ncd.7", fm))
+    failures.extend(_duplicate_rule_failures(A, ("ncd.6", "ncd.7"), fm, dm))
     return VerificationReport.from_failures(failures)
 
 
@@ -146,14 +124,8 @@ def ncd_predicate(A: FiniteDimAlgebra, f, delta) -> bool:
 
 
 def make_quantum_duplicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> TwistingCandidate:
-    field = A.field
-    d = A.dim
-    carrier = quadratic_algebra(field, alpha, beta)
-    grid = field.zeros((2, 2, d, d))
-    grid[0, 0] = field.identity(d)
-    grid[1, 0] = _endo_array(field, d, delta)
-    grid[1, 1] = _endo_array(field, d, f)
-    return TwistingCandidate(GammaFamily(A, carrier, grid))
+    grid = _duplicate_grid(A.field, A.dim, f, delta)
+    return TwistingCandidate(GammaFamily(A, quadratic_algebra(A.field, alpha, beta), grid))
 
 
 def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationReport:
@@ -172,7 +144,7 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     b = field.scalar(beta)
     fm = _endo_array(field, d, f)
     dm = _endo_array(field, d, delta)
-    lam, unit = A.lam, A.unit
+    unit = A.unit
     eye = field.identity(d)
     ff = field.matmul(fm, fm)
 
@@ -182,8 +154,7 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     lhs_s = field.add(field.matmul(fm, dm), field.matmul(dm, fm))
     failures.extend(family_failures(field, "qdup.swap", lhs_s, field.reduce(a * (fm - ff))))
     failures.extend(family_failures(field, "qdup.unital", field.matmul(fm, unit), unit))
-    failures.extend(_derivation_failures(field, lam, "qdup.derivation", dm, fm))
-    failures.extend(_mult_failures(field, lam, "qdup.mult", fm))
+    failures.extend(_duplicate_rule_failures(A, ("qdup.derivation", "qdup.mult"), fm, dm))
     return VerificationReport.from_failures(failures)
 
 
@@ -229,8 +200,9 @@ def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport
         ids[i] = eye_d
     failures.extend(family_failures(field, "kn.2", row_sums, ids))
 
-    failures.extend(_grid_mult_failures(field, lam, "kn.3", grid))
-    failures.extend(_grid_unit_failures(field, unit, "kn.4", grid))
+    mul = _transposed("kn.3", _twisted_products(field, grid, lam), (3, 2, 0, 1, 4))
+    failures.extend(family_failures(field, *mul))
+    failures.extend(family_failures(field, "kn.4", *_unit_images(field, grid, unit)))
     return VerificationReport.from_failures(failures)
 
 
@@ -340,8 +312,9 @@ def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> Verificatio
     stacked = np.stack(left3)
     failures.extend(family_failures(field, "trunc.3", stacked, field.zeros(stacked.shape)))
 
-    failures.extend(_grid_mult_failures(field, lam, "trunc.4", grid))
-    failures.extend(_grid_unit_failures(field, unit, "trunc.5", grid))
+    mul = _transposed("trunc.4", _twisted_products(field, grid, lam), (3, 2, 0, 1, 4))
+    failures.extend(family_failures(field, *mul))
+    failures.extend(family_failures(field, "trunc.5", *_unit_images(field, grid, unit)))
     return VerificationReport.from_failures(failures)
 
 

@@ -21,9 +21,19 @@ from .errors import (
     FieldMismatchError,
     UnverifiedCandidateError,
 )
-from .linalg import EndoMatrix, _alg_entry_product, _freeze
-from .report import VerificationReport, family_failures, pairs_ok, pairs_report
-from .twisting import GammaFamily, TwistingCandidate, certify, direct_ok
+from .linalg import EndoMatrix, _alg_entry_product, _endo_products, _freeze
+from .report import VerificationReport, pairs_ok, pairs_report
+from .twisting import (
+    GammaFamily,
+    TwistingCandidate,
+    _endo_identity,
+    _rep_sides,
+    _rho_tensor,
+    _twisted_products,
+    _unit_images,
+    certify,
+    direct_ok,
+)
 
 
 def _split_dims(psi: GammaFamily, n: int) -> tuple[int, int]:
@@ -105,12 +115,6 @@ class BlockDecomposition:
         return full[rows, cols]
 
 
-def _block_rho(field, lam_factor: np.ndarray, gslice: np.ndarray) -> np.ndarray:
-    """Block[k, i, j] = sum_l lam_factor[j, l, i] gslice[k, l]."""
-    t = field.tensordot(lam_factor, gslice, axes=([1], [1]))  # (j, i, k, r, c)
-    return t.transpose(2, 1, 0, 3, 4)
-
-
 def split_blocks(psi, n: int, m: int | None = None) -> BlockDecomposition:
     """Compute all block matrices of a candidate over D = B x C."""
     psi = psi.family if isinstance(psi, TwistingCandidate) else psi
@@ -127,10 +131,10 @@ def split_blocks(psi, n: int, m: int | None = None) -> BlockDecomposition:
         psi=psi,
         n=n,
         m=m,
-        B1=_block_rho(field, lamB, G[:n, :n]),
-        B2=_block_rho(field, lamC, G[:n, n:]),
-        C1=_block_rho(field, lamB, G[n:, :n]),
-        C2=_block_rho(field, lamC, G[n:, n:]),
+        B1=_rho_tensor(field, lamB, G[:n, :n]),
+        B2=_rho_tensor(field, lamC, G[:n, n:]),
+        C1=_rho_tensor(field, lamB, G[n:, :n]),
+        C2=_rho_tensor(field, lamC, G[n:, n:]),
     )
 
 
@@ -153,38 +157,32 @@ def restrict(psi, side: str, n: int) -> GammaFamily:
 # -- block condition families ---------------------------------------------------
 
 
-def _endo_block_mul(field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise products of two stacks of End-valued matrices.
-
-    ``x`` has shape (a, s, s, d, d), ``y`` (b, s, s, d, d); the result
-    (a, b, s, s, d, d) holds x_i y_j for all pairs.
-    """
-    prod = field.tensordot(x, y, axes=([2, 4], [1, 3]))  # (a, u, r, b, v, c)
-    return prod.transpose(0, 3, 1, 4, 2, 5)
-
-
-def _rep_pairs(field, stack: np.ndarray, constants: np.ndarray, tag: str):
+def _rep_family(field, stack: np.ndarray, constants: np.ndarray, tag: str) -> tuple:
     """Family: stack_i stack_j = sum_k constants[j, i, k] stack_k."""
-    left = _endo_block_mul(field, stack, stack)
-    right = field.tensordot(constants, stack, axes=([2], [0])).transpose(1, 0, 2, 3, 4, 5)
-    yield tag, left, right
+    combination, products = _rep_sides(field, constants, stack)
+    return tag, products, combination
 
 
-def _endo_identity_pattern(field, size: int, d: int) -> np.ndarray:
-    return field.reduce(
-        field.identity(size)[:, :, None, None] * field.identity(d)[None, None, :, :]
+def _unit_sum_family(psi: GammaFamily, n: int, bstack, cstack, tag: str) -> tuple:
+    """Family: sum_k alpha_k B_k + sum_k beta_k C_k = identity, where
+    (alpha, beta) is the unit of the carrier split at n."""
+    field = psi.field
+    unit_sum = field.add(
+        field.tensordot(psi.B.unit[:n], bstack, axes=([0], [0])),
+        field.tensordot(psi.B.unit[n:], cstack, axes=([0], [0])),
     )
+    return tag, unit_sum, _endo_identity(field, bstack.shape[1], psi.A.dim)
 
 
-def _phi_tensor(field, G: np.ndarray) -> np.ndarray:
-    """All A-valued matrices at basis elements: PHI[x, j, k] = gamma[k][j](e_x)."""
-    return G.transpose(3, 1, 0, 2)
+def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
+    """A (tag, left, right) family of A-valued matrices restricted to one
+    block of its (row, column) axes, the last two before the coordinates."""
+    return (tag, *(side[..., rows, cols, :] for side in sides))
 
 
-def _phi_of_products(field, G: np.ndarray, lamA: np.ndarray) -> np.ndarray:
-    """PHIP[x, y, j, k] = gamma[k][j](e_x e_y)."""
-    t = field.tensordot(G, lamA, axes=([3], [2]))  # (k, j, r, x, y)
-    return t.transpose(3, 4, 1, 0, 2)
+def _unit_sides(psi: GammaFamily) -> list[np.ndarray]:
+    """phi(1_A) against the identity matrix; axes (j, k, w)."""
+    return [side.transpose(1, 0, 2) for side in _unit_images(psi.field, psi.gamma, psi.A.unit)]
 
 
 def check_lemma_blocks(psi, n: int, m: int | None = None) -> VerificationReport:
@@ -213,67 +211,30 @@ def lemma_blocks_ok(psi, n: int, m: int | None = None) -> bool:
 def _lemma_pairs(blocks: BlockDecomposition):
     """Condition families of the block criterion, yielded lazily."""
     psi = blocks.psi
-    n, m = blocks.n, blocks.m
+    n = blocks.n
     field = psi.field
     lamB = psi.B.lam[:n, :n, :n]
     lamC = psi.B.lam[n:, n:, n:]
-    alpha = psi.B.unit[:n]
-    beta = psi.B.unit[n:]
-    d = psi.A.dim
 
-    for l, bstack, cstack, size in ((1, blocks.B1, blocks.C1, n), (2, blocks.B2, blocks.C2, m)):
-        yield from _rep_pairs(field, bstack, lamB, f"B.rep.{l}")
-        yield from _rep_pairs(field, cstack, lamC, f"C.rep.{l}")
-        bc = _endo_block_mul(field, bstack, cstack)
-        cb = _endo_block_mul(field, cstack, bstack)
+    for l, bstack, cstack in ((1, blocks.B1, blocks.C1), (2, blocks.B2, blocks.C2)):
+        yield _rep_family(field, bstack, lamB, f"B.rep.{l}")
+        yield _rep_family(field, cstack, lamC, f"C.rep.{l}")
+        bc = _endo_products(field, bstack, cstack)
+        cb = _endo_products(field, cstack, bstack)
         yield f"BC.zero.{l}", bc, field.zeros(bc.shape)
         yield f"CB.zero.{l}", cb, field.zeros(cb.shape)
-        unit_sum = field.add(
-            field.tensordot(alpha, bstack, axes=([0], [0])),
-            field.tensordot(beta, cstack, axes=([0], [0])),
-        )
-        yield f"unit.sum.{l}", unit_sum, _endo_identity_pattern(field, size, d)
+        yield _unit_sum_family(psi, n, bstack, cstack, f"unit.sum.{l}")
 
-    yield from _gamma_block_pairs(field, psi, n, m)
-
-
-def _gamma_block_pairs(field, psi: GammaFamily, n: int, m: int):
-    """A-valued corner families of the block criterion."""
-    G = psi.gamma
-    lamA, unitA = psi.A.lam, psi.A.unit
-    phi = _phi_tensor(field, G)                       # (x, j, k, w)
-    row = (slice(0, n), slice(n, None))
-    col = (slice(0, n), slice(n, None))
-    d = psi.A.dim
-
-    unit_img = field.tensordot(G, unitA, axes=([3], [0])).transpose(1, 0, 2)  # (j, k, w)
-    eye_n = field.identity(n)
-    eye_m = field.identity(m)
-    unit_expect = {
-        (0, 0): field.reduce(eye_n[:, :, None] * unitA[None, None, :]),
-        (1, 1): field.reduce(eye_m[:, :, None] * unitA[None, None, :]),
-        (0, 1): field.zeros((n, m, d)),
-        (1, 0): field.zeros((m, n, d)),
-    }
+    # A-valued corners: every block product rule is a block of phi(a a') = phi(a) phi(a')
+    part = (slice(0, n), slice(n, None))
+    unit_sides = _unit_sides(psi)
     for p in (0, 1):
         for q in (0, 1):
-            yield f"Gamma{p}{q}.unit", unit_img[row[p], col[q]], unit_expect[(p, q)]
-
-    phip = _phi_of_products(field, G, lamA)           # (x, y, j, k, w)
+            yield _corner(f"Gamma{p}{q}.unit", unit_sides, part[p], part[q])
+    mul_sides = _twisted_products(field, psi.gamma, psi.A.lam)
     for p in (0, 1):
         for q in (0, 1):
-            left = phip[:, :, row[p], col[q]]
-            right = field.zeros(left.shape)
-            for x in range(d):
-                for y in range(d):
-                    term0 = _alg_entry_product(
-                        field, lamA, phi[x, row[p], col[0]], phi[y, row[0], col[q]]
-                    )
-                    term1 = _alg_entry_product(
-                        field, lamA, phi[x, row[p], col[1]], phi[y, row[1], col[q]]
-                    )
-                    right[x, y] = field.add(term0, term1)
-            yield f"Gamma{p}{q}.mul", left, right
+            yield _corner(f"Gamma{p}{q}.mul", mul_sides, part[p], part[q])
 
 
 def check_extension_given_theta(
@@ -294,119 +255,53 @@ def check_extension_given_theta(
     verification.
     """
     blocks = split_blocks(psi, n, m)
-    psi = blocks.psi
-    n, m = blocks.n, blocks.m
-    field = psi.field
-    theta = restrict(psi, "B", n)
-    if not direct_ok(theta):
+    if not direct_ok(restrict(blocks.psi, "B", blocks.n)):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
+    return pairs_report(blocks.psi.field, _extension_pairs(blocks, require_gamma01_zero))
 
-    lamB = psi.B.lam[:n, :n, :n]
-    lamC = psi.B.lam[n:, n:, n:]
-    alpha = psi.B.unit[:n]
-    beta = psi.B.unit[n:]
-    lamA, unitA = psi.A.lam, psi.A.unit
-    d = psi.A.dim
 
-    failures = []
+def _extension_pairs(blocks: BlockDecomposition, require_gamma01_zero: bool):
+    """Condition families of the extension criterion, in report order."""
+    psi = blocks.psi
+    n = blocks.n
+    field = psi.field
+    lamA = psi.A.lam
 
-    for tag, left, right in _rep_pairs(field, blocks.B2, lamB, "B2.mul"):
-        failures.extend(family_failures(field, tag, left, right))
-    failures.extend(
-        family_failures(field, "C1.zero", blocks.C1, field.zeros(blocks.C1.shape))
-    )
-    for tag, left, right in _rep_pairs(field, blocks.C2, lamC, "C2.mul"):
-        failures.extend(family_failures(field, tag, left, right))
-    bc = _endo_block_mul(field, blocks.B2, blocks.C2)
-    cb = _endo_block_mul(field, blocks.C2, blocks.B2)
-    failures.extend(family_failures(field, "B2C2.zero", bc, field.zeros(bc.shape)))
-    failures.extend(family_failures(field, "C2B2.zero", cb, field.zeros(cb.shape)))
-    unit_sum = field.add(
-        field.tensordot(alpha, blocks.B2, axes=([0], [0])),
-        field.tensordot(beta, blocks.C2, axes=([0], [0])),
-    )
-    failures.extend(
-        family_failures(field, "unit.sum", unit_sum, _endo_identity_pattern(field, m, d))
-    )
+    yield _rep_family(field, blocks.B2, psi.B.lam[:n, :n, :n], "B2.mul")
+    yield "C1.zero", blocks.C1, field.zeros(blocks.C1.shape)
+    yield _rep_family(field, blocks.C2, psi.B.lam[n:, n:, n:], "C2.mul")
+    bc = _endo_products(field, blocks.B2, blocks.C2)
+    cb = _endo_products(field, blocks.C2, blocks.B2)
+    yield "B2C2.zero", bc, field.zeros(bc.shape)
+    yield "C2B2.zero", cb, field.zeros(cb.shape)
+    yield _unit_sum_family(psi, n, blocks.B2, blocks.C2, "unit.sum")
 
-    phi = _phi_tensor(field, psi.gamma)
-    phip = _phi_of_products(field, psi.gamma, lamA)
-    g00 = phi[:, :n, :n]
-    g01 = phi[:, :n, n:]
-    g10 = phi[:, n:, :n]
-    g11 = phi[:, n:, n:]
-
+    # phi[x, j, k] = gamma[k][j](e_x); the corner rules are blocks of
+    # phi(a a') = phi(a) phi(a') except where a corner is dropped from the sum
+    B, C = slice(0, n), slice(n, None)
+    phi = psi.gamma.transpose(3, 1, 0, 2)
+    mul_sides = _twisted_products(field, psi.gamma, lamA)
+    unit_sides = _unit_sides(psi)
     if require_gamma01_zero:
-        failures.extend(
-            family_failures(
-                field, "Gamma01", psi.gamma[n:, :n], field.zeros(psi.gamma[n:, :n].shape)
-            )
-        )
+        yield "Gamma01", psi.gamma[C, B], field.zeros(psi.gamma[C, B].shape)
         # Gamma11 multiplicative
-        left = phip[:, :, n:, n:]
-        right = field.zeros(left.shape)
-        for x in range(d):
-            for y in range(d):
-                right[x, y] = _alg_entry_product(field, lamA, g11[x], g11[y])
-        failures.extend(family_failures(field, "Gamma11.mul", left, right))
+        yield "Gamma11.mul", mul_sides[0][:, :, C, C], _alg_entry_product(
+            field, lamA, phi[:, C, C], phi[:, C, C]
+        )
     else:
         # corner product rules with Gamma01 unconstrained: the Gamma^p_1 rule
         # for row block p in {0, 1}
-        for tag, p in (("Gamma01.rule", 0), ("Gamma11.rule", 1)):
-            rows = slice(0, n) if p == 0 else slice(n, None)
-            left = phip[:, :, rows, n:]
-            right = field.zeros(left.shape)
-            gp0 = phi[:, rows, :n]
-            gp1 = phi[:, rows, n:]
-            for x in range(d):
-                for y in range(d):
-                    right[x, y] = field.add(
-                        _alg_entry_product(field, lamA, gp0[x], g01[y]),
-                        _alg_entry_product(field, lamA, gp1[x], g11[y]),
-                    )
-            failures.extend(family_failures(field, tag, left, right))
+        yield _corner("Gamma01.rule", mul_sides, B, C)
+        yield _corner("Gamma11.rule", mul_sides, C, C)
         # Gamma01(a) Gamma10(a') = 0
-        mixed = field.zeros((d, d, n, n, d))
-        for x in range(d):
-            for y in range(d):
-                mixed[x, y] = _alg_entry_product(field, lamA, g01[x], g10[y])
-        failures.extend(
-            family_failures(field, "Gamma01Gamma10.zero", mixed, field.zeros(mixed.shape))
-        )
-        unit_img01 = field.tensordot(psi.gamma[n:, :n], unitA, axes=([3], [0])).transpose(1, 0, 2)
-        failures.extend(
-            family_failures(field, "Gamma01.unit", unit_img01, field.zeros(unit_img01.shape))
-        )
+        mixed = _alg_entry_product(field, lamA, phi[:, B, C], phi[:, C, B])
+        yield "Gamma01Gamma10.zero", mixed, field.zeros(mixed.shape)
+        yield _corner("Gamma01.unit", unit_sides, B, C)
 
     # Gamma10 twisted-derivation rule, shared by both stages
-    left = phip[:, :, n:, :n]
-    right = field.zeros(left.shape)
-    for x in range(d):
-        for y in range(d):
-            right[x, y] = field.add(
-                _alg_entry_product(field, lamA, g10[x], g00[y]),
-                _alg_entry_product(field, lamA, g11[x], g10[y]),
-            )
-    failures.extend(family_failures(field, "Gamma10.der", left, right))
-
-    # unit normalizations
-    unit_img = field.tensordot(psi.gamma, unitA, axes=([3], [0])).transpose(1, 0, 2)
-    eye_m = field.identity(m)
-    failures.extend(
-        family_failures(
-            field,
-            "Gamma11.unit",
-            unit_img[n:, n:],
-            field.reduce(eye_m[:, :, None] * unitA[None, None, :]),
-        )
-    )
-    failures.extend(
-        family_failures(
-            field, "Gamma10.unit", unit_img[n:, :n], field.zeros((m, n, psi.A.dim))
-        )
-    )
-
-    return VerificationReport.from_failures(failures)
+    yield _corner("Gamma10.der", mul_sides, C, B)
+    yield _corner("Gamma11.unit", unit_sides, C, C)
+    yield _corner("Gamma10.unit", unit_sides, C, B)
 
 
 def direct_sum(theta: TwistingCandidate, ups: TwistingCandidate) -> TwistingCandidate:
@@ -447,33 +342,11 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     field = family.field
     if not field.is_zero(family.gamma[n:, :n]):
         raise BlockFormError("upper-right corner block does not vanish")
-    lamA = family.A.lam
-    d = family.A.dim
-    phi = _phi_tensor(field, family.gamma)
-    phip = _phi_of_products(field, family.gamma, lamA)
-    g00 = phi[:, :n, :n]
-    g10 = phi[:, n:, :n]
-    g11 = phi[:, n:, n:]
-
-    failures = []
-    for tag, rows, cols, block in (
-        ("phiB.mul", slice(0, n), slice(0, n), g00),
-        ("phiC.mul", slice(n, None), slice(n, None), g11),
-    ):
-        left = phip[:, :, rows, cols]
-        right = field.zeros(left.shape)
-        for x in range(d):
-            for y in range(d):
-                right[x, y] = _alg_entry_product(field, lamA, block[x], block[y])
-        failures.extend(family_failures(field, tag, left, right))
-
-    left = phip[:, :, n:, :n]
-    right = field.zeros(left.shape)
-    for x in range(d):
-        for y in range(d):
-            right[x, y] = field.add(
-                _alg_entry_product(field, lamA, g10[x], g00[y]),
-                _alg_entry_product(field, lamA, g11[x], g10[y]),
-            )
-    failures.extend(family_failures(field, "Delta.der", left, right))
-    return VerificationReport.from_failures(failures)
+    B, C = slice(0, n), slice(n, None)
+    mul_sides = _twisted_products(field, family.gamma, family.A.lam)
+    families = (
+        _corner("phiB.mul", mul_sides, B, B),
+        _corner("phiC.mul", mul_sides, C, C),
+        _corner("Delta.der", mul_sides, C, B),
+    )
+    return pairs_report(field, families)

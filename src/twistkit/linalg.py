@@ -98,11 +98,6 @@ class KMatrix:
         return self.field.is_zero(self.data)
 
 
-#: A linear endomorphism of a d-dimensional space is its d x d coordinate
-#: matrix acting on coordinate columns; composition is matrix product.
-LinearEndo = KMatrix
-
-
 def _check_same_field(x: KMatrix, y: KMatrix) -> None:
     if x.field != y.field:
         raise FieldMismatchError(f"operands over {x.field} and {y.field}")
@@ -220,7 +215,7 @@ class EndoMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def entry(self, i: int, j: int) -> LinearEndo:
+    def entry(self, i: int, j: int) -> KMatrix:
         return KMatrix(self.field, self.data[i, j])
 
     def __eq__(self, other) -> bool:
@@ -241,14 +236,24 @@ class EndoMatrix:
         return self.field.is_zero(self.data)
 
 
+def _endo_products(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairwise products of two stacks of End-valued matrices.
+
+    ``x`` has shape (a, r, s, d, d), ``y`` (b, s, t, d, d); the result
+    (a, b, r, t, d, d) holds x_i y_j for all pairs, entry products being
+    compositions.
+    """
+    prod = field.tensordot(x, y, axes=([2, 4], [1, 3]))  # (a, r, e, b, t, c)
+    return prod.transpose(0, 3, 1, 4, 2, 5)
+
+
 def endo_mat_mul(x: EndoMatrix, y: EndoMatrix) -> EndoMatrix:
     """Product with entry (i, j) = sum_w x[i, w] composed with y[w, j]."""
     if x.field != y.field:
         raise FieldMismatchError(f"operands over {x.field} and {y.field}")
     if x.cols != y.rows or x.data.shape[2] != y.data.shape[2]:
         raise DimensionMismatchError("endomorphism matrix shapes do not match")
-    prod = x.field.tensordot(x.data, y.data, axes=([1, 3], [0, 2]))
-    return EndoMatrix(x.field, prod.transpose(0, 2, 1, 3))
+    return EndoMatrix(x.field, _endo_products(x.field, x.data[None], y.data[None])[0, 0])
 
 
 # -- matrices over an algebra -------------------------------------------------
@@ -298,14 +303,18 @@ class AlgMatrix:
 
 
 def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise-coordinate product of A-valued rectangular matrices.
+    """Pairwise products of two stacks of A-valued rectangular matrices.
 
-    ``x`` has shape (r, s, dim), ``y`` (s, t, dim); result (r, t, dim) with
-    entry (i, j) = sum_k x[i, k] * y[k, j], products taken via ``lam``.
+    ``x`` has shape (a, r, s, dim), ``y`` (b, s, t, dim); the result
+    (a, b, r, t, dim) holds x_i y_j for all pairs, with entry (i, j) =
+    sum_k x[i, k] * y[k, j] and products taken via ``lam``.  Reducing after
+    each contraction bounds the int64 intermediates over F_p by
+    s * dim * (p - 1)^2, below 2**63 for p < 2**16 while s * dim stays below
+    2**31.
     """
-    pairs = np.tensordot(x, y, axes=([1], [0]))          # (r, u, t, v)
-    out = np.tensordot(pairs, lam, axes=([1, 3], [0, 1]))  # (r, t, w)
-    return field.reduce(out)
+    xl = field.tensordot(x, lam, axes=([3], [0]))               # (a, r, s, v, w)
+    out = field.tensordot(xl, y, axes=([2, 3], [1, 3]))         # (a, r, w, b, t)
+    return out.transpose(0, 3, 1, 4, 2)
 
 
 def algmat_mul(x: AlgMatrix, y: AlgMatrix, algebra=None) -> AlgMatrix:
@@ -315,5 +324,5 @@ def algmat_mul(x: AlgMatrix, y: AlgMatrix, algebra=None) -> AlgMatrix:
         raise FieldMismatchError("matrices live over different ambient algebras")
     if x.size != y.size:
         raise DimensionMismatchError(f"sizes {x.size} and {y.size} differ")
-    data = _alg_entry_product(amb.field, amb.lam, x.data, y.data)
+    data = _alg_entry_product(amb.field, amb.lam, x.data[None], y.data[None])[0, 0]
     return AlgMatrix(amb, data)

@@ -2,15 +2,15 @@
 
 Candidates are totally ordered: flatten the grid row-major over (i, j) and
 then row-major within each d x d matrix, read the entries as base-p digits,
-most significant first.  Enumeration is deterministic, restartable from any
-index, and embarrassingly parallel over contiguous index ranges; results are
-merged in range order so the output is identical for any worker count.
+most significant first.  Enumeration scans a half-open index range
+[start, stop) in ascending order and is deterministic, so a run can be
+restarted from any index: enumerating contiguous ranges one after another
+and concatenating the results gives exactly the result of one run over
+their union.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,36 +82,11 @@ class SearchSpace:
         return GammaFamily(self.A, self.B, self.gamma_of_index(index))
 
 
-def _threads() -> int:
-    raw = os.environ.get("TWISTKIT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TWISTKIT_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"TWISTKIT_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _ranges(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    span = stop - start
-    parts = max(1, min(parts, span)) if span else 1
-    step, extra = divmod(span, parts)
-    out = []
-    lo = start
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
 def enumerate_space(
     space: SearchSpace,
     checker: str = "direct",
     start: int = 0,
     stop: int | None = None,
-    threads: int | None = None,
 ) -> list[int]:
     """Ascending indices of accepted candidates in [start, stop).
 
@@ -127,25 +102,13 @@ def enumerate_space(
             verdict = _CHECKERS[checker]
         except KeyError:
             raise ValueError(f"unknown checker {checker!r}") from None
-    threads = _threads() if threads is None else threads
-
-    def scan(bounds: tuple[int, int]) -> list[int]:
-        lo, hi = bounds
-        return [idx for idx in range(lo, hi) if verdict(space.family_at(idx))]
-
-    chunks = _ranges(start, stop, threads)
-    if len(chunks) == 1:
-        return scan(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = list(pool.map(scan, chunks))
-    return [idx for chunk in results for idx in chunk]
+    return [idx for idx in range(start, stop) if verdict(space.family_at(idx))]
 
 
 def cross_validate(
     space: SearchSpace,
     start: int = 0,
     stop: int | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Verdict unanimity of the three routes over the whole space.
 
@@ -155,26 +118,10 @@ def cross_validate(
     """
     space.guard()
     stop = space.total if stop is None else min(stop, space.total)
-    threads = _threads() if threads is None else threads
-
-    def scan(bounds: tuple[int, int]):
-        lo, hi = bounds
-        for idx in range(lo, hi):
-            fam = space.family_at(idx)
-            verdicts = (direct_ok(fam), rep_ok(fam), oracle_ok(fam))
-            if len(set(verdicts)) != 1:
-                return idx, verdicts, fam
-        return None
-
-    chunks = _ranges(start, stop, threads)
-    if len(chunks) == 1:
-        hits = [scan(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            hits = list(pool.map(scan, chunks))
-    for hit in hits:
-        if hit is not None:
-            idx, verdicts, fam = hit
+    for idx in range(start, stop):
+        fam = space.family_at(idx)
+        verdicts = (direct_ok(fam), rep_ok(fam), oracle_ok(fam))
+        if len(set(verdicts)) != 1:
             failure = Failure(
                 condition="cross.disagree",
                 witness=(idx,),

@@ -28,7 +28,15 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
-from .linalg import AlgMatrix, EndoMatrix, KMatrix, _freeze, kernel_basis
+from .linalg import (
+    AlgMatrix,
+    EndoMatrix,
+    KMatrix,
+    _alg_entry_product,
+    _endo_products,
+    _freeze,
+    kernel_basis,
+)
 from .report import VerificationReport, Failure, family_failures, pairs_ok, pairs_report
 
 
@@ -156,6 +164,33 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n * d)
 
 
+# -- identity kernels shared by the routes and the family checkers ---------------
+
+
+def _unit_images(field, G: np.ndarray, unitA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the unit rule gamma[i][j](1) = delta_ij 1; axes (i, j, r)."""
+    left = field.tensordot(G, unitA, axes=([3], [0]))
+    right = field.reduce(field.identity(G.shape[0])[:, :, None] * unitA[None, None, :])
+    return left, right
+
+
+def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of twisted multiplicativity on basis pairs; axes (x, y, j, k, w).
+
+    With the A-valued matrices phi(a)[j, k] = gamma[k][j](a), the left side
+    holds phi(a_x a_y) and the right side phi(a_x) phi(a_y), i.e.
+    gamma[k][j](a_x a_y) against sum_l gamma[l][j](a_x) gamma[k][l](a_y).
+    """
+    phi = G.transpose(3, 1, 0, 2)
+    left = field.tensordot(G, lamA, axes=([3], [2])).transpose(3, 4, 1, 0, 2)
+    return left, _alg_entry_product(field, lamA, phi, phi)
+
+
+def _transposed(tag: str, sides, axes) -> tuple:
+    """A (tag, left, right) family with both sides in the tag's witness order."""
+    return (tag, *(side.transpose(axes) for side in sides))
+
+
 # -- route 1: structure-constant conditions ------------------------------------
 
 
@@ -165,21 +200,15 @@ def _direct_pairs(family: GammaFamily):
     G = family.gamma
     lamA, unitA = family.A.lam, family.A.unit
     lamB, unitB = family.B.lam, family.B.unit
-    n, d = family.B.dim, family.A.dim
-    eye_n = field.identity(n)
+    d = family.A.dim
     eye_d = field.identity(d)
 
-    # (1) gamma_i^j(1) = delta_ij 1
-    left1 = field.tensordot(G, unitA, axes=([3], [0]))          # (i, j, r)
-    right1 = field.reduce(eye_n[:, :, None] * unitA[None, None, :])
-    yield "direct.1", left1, right1
+    # (1) gamma_i^j(1) = delta_ij 1; witness axes (i, j, r)
+    yield ("direct.1", *_unit_images(field, G, unitA))
 
     # (2) gamma_i^k(a a') = sum_j gamma_j^k(a) gamma_i^j(a') on basis pairs;
     #     witness axes (i, k, p, q, r)
-    left2 = field.tensordot(G, lamA, axes=([3], [2])).transpose(0, 1, 3, 4, 2)
-    t1 = field.tensordot(G, lamA, axes=([2], [0]))              # (j, k, p, v, w)
-    right2 = field.tensordot(t1, G, axes=([0, 3], [1, 2]))      # (k, p, w, i, q)
-    yield "direct.2", left2, right2.transpose(3, 0, 1, 4, 2)
+    yield _transposed("direct.2", _twisted_products(field, G, lamA), (3, 2, 0, 1, 4))
 
     # (3) alpha_k id = sum_i alpha_i gamma_i^k; witness axes (k, r, c)
     left3 = field.reduce(unitB[:, None, None] * eye_d[None, :, :])
@@ -220,11 +249,22 @@ def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
 # -- route 2a: End-valued representation ---------------------------------------
 
 
-def _rho_tensor(family: GammaFamily) -> np.ndarray:
-    """All matrices at once: R[k, i, m] = sum_l lamB[m, l, i] gamma[k, l]."""
-    field = family.field
-    t = field.tensordot(family.B.lam, family.gamma, axes=([1], [1]))  # (m, i, k, r, c)
+def _rho_tensor(field, lam: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """All matrices at once: R[k, i, m] = sum_l lam[m, l, i] G[k, l]."""
+    t = field.tensordot(lam, G, axes=([1], [1]))  # (m, i, k, r, c)
     return t.transpose(2, 1, 0, 3, 4)
+
+
+def _endo_identity(field, size: int, d: int) -> np.ndarray:
+    """The identity of M_size(End A); axes (i, m, r, c)."""
+    eye_size, eye_d = field.identity(size), field.identity(d)
+    return field.reduce(eye_size[:, :, None, None] * eye_d[None, None, :, :])
+
+
+def _rep_sides(field, lam: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of sum_k lam[j, i, k] R_k = R_i R_j; axes (i, j, u, v, r, c)."""
+    combination = field.tensordot(lam, R, axes=([2], [0])).transpose(1, 0, 2, 3, 4, 5)
+    return combination, _endo_products(field, R, R)
 
 
 def rho_hat(c, k: int) -> EndoMatrix:
@@ -232,27 +272,21 @@ def rho_hat(c, k: int) -> EndoMatrix:
     family = _family_of(c)
     if not 0 <= k < family.B.dim:
         raise IndexError(f"basis index {k} out of range for dimension {family.B.dim}")
-    return EndoMatrix(family.field, _rho_tensor(family)[k].copy())
+    return EndoMatrix(family.field, _rho_tensor(family.field, family.B.lam, family.gamma)[k].copy())
 
 
 def _rho_pairs(family: GammaFamily):
     field = family.field
     lamB, unitB = family.B.lam, family.B.unit
-    n, d = family.B.dim, family.A.dim
-    R = _rho_tensor(family)
+    R = _rho_tensor(field, lamB, family.gamma)
 
     # unit: sum_k alpha_k R_k = identity; witness axes (i, m, r, c)
     left_u = field.tensordot(unitB, R, axes=([0], [0]))
-    eye = field.reduce(
-        field.identity(n)[:, :, None, None] * field.identity(d)[None, None, :, :]
-    )
-    yield "rho.unit", left_u, eye
+    yield "rho.unit", left_u, _endo_identity(field, family.B.dim, family.A.dim)
 
     # multiplication against the opposite product: R_i R_j = sum_k lam[j, i, k] R_k;
     # witness axes (i, j, u, v, r, c)
-    left_m = field.tensordot(lamB, R, axes=([2], [0])).transpose(1, 0, 2, 3, 4, 5)
-    right_m = field.tensordot(R, R, axes=([2, 4], [1, 3])).transpose(0, 3, 1, 4, 2, 5)
-    yield "rho.mul", left_m, right_m
+    yield ("rho.mul", *_rep_sides(field, lamB, R))
 
 
 def check_rho_representation(c) -> VerificationReport:
@@ -287,19 +321,13 @@ def _phi_pairs(family: GammaFamily):
     field = family.field
     G = family.gamma
     lamA, unitA = family.A.lam, family.A.unit
-    n = family.B.dim
 
     # unit: phi(1_A) = identity matrix; witness axes (j, k, r)
-    left_u = field.tensordot(G, unitA, axes=([3], [0])).transpose(1, 0, 2)
-    right_u = field.reduce(field.identity(n)[:, :, None] * unitA[None, None, :])
-    yield "phi.unit", left_u, right_u
+    yield _transposed("phi.unit", _unit_images(field, G, unitA), (1, 0, 2))
 
     # multiplicativity on basis pairs: phi(a_p a_q) = phi(a_p) phi(a_q);
     # witness axes (p, q, j, l, w)
-    left_m = field.tensordot(G, lamA, axes=([3], [2])).transpose(3, 4, 1, 0, 2)
-    t1 = field.tensordot(G, lamA, axes=([2], [0]))            # (k, j, p, v, w)
-    right_m = field.tensordot(t1, G, axes=([0, 3], [1, 2]))   # (j, p, w, l, q)
-    yield "phi.mul", left_m, right_m.transpose(1, 4, 0, 3, 2)
+    yield ("phi.mul", *_twisted_products(field, G, lamA))
 
 
 def check_phi_representation(c) -> VerificationReport:
@@ -476,7 +504,6 @@ class FaithfulRep:
 def _faithful_tensor(family: GammaFamily) -> np.ndarray:
     """Images of all product basis vectors, shape (n*d, n, n, d)."""
     field = family.field
-    G = family.gamma
     lamA, unitA = family.A.lam, family.A.unit
     n, d = family.B.dim, family.A.dim
     # image of b_k: entry (i, j) = lamB[k, j, i] * 1_A
@@ -484,9 +511,7 @@ def _faithful_tensor(family: GammaFamily) -> np.ndarray:
     # image of a_p: entry (i, j) = gamma[j][i](a_p)
     pa = family.gamma.transpose(3, 1, 0, 2)
     # image of b_k (x) a_p is the matrix product pb[k] pa[p]
-    t6 = field.tensordot(pb, pa, axes=([2], [1]))                  # (k, i, u, p, j, v)
-    full = field.tensordot(t6, lamA, axes=([2, 5], [0, 1]))        # (k, i, p, j, w)
-    return full.transpose(0, 2, 1, 3, 4).reshape(n * d, n, n, d)
+    return _alg_entry_product(field, lamA, pb, pa).reshape(n * d, n, n, d)
 
 
 def lift_structure_matrix(c, k: int) -> AlgMatrix:
@@ -529,9 +554,7 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
     failures = []
 
     # multiplicativity on all product-basis pairs; witness axes (x, y, i, l, w)
-    t6 = field.tensordot(images, images, axes=([2], [1]))          # (x, i, u, y, l, v)
-    prod = field.tensordot(t6, lamA, axes=([2, 5], [0, 1]))        # (x, i, y, l, w)
-    prod = prod.transpose(0, 2, 1, 3, 4)
+    prod = _alg_entry_product(field, lamA, images, images)
     expected = field.tensordot(lam, images, axes=([2], [0]))       # (x, y, i, l, w)
     failures.extend(family_failures(field, "faithful.mul", prod, expected))
 

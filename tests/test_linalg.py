@@ -217,3 +217,56 @@ def test_algmat_mul_matches_regular_block_expansion(entries):
         return out
 
     assert f3.equal(blocks(prod), f3.matmul(blocks(x), blocks(y)))
+
+
+def test_alg_entry_product_exact_at_worst_case_int64_bound():
+    """All entries p - 1 at p = 65521 with s * d^2 = 2^16: contracting both
+    stages before reducing would pass 2^63; the result must equal the
+    Python-int contraction."""
+    from twistkit.linalg import _alg_entry_product
+
+    p = 65521
+    field = GF(p)
+    x = np.full((1, 1, 64, 32), p - 1, dtype=np.int64)
+    y = np.full((1, 64, 1, 32), p - 1, dtype=np.int64)
+    lam = np.full((32, 32, 32), p - 1, dtype=np.int64)
+    pairs = np.tensordot(x.astype(object), y.astype(object), axes=([2], [1]))
+    expected = np.tensordot(pairs, lam.astype(object), axes=([2, 5], [0, 1]))
+    expected = (expected.transpose(0, 2, 1, 3, 4) % p).astype(np.int64)
+    out = _alg_entry_product(field, lam, x, y)
+    assert out.shape == (1, 1, 1, 1, 32)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_stacked_products_match_entrywise_definition(field):
+    """Both stacked kernels against the defining sums, pair by pair."""
+    import itertools
+    import random
+
+    from twistkit.linalg import _alg_entry_product, _endo_products
+
+    rng = random.Random(31)
+
+    def rand(shape):
+        values = np.array([rng.randrange(-3, 4) for _ in range(int(np.prod(shape)))], dtype=object)
+        return field.asarray(values.reshape(shape).tolist())
+
+    d = 2
+    lam = rand((d, d, d))
+    x, y = rand((3, 2, 3, d)), rand((2, 3, 1, d))
+    out = _alg_entry_product(field, lam, x, y)
+    assert out.shape == (3, 2, 2, 1, d)
+    for a, b, i, j, w in itertools.product(*map(range, out.shape)):
+        expected = sum(
+            x[a, i, k, u] * y[b, k, j, v] * lam[u, v, w]
+            for k in range(3) for u in range(d) for v in range(d)
+        )
+        assert field.equal(out[a, b, i, j, w], field.reduce(np.array(expected)))
+
+    ex, ey = rand((2, 2, 3, d, d)), rand((3, 3, 2, d, d))
+    prod = _endo_products(field, ex, ey)
+    assert prod.shape == (2, 3, 2, 2, d, d)
+    for a, b, i, j in itertools.product(*map(range, prod.shape[:4])):
+        expected = sum(field.matmul(ex[a, i, k], ey[b, k, j]) for k in range(3))
+        assert field.equal(prod[a, b, i, j], expected)

@@ -56,20 +56,19 @@ def test_flip_is_always_accepted():
         assert enumerate_space(space, "all", start=lo, stop=hi) == [idx]
 
 
-def test_enumeration_deterministic_across_threads():
+def test_enumeration_restartable_across_ranges():
     space = SearchSpace(kn_algebra(F2, 2), duplicate_algebra(F2))
-    serial = enumerate_space(space, "direct", start=0, stop=8192, threads=1)
-    threaded = enumerate_space(space, "direct", start=0, stop=8192, threads=4)
-    assert serial == threaded
+    whole = enumerate_space(space, "direct", start=0, stop=8192)
+    first = enumerate_space(space, "direct", start=0, stop=4096)
+    second = enumerate_space(space, "direct", start=4096, stop=8192)
+    assert first + second == whole
 
 
-def test_thread_env_var(monkeypatch):
-    monkeypatch.setenv("TWISTKIT_THREADS", "3")
+def test_default_range_is_whole_space():
     space = SearchSpace(kn_algebra(F2, 1), kn_algebra(F2, 2))
-    assert enumerate_space(space, "direct") == enumerate_space(space, "direct", threads=1)
-    monkeypatch.setenv("TWISTKIT_THREADS", "zero")
-    with pytest.raises(ValueError):
-        enumerate_space(space, "direct")
+    assert enumerate_space(space, "direct") == enumerate_space(
+        space, "direct", start=0, stop=space.total
+    )
 
 
 def test_guard_rejects_oversized():
@@ -91,10 +90,9 @@ def test_unknown_checker():
         enumerate_space(space, checker="magic")
 
 
-def test_cross_validate_range_and_threads():
+def test_cross_validate_subrange():
     space = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
-    assert cross_validate(space, start=0, stop=4096, threads=1).ok
-    assert cross_validate(space, start=0, stop=4096, threads=4).ok
+    assert cross_validate(space, start=0, stop=4096).ok
 
 
 def test_cross_validate_noncommutative_twisted_factor():

@@ -428,3 +428,46 @@ def test_intermediate_left_multiplication_identity(case, ncd_idempotent_q):
                 gamma_ija = field.matmul(fam.gamma[i, j], a)
                 right = field.add(right, field.matmul(lj, _phi_endo_matrix(cand, gamma_ija)))
             assert field.equal(left, right)
+
+
+# -- laziness of the fast verdicts ---------------------------------------------------
+
+
+_F2 = GF(2)
+_UNIT_OK_NOT_MULT = [[[[0, 1], [0, 1]], [[1, 1], [0, 0]]], [[[1, 1], [0, 0]], [[0, 1], [0, 1]]]]
+
+
+@pytest.mark.parametrize(
+    "grid, counts",
+    [
+        ("zero", {direct_ok: 1, rep_ok: 2, oracle_ok: 1}),
+        ("unit-ok", {direct_ok: 4, rep_ok: 8, oracle_ok: 7}),
+        ("flip", {direct_ok: 8, rep_ok: 8, oracle_ok: 18}),
+    ],
+)
+def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
+    """The number of contractions each fast verdict performs on K^2 x K^2 over
+    F_2: a candidate failing the first family costs one family's work, not
+    the whole route's.  Exhaustive sweeps reject almost every candidate at
+    the first family, so eager evaluation would multiply their cost."""
+    from twistkit.fields import Field
+
+    a2 = kn_algebra(_F2, 2)
+    if grid == "zero":
+        fam = GammaFamily(a2, a2, _F2.zeros((2, 2, 2, 2)))
+    elif grid == "unit-ok":
+        fam = GammaFamily(a2, a2, _F2.asarray(_UNIT_OK_NOT_MULT))
+    else:
+        fam = GammaFamily.flip(a2, a2)
+    calls = []
+    original = Field.tensordot
+
+    def counted(self, x, y, axes):
+        calls.append(axes)
+        return original(self, x, y, axes)
+
+    monkeypatch.setattr(Field, "tensordot", counted)
+    for verdict, expected in counts.items():
+        calls.clear()
+        assert verdict(fam) == (grid == "flip")
+        assert len(calls) == expected, verdict.__name__
