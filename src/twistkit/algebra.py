@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
 from .linalg import KMatrix, _freeze
-from .report import VerificationReport, family_failures
+from .report import VerificationReport, pairs_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,21 +101,20 @@ def validate_algebra(algebra: FiniteDimAlgebra) -> VerificationReport:
     count.  Tags: ``assoc`` with witness (i, j, k, m); ``unit.left`` /
     ``unit.right`` with witness (i, k).
     """
+    return pairs_report(algebra.field, _algebra_pairs(algebra))
+
+
+def _algebra_pairs(algebra: FiniteDimAlgebra):
     field = algebra.field
     lam = algebra.lam
-    failures = []
-
     left = field.tensordot(lam, lam, axes=([2], [0]))                    # (i, j, k, m)
     right = field.tensordot(lam, lam, axes=([2], [1])).transpose(2, 0, 1, 3)
-    failures.extend(family_failures(field, "assoc", left, right))
+    yield "assoc", left, right
 
     eye = field.identity(algebra.dim)
-    left_unit = field.tensordot(algebra.unit, lam, axes=([0], [0]))      # (i, k) from lam[j, i, k]
-    failures.extend(family_failures(field, "unit.left", left_unit, eye))
-    right_unit = field.tensordot(algebra.unit, lam, axes=([0], [1]))     # (i, k) from lam[i, j, k]
-    failures.extend(family_failures(field, "unit.right", right_unit, eye))
-
-    return VerificationReport.from_failures(failures)
+    # (i, k) from lam[j, i, k], then from lam[i, j, k]
+    yield "unit.left", field.tensordot(algebra.unit, lam, axes=([0], [0])), eye
+    yield "unit.right", field.tensordot(algebra.unit, lam, axes=([0], [1])), eye
 
 
 def direct_product(b: FiniteDimAlgebra, c: FiniteDimAlgebra) -> FiniteDimAlgebra:

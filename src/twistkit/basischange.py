@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, MorphismError
 from .linalg import KMatrix, _alg_entry_product, _endo_products, _freeze, mat_inverse
-from .report import Failure, VerificationReport, family_failures
+from .report import Failure, VerificationReport, pairs_report
 from .twisting import GammaFamily, TwistingCandidate, _require_verified, _rho_tensor, certify
 
 
@@ -90,11 +90,18 @@ def check_induced_morphism(
         raise DimensionMismatchError("candidates twist different algebras")
     if f.source != fam_chi.B or f.target != fam_varpi.B:
         raise DimensionMismatchError("morphism does not connect the two carriers")
+    report = pairs_report(fam_chi.field, _induced_pairs(fam_chi, fam_varpi, f.zeta))
+    failed = report.conditions()
+    matrix_ok, gamma_ok = "eq.matrix" not in failed, "eq.gamma" not in failed
+    if matrix_ok == gamma_ok:
+        return report
+    failure = Failure("eq.agreement", left=str(matrix_ok), right=str(gamma_ok))
+    return VerificationReport.from_failures((*report.failures, failure))
+
+
+def _induced_pairs(fam_chi: GammaFamily, fam_varpi: GammaFamily, z: np.ndarray):
     field = fam_chi.field
     lamA, unitA = fam_chi.A.lam, fam_chi.A.unit
-    z = f.zeta
-
-    failures = []
 
     # matrix form: phi_varpi(a_x) M = M phi_chi(a_x); witness (x, i, j, w)
     mmat = field.tensordot(z, unitA, axes=0)                        # (m, n, d)
@@ -102,25 +109,12 @@ def check_induced_morphism(
     phi_varpi = fam_varpi.gamma.transpose(3, 1, 0, 2)
     left1 = _alg_entry_product(field, lamA, phi_varpi, mmat[None])[:, 0]
     right1 = _alg_entry_product(field, lamA, mmat[None], phi_chi)[0]
-    matrix_fails = list(family_failures(field, "eq.matrix", left1, right1))
-    failures.extend(matrix_fails)
+    yield "eq.matrix", left1, right1
 
     # gamma form: witness (x, j, k, r)
     left2 = field.tensordot(z, fam_chi.gamma, axes=([1], [1])).transpose(3, 0, 1, 2)
     right2 = field.tensordot(z, fam_varpi.gamma, axes=([0], [0])).transpose(3, 1, 0, 2)
-    gamma_fails = list(family_failures(field, "eq.gamma", left2, right2))
-    failures.extend(gamma_fails)
-
-    if bool(matrix_fails) != bool(gamma_fails):
-        failures.append(
-            Failure(
-                condition="eq.agreement",
-                witness=(),
-                left=str(not matrix_fails),
-                right=str(not gamma_fails),
-            )
-        )
-    return VerificationReport.from_failures(failures)
+    yield "eq.gamma", left2, right2
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +137,7 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix, labels=None) -> RebaseResu
     """
     family = _require_verified(chi, "rebase")
     field = family.field
-    n, d = family.B.dim, family.A.dim
+    n = family.B.dim
     if p_matrix.field != field:
         raise FieldMismatchError("change-of-basis matrix over the wrong field")
     if p_matrix.data.shape != (n, n):
@@ -165,25 +159,28 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix, labels=None) -> RebaseResu
     new_family = GammaFamily(family.A, new_b, new_gamma)
     candidate = certify(new_family)
 
-    # conjugation identities with M = pinv (A-valued) and M-hat = pinv (End-valued)
-    failures = []
-    lamA, unitA = family.A.lam, family.A.unit
+    conjugation = pairs_report(field, _conjugation_pairs(family, new_family, p, pinv))
+    return RebaseResult(new_b, candidate, conjugation)
+
+
+def _conjugation_pairs(old: GammaFamily, new: GammaFamily, p: np.ndarray, pinv: np.ndarray):
+    """Conjugation identities with M = pinv (A-valued) and M-hat = pinv (End-valued)."""
+    field = old.field
+    lamA, unitA = old.A.lam, old.A.unit
     m_a = field.tensordot(pinv, unitA, axes=0)
     minv_a = field.tensordot(p, unitA, axes=0)
-    phi_old = family.gamma.transpose(3, 1, 0, 2)
-    phi_new = new_gamma.transpose(3, 1, 0, 2)
+    phi_old = old.gamma.transpose(3, 1, 0, 2)
+    phi_new = new.gamma.transpose(3, 1, 0, 2)
     conj = _alg_entry_product(field, lamA, m_a[None], phi_old)[0]
     right = _alg_entry_product(field, lamA, conj, minv_a[None])[:, 0]
-    failures.extend(family_failures(field, "conj.phi", phi_new, right))
+    yield "conj.phi", phi_new, right
 
-    rho_old = _rho_tensor(field, family.B.lam, family.gamma)        # (k, i, m, r, c)
-    rho_new = _rho_tensor(field, new_lam, new_gamma)
-    eye_d = field.identity(d)
+    rho_old = _rho_tensor(field, old.B.lam, old.gamma)              # (k, i, m, r, c)
+    rho_new = _rho_tensor(field, new.B.lam, new.gamma)
+    eye_d = field.identity(old.A.dim)
     m_e = field.reduce(pinv[:, :, None, None] * eye_d[None, None, :, :])
     minv_e = field.reduce(p[:, :, None, None] * eye_d[None, None, :, :])
     left_r = field.tensordot(pinv, rho_new, axes=([0], [0]))        # (k, i, m, r, c)
     conj_r = _endo_products(field, m_e[None], rho_old)[0]
     right_r = _endo_products(field, conj_r, minv_e[None])[:, 0]
-    failures.extend(family_failures(field, "conj.rho", left_r, right_r))
-
-    return RebaseResult(new_b, candidate, VerificationReport.from_failures(failures))
+    yield "conj.rho", left_r, right_r

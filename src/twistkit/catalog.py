@@ -30,8 +30,16 @@ from .algebra import (
 from .errors import DimensionMismatchError
 from .fields import Field
 from .linalg import KMatrix
-from .report import VerificationReport, family_failures
-from .twisting import GammaFamily, TwistingCandidate, _transposed, _twisted_products, _unit_images
+from .report import VerificationReport, pairs_ok, pairs_report
+from .twisting import (
+    GammaFamily,
+    TwistingCandidate,
+    _family_of,
+    _rule_compositions,
+    _transposed,
+    _twisted_products,
+    _unit_images,
+)
 
 
 def _endo_array(field: Field, d: int, value) -> np.ndarray:
@@ -63,14 +71,14 @@ def _duplicate_grid(field: Field, d: int, f, delta) -> np.ndarray:
     return grid
 
 
-def _duplicate_rule_failures(A: FiniteDimAlgebra, tags, fm, dm):
+def _duplicate_rule_pairs(A: FiniteDimAlgebra, tags, fm, dm):
     """delta(a_p a_q) = a_p delta(a_q) + delta(a_p) f(a_q), then f(a_p a_q) =
     f(a_p) f(a_q); witness (p, q, w).  Both are entries of the twisted
     multiplicativity of the duplicate grid."""
     field = A.field
     left, right = _twisted_products(field, _duplicate_grid(field, A.dim, fm, dm), A.lam)
     for tag, (j, k) in zip(tags, ((0, 1), (1, 1))):
-        yield from family_failures(field, tag, left[:, :, j, k], right[:, :, j, k])
+        yield tag, left[:, :, j, k], right[:, :, j, k]
 
 
 # -- duplicates (carrier K[X]/(X^2 - X)) -----------------------------------------
@@ -96,28 +104,30 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
 
     1 and 2 imply 3, and 5 and 6 imply 4, so {1, 2, 5, 6, 7} generate.
     """
+    return pairs_report(A.field, _ncd_pairs(A, f, delta))
+
+
+def ncd_predicate(A: FiniteDimAlgebra, f, delta) -> bool:
+    """f a unital multiplicative endomorphism, delta a twisted derivation
+    along (id, f) with delta o delta = delta and f = f^2 + delta o f + f o delta."""
+    return pairs_ok(A.field, _ncd_pairs(A, f, delta))
+
+
+def _ncd_pairs(A: FiniteDimAlgebra, f, delta):
     field = A.field
     d = A.dim
     fm = _endo_array(field, d, f)
     dm = _endo_array(field, d, delta)
     unit = A.unit
 
-    failures = []
-    failures.extend(family_failures(field, "ncd.1", field.matmul(dm, dm), dm))
+    yield "ncd.1", field.matmul(dm, dm), dm
     lhs2 = field.reduce(field.matmul(fm, dm) + field.matmul(dm, fm) + field.matmul(fm, fm))
-    failures.extend(family_failures(field, "ncd.2", lhs2, fm))
+    yield "ncd.2", lhs2, fm
     s = field.add(dm, fm)
-    failures.extend(family_failures(field, "ncd.3", field.matmul(s, s), s))
-    failures.extend(family_failures(field, "ncd.4", field.matmul(dm, unit), field.zeros((d,))))
-    failures.extend(family_failures(field, "ncd.5", field.matmul(fm, unit), unit))
-    failures.extend(_duplicate_rule_failures(A, ("ncd.6", "ncd.7"), fm, dm))
-    return VerificationReport.from_failures(failures)
-
-
-def ncd_predicate(A: FiniteDimAlgebra, f, delta) -> bool:
-    """f a unital multiplicative endomorphism, delta a twisted derivation
-    along (id, f) with delta o delta = delta and f = f^2 + delta o f + f o delta."""
-    return ncd_conditions(A, f, delta).ok
+    yield "ncd.3", field.matmul(s, s), s
+    yield "ncd.4", field.matmul(dm, unit), field.zeros((d,))
+    yield "ncd.5", field.matmul(fm, unit), unit
+    yield from _duplicate_rule_pairs(A, ("ncd.6", "ncd.7"), fm, dm)
 
 
 # -- quantum duplicates (carrier K[X]/(X^2 - alpha X + beta)) ---------------------
@@ -138,6 +148,14 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     ``qdup.derivation`` delta(ab) = a delta(b) + delta(a) f(b)
     ``qdup.mult``       f(ab) = f(a) f(b)
     """
+    return pairs_report(A.field, _qdup_pairs(A, alpha, beta, f, delta))
+
+
+def qdup_predicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> bool:
+    return pairs_ok(A.field, _qdup_pairs(A, alpha, beta, f, delta))
+
+
+def _qdup_pairs(A: FiniteDimAlgebra, alpha, beta, f, delta):
     field = A.field
     d = A.dim
     a = field.scalar(alpha)
@@ -148,18 +166,12 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     eye = field.identity(d)
     ff = field.matmul(fm, fm)
 
-    failures = []
     lhs_p = field.reduce(field.matmul(dm, dm) - a * dm + b * eye)
-    failures.extend(family_failures(field, "qdup.P", lhs_p, field.reduce(b * ff)))
+    yield "qdup.P", lhs_p, field.reduce(b * ff)
     lhs_s = field.add(field.matmul(fm, dm), field.matmul(dm, fm))
-    failures.extend(family_failures(field, "qdup.swap", lhs_s, field.reduce(a * (fm - ff))))
-    failures.extend(family_failures(field, "qdup.unital", field.matmul(fm, unit), unit))
-    failures.extend(_duplicate_rule_failures(A, ("qdup.derivation", "qdup.mult"), fm, dm))
-    return VerificationReport.from_failures(failures)
-
-
-def qdup_predicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> bool:
-    return qdup_conditions(A, alpha, beta, f, delta).ok
+    yield "qdup.swap", lhs_s, field.reduce(a * (fm - ff))
+    yield "qdup.unital", field.matmul(fm, unit), unit
+    yield from _duplicate_rule_pairs(A, ("qdup.derivation", "qdup.mult"), fm, dm)
 
 
 # -- K^n twists -------------------------------------------------------------------
@@ -180,35 +192,29 @@ def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport
     ``kn.3``  twisted multiplicativity on basis pairs
     ``kn.4``  grid[i][j](1) = delta_ij 1
     """
+    return pairs_report(A.field, _kn_pairs(A, n, gamma_grid))
+
+
+def _kn_pairs(A: FiniteDimAlgebra, n: int, gamma_grid):
     field = A.field
     d = A.dim
     grid = _grid_array(field, n, d, gamma_grid)
-    lam, unit = A.lam, A.unit
 
-    failures = []
     comps = field.tensordot(grid, grid, axes=([3], [2]))            # (i, p, r, j, p', c)
-    comps = comps.transpose(0, 3, 1, 4, 2, 5)                       # (i, j, p, p', r, c)
-    diag = np.stack([comps[:, :, p, p] for p in range(n)], axis=2)  # (i, j, p, r, c)
-    eye_n = field.identity(n)
-    expected = field.reduce(eye_n[:, :, None, None, None] * grid[:, None])
-    failures.extend(family_failures(field, "kn.1", diag, expected))
+    diag = np.diagonal(comps, axis1=1, axis2=4).transpose(0, 2, 4, 1, 3)  # (i, j, p, r, c)
+    expected = field.reduce(field.identity(n)[:, :, None, None, None] * grid[:, None])
+    yield "kn.1", diag, expected
 
     row_sums = field.reduce(grid.sum(axis=0))                       # (i, r, c)
-    eye_d = field.identity(d)
-    ids = field.zeros(row_sums.shape)
-    for i in range(n):
-        ids[i] = eye_d
-    failures.extend(family_failures(field, "kn.2", row_sums, ids))
+    yield "kn.2", row_sums, np.broadcast_to(field.identity(d), row_sums.shape)
 
-    mul = _transposed("kn.3", _twisted_products(field, grid, lam), (3, 2, 0, 1, 4))
-    failures.extend(family_failures(field, *mul))
-    failures.extend(family_failures(field, "kn.4", *_unit_images(field, grid, unit)))
-    return VerificationReport.from_failures(failures)
+    yield _transposed("kn.3", _twisted_products(field, grid, A.lam), (3, 2, 0, 1, 4))
+    yield ("kn.4", *_unit_images(field, grid, A.unit))
 
 
 def kn_admissible(candidate: TwistingCandidate | GammaFamily) -> VerificationReport:
     """Family conditions evaluated on an existing K^n candidate."""
-    family = candidate.family if isinstance(candidate, TwistingCandidate) else candidate
+    family = _family_of(candidate)
     _require_kn_carrier(family)
     return kn_conditions(family.A, family.B.dim, family.gamma)
 
@@ -240,7 +246,7 @@ def _require_kn_carrier(family: GammaFamily) -> None:
 
 def quiver_of(candidate: TwistingCandidate | GammaFamily) -> tuple[Quiver, QuiverRep]:
     """Quiver with an arrow j -> i exactly at each nonzero grid entry."""
-    family = candidate.family if isinstance(candidate, TwistingCandidate) else candidate
+    family = _family_of(candidate)
     _require_kn_carrier(family)
     field = family.field
     n = family.B.dim
@@ -268,54 +274,41 @@ def make_truncated(A: FiniteDimAlgebra, n: int, gamma_grid) -> TwistingCandidate
 def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport:
     """The truncated-carrier conditions on a grid indexed by exponents 0..n-1.
 
-    ``trunc.1``  grid[0][j] = delta_0j id
+    ``trunc.1``  grid[0][j] = delta_0j id; witness (j, u, v)
     ``trunc.2``  grid[r][j] = sum_{l<=j} grid[r-i][j-l] o grid[i][l]
-                 for 1 < r < n, 0 < i < r, j < n; witness (r, i, j, ...)
+                 for 1 < r < n, 0 < i < r, j < n; witness (t, u, v) with
+                 t the flat index of (r, i, j), r slowest and j fastest
     ``trunc.3``  sum_{l<=j} grid[n-i][j-l] o grid[i][l] = 0
-                 for 0 < i < n, j < n; witness (i, j, ...)
+                 for 0 < i < n, j < n; witness (t, u, v) with t = (i - 1) n + j
     ``trunc.4``  twisted multiplicativity on basis pairs
     ``trunc.5``  grid[i][j](1) = delta_ij 1
+
+    (u, v) is the entry of the d x d coordinate matrix.
     """
+    return pairs_report(A.field, _truncated_pairs(A, n, gamma_grid))
+
+
+def _truncated_pairs(A: FiniteDimAlgebra, n: int, gamma_grid):
     field = A.field
     d = A.dim
     grid = _grid_array(field, n, d, gamma_grid)
-    lam, unit = A.lam, A.unit
 
-    failures = []
-    eye_d = field.identity(d)
     first_expected = field.zeros((n, d, d))
-    first_expected[0] = eye_d
-    failures.extend(family_failures(field, "trunc.1", grid[0].copy(), first_expected))
+    first_expected[0] = field.identity(d)
+    yield "trunc.1", grid[0].copy(), first_expected
 
-    def convolution(r_hi: int, i_lo: int, j: int) -> np.ndarray:
-        acc = field.zeros((d, d))
-        for l in range(j + 1):
-            acc = field.add(acc, field.matmul(grid[r_hi, j - l], grid[i_lo, l]))
-        return acc
+    # conv[i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product rule
+    # against the constants of the carrier
+    conv = _rule_compositions(field, truncated_poly_algebra(field, n).lam, grid, grid)
+    r, i = np.tril_indices(n - 1, -1)      # 0 < i < r < n, r slowest
+    r, i = r + 1, i + 1
+    yield "trunc.2", grid[r].reshape(-1, d, d), conv[i, r - i].reshape(-1, d, d)
+    i = np.arange(1, n)
+    left3 = conv[i, n - i].reshape(-1, d, d)
+    yield "trunc.3", left3, field.zeros(left3.shape)
 
-    if n > 2:
-        left2 = []
-        right2 = []
-        for r in range(2, n):
-            for i in range(1, r):
-                for j in range(n):
-                    left2.append(grid[r, j])
-                    right2.append(convolution(r - i, i, j))
-        failures.extend(
-            family_failures(field, "trunc.2", np.stack(left2), np.stack(right2))
-        )
-
-    left3 = []
-    for i in range(1, n):
-        for j in range(n):
-            left3.append(convolution(n - i, i, j))
-    stacked = np.stack(left3)
-    failures.extend(family_failures(field, "trunc.3", stacked, field.zeros(stacked.shape)))
-
-    mul = _transposed("trunc.4", _twisted_products(field, grid, lam), (3, 2, 0, 1, 4))
-    failures.extend(family_failures(field, *mul))
-    failures.extend(family_failures(field, "trunc.5", *_unit_images(field, grid, unit)))
-    return VerificationReport.from_failures(failures)
+    yield _transposed("trunc.4", _twisted_products(field, grid, A.lam), (3, 2, 0, 1, 4))
+    yield ("trunc.5", *_unit_images(field, grid, A.unit))
 
 
 def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> TwistingCandidate:
@@ -323,14 +316,10 @@ def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> Twisting
     each higher row is derived by the convolution rule with step 1."""
     field = A.field
     d = A.dim
+    lam = truncated_poly_algebra(field, n).lam
     grid = field.zeros((n, n, d, d))
     grid[0, 0] = field.identity(d)
-    for j in range(n):
-        grid[1, j] = _endo_array(field, d, first_row[j])
+    grid[1] = [_endo_array(field, d, entry) for entry in first_row[:n]]
     for r in range(2, n):
-        for j in range(n):
-            acc = field.zeros((d, d))
-            for l in range(j + 1):
-                acc = field.add(acc, field.matmul(grid[r - 1, j - l], grid[1, l]))
-            grid[r, j] = acc
+        grid[r] = _rule_compositions(field, lam, grid[r - 1 : r], grid[1:2])[0, 0]
     return make_truncated(A, n, grid)

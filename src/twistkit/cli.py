@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import basischange, catalog, extension, search, serialize, twisting
-from .errors import TwistKitError
+from .errors import SchemaError, TwistKitError
 from .report import VerificationReport
 
 
@@ -24,12 +24,22 @@ def _read_json(path: str):
     return serialize.loads(text)
 
 
-def _write_output(payload, out: str | None) -> None:
-    text = serialize.dumps(payload)
+def _read_object(path: str, context: str) -> dict:
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{context}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _write_output(payload, out: str | None) -> None:
+    _write_text(serialize.dumps(payload), out)
 
 
 def _exit_for(report: VerificationReport) -> int:
@@ -70,11 +80,18 @@ def _cmd_check_twisting(args) -> int:
     return _exit_for(report)
 
 
-def _cmd_build_product(args) -> int:
+def _certified(args) -> twisting.TwistingCandidate:
+    """The input candidate, certified; a refused one has its report written."""
     candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
     if not candidate.verified:
         report = twisting.check_conditions_direct(candidate.family)
         _write_output({"ok": False, "report": serialize.report_to_json(report)}, args.out)
+    return candidate
+
+
+def _cmd_build_product(args) -> int:
+    candidate = _certified(args)
+    if not candidate.verified:
         return 1
     product = twisting.build_twisted_product(candidate)
     _write_output(
@@ -84,10 +101,8 @@ def _cmd_build_product(args) -> int:
 
 
 def _cmd_represent(args) -> int:
-    candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
+    candidate = _certified(args)
     if not candidate.verified:
-        report = twisting.check_conditions_direct(candidate.family)
-        _write_output({"ok": False, "report": serialize.report_to_json(report)}, args.out)
         return 1
     family = candidate.family
     n, d = family.B.dim, family.A.dim
@@ -112,10 +127,8 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_rebase(args) -> int:
-    candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
+    candidate = _certified(args)
     if not candidate.verified:
-        report = twisting.check_conditions_direct(candidate.family)
-        _write_output({"ok": False, "report": serialize.report_to_json(report)}, args.out)
         return 1
     p_mat = serialize.kmatrix_from_json(
         candidate.family.field, _read_json(args.matrix), "change-of-basis matrix"
@@ -132,16 +145,12 @@ def _cmd_rebase(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    obj = _read_json(args.input)
-    candidate = serialize.candidate_from_json(
-        {"A": obj["A"], "B": obj["B"], "gamma": obj["gamma"]}
-        if "psi" not in obj
-        else obj["psi"]
-    )
-    n = int(obj["n"]) if "n" in obj else args.n
+    obj = _read_object(args.input, "extend")
+    candidate = serialize.candidate_from_json(obj.get("psi", obj))
+    n = serialize._expect_int(obj, "n", "extend") if "n" in obj else args.n
     if n is None:
         raise TwistKitError("the cut position n is required (in the file or via --n)")
-    m = int(obj["m"]) if "m" in obj else None
+    m = serialize._expect_int(obj, "m", "extend") if "m" in obj else None
     report = extension.check_extension_given_theta(
         candidate.family, n, m, require_gamma01_zero=not args.lemma_stage
     )
@@ -178,9 +187,10 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    params = _read_json(args.input)
+    params = _read_object(args.input, "catalog")
     a = serialize.algebra_from_json(params["A"])
     field = a.field
+    d = a.dim
     if args.family == "ncd":
         f = serialize.kmatrix_from_json(field, params["f"], "f")
         delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
@@ -193,16 +203,20 @@ def _cmd_catalog(args) -> int:
         candidate = catalog.make_quantum_duplicate(a, alpha, beta, f, delta)
         conditions = catalog.qdup_conditions(a, alpha, beta, f, delta)
     elif args.family == "kn":
-        n = int(params["n"])
-        grid = params["gamma"]
+        n = serialize._expect_int(params, "n", "catalog")
+        grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
         candidate = catalog.make_kn(a, n, grid)
-        conditions = catalog.kn_conditions(a, n, candidate.family.gamma)
+        conditions = catalog.kn_conditions(a, n, grid)
     elif args.family == "trunc":
-        n = int(params["n"])
+        n = serialize._expect_int(params, "n", "catalog")
         if "first_row" in params:
-            candidate = catalog.truncated_from_first_row(a, n, params["first_row"])
+            row = serialize.array_from_json(
+                field, params["first_row"], (n, d, d), "catalog.first_row"
+            )
+            candidate = catalog.truncated_from_first_row(a, n, row)
         else:
-            candidate = catalog.make_truncated(a, n, params["gamma"])
+            grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
+            candidate = catalog.make_truncated(a, n, grid)
         conditions = catalog.truncated_conditions(a, n, candidate.family.gamma)
     else:  # pragma: no cover - argparse restricts choices
         raise TwistKitError(f"unknown family {args.family}")
@@ -226,20 +240,16 @@ def _cmd_enumerate(args) -> int:
     space = _space_from_args(args)
     stop = args.to if args.to is not None else None
     accepted = search.enumerate_space(space, checker=args.checker, start=args.start, stop=stop)
-    lines = []
-    for idx in accepted:
-        gamma = space.gamma_of_index(idx)
-        lines.append(
-            serialize.dumps(
-                {"index": idx, "gamma": serialize.array_to_json(space.A.field, gamma)},
-                compact=True,
-            )
+    field = space.A.field
+    lines = (
+        serialize.dumps(
+            {"index": idx, "gamma": serialize.array_to_json(field, space.gamma_of_index(idx))},
+            compact=True,
         )
-    text = "".join(line + "\n" for line in lines)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        + "\n"
+        for idx in accepted
+    )
+    _write_text("".join(lines), args.out)
     return 0
 
 

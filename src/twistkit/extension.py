@@ -21,13 +21,15 @@ from .errors import (
     FieldMismatchError,
     UnverifiedCandidateError,
 )
-from .linalg import EndoMatrix, _alg_entry_product, _endo_products, _freeze
+from .linalg import _alg_entry_product, _endo_products, _freeze
 from .report import VerificationReport, pairs_ok, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
     _endo_identity,
+    _family_of,
     _rep_sides,
+    _require_verified,
     _rho_tensor,
     _twisted_products,
     _unit_images,
@@ -93,18 +95,6 @@ class BlockDecomposition:
         for arr in (self.B1, self.B2, self.C1, self.C2):
             _freeze(arr)
 
-    def b1(self, k: int) -> EndoMatrix:
-        return EndoMatrix(self.psi.field, self.B1[k].copy())
-
-    def b2(self, k: int) -> EndoMatrix:
-        return EndoMatrix(self.psi.field, self.B2[k].copy())
-
-    def c1(self, k: int) -> EndoMatrix:
-        return EndoMatrix(self.psi.field, self.C1[k].copy())
-
-    def c2(self, k: int) -> EndoMatrix:
-        return EndoMatrix(self.psi.field, self.C2[k].copy())
-
     def gamma_block(self, p: int, q: int, a: np.ndarray) -> np.ndarray:
         """A-valued corner block at an element of A, sliced from the full matrix."""
         field = self.psi.field
@@ -117,7 +107,7 @@ class BlockDecomposition:
 
 def split_blocks(psi, n: int, m: int | None = None) -> BlockDecomposition:
     """Compute all block matrices of a candidate over D = B x C."""
-    psi = psi.family if isinstance(psi, TwistingCandidate) else psi
+    psi = _family_of(psi)
     n, m_inferred = _split_dims(psi, n)
     if m is not None and m != m_inferred:
         raise DimensionMismatchError(f"expected m = {m_inferred}, got {m}")
@@ -144,7 +134,7 @@ def restrict(psi, side: str, n: int) -> GammaFamily:
     ``side="B"`` keeps the upper-left n x n sub-grid, ``side="C"`` the
     lower-right one (shifted by n).
     """
-    psi = psi.family if isinstance(psi, TwistingCandidate) else psi
+    psi = _family_of(psi)
     _split_dims(psi, n)
     factor_b, factor_c = factor_algebras(psi, n)
     if side == "B":
@@ -306,21 +296,19 @@ def _extension_pairs(blocks: BlockDecomposition, require_gamma01_zero: bool):
 
 def direct_sum(theta: TwistingCandidate, ups: TwistingCandidate) -> TwistingCandidate:
     """Block-diagonal join of two verified candidates on the product carrier."""
-    if not (isinstance(theta, TwistingCandidate) and theta.verified):
-        raise UnverifiedCandidateError("direct_sum requires a verified first summand")
-    if not (isinstance(ups, TwistingCandidate) and ups.verified):
-        raise UnverifiedCandidateError("direct_sum requires a verified second summand")
-    if theta.family.field != ups.family.field:
+    first = _require_verified(theta, "direct_sum")
+    second = _require_verified(ups, "direct_sum")
+    if first.field != second.field:
         raise FieldMismatchError("summands live over different fields")
-    if theta.A != ups.A:
+    if first.A != second.A:
         raise DimensionMismatchError("summands twist different algebras")
-    field = theta.family.field
-    n, m, d = theta.B.dim, ups.B.dim, theta.A.dim
-    carrier = direct_product(theta.B, ups.B)
+    field = first.field
+    n, m, d = first.B.dim, second.B.dim, first.A.dim
+    carrier = direct_product(first.B, second.B)
     grid = field.zeros((n + m, n + m, d, d))
-    grid[:n, :n] = theta.family.gamma
-    grid[n:, n:] = ups.family.gamma
-    out = certify(GammaFamily(theta.A, carrier, grid))
+    grid[:n, :n] = first.gamma
+    grid[n:, n:] = second.gamma
+    out = certify(GammaFamily(first.A, carrier, grid))
     if not out.verified:
         raise AssertionError("direct sum of verified candidates failed verification")
     return out
@@ -334,9 +322,7 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     and the lower-left corner satisfies the twisted derivation rule
     (tags ``phiB.mul``, ``phiC.mul``, ``Delta.der``).
     """
-    family = psi.family if isinstance(psi, TwistingCandidate) else None
-    if family is None or not psi.verified:
-        raise UnverifiedCandidateError("check_remark_delta requires a verified candidate")
+    family = _require_verified(psi, "check_remark_delta")
     _split_dims(family, n)
     _check_block_structure(family, n)
     field = family.field

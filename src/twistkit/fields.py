@@ -43,10 +43,11 @@ class Field:
             if self.p is not None:
                 raise FieldError("rational field takes no modulus")
         elif self.kind == "Fp":
+            # the cap comes first: trial division of a huge modulus runs for hours
+            if self.p is not None and self.p >= _PRIME_CAP:
+                raise FieldError(f"modulus {self.p} exceeds the 2**16 cap")
             if self.p is None or not _is_prime(self.p):
                 raise FieldError(f"modulus {self.p!r} is not prime")
-            if self.p >= _PRIME_CAP:
-                raise FieldError(f"modulus {self.p} exceeds the 2**16 cap")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")
 
@@ -114,13 +115,17 @@ class Field:
         nested = self._fractionify(data)
         arr = np.empty(_shape_of(nested), dtype=object)
         arr[...] = nested
+        # ragged input leaves lists in (or broadcasts them over) the entries
+        if not all(isinstance(x, Fraction) for x in arr.flat):
+            raise FieldError("ragged nested input")
         return arr
 
     def _intify(self, data):
         if isinstance(data, np.ndarray) and data.dtype != object:
             if not np.issubdtype(data.dtype, np.integer):
                 raise FieldError(f"non-integer array dtype {data.dtype} rejected")
-            return data
+            # unsigned values above 2**63 would wrap in the int64 cast: reduce first
+            return data.astype(np.uint64) % self.p if data.dtype.kind == "u" else data
         if isinstance(data, (list, tuple, np.ndarray)):
             return [self._intify(x) for x in data]
         return int(self.scalar(data))

@@ -5,6 +5,10 @@ is a pair of equally-shaped exact arrays (left and right side of the claimed
 identity, quantifier indices as leading axes).  A report carries at most one
 ``Failure`` per family: the first mismatching entry in row-major scan order
 plus the family's total violation count.
+
+Checkers yield their families lazily as ``(tag, left, right)`` triples;
+``pairs_report`` folds them into a report and ``pairs_ok`` gives the verdict,
+stopping at the first failing family.
 """
 
 from __future__ import annotations
@@ -71,10 +75,9 @@ def family_failures(fld, tag: str, left: np.ndarray, right: np.ndarray) -> Itera
 
 def pairs_report(fld, pairs) -> VerificationReport:
     """Fold an iterable of (tag, left, right) families into a report."""
-    failures = []
-    for tag, left, right in pairs:
-        failures.extend(family_failures(fld, tag, left, right))
-    return VerificationReport.from_failures(failures)
+    return VerificationReport.from_failures(
+        failure for tag, left, right in pairs for failure in family_failures(fld, tag, left, right)
+    )
 
 
 def pairs_ok(fld, pairs) -> bool:

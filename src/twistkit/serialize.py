@@ -27,7 +27,7 @@ from .errors import SchemaError
 from .fields import Field
 from .linalg import AlgMatrix, EndoMatrix, KMatrix
 from .report import Failure, VerificationReport
-from .twisting import GammaFamily, TwistingCandidate
+from .twisting import GammaFamily, TwistingCandidate, _family_of
 
 
 def dumps(obj: Any, *, compact: bool = False) -> str:
@@ -49,6 +49,13 @@ def _expect(obj: Any, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _expect_int(obj: Any, key: str, context: str) -> int:
+    value = _expect(obj, key, context)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 # -- field ---------------------------------------------------------------------
 
 
@@ -63,7 +70,7 @@ def field_from_json(obj: Any) -> Field:
     if kind == "Q":
         return Field("Q")
     if kind == "Fp":
-        return Field("Fp", int(_expect(obj, "p", "field")))
+        return Field("Fp", _expect_int(obj, "p", "field"))
     raise SchemaError(f"field: unknown kind {kind!r}")
 
 
@@ -100,8 +107,8 @@ def algebra_to_json(algebra: FiniteDimAlgebra) -> dict:
 
 def algebra_from_json(obj: Any) -> FiniteDimAlgebra:
     field = field_from_json(_expect(obj, "field", "algebra"))
-    dim = _expect(obj, "dim", "algebra")
-    if not isinstance(dim, int) or dim <= 0:
+    dim = _expect_int(obj, "dim", "algebra")
+    if dim <= 0:
         raise SchemaError(f"algebra: dim must be a positive integer, got {dim!r}")
     basis = _expect(obj, "basis", "algebra")
     if not isinstance(basis, list) or len(basis) != dim:
@@ -115,7 +122,7 @@ def algebra_from_json(obj: Any) -> FiniteDimAlgebra:
 
 
 def candidate_to_json(c: TwistingCandidate | GammaFamily) -> dict:
-    family = c.family if isinstance(c, TwistingCandidate) else c
+    family = _family_of(c)
     return {
         "A": algebra_to_json(family.A),
         "B": algebra_to_json(family.B),

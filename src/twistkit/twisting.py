@@ -37,7 +37,7 @@ from .linalg import (
     _freeze,
     kernel_basis,
 )
-from .report import VerificationReport, Failure, family_failures, pairs_ok, pairs_report
+from .report import VerificationReport, Failure, pairs_ok, pairs_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +90,6 @@ class GammaFamily:
         for i in range(n):
             grid[i, i] = eye
         return cls(A, B, grid)
-
-    @classmethod
-    def from_endos(cls, A: FiniteDimAlgebra, B: FiniteDimAlgebra, grid) -> "GammaFamily":
-        field = A.field
-        n, d = B.dim, A.dim
-        data = field.zeros((n, n, d, d))
-        for i in range(n):
-            for j in range(n):
-                entry = grid[i][j]
-                data[i, j] = entry.data if isinstance(entry, KMatrix) else field.asarray(entry)
-        return cls(A, B, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +175,14 @@ def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarra
     return left, _alg_entry_product(field, lamA, phi, phi)
 
 
+def _rule_compositions(field, lam: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_{k,l} lam[k, l, m] X[j][l] o Y[i][k] for stacks of grid rows;
+    axes (i, j, m, r, c)."""
+    comps = field.tensordot(X, Y, axes=([3], [2]))               # (j, l, r, i, k, c)
+    t = field.tensordot(lam, comps, axes=([0, 1], [4, 1]))       # (m, j, r, i, c)
+    return t.transpose(3, 1, 0, 2, 4)
+
+
 def _transposed(tag: str, sides, axes) -> tuple:
     """A (tag, left, right) family with both sides in the tag's witness order."""
     return (tag, *(side.transpose(axes) for side in sides))
@@ -218,9 +215,7 @@ def _direct_pairs(family: GammaFamily):
     # (4) sum_k lam_ij^k gamma_k^m = sum_{k,l} lam_kl^m gamma_j^l o gamma_i^k;
     #     witness axes (i, j, m, r, c)
     left4 = field.tensordot(lamB, G, axes=([2], [0]))           # (i, j, m, r, c)
-    comps = field.tensordot(G, G, axes=([3], [2]))              # (j, l, r, i, k, c)
-    right4 = field.tensordot(lamB, comps, axes=([0, 1], [4, 1]))  # (m, j, r, i, c)
-    yield "direct.4", left4, right4.transpose(3, 1, 0, 2, 4)
+    yield "direct.4", left4, _rule_compositions(field, lamB, G, G)
 
 
 def check_conditions_direct(c) -> VerificationReport:
@@ -545,36 +540,28 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
     """
     family = _require_verified(c, "verify_faithful")
     field = family.field
-    lamA, unitA = family.A.lam, family.A.unit
     n, d = family.B.dim, family.A.dim
-    nd = n * d
-    lam, unit = _product_tensor(family)
     images = _faithful_tensor(family)
+    report = pairs_report(field, _faithful_pairs(family, images))
 
-    failures = []
+    # injectivity of the underlying linear map (n*d -> n*n*d)
+    kernel = kernel_basis(KMatrix(field, images.reshape(n * d, n * n * d).T.copy()))
+    if not kernel:
+        return report
+    failure = Failure("faithful.kernel", left=field.format_array(kernel[0]), count=len(kernel))
+    return VerificationReport.from_failures((*report.failures, failure))
+
+
+def _faithful_pairs(family: GammaFamily, images: np.ndarray):
+    field = family.field
+    lamA, unitA = family.A.lam, family.A.unit
+    lam, unit = _product_tensor(family)
 
     # multiplicativity on all product-basis pairs; witness axes (x, y, i, l, w)
     prod = _alg_entry_product(field, lamA, images, images)
-    expected = field.tensordot(lam, images, axes=([2], [0]))       # (x, y, i, l, w)
-    failures.extend(family_failures(field, "faithful.mul", prod, expected))
+    yield "faithful.mul", prod, field.tensordot(lam, images, axes=([2], [0]))
 
     # image of the product unit is the identity matrix
     unit_img = field.tensordot(unit, images, axes=([0], [0]))
-    eye = field.reduce(field.identity(n)[:, :, None] * unitA[None, None, :])
-    failures.extend(family_failures(field, "faithful.unit", unit_img, eye))
-
-    # injectivity of the underlying linear map (n*d -> n*n*d)
-    flat = KMatrix(field, images.reshape(nd, n * n * d).T.copy())
-    kernel = kernel_basis(flat)
-    if kernel:
-        failures.append(
-            Failure(
-                condition="faithful.kernel",
-                witness=(),
-                left=field.format_array(kernel[0]),
-                right=None,
-                count=len(kernel),
-            )
-        )
-
-    return VerificationReport.from_failures(failures)
+    eye = field.reduce(field.identity(family.B.dim)[:, :, None] * unitA[None, None, :])
+    yield "faithful.unit", unit_img, eye

@@ -1,0 +1,199 @@
+"""Malformed input files are usage errors for every subcommand: exit 2 with
+``error: ...`` on stderr, never an uncaught exception (exit 1 is reserved for
+a verdict)."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistkit import GF, QQ, GammaFamily, certify, direct_sum, kn_algebra, make_ncd, serialize
+from twistkit.cli import main
+
+F2 = GF(2)
+
+
+def _valid_files(directory: Path) -> dict:
+    a = kn_algebra(F2, 2)
+    psi = direct_sum(
+        certify(GammaFamily.flip(a, kn_algebra(F2, 2))),
+        certify(GammaFamily.flip(a, kn_algebra(F2, 1))),
+    )
+    payloads = {
+        "algebra": serialize.algebra_to_json(kn_algebra(F2, 1)),
+        "candidate": serialize.candidate_to_json(
+            make_ncd(kn_algebra(QQ, 2), [[1, 0], [1, 0]], [[0, 0], [0, 0]])
+        ),
+        "matrix": [["1", "0"], ["0", "1"]],
+        "psi": serialize.candidate_to_json(psi),
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = str(directory / f"{name}.json")
+        Path(paths[name]).write_text(serialize.dumps(payload), encoding="utf-8")
+    return paths
+
+
+# argv of each subcommand with ``bad`` in one input position, ``ok`` the valid files
+COMMANDS = {
+    "validate-algebra": lambda bad, ok: ["validate-algebra", bad],
+    "check-twisting": lambda bad, ok: ["check-twisting", bad],
+    "build-product": lambda bad, ok: ["build-product", bad],
+    "represent": lambda bad, ok: ["represent", bad],
+    "rebase": lambda bad, ok: ["rebase", bad, "--matrix", ok["matrix"]],
+    "rebase-matrix": lambda bad, ok: ["rebase", ok["candidate"], "--matrix", bad],
+    "extend": lambda bad, ok: ["extend", bad, "--n", "1"],
+    "quiver": lambda bad, ok: ["quiver", bad],
+    "catalog-ncd": lambda bad, ok: ["catalog", "ncd", bad],
+    "catalog-qdup": lambda bad, ok: ["catalog", "qdup", bad],
+    "catalog-kn": lambda bad, ok: ["catalog", "kn", bad],
+    "catalog-trunc": lambda bad, ok: ["catalog", "trunc", bad],
+    "enumerate-A": lambda bad, ok: ["enumerate", "--A", bad, "--B", ok["algebra"]],
+    "enumerate-B": lambda bad, ok: ["enumerate", "--A", ok["algebra"], "--B", bad],
+    "cross-validate-A": lambda bad, ok: ["cross-validate", "--A", bad, "--B", ok["algebra"]],
+    "cross-validate-B": lambda bad, ok: ["cross-validate", "--A", ok["algebra"], "--B", bad],
+}
+
+
+def _run(argv) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _run_on(command: str, payload) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        ok = _valid_files(directory)
+        bad = directory / "bad.json"
+        bad.write_text(serialize.dumps(payload), encoding="utf-8")
+        return _run(COMMANDS[command](str(bad), ok))
+
+
+@pytest.mark.parametrize("payload", [[], [1, 2], 3, "x", None], ids=repr)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_non_object_top_level_is_usage_error(command, payload):
+    code, _, err = _run_on(command, payload)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_A = serialize.algebra_to_json(kn_algebra(QQ, 2))
+_ENDO = [["1", "0"], ["0", "1"]]
+_ZERO = [["0", "0"], ["0", "0"]]
+_NON_INTEGERS = [[1], 1.5, "2", None, True]
+
+
+def _integer_field_cases():
+    """(id, build) pairs; build(valid files) gives the argv with the bad payload last."""
+
+    def psi(ok):
+        return serialize.loads(Path(ok["psi"]).read_text(encoding="utf-8"))
+
+    for value in _NON_INTEGERS:
+        yield "extend-n", lambda ok, v=value: ["extend", {"psi": psi(ok), "n": v}]
+        yield "extend-m", lambda ok, v=value: ["extend", {"psi": psi(ok), "n": 2, "m": v}]
+        yield "kn-n", lambda ok, v=value: [
+            "catalog", "kn", {"A": _A, "n": v, "gamma": [[_ENDO] * 2] * 2}
+        ]
+        yield "trunc-n", lambda ok, v=value: [
+            "catalog", "trunc", {"A": _A, "n": v, "first_row": [_ENDO] * 2}
+        ]
+        field = {"kind": "Fp", "p": value}
+        yield "field-p", lambda ok, f=field: [
+            "validate-algebra", {**serialize.algebra_to_json(kn_algebra(F2, 1)), "field": f}
+        ]
+        yield "algebra-dim", lambda ok, v=value: [
+            "validate-algebra", {**serialize.algebra_to_json(kn_algebra(F2, 1)), "dim": v}
+        ]
+
+
+@pytest.mark.parametrize("case", list(_integer_field_cases()), ids=lambda c: c[0])
+def test_non_integer_size_field_is_usage_error(case, tmp_path):
+    _, build = case
+    ok = _valid_files(tmp_path)
+    *args, payload = build(ok)
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize.dumps(payload), encoding="utf-8")
+    code, _, err = _run([*args, str(bad)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_KEYS = st.sampled_from(
+    ["A", "B", "gamma", "psi", "n", "m", "f", "delta", "alpha", "beta", "first_row",
+     "field", "kind", "p", "dim", "basis", "lambda", "unit"]
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from(["x", "1", "1/2", "Q", "Fp"])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_payloads() -> dict:
+    """A well-formed input file for each entry of COMMANDS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ok = {k: serialize.loads(Path(v).read_text(encoding="utf-8"))
+              for k, v in _valid_files(Path(tmp)).items()}
+    f5 = serialize.algebra_to_json(kn_algebra(GF(5), 2))
+    ncd = {"A": _A, "f": [["1", "0"], ["1", "0"]], "delta": _ZERO}
+    out = {name: ok["candidate"] for name in COMMANDS}
+    out.update({
+        "validate-algebra": f5,
+        "rebase-matrix": ok["matrix"],
+        "extend": {"psi": ok["psi"], "n": 2, "m": 1},
+        "quiver": ok["psi"],
+        "catalog-ncd": ncd,
+        "catalog-qdup": {**ncd, "alpha": "1", "beta": "0"},
+        "catalog-kn": {"A": _A, "n": 2, "gamma": [[_ENDO, _ZERO], [_ZERO, _ENDO]]},
+        "catalog-trunc": {"A": _A, "n": 3, "first_row": [_ZERO, _ENDO, _ZERO]},
+    })
+    for name in ("enumerate-A", "enumerate-B", "cross-validate-A", "cross-validate-B"):
+        out[name] = ok["algebra"]
+    return out
+
+
+_VALID = _valid_payloads()
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield from _paths(child, (*prefix, key))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_fuzzed_input_never_escapes(command, data):
+    """A well-formed input with one subtree replaced by arbitrary JSON."""
+    valid = _VALID[command]
+    path = data.draw(st.sampled_from(list(_paths(valid))))
+    payload = _replaced(valid, path, data.draw(_JSON))
+    code, out, err = _run_on(command, payload)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:  # a verdict: the written report says ok = false
+        written = json.loads(out)
+        assert written.get("ok", written.get("verdict", {}).get("ok")) is False
+    if code == 2:
+        assert err.startswith("error: ")

@@ -28,6 +28,8 @@ def test_prime_validation():
         GF(1)
     with pytest.raises(FieldError):
         GF(65537)  # prime, but at the size cap
+    with pytest.raises(FieldError):
+        GF(2**61 - 1)  # prime; trial division up to its root would not end
     GF(65521)  # largest prime below 2**16
     with pytest.raises(FieldError):
         Field("R")
@@ -42,6 +44,19 @@ def test_asarray_shapes_and_reduction():
     assert q[0, 0] == Fraction(1, 2)
     assert q[1, 1] == Fraction(-1, 3)
     assert q.shape == (2, 2)
+
+
+def test_asarray_reduces_unsigned_arrays():
+    """uint64 values above 2**63 are reduced before the int64 cast."""
+    assert GF(7).asarray(np.array([2**64 - 1], dtype=np.uint64)).tolist() == [1]
+    assert GF(65521).asarray(np.array([255, 3], dtype=np.uint8)).tolist() == [255, 3]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("data", [[[1, 2], []], [[1], [[2]]], [[1, 2], [3]]], ids=repr)
+def test_asarray_rejects_ragged_input(field, data):
+    with pytest.raises((FieldError, ValueError)):
+        field.asarray(data)
 
 
 def test_fraction_rejected_mod_p():

@@ -11,6 +11,7 @@ only when a report change is intended.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,16 +42,22 @@ from twistkit import (
     make_morphism,
     make_ncd,
     ncd_conditions,
+    ncd_predicate,
     qdup_conditions,
+    qdup_predicate,
     mat_inverse,
+    oracle_check,
     rebase,
     serialize,
     truncated_conditions,
     truncated_from_first_row,
     truncated_poly_algebra,
+    validate_algebra,
     verify_faithful,
 )
 from twistkit.basischange import identity_morphism
+from twistkit.extension import lemma_blocks_ok
+from twistkit.twisting import check_representations, direct_ok, oracle_ok, phi_ok, rep_ok, rho_ok
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,6 +175,68 @@ def _grid_family_inputs():
         "f3_perturbed_first_row_twice": (k2_f3, 3, _perturbed(shift, rng, 2).gamma),
     }
     return kn, trunc
+
+
+def _truncated_n4_inputs():
+    """(A, 4, grid) triples: at n = 4 the flat witness of ``trunc.2`` runs over
+    the (r, i) pairs (2, 1), (3, 1), (3, 2), so perturbing a row r = 3 entry
+    puts the first witness past the first pair."""
+    rng = random.Random(4040)
+    k2_f3 = kn_algebra(F3, 2)
+    k1_q = kn_algebra(QQ, 1)
+    shift = truncated_from_first_row(
+        k2_f3, 4, [F3.zeros((2, 2)), F3.identity(2), F3.zeros((2, 2)), F3.zeros((2, 2))]
+    ).family
+    derivation = truncated_from_first_row(k1_q, 4, [[[0]], [[1]], [[0]], [[0]]]).family
+    row3 = shift.gamma.copy()
+    row3[3, 2, 1, 0] = F3.one
+    q_row3 = derivation.gamma.copy()
+    q_row3[3, 3, 0, 0] = Fraction(1, 2)
+    return {
+        "f3_first_row": (k2_f3, 4, shift.gamma),
+        "q_first_row": (k1_q, 4, derivation.gamma),
+        "f3_row3_entry": (k2_f3, 4, row3),
+        "q_row3_entry": (k1_q, 4, q_row3),
+        "f3_random": (k2_f3, 4, _grid(F3, rng, 4, 2)),
+        "q_random": (kn_algebra(QQ, 2), 4, _grid(QQ, rng, 4, 2)),
+        "f3_perturbed_first_row": (k2_f3, 4, _perturbed(shift, rng).gamma),
+        "f3_perturbed_first_row_twice": (k2_f3, 4, _perturbed(shift, rng, 2).gamma),
+    }
+
+
+def _constant_algebra(field, dim, left):
+    """b_i b_j = b_i (``left``) or b_j: associative, with b_0 a one-sided unit."""
+    lam = field.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            lam[i, j, i if left else j] = field.one
+    labels = tuple(f"b{i}" for i in range(dim))
+    return FiniteDimAlgebra(field, dim, labels, lam, field.unit_vector(dim, 0))
+
+
+def _algebra_inputs():
+    """Valid algebras, one-sided units (only ``unit.left`` or only
+    ``unit.right`` fails) and perturbed constants or units."""
+    rng = random.Random(3141)
+    out = {
+        "f5_k3": kn_algebra(F5, 3),
+        "f3_triangular": _triangular(F3),
+        "q_trunc3": truncated_poly_algebra(QQ, 3),
+        "q_right_constant": _constant_algebra(QQ, 2, left=False),
+        "f3_left_constant": _constant_algebra(F3, 3, left=True),
+    }
+    for tag, alg in (("f5_k3", out["f5_k3"]), ("f3_tri", out["f3_triangular"]),
+                     ("q_trunc3", out["q_trunc3"])):
+        field = alg.field
+        for trial in range(2):
+            lam = alg.lam.copy()
+            idx = tuple(rng.randrange(alg.dim) for _ in range(3))
+            lam[idx] = field.reduce(lam[idx] + field.scalar(rng.randrange(1, 3)))
+            out[f"{tag}_perturbed_lam_{trial}"] = replace(alg, lam=lam)
+        unit = alg.unit.copy()
+        unit[rng.randrange(alg.dim)] += field.one
+        out[f"{tag}_perturbed_unit"] = replace(alg, unit=field.reduce(unit))
+    return out
 
 
 def _duplicate_inputs():
@@ -326,6 +395,10 @@ def _reports():
         "rebase_conjugation": {
             k: rebase(chi, p).conjugation for k, (chi, p) in _rebase_inputs().items()
         },
+        "validate_algebra": {k: validate_algebra(a) for k, a in _algebra_inputs().items()},
+        "truncated_conditions_n4": {
+            k: truncated_conditions(*args) for k, args in _truncated_n4_inputs().items()
+        },
     }
 
 
@@ -356,10 +429,35 @@ def reports():
         "check_remark_delta",
         "check_induced_morphism",
         "rebase_conjugation",
+        "validate_algebra",
+        "truncated_conditions_n4",
     ],
 )
 def test_reports_match_golden(reports, name):
     assert _payload(reports[name]) == (GOLDEN / f"reports_{name}.json").read_bytes()
+
+
+def test_fast_verdicts_match_reports():
+    """Every lazy verdict equals ``.ok`` of the report over the same families."""
+    route_checks = (
+        (direct_ok, check_conditions_direct),
+        (rho_ok, check_rho_representation),
+        (phi_ok, check_phi_representation),
+        (rep_ok, check_representations),
+        (oracle_ok, oracle_check),
+    )
+    for fam in _route_families().values():
+        for fast, full in route_checks:
+            assert fast(fam) == full(fam).ok, (fast.__name__, fam)
+    ncd, qdup = _duplicate_inputs()
+    verdicts = [(ncd_predicate(*args), ncd_conditions(*args).ok) for args in ncd.values()]
+    verdicts += [(qdup_predicate(*args), qdup_conditions(*args).ok) for args in qdup.values()]
+    verdicts += [
+        (lemma_blocks_ok(psi, n), check_lemma_blocks(psi, n).ok)
+        for psi, n in _extension_inputs().values()
+    ]
+    assert all(fast == full for fast, full in verdicts)
+    assert {full for _, full in verdicts} == {True, False}
 
 
 if __name__ == "__main__":
