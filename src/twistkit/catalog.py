@@ -50,8 +50,11 @@ def _endo_array(field: Field, d: int, value) -> np.ndarray:
 
 
 def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
+    """The (n, n, d, d) array of an n x n grid of d x d endomorphisms."""
     if isinstance(grid, np.ndarray) and grid.shape == (n, n, d, d):
         return grid
+    if len(grid) != n or any(len(row) != n for row in grid):
+        raise DimensionMismatchError(f"grid must be {n} x {n} endomorphisms of size {d} x {d}")
     data = field.zeros((n, n, d, d))
     for i in range(n):
         for j in range(n):

@@ -4,10 +4,19 @@ Two kinds of field are supported: the rationals (elements are
 ``fractions.Fraction`` stored in object arrays) and prime fields F_p with
 p < 2**16 (elements are canonical residues in ``int64`` arrays).  All array
 operations are exact; there is no floating point anywhere in the package.
+
+The Q arrays this module builds hold ``Fraction`` entries only, integral or
+not.  Contractions over Q (``Field.tensordot`` and ``matmul``, which every
+structure-constant product in the package goes through) clear denominators:
+each operand becomes Python-int numerators over one common denominator, the
+numerators are contracted, and the results are put back over the product of
+the two denominators as ``Fraction`` entries.  A term then costs one integer
+multiply and add, not a ``Fraction`` multiply and add.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,8 +164,25 @@ class Field:
         return arr % self.p if self.kind == "Fp" else arr
 
     def tensordot(self, x: np.ndarray, y: np.ndarray, axes) -> np.ndarray:
-        """Exact tensor contraction, reduced mod p over prime fields."""
-        return self.reduce(np.tensordot(x, y, axes=axes))
+        """Exact tensor contraction with the ``axes`` of ``np.tensordot``.
+
+        Over F_p the int64 contraction is reduced mod p.  Over Q each operand
+        is written as Python-int numerators over one common denominator (the
+        lcm of its entries' denominators), the numerators are contracted by
+        the same ``np.tensordot`` call, and the output numerators are put over
+        the product of the two denominators: one int multiply per term instead
+        of a ``Fraction`` multiply and add.  Each distinct output numerator
+        becomes one ``Fraction``, shared by the entries that hold it, so every
+        entry of a Q result is a ``Fraction``.
+        """
+        if self.kind == "Fp":
+            return self.reduce(np.tensordot(x, y, axes=axes))
+        nx, dx = _clear_denominators(x)
+        ny, dy = _clear_denominators(y)
+        z = np.tensordot(nx, ny, axes=axes)
+        flat = z.ravel().tolist()
+        by_numerator = {v: Fraction(v, dx * dy) for v in set(flat)}
+        return np.array([by_numerator[v] for v in flat], dtype=object).reshape(z.shape)
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.tensordot(x, y, axes=([x.ndim - 1], [0]))
@@ -183,6 +209,20 @@ class Field:
         if isinstance(arr, np.ndarray) and arr.ndim > 0:
             return [self.format_array(sub) for sub in arr]
         return self.format(arr[()] if isinstance(arr, np.ndarray) else arr)
+
+
+def _clear_denominators(arr) -> tuple[np.ndarray, int]:
+    """Python-int object array N and int D > 0 with N / D equal to ``arr``.
+
+    ``int`` and numpy integers carry ``numerator`` / ``denominator`` too, so
+    integral entries of any type are accepted.
+    """
+    arr = np.asarray(arr)
+    flat = arr.ravel().tolist()
+    dens = [v.denominator for v in flat]
+    den = math.lcm(*dens)
+    nums = [int(v.numerator) * (den // d) for v, d in zip(flat, dens)]
+    return np.array(nums, dtype=object).reshape(arr.shape), den
 
 
 def _shape_of(nested) -> tuple[int, ...]:

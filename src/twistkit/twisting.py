@@ -132,7 +132,7 @@ def _require_verified(c: TwistingCandidate, what: str) -> GammaFamily:
 def certify(c) -> TwistingCandidate:
     """Run the structure-constant checker and set the verified flag from it."""
     family = _family_of(c)
-    return TwistingCandidate(family, verified=check_conditions_direct(family).ok)
+    return TwistingCandidate(family, verified=direct_ok(family))
 
 
 # -- evaluation ---------------------------------------------------------------

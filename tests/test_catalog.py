@@ -291,3 +291,27 @@ def test_truncated_first_row_must_satisfy_row_zero():
     grid[0, 0] = F2.identity(2)
     report = truncated_conditions(a, 3, grid)
     assert "trunc.1" in report.conditions()
+
+
+@pytest.mark.parametrize(
+    "build", [make_kn, make_truncated, kn_conditions, truncated_conditions]
+)
+def test_grid_must_be_exactly_n_by_n(build):
+    a = kn_algebra(F2, 2)
+    eye, zero = F2.identity(2), F2.zeros((2, 2))
+    square = [[eye, zero], [zero, eye]]
+    bad_grids = {
+        "oversized": (1, square),
+        "undersized": (3, square),
+        "ragged": (2, [[eye, zero], [eye]]),
+        "long row": (2, [[eye, zero, zero], [zero, eye]]),
+        "oversized array": (1, F2.zeros((2, 2, 2, 2))),
+        "array of wrong entry size": (2, F2.zeros((2, 2, 3, 3))),
+        "entry of wrong size": (2, [[eye, zero], [zero, F2.identity(3)]]),
+    }
+    for name, (n, grid) in bad_grids.items():
+        with pytest.raises(DimensionMismatchError):
+            build(a, n, grid)
+            pytest.fail(name)
+    build(a, 2, square)
+    build(a, 2, np.array(square))

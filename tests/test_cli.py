@@ -11,7 +11,7 @@ from twistkit import (
     make_ncd,
     validate_algebra,
 )
-from twistkit import serialize
+from twistkit import serialize, twisting
 from twistkit.cli import main
 
 F2 = GF(2)
@@ -92,6 +92,22 @@ def test_build_product_refuses_nontwisting(bad_ncd_file, tmp_path):
     out = str(tmp_path / "product.json")
     assert main(["build-product", bad_ncd_file, "--out", out]) == 1
     assert read(out)["ok"] is False
+
+
+def test_refused_candidate_builds_its_report_once(bad_ncd_file, tmp_path, monkeypatch):
+    """``certify`` decides with the lazy verdict; only the refusal report is full."""
+    full = twisting.check_conditions_direct
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return full(c)
+
+    monkeypatch.setattr(twisting, "check_conditions_direct", counted)
+    out = str(tmp_path / "product.json")
+    assert main(["build-product", bad_ncd_file, "--out", out]) == 1
+    assert len(calls) == 1
+    assert read(out)["report"] == serialize.report_to_json(full(calls[0]))
 
 
 def test_represent_shows_duplicate_matrices(ncd_file, tmp_path):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistkit import Field, FieldError, GF, QQ
 
@@ -81,6 +83,69 @@ def test_tensordot_is_exact_mod_p():
     y = f5.asarray([[4, 4], [4, 4]])
     prod = f5.tensordot(x, y, axes=([1], [0]))
     assert prod.tolist() == [[2, 2], [2, 2]]  # 32 mod 5
+
+
+#: Rationals with zero, negative, integral and large coprime-denominator values.
+RATIONALS = st.builds(
+    Fraction,
+    st.sampled_from([0, 1, -1]) | st.integers(-(10**12), 10**12),
+    st.sampled_from([1, 1, 1, 2, 3, 4, 9, 10**9 + 7, 998244353, 2**61 - 1]),
+)
+
+
+@st.composite
+def rational_array(draw, shape):
+    size = int(np.prod(shape))
+    entries = draw(st.lists(RATIONALS, min_size=size, max_size=size))
+    return np.array(entries, dtype=object).reshape(shape)
+
+
+@st.composite
+def contraction(draw):
+    """Operands of random shape (zero-length axes and 0-d included) and their
+    ``axes`` in one of the three forms: 0, an integer, or two lists."""
+    form = draw(st.sampled_from(["outer", "int", "list"]))
+    dims = st.lists(st.integers(0, 3), max_size=2)
+    free_x, free_y = draw(dims), draw(dims)
+    shared = [] if form == "outer" else draw(dims)
+    if form == "list":
+        x_order = draw(st.permutations(range(len(free_x) + len(shared))))
+        y_order = draw(st.permutations(range(len(shared) + len(free_y))))
+        x_shape = [(free_x + shared)[i] for i in x_order]
+        y_shape = [(shared + free_y)[i] for i in y_order]
+        pairs = draw(st.permutations(range(len(shared))))
+        axes = (
+            [x_order.index(len(free_x) + k) for k in pairs],
+            [y_order.index(k) for k in pairs],
+        )
+    else:
+        x_shape, y_shape, axes = free_x + shared, shared + free_y, len(shared)
+    return draw(rational_array(tuple(x_shape))), draw(rational_array(tuple(y_shape))), axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(contraction())
+def test_rational_tensordot_matches_fraction_reference(case):
+    x, y, axes = case
+    expected = np.tensordot(x, y, axes=axes)  # Fraction multiply and add per term
+    out = QQ.tensordot(x, y, axes)
+    assert out.dtype == object and out.shape == expected.shape
+    assert out.ravel().tolist() == expected.ravel().tolist()
+    assert all(isinstance(v, Fraction) for v in out.flat)
+
+
+def test_rational_tensordot_takes_integer_entries():
+    """int64 arrays and boxed numpy integers contract as exact Python ints."""
+    x = QQ.asarray([["1/2", 3], [-2, "5/7"]])
+    ints = np.array([[2**40, -1], [0, 3]], dtype=np.int64)
+    boxed = np.array(list(ints.ravel()), dtype=object).reshape(2, 2)  # np.int64 entries
+    exact = ints.astype(object)  # Python-int entries
+    cases = [(x, ints, x, exact), (ints, x, exact, x), (boxed, boxed, exact, exact)]
+    for left, right, ref_left, ref_right in cases:
+        out = QQ.tensordot(left, right, 1)
+        expected = np.tensordot(ref_left, ref_right, 1)
+        assert out.ravel().tolist() == expected.ravel().tolist()
+        assert all(isinstance(v, Fraction) for v in out.flat)
 
 
 def test_equal_and_is_zero():
