@@ -75,8 +75,8 @@ class FiniteDimAlgebra:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError("element length does not match algebra dimension")
-        partial = self.field.tensordot(x, self.lam, axes=([0], [0]))
-        return self.field.tensordot(y, partial, axes=([0], [0]))
+        partial = self.field.tensordot(self.field.asarray(x), self.lam, axes=([0], [0]))
+        return self.field.tensordot(self.field.asarray(y), partial, axes=([0], [0]))
 
     def structure_matrix(self, k: int) -> KMatrix:
         """Left-multiplication matrix of ``b_k``: entry (i, j) = lam[k, j, i]."""
@@ -86,7 +86,7 @@ class FiniteDimAlgebra:
 
     def left_mul_matrix(self, x: np.ndarray) -> KMatrix:
         """Left multiplication by an arbitrary element, as a coordinate matrix."""
-        mat = self.field.tensordot(x, self.lam, axes=([0], [0]))  # (j, k)
+        mat = self.field.tensordot(self.field.asarray(x), self.lam, axes=([0], [0]))  # (j, k)
         return KMatrix(self.field, mat.T.copy())
 
     def opposite(self) -> "FiniteDimAlgebra":

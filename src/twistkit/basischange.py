@@ -38,7 +38,7 @@ class MorphismData:
         return self.source.field
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.zeta, x)
+        return self.field.matmul(self.zeta, self.field.asarray(x))
 
 
 def make_morphism(source: FiniteDimAlgebra, target: FiniteDimAlgebra, zeta) -> MorphismData:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import basischange, catalog, extension, search, serialize, twisting
-from .errors import SchemaError, TwistKitError
+from .errors import DimensionMismatchError, SchemaError, TwistKitError
 from .report import VerificationReport
 
 
@@ -150,19 +150,16 @@ def _cmd_extend(args) -> int:
     n = serialize._expect_int(obj, "n", "extend") if "n" in obj else args.n
     if n is None:
         raise TwistKitError("the cut position n is required (in the file or via --n)")
-    m = serialize._expect_int(obj, "m", "extend") if "m" in obj else None
-    report = extension.check_extension_given_theta(
-        candidate.family, n, m, require_gamma01_zero=not args.lemma_stage
-    )
+    blocks = extension.split_blocks(candidate.family, n)
+    m = serialize._expect_int(obj, "m", "extend") if "m" in obj else blocks.m
+    if m != blocks.m:
+        raise DimensionMismatchError(f"expected m = {blocks.m}, got {m}")
+    report = extension._extension_report(blocks, not args.lemma_stage)
     payload = {"ok": report.ok, "report": serialize.report_to_json(report)}
     if args.blocks:
-        blocks = extension.split_blocks(candidate.family, n)
-        field = candidate.family.field
         payload["blocks"] = {
-            "B1": serialize.array_to_json(field, blocks.B1),
-            "B2": serialize.array_to_json(field, blocks.B2),
-            "C1": serialize.array_to_json(field, blocks.C1),
-            "C2": serialize.array_to_json(field, blocks.C2),
+            name: serialize.array_to_json(candidate.family.field, getattr(blocks, name))
+            for name in ("B1", "B2", "C1", "C2")
         }
     _write_output(payload, args.out)
     return 0 if report.ok else 1
@@ -238,8 +235,7 @@ def _space_from_args(args) -> search.SearchSpace:
 
 def _cmd_enumerate(args) -> int:
     space = _space_from_args(args)
-    stop = args.to if args.to is not None else None
-    accepted = search.enumerate_space(space, checker=args.checker, start=args.start, stop=stop)
+    accepted = search.enumerate_space(space, checker=args.checker, start=args.start, stop=args.to)
     field = space.A.field
     lines = (
         serialize.dumps(
@@ -255,8 +251,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_cross_validate(args) -> int:
     space = _space_from_args(args)
-    stop = args.to if args.to is not None else None
-    report = search.cross_validate(space, start=args.start, stop=stop)
+    report = search.cross_validate(space, start=args.start, stop=args.to)
     _write_output(serialize.report_to_json(report), args.out)
     return _exit_for(report)
 

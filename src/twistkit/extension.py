@@ -1,11 +1,15 @@
 """Extending twisting maps along a direct product of the finite factor.
 
-For D = B x C with the B-block-first basis, a candidate on (A, D) splits into
-four families of End-valued block matrices (the two diagonal blocks of the
-End-valued representation at B- and C-basis vectors) and four A-valued corner
-blocks of the matrix family attached to A.  The checkers here decide, given
-that the restriction to B is already a twisting map, whether the whole
-candidate is one, by testing the block conditions directly.
+For D = B x C with the B-block-first basis the structure constants of D are
+block-diagonal, so every End-valued matrix R_k of a candidate on (A, D) is
+block-diagonal too, and blocks of products are products of blocks.  The block
+data of the candidate are therefore slices of its D-level representations:
+the two diagonal blocks of R_k at B- and C-basis vectors, every End-valued
+block condition as an index-block x matrix-block slice of ``rho.mul`` /
+``rho.unit``, and the four A-valued corner blocks and their conditions as
+corners of ``phi.unit`` / ``phi.mul``.  The checkers here decide, given that
+the restriction to B is already a twisting map, whether the whole candidate
+is one, by testing the block conditions directly.
 """
 
 from __future__ import annotations
@@ -21,111 +25,103 @@ from .errors import (
     FieldMismatchError,
     UnverifiedCandidateError,
 )
-from .linalg import _alg_entry_product, _endo_products, _freeze
+from .linalg import _alg_entry_product, _freeze
 from .report import VerificationReport, pairs_ok, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
-    _endo_identity,
     _family_of,
     _rep_sides,
     _require_verified,
     _rho_tensor,
+    _rho_unit_sides,
     _twisted_products,
     _unit_images,
     certify,
     direct_ok,
+    phi_hat,
 )
 
 
-def _split_dims(psi: GammaFamily, n: int) -> tuple[int, int]:
+def _check_block_structure(psi: GammaFamily, n: int) -> tuple[slice, slice]:
+    """The index blocks (B, C) of the cut at n; the carrier of psi must be a
+    direct product in the block basis."""
     total = psi.B.dim
     if not 0 < n < total:
         raise DimensionMismatchError(f"cut {n} out of range for dimension {total}")
-    return n, total - n
+    B, C = slice(0, n), slice(n, None)
+    off_diagonal = ((B, B, C), (C, C, B), (B, C), (C, B))
+    if not all(psi.field.is_zero(psi.B.lam[block]) for block in off_diagonal):
+        raise DimensionMismatchError(f"carrier algebra is not a direct product split at {n}")
+    return B, C
 
 
-def _check_block_structure(psi: GammaFamily, n: int) -> None:
-    """The carrier of psi must be a direct product in the block basis."""
-    field = psi.field
-    lam = psi.B.lam
-    blocks_ok = (
-        field.is_zero(lam[:n, :n, n:])
-        and field.is_zero(lam[n:, n:, :n])
-        and field.is_zero(lam[:n, n:])
-        and field.is_zero(lam[n:, :n])
+def _factor(D: FiniteDimAlgebra, part: slice) -> FiniteDimAlgebra:
+    basis = D.basis[part]
+    return FiniteDimAlgebra(
+        D.field, len(basis), basis, D.lam[part, part, part].copy(), D.unit[part].copy()
     )
-    if not blocks_ok:
-        raise DimensionMismatchError(
-            f"carrier algebra is not a direct product split at {n}"
-        )
+
+
+def _corner_family(psi: GammaFamily, part: slice) -> GammaFamily:
+    """The candidate on one factor: the diagonal corner of the grid."""
+    return GammaFamily(psi.A, _factor(psi.B, part), psi.gamma[part, part].copy())
 
 
 def factor_algebras(psi: GammaFamily, n: int) -> tuple[FiniteDimAlgebra, FiniteDimAlgebra]:
     """The two factors of the carrier D = B x C, recovered by slicing."""
-    _check_block_structure(psi, n)
-    D = psi.B
-    field = psi.field
-    m = D.dim - n
-    b = FiniteDimAlgebra(field, n, D.basis[:n], D.lam[:n, :n, :n].copy(), D.unit[:n].copy())
-    c = FiniteDimAlgebra(field, m, D.basis[n:], D.lam[n:, n:, n:].copy(), D.unit[n:].copy())
-    return b, c
+    return tuple(_factor(psi.B, part) for part in _check_block_structure(psi, n))
 
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """Block data of a candidate over D = B x C.
 
-    ``B1[k]`` / ``B2[k]`` (k < n) are the two diagonal blocks of the
-    End-valued matrix at the k-th B-basis vector, of sizes n x n and m x m;
-    ``C1[k]`` / ``C2[k]`` (k < m) the analogues at C-basis vectors.  The four
-    A-valued corner blocks of the matrix family attached to A are evaluated by
-    slicing, not stored.
+    ``R[k]`` is the End-valued matrix of the whole candidate at the k-th basis
+    vector of D, block-diagonal for the cut.  ``B1[k]`` / ``B2[k]`` (k < n)
+    are its two diagonal blocks at the k-th B-basis vector, of sizes n x n and
+    m x m; ``C1[k]`` / ``C2[k]`` (k < m) the analogues at C-basis vectors.
+    All four are views of ``R``.  The four A-valued corner blocks of the
+    matrix family attached to A are evaluated by slicing, not stored.
     """
 
     psi: GammaFamily
     n: int
-    m: int
-    B1: np.ndarray  # (n, n, n, d, d)
-    B2: np.ndarray  # (n, m, m, d, d)
-    C1: np.ndarray  # (m, n, n, d, d)
-    C2: np.ndarray  # (m, m, m, d, d)
+    R: np.ndarray  # (n + m, n + m, n + m, d, d)
 
     def __post_init__(self):
-        for arr in (self.B1, self.B2, self.C1, self.C2):
-            _freeze(arr)
+        _freeze(self.R)
+
+    @property
+    def m(self) -> int:
+        return self.psi.B.dim - self.n
+
+    @property
+    def parts(self) -> tuple[slice, slice]:
+        """The index blocks B = [0, n) and C = [n, n + m)."""
+        return slice(0, self.n), slice(self.n, None)
+
+    def _diagonal(self, index: int, block: int) -> np.ndarray:
+        parts = self.parts
+        return self.R[parts[index], parts[block], parts[block]]
+
+    B1 = property(lambda self: self._diagonal(0, 0))  # (n, n, n, d, d)
+    B2 = property(lambda self: self._diagonal(0, 1))  # (n, m, m, d, d)
+    C1 = property(lambda self: self._diagonal(1, 0))  # (m, n, n, d, d)
+    C2 = property(lambda self: self._diagonal(1, 1))  # (m, m, m, d, d)
 
     def gamma_block(self, p: int, q: int, a: np.ndarray) -> np.ndarray:
-        """A-valued corner block at an element of A, sliced from the full matrix."""
-        field = self.psi.field
-        images = field.tensordot(self.psi.gamma, field.asarray(a), axes=([3], [0]))
-        full = images.transpose(1, 0, 2)  # entry (j, k) = gamma[k][j](a)
-        rows = slice(0, self.n) if p == 0 else slice(self.n, None)
-        cols = slice(0, self.n) if q == 0 else slice(self.n, None)
-        return full[rows, cols]
+        """A-valued corner block at an element of A, sliced from its full matrix."""
+        parts = self.parts
+        return phi_hat(self.psi, a).data[parts[p], parts[q]]
 
 
-def split_blocks(psi, n: int, m: int | None = None) -> BlockDecomposition:
-    """Compute all block matrices of a candidate over D = B x C."""
+def split_blocks(psi, n: int) -> BlockDecomposition:
+    """Validate the cut and compute the End-valued matrices of a candidate
+    over D = B x C, from which every block matrix is sliced."""
     psi = _family_of(psi)
-    n, m_inferred = _split_dims(psi, n)
-    if m is not None and m != m_inferred:
-        raise DimensionMismatchError(f"expected m = {m_inferred}, got {m}")
-    m = m_inferred
     _check_block_structure(psi, n)
-    field = psi.field
-    G = psi.gamma
-    lamB = psi.B.lam[:n, :n, :n]
-    lamC = psi.B.lam[n:, n:, n:]
-    return BlockDecomposition(
-        psi=psi,
-        n=n,
-        m=m,
-        B1=_rho_tensor(field, lamB, G[:n, :n]),
-        B2=_rho_tensor(field, lamC, G[:n, n:]),
-        C1=_rho_tensor(field, lamB, G[n:, :n]),
-        C2=_rho_tensor(field, lamC, G[n:, n:]),
-    )
+    return BlockDecomposition(psi, n, _rho_tensor(psi.field, psi.B.lam, psi.gamma))
 
 
 def restrict(psi, side: str, n: int) -> GammaFamily:
@@ -135,33 +131,27 @@ def restrict(psi, side: str, n: int) -> GammaFamily:
     lower-right one (shifted by n).
     """
     psi = _family_of(psi)
-    _split_dims(psi, n)
-    factor_b, factor_c = factor_algebras(psi, n)
-    if side == "B":
-        return GammaFamily(psi.A, factor_b, psi.gamma[:n, :n].copy())
-    if side == "C":
-        return GammaFamily(psi.A, factor_c, psi.gamma[n:, n:].copy())
-    raise ValueError(f"side must be 'B' or 'C', got {side!r}")
+    part = dict(zip("BC", _check_block_structure(psi, n))).get(side)
+    if part is None:
+        raise ValueError(f"side must be 'B' or 'C', got {side!r}")
+    return _corner_family(psi, part)
 
 
 # -- block condition families ---------------------------------------------------
 
 
-def _rep_family(field, stack: np.ndarray, constants: np.ndarray, tag: str) -> tuple:
-    """Family: stack_i stack_j = sum_k constants[j, i, k] stack_k."""
-    combination, products = _rep_sides(field, constants, stack)
-    return tag, products, combination
+def _diagonal_block(tag: str, sides, index: tuple, block: slice) -> tuple:
+    """A (tag, left, right) family of End-valued matrices restricted to the
+    ``index`` blocks of its leading axes and to one diagonal block of its
+    (row, column) axes."""
+    return (tag, *(side[(*index, block, block)] for side in sides))
 
 
-def _unit_sum_family(psi: GammaFamily, n: int, bstack, cstack, tag: str) -> tuple:
-    """Family: sum_k alpha_k B_k + sum_k beta_k C_k = identity, where
-    (alpha, beta) is the unit of the carrier split at n."""
-    field = psi.field
-    unit_sum = field.add(
-        field.tensordot(psi.B.unit[:n], bstack, axes=([0], [0])),
-        field.tensordot(psi.B.unit[n:], cstack, axes=([0], [0])),
-    )
-    return tag, unit_sum, _endo_identity(field, bstack.shape[1], psi.A.dim)
+def _rho_sides(blocks: BlockDecomposition) -> tuple[tuple, tuple]:
+    """The sides of ``rho.mul`` (products first) and ``rho.unit`` on D."""
+    psi = blocks.psi
+    combination, products = _rep_sides(psi.field, psi.B.lam, blocks.R)
+    return (products, combination), _rho_unit_sides(psi.field, psi.B.unit, blocks.R)
 
 
 def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
@@ -175,77 +165,89 @@ def _unit_sides(psi: GammaFamily) -> list[np.ndarray]:
     return [side.transpose(1, 0, 2) for side in _unit_images(psi.field, psi.gamma, psi.A.unit)]
 
 
-def check_lemma_blocks(psi, n: int, m: int | None = None) -> VerificationReport:
+def check_lemma_blocks(psi, n: int) -> VerificationReport:
     """Block form of the two representation criteria on D = B x C.
 
-    End-valued side: the B- and C-stacks represent the opposite factors in
-    both diagonal blocks, annihilate each other, and their unit combinations
-    sum to the identity (tags ``B.rep.l``, ``C.rep.l``, ``BC.zero.l``,
-    ``CB.zero.l``, ``unit.sum.l`` for l in {1, 2}).  A-valued side: corner
-    unit normalizations and the block product rule
+    End-valued side: for l in {1, 2} let B_k (k < n) / C_k (k < m) be the l-th
+    diagonal block (B-block, then C-block) of R_k[i, m] = sum_t lam[m, t, i]
+    gamma[k][t] (lam the constants of D) at B- / C-basis vectors; with lamB /
+    lamC the constants and (alpha, beta) the units of the factors, and entry
+    products composing as sum_w X[i, w] o Y[w, j], the families are
+    ``B.rep.l`` (B_i B_j = sum_k lamB[j, i, k] B_k), ``C.rep.l`` (the same
+    for C and lamC), ``BC.zero.l`` (B_i C_j = 0), ``CB.zero.l`` (C_j B_i = 0)
+    and ``unit.sum.l`` (sum_k alpha_k B_k + sum_k beta_k C_k = identity).
+    A-valued side, with Gamma^p_q the corner blocks of phi(a)[j, k] =
+    gamma[k][j](a) (p, q = 0 for B, 1 for C): ``Gamma{p}{q}.unit`` (phi(1_A)
+    is the identity) and the product rule
     ``Gamma^p_q(a a') = Gamma^p_0(a) Gamma^0_q(a') + Gamma^p_1(a) Gamma^1_q(a')``
-    (tags ``Gamma{p}{q}.unit`` and ``Gamma{p}{q}.mul``).
+    (``Gamma{p}{q}.mul``).
 
     Agrees with the combined representation checkers on D for every candidate.
     """
-    blocks = split_blocks(psi, n, m)
+    blocks = split_blocks(psi, n)
     return pairs_report(blocks.psi.field, _lemma_pairs(blocks))
 
 
-def lemma_blocks_ok(psi, n: int, m: int | None = None) -> bool:
+def lemma_blocks_ok(psi, n: int) -> bool:
     """Fast verdict of the block criterion."""
-    blocks = split_blocks(psi, n, m)
+    blocks = split_blocks(psi, n)
     return pairs_ok(blocks.psi.field, _lemma_pairs(blocks))
 
 
 def _lemma_pairs(blocks: BlockDecomposition):
     """Condition families of the block criterion, yielded lazily."""
     psi = blocks.psi
-    n = blocks.n
     field = psi.field
-    lamB = psi.B.lam[:n, :n, :n]
-    lamC = psi.B.lam[n:, n:, n:]
+    parts = B, C = blocks.parts
 
-    for l, bstack, cstack in ((1, blocks.B1, blocks.C1), (2, blocks.B2, blocks.C2)):
-        yield _rep_family(field, bstack, lamB, f"B.rep.{l}")
-        yield _rep_family(field, cstack, lamC, f"C.rep.{l}")
-        bc = _endo_products(field, bstack, cstack)
-        cb = _endo_products(field, cstack, bstack)
-        yield f"BC.zero.{l}", bc, field.zeros(bc.shape)
-        yield f"CB.zero.{l}", cb, field.zeros(cb.shape)
-        yield _unit_sum_family(psi, n, bstack, cstack, f"unit.sum.{l}")
+    mul, unit = _rho_sides(blocks)
+    for l, block in ((1, B), (2, C)):
+        yield _diagonal_block(f"B.rep.{l}", mul, (B, B), block)
+        yield _diagonal_block(f"C.rep.{l}", mul, (C, C), block)
+        yield _diagonal_block(f"BC.zero.{l}", mul, (B, C), block)
+        yield _diagonal_block(f"CB.zero.{l}", mul, (C, B), block)
+        yield _diagonal_block(f"unit.sum.{l}", unit, (), block)
 
     # A-valued corners: every block product rule is a block of phi(a a') = phi(a) phi(a')
-    part = (slice(0, n), slice(n, None))
     unit_sides = _unit_sides(psi)
     for p in (0, 1):
         for q in (0, 1):
-            yield _corner(f"Gamma{p}{q}.unit", unit_sides, part[p], part[q])
+            yield _corner(f"Gamma{p}{q}.unit", unit_sides, parts[p], parts[q])
     mul_sides = _twisted_products(field, psi.gamma, psi.A.lam)
     for p in (0, 1):
         for q in (0, 1):
-            yield _corner(f"Gamma{p}{q}.mul", mul_sides, part[p], part[q])
+            yield _corner(f"Gamma{p}{q}.mul", mul_sides, parts[p], parts[q])
 
 
 def check_extension_given_theta(
-    psi, n: int, m: int | None = None, *, require_gamma01_zero: bool = True
+    psi, n: int, *, require_gamma01_zero: bool = True
 ) -> VerificationReport:
     """Extension criterion: given that the B-restriction is a twisting map,
     the candidate on D = B x C is one iff these block conditions hold.
 
-    With ``require_gamma01_zero=True`` (the strengthened form) the families
-    are: ``B2.mul``, ``C1.zero``, ``C2.mul``, ``B2C2.zero`` / ``C2B2.zero``,
-    ``unit.sum``, ``Gamma01`` (the upper-right corner vanishes identically),
-    ``Gamma11.mul``, ``Gamma10.der``, ``Gamma11.unit``, ``Gamma10.unit``.
-    With the flag off, the staged form keeps ``Gamma01`` unconstrained and
-    instead checks the corner product rules ``Gamma01.rule`` / ``Gamma11.rule``,
-    the mixed vanishing ``Gamma01Gamma10.zero`` and ``Gamma01.unit``.
+    In the notation of ``check_lemma_blocks``, with Bl_k / Cl_k the l-th
+    diagonal block at B- / C-basis vectors, the strengthened form
+    (``require_gamma01_zero=True``) checks ``B2.mul`` / ``C2.mul`` (the
+    ``B.rep.2`` / ``C.rep.2`` rules), ``C1.zero`` (C1_k = 0), ``B2C2.zero`` /
+    ``C2B2.zero`` and ``unit.sum`` (``BC.zero.2`` / ``CB.zero.2`` /
+    ``unit.sum.2``), ``Gamma01`` (Gamma^0_1 vanishes identically),
+    ``Gamma11.mul`` (Gamma^1_1(a a') = Gamma^1_1(a) Gamma^1_1(a')),
+    ``Gamma10.der`` (the ``Gamma10.mul`` rule), ``Gamma11.unit`` and
+    ``Gamma10.unit``.  With the flag off, the staged form keeps ``Gamma01``
+    unconstrained and, in place of ``Gamma01`` and ``Gamma11.mul``, checks the
+    rules ``Gamma01.rule`` / ``Gamma11.rule`` (``Gamma01.mul`` /
+    ``Gamma11.mul`` of the lemma), ``Gamma01Gamma10.zero`` (Gamma^0_1(a)
+    Gamma^1_0(a') = 0) and ``Gamma01.unit``.
 
     Raises ``UnverifiedCandidateError`` when the B-restriction fails its own
     verification.
     """
-    blocks = split_blocks(psi, n, m)
-    if not direct_ok(restrict(blocks.psi, "B", blocks.n)):
+    return _extension_report(split_blocks(psi, n), require_gamma01_zero)
+
+
+def _extension_report(blocks: BlockDecomposition, require_gamma01_zero: bool) -> VerificationReport:
+    """The extension criterion on an already split candidate."""
+    if not direct_ok(_corner_family(blocks.psi, blocks.parts[0])):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
     return pairs_report(blocks.psi.field, _extension_pairs(blocks, require_gamma01_zero))
 
@@ -253,22 +255,20 @@ def check_extension_given_theta(
 def _extension_pairs(blocks: BlockDecomposition, require_gamma01_zero: bool):
     """Condition families of the extension criterion, in report order."""
     psi = blocks.psi
-    n = blocks.n
     field = psi.field
     lamA = psi.A.lam
+    B, C = blocks.parts
 
-    yield _rep_family(field, blocks.B2, psi.B.lam[:n, :n, :n], "B2.mul")
+    mul, unit = _rho_sides(blocks)
+    yield _diagonal_block("B2.mul", mul, (B, B), C)
     yield "C1.zero", blocks.C1, field.zeros(blocks.C1.shape)
-    yield _rep_family(field, blocks.C2, psi.B.lam[n:, n:, n:], "C2.mul")
-    bc = _endo_products(field, blocks.B2, blocks.C2)
-    cb = _endo_products(field, blocks.C2, blocks.B2)
-    yield "B2C2.zero", bc, field.zeros(bc.shape)
-    yield "C2B2.zero", cb, field.zeros(cb.shape)
-    yield _unit_sum_family(psi, n, blocks.B2, blocks.C2, "unit.sum")
+    yield _diagonal_block("C2.mul", mul, (C, C), C)
+    yield _diagonal_block("B2C2.zero", mul, (B, C), C)
+    yield _diagonal_block("C2B2.zero", mul, (C, B), C)
+    yield _diagonal_block("unit.sum", unit, (), C)
 
     # phi[x, j, k] = gamma[k][j](e_x); the corner rules are blocks of
     # phi(a a') = phi(a) phi(a') except where a corner is dropped from the sum
-    B, C = slice(0, n), slice(n, None)
     phi = psi.gamma.transpose(3, 1, 0, 2)
     mul_sides = _twisted_products(field, psi.gamma, lamA)
     unit_sides = _unit_sides(psi)
@@ -323,12 +323,10 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     (tags ``phiB.mul``, ``phiC.mul``, ``Delta.der``).
     """
     family = _require_verified(psi, "check_remark_delta")
-    _split_dims(family, n)
-    _check_block_structure(family, n)
+    B, C = _check_block_structure(family, n)
     field = family.field
-    if not field.is_zero(family.gamma[n:, :n]):
+    if not field.is_zero(family.gamma[C, B]):
         raise BlockFormError("upper-right corner block does not vanish")
-    B, C = slice(0, n), slice(n, None)
     mul_sides = _twisted_products(field, family.gamma, family.A.lam)
     families = (
         _corner("phiB.mul", mul_sides, B, B),

@@ -92,7 +92,7 @@ class KMatrix:
         """Matrix times coordinate column."""
         if self.cols != len(vec):
             raise DimensionMismatchError(f"cannot apply {self.rows}x{self.cols} to length {len(vec)}")
-        return self.field.matmul(self.data, vec)
+        return self.field.matmul(self.data, self.field.asarray(vec))
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.data)
@@ -197,11 +197,7 @@ class EndoMatrix:
 
     @classmethod
     def identity(cls, field: Field, n: int, d: int) -> "EndoMatrix":
-        data = field.zeros((n, n, d, d))
-        eye = field.identity(d)
-        for i in range(n):
-            data[i, i] = eye
-        return cls(field, data)
+        return cls(field, _endo_identity(field, n, d))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int, d: int) -> "EndoMatrix":
@@ -234,6 +230,12 @@ class EndoMatrix:
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.data)
+
+
+def _endo_identity(field: Field, size: int, d: int) -> np.ndarray:
+    """The identity of M_size(End A) for d = dim A; axes (i, m, r, c)."""
+    eye_size, eye_d = field.identity(size), field.identity(d)
+    return field.reduce(eye_size[:, :, None, None] * eye_d[None, None, :, :])
 
 
 def _endo_products(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:

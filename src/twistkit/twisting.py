@@ -33,6 +33,7 @@ from .linalg import (
     EndoMatrix,
     KMatrix,
     _alg_entry_product,
+    _endo_identity,
     _endo_products,
     _freeze,
     kernel_basis,
@@ -83,13 +84,7 @@ class GammaFamily:
     @classmethod
     def flip(cls, A: FiniteDimAlgebra, B: FiniteDimAlgebra) -> "GammaFamily":
         """The ordinary tensor product: gamma[i][j] = delta_ij * identity."""
-        field = A.field
-        n, d = B.dim, A.dim
-        grid = field.zeros((n, n, d, d))
-        eye = field.identity(d)
-        for i in range(n):
-            grid[i, i] = eye
-        return cls(A, B, grid)
+        return cls(A, B, _endo_identity(A.field, B.dim, A.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +143,8 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) != d or len(b) != n:
         raise DimensionMismatchError("element lengths do not match the family")
     field = family.field
-    images = field.tensordot(family.gamma, a, axes=([3], [0]))  # (i, j, r)
-    out = field.tensordot(b, images, axes=([0], [0]))           # (j, r)
+    images = field.tensordot(family.gamma, field.asarray(a), axes=([3], [0]))  # (i, j, r)
+    out = field.tensordot(field.asarray(b), images, axes=([0], [0]))           # (j, r)
     return out.reshape(n * d)
 
 
@@ -250,10 +245,10 @@ def _rho_tensor(field, lam: np.ndarray, G: np.ndarray) -> np.ndarray:
     return t.transpose(2, 1, 0, 3, 4)
 
 
-def _endo_identity(field, size: int, d: int) -> np.ndarray:
-    """The identity of M_size(End A); axes (i, m, r, c)."""
-    eye_size, eye_d = field.identity(size), field.identity(d)
-    return field.reduce(eye_size[:, :, None, None] * eye_d[None, None, :, :])
+def _rho_unit_sides(field, unit: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of sum_k unit[k] R_k = identity; axes (i, m, r, c)."""
+    left = field.tensordot(unit, R, axes=([0], [0]))
+    return left, _endo_identity(field, R.shape[1], R.shape[3])
 
 
 def _rep_sides(field, lam: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +271,7 @@ def _rho_pairs(family: GammaFamily):
     R = _rho_tensor(field, lamB, family.gamma)
 
     # unit: sum_k alpha_k R_k = identity; witness axes (i, m, r, c)
-    left_u = field.tensordot(unitB, R, axes=([0], [0]))
-    yield "rho.unit", left_u, _endo_identity(field, family.B.dim, family.A.dim)
+    yield ("rho.unit", *_rho_unit_sides(field, unitB, R))
 
     # multiplication against the opposite product: R_i R_j = sum_k lam[j, i, k] R_k;
     # witness axes (i, j, u, v, r, c)

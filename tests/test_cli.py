@@ -133,20 +133,42 @@ def test_rebase_cli(ncd_file, tmp_path):
     assert rebased.B == kn_algebra(QQ, 2)
 
 
-def test_extend_cli(tmp_path):
+def _extend_input(tmp_path, **fields):
     from twistkit import direct_sum, GammaFamily
 
     a = kn_algebra(F2, 2)
     theta = certify(GammaFamily.flip(a, kn_algebra(F2, 2)))
     ups = certify(GammaFamily.flip(a, kn_algebra(F2, 1)))
-    psi = direct_sum(theta, ups)
-    payload = serialize.candidate_to_json(psi)
-    path = write(tmp_path, "psi.json", {"psi": payload, "n": 2, "m": 1})
+    psi = serialize.candidate_to_json(direct_sum(theta, ups))
+    return write(tmp_path, "psi.json", {"psi": psi, **fields})
+
+
+def test_extend_cli(tmp_path):
+    path = _extend_input(tmp_path, n=2, m=1)
     out = str(tmp_path / "ext.json")
     assert main(["extend", path, "--blocks", "--out", out]) == 0
     result = read(out)
     assert result["ok"] is True
     assert set(result["blocks"]) == {"B1", "B2", "C1", "C2"}
+
+
+def test_extend_blocks_splits_once(tmp_path, monkeypatch):
+    """The report and the block dump come from one decomposition."""
+    from twistkit import extension
+
+    calls = []
+    split = extension.split_blocks
+    monkeypatch.setattr(extension, "split_blocks", lambda *a, **k: calls.append(a) or split(*a, **k))
+    path = _extend_input(tmp_path, n=2)
+    assert main(["extend", path, "--blocks", "--out", str(tmp_path / "ext.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_extend_wrong_m_is_usage_error(tmp_path, capsys):
+    path = _extend_input(tmp_path, n=2, m=2)
+    assert main(["extend", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected m = 1, got 2\n"
 
 
 def test_quiver_cli(tmp_path):

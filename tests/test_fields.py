@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistkit import Field, FieldError, GF, QQ
+from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, kn_algebra
+from twistkit.basischange import identity_morphism
 
 
 def test_rational_scalars_canonical():
@@ -75,6 +76,32 @@ def test_floats_rejected_everywhere():
         GF(5).asarray(np.array([[0.5, 1.0]]))
     with pytest.raises(FieldError):
         QQ.asarray([[0.25]])
+
+
+def _element_calls(field):
+    """Each public entry point that takes raw element coordinates, given one
+    float coordinate, and the same call with exact coordinates."""
+    a = kn_algebra(field, 2)
+    flip = GammaFamily.flip(a, kn_algebra(field, 2))
+    return {
+        "multiply.x": lambda v: a.multiply([v, 0], [1, 0]),
+        "multiply.y": lambda v: a.multiply([1, 0], [v, 0]),
+        "left_mul_matrix": lambda v: a.left_mul_matrix([v, 0]).data,
+        "chi_eval.a": lambda v: chi_eval(flip, [v, 0], [1, 0]),
+        "chi_eval.b": lambda v: chi_eval(flip, [1, 0], [v, 0]),
+        "KMatrix.apply": lambda v: KMatrix.identity(field, 2).apply([v, 0]),
+        "MorphismData.apply": lambda v: identity_morphism(a).apply([v, 0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_element_calls(QQ)))
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=["F7", "Q"])
+def test_float_elements_rejected(field, name):
+    call = _element_calls(field)[name]
+    with pytest.raises(FieldError):
+        call(0.5)
+    # exact coordinates are accepted, and reduced mod p
+    assert field.equal(call(1), call(1 + (field.p or 0)))
 
 
 def test_tensordot_is_exact_mod_p():

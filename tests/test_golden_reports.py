@@ -4,13 +4,18 @@ Every report function below runs on seeded inputs: accepted candidates,
 random grids, and accepted candidates with one entry perturbed (so that the
 first witness of a family sits away from the origin).  The full reports
 (tag, witness, left, right, count) are compared byte for byte with the JSON
-committed under ``tests/golden/reports_*.json``.
+committed under ``tests/golden/reports_*.json``, and the standard output of
+``twistkit extend --blocks`` on one accepted and one rejected input with
+``tests/golden/cli_extend_blocks_*.json``.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden_reports.py``
 only when a report change is intended.
 """
 
+import contextlib
+import io
 import random
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +61,7 @@ from twistkit import (
     verify_faithful,
 )
 from twistkit.basischange import identity_morphism
+from twistkit.cli import main
 from twistkit.extension import lemma_blocks_ok
 from twistkit.twisting import check_representations, direct_ok, oracle_ok, phi_ok, rep_ok, rho_ok
 
@@ -302,15 +308,46 @@ def _extension_inputs():
     return out
 
 
-def _remark_delta_inputs():
+def _uneven_extension_inputs():
+    """(psi, n) pairs at cuts with n != m, B-restriction verified: D =
+    duplicate x K at n = 2 and D = K x K^3 at n = 1, over F_3 and Q."""
+    rng = random.Random(5353)
+    out = {}
+    for tag, field in (("f3", F3), ("q", QQ)):
+        a = kn_algebra(field, 2)
+        ncd = _ncd(a, [[1, 0], [1, 0]], [[0, 0], [0, 0]])
+        flip = certify(GammaFamily.flip(a, kn_algebra(field, 1)))
+        dictionary = certify(
+            make_kn(a, 2, [[[[1, 0], [0, 1]], [[0, 0], [-1, 1]]], [[[0, 0], [0, 0]], [[1, 0], [1, 0]]]])
+        )
+        k3 = certify(GammaFamily(a, kn_algebra(field, 3), direct_sum(flip, dictionary).family.gamma))
+        for cut, theta, ups in (("dup_k", ncd, flip), ("k_k3", flip, k3)):
+            psi = direct_sum(theta, ups).family
+            n, dim = theta.B.dim, psi.B.dim
+            name = f"{tag}_{cut}"
+            out[f"{name}_direct_sum"] = (psi, n)
+            for trial in range(2):
+                grid = _grid(field, rng, dim, 2)
+                grid[:n, :n] = theta.family.gamma
+                out[f"{name}_random_corners_{trial}"] = (GammaFamily(a, psi.B, grid), n)
+            grid = _perturbed(psi, rng, 2).gamma.copy()
+            grid[:n, :n] = theta.family.gamma
+            out[f"{name}_perturbed_sum"] = (GammaFamily(a, psi.B, grid), n)
+            grid = psi.gamma.copy()
+            grid[n:, :n] = _grid(field, rng, dim, 2)[n:, :n]  # nonzero Gamma01 only
+            out[f"{name}_gamma01_only"] = (GammaFamily(a, psi.B, grid), n)
+    return out
+
+
+def _remark_delta_inputs(extension_inputs):
     """Candidates flagged verified whose upper-right corner vanishes; the
     forged ones exercise the failure paths."""
     rng = random.Random(777)
     out = {}
-    for tag, (psi, n) in _extension_inputs().items():
+    for tag, (psi, n) in extension_inputs.items():
         if tag.endswith("direct_sum"):
             out[tag] = (certify(psi), n)
-            random_grid = _grid(psi.field, rng, 4, 2)
+            random_grid = _grid(psi.field, rng, psi.B.dim, psi.A.dim)
             grids = {f"{tag}_forged": psi.gamma, f"{tag}_random_forged": random_grid}
         else:
             grids = {f"{tag}_forged": psi.gamma}
@@ -368,6 +405,7 @@ def _reports():
     routes = _route_families()
     kn, trunc = _grid_family_inputs()
     ext = _extension_inputs()
+    uneven = _uneven_extension_inputs()
     ncd, qdup = _duplicate_inputs()
     return {
         "check_conditions_direct": {k: check_conditions_direct(f) for k, f in routes.items()},
@@ -387,7 +425,7 @@ def _reports():
             for k, (psi, n) in ext.items()
         },
         "check_remark_delta": {
-            k: check_remark_delta(psi, n) for k, (psi, n) in _remark_delta_inputs().items()
+            k: check_remark_delta(psi, n) for k, (psi, n) in _remark_delta_inputs(ext).items()
         },
         "check_induced_morphism": {
             k: check_induced_morphism(*args) for k, args in _morphism_inputs().items()
@@ -398,6 +436,19 @@ def _reports():
         "validate_algebra": {k: validate_algebra(a) for k, a in _algebra_inputs().items()},
         "truncated_conditions_n4": {
             k: truncated_conditions(*args) for k, args in _truncated_n4_inputs().items()
+        },
+        "check_lemma_blocks_uneven": {
+            k: check_lemma_blocks(psi, n) for k, (psi, n) in uneven.items()
+        },
+        "check_extension_given_theta_uneven": {
+            k: check_extension_given_theta(psi, n) for k, (psi, n) in uneven.items()
+        },
+        "check_extension_given_theta_staged_uneven": {
+            k: check_extension_given_theta(psi, n, require_gamma01_zero=False)
+            for k, (psi, n) in uneven.items()
+        },
+        "check_remark_delta_uneven": {
+            k: check_remark_delta(psi, n) for k, (psi, n) in _remark_delta_inputs(uneven).items()
         },
     }
 
@@ -431,10 +482,38 @@ def reports():
         "rebase_conjugation",
         "validate_algebra",
         "truncated_conditions_n4",
+        "check_lemma_blocks_uneven",
+        "check_extension_given_theta_uneven",
+        "check_extension_given_theta_staged_uneven",
+        "check_remark_delta_uneven",
     ],
 )
 def test_reports_match_golden(reports, name):
     assert _payload(reports[name]) == (GOLDEN / f"reports_{name}.json").read_bytes()
+
+
+def _extend_blocks_runs():
+    """Exit code and stdout of ``twistkit extend --blocks`` on one accepted
+    and one rejected input."""
+    uneven = _uneven_extension_inputs()
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, key in (("accepted", "f3_dup_k_direct_sum"), ("rejected", "q_k_k3_random_corners_0")):
+            psi, n = uneven[key]
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(serialize.dumps({"psi": serialize.candidate_to_json(psi), "n": n}), encoding="utf-8")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["extend", str(path), "--blocks"])
+            runs[name] = (code, stdout.getvalue().encode("utf-8"))
+    return runs
+
+
+def test_extend_blocks_stdout_matches_golden():
+    runs = _extend_blocks_runs()
+    assert {name: code for name, (code, _) in runs.items()} == {"accepted": 0, "rejected": 1}
+    for name, (_, stdout) in runs.items():
+        assert stdout == (GOLDEN / f"cli_extend_blocks_{name}.json").read_bytes(), name
 
 
 def test_fast_verdicts_match_reports():
@@ -454,7 +533,7 @@ def test_fast_verdicts_match_reports():
     verdicts += [(qdup_predicate(*args), qdup_conditions(*args).ok) for args in qdup.values()]
     verdicts += [
         (lemma_blocks_ok(psi, n), check_lemma_blocks(psi, n).ok)
-        for psi, n in _extension_inputs().values()
+        for psi, n in [*_extension_inputs().values(), *_uneven_extension_inputs().values()]
     ]
     assert all(fast == full for fast, full in verdicts)
     assert {full for _, full in verdicts} == {True, False}
@@ -463,3 +542,5 @@ def test_fast_verdicts_match_reports():
 if __name__ == "__main__":
     for name, group in _reports().items():
         (GOLDEN / f"reports_{name}.json").write_bytes(_payload(group))
+    for name, (_, stdout) in _extend_blocks_runs().items():
+        (GOLDEN / f"cli_extend_blocks_{name}.json").write_bytes(stdout)
