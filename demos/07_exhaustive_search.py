@@ -6,8 +6,10 @@ At tiny dimensions every candidate grid can be enumerated: entries are
 base-p digits, most significant first, so lexicographic grid order equals
 numeric index order.  Enumeration is deterministic, restartable from any
 index, and splittable into contiguous ranges whose results merge in order.
-The cross-validation harness runs all three verification routes on every
-candidate and reports the first disagreement (there is none).
+Only the grids that pass a route's affine unit families (an exactly solved
+coset) are evaluated; every other grid is rejected by that route.  The
+cross-validation harness runs all three verification routes on the union of
+their cosets and reports the first disagreement (there is none).
 """
 
 import time

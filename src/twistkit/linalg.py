@@ -283,10 +283,7 @@ class AlgMatrix:
 
     @classmethod
     def identity(cls, algebra, n: int) -> "AlgMatrix":
-        data = algebra.field.zeros((n, n, algebra.dim))
-        for i in range(n):
-            data[i, i] = algebra.unit
-        return cls(algebra, data)
+        return cls(algebra, _alg_identity(algebra.field, n, algebra.unit))
 
     @property
     def size(self) -> int:
@@ -302,6 +299,11 @@ class AlgMatrix:
 
     def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
         return algmat_mul(self, other)
+
+
+def _alg_identity(field: Field, n: int, unit: np.ndarray) -> np.ndarray:
+    """The identity of M_n(A) for A with unit ``unit``; axes (i, j, r)."""
+    return field.reduce(field.identity(n)[:, :, None] * unit[None, None, :])
 
 
 def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,7 +6,28 @@ most significant first.  Enumeration scans a half-open index range
 [start, stop) in ascending order and is deterministic, so a run can be
 restarted from any index: enumerating contiguous ranges one after another
 and concatenating the results gives exactly the result of one run over
-their union.
+their union.  A non-empty range that starts below 0 raises ``IndexError``;
+an empty one yields nothing.
+
+Only grids that can pass are visited.  Each route begins with unit families
+that are affine in the gamma grid:
+
+* ``direct``  ``direct.1`` and ``direct.3``;
+* ``rep``     ``rho.unit`` and ``phi.unit``;
+* ``oracle``  ``oracle.chi-left-unit`` and ``oracle.chi-right-unit``.
+
+Evaluating a route's own generators at the zero grid and at the N = n^2 d^2
+unit grids gives the linear system of those families (no formula is written
+twice, so the oracle stays independent of the condition formulas); its exact
+solution set is an affine coset of F_p^N, expanded as digit rows and mapped
+to full-space indices.  A grid off the coset fails one of the route's unit
+families, so the route rejects it.  ``enumerate_space`` runs the route's
+unchanged scalar verdict on the coset points in range (``all`` walks the
+``direct`` coset, which holds the conjunction).  ``cross_validate`` runs all
+three routes on the union of the three cosets; off the union every route
+rejects, so the verdicts are unanimous there by construction.
+
+``MAX_CANDIDATES`` still bounds the full space, not the coset.
 """
 
 from __future__ import annotations
@@ -17,8 +38,18 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import FieldError, SearchSpaceTooLargeError
+from .linalg import KMatrix, kernel_basis
 from .report import Failure, VerificationReport
-from .twisting import GammaFamily, direct_ok, oracle_ok, rep_ok
+from .twisting import (
+    GammaFamily,
+    _direct_pairs,
+    _oracle_pairs,
+    _phi_pairs,
+    _rho_pairs,
+    direct_ok,
+    oracle_ok,
+    rep_ok,
+)
 
 #: Hard guard on the number of candidates a space may hold.
 MAX_CANDIDATES = 1 << 24
@@ -28,6 +59,22 @@ _CHECKERS = {
     "rep": rep_ok,
     "oracle": oracle_ok,
 }
+
+#: Each route's unit families: (family generator, tags taken from it).
+_UNIT_FAMILIES = {
+    "direct": ((_direct_pairs, ("direct.1", "direct.3")),),
+    "rep": ((_rho_pairs, ("rho.unit",)), (_phi_pairs, ("phi.unit",))),
+    "oracle": ((_oracle_pairs, ("oracle.chi-left-unit", "oracle.chi-right-unit")),),
+}
+
+
+def _place_values(p: int, length: int) -> np.ndarray:
+    """p^(length-1-t) for t < length: the weight of each base-p digit.
+
+    ``int64`` while every index fits, Python ints (object dtype) beyond.
+    """
+    dtype = np.int64 if p**length <= 1 << 63 else object
+    return np.array([p**t for t in range(length - 1, -1, -1)], dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +102,11 @@ class SearchSpace:
     def total(self) -> int:
         return self.p ** self.free_entries
 
+    @property
+    def grid_shape(self) -> tuple[int, int, int, int]:
+        n, d = self.B.dim, self.A.dim
+        return (n, n, d, d)
+
     def guard(self) -> None:
         if self.total > MAX_CANDIDATES:
             raise SearchSpaceTooLargeError(
@@ -64,22 +116,71 @@ class SearchSpace:
     def gamma_of_index(self, index: int) -> np.ndarray:
         if not 0 <= index < self.total:
             raise IndexError(f"index {index} out of range for {self.total} candidates")
-        n, d, p = self.B.dim, self.A.dim, self.p
-        length = self.free_entries
-        digits = np.zeros(length, dtype=np.int64)
-        for t in range(length - 1, -1, -1):
-            index, digits[t] = divmod(index, p)
-        return digits.reshape(n, n, d, d)
+        digits = (index // _place_values(self.p, self.free_entries)) % self.p
+        return digits.astype(np.int64).reshape(self.grid_shape)
 
     def index_of_gamma(self, gamma: np.ndarray) -> int:
-        p = self.p
-        index = 0
-        for digit in np.asarray(gamma).reshape(-1) % p:
-            index = index * p + int(digit)
-        return index
+        return int(self._indices(np.asarray(gamma).reshape(-1)))
+
+    def _indices(self, digits: np.ndarray) -> np.ndarray:
+        """Full-space indices of digit rows (the last axis holds the N digits)."""
+        weights = _place_values(self.p, self.free_entries)
+        return (digits % self.p).astype(weights.dtype) @ weights
 
     def family_at(self, index: int) -> GammaFamily:
         return GammaFamily(self.A, self.B, self.gamma_of_index(index))
+
+
+def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.ndarray:
+    """left - right of the route's unit families at one grid, flattened."""
+    family = GammaFamily(space.A, space.B, digits.reshape(space.grid_shape))
+    parts = []
+    for pairs, tags in _UNIT_FAMILIES[route]:
+        wanted = set(tags)
+        for tag, left, right in pairs(family):
+            if tag in wanted:
+                parts.append((left - right).reshape(-1))
+                wanted.discard(tag)
+                if not wanted:
+                    break
+    return space.A.field.reduce(np.concatenate(parts))
+
+
+def _coset(space: SearchSpace, route: str) -> np.ndarray:
+    """Every grid passing the route's unit families, one digit row each.
+
+    The families are affine, F(x) = F(0) + M x, so the homogeneous system
+    [M | F(0)] (x, t) = 0 has the coset as its t = 1 slice.  Its kernel basis
+    has a 1 in the t coordinate only on its last vector, and only when t is
+    free; otherwise the coset is empty.
+    """
+    field, N, p = space.A.field, space.free_entries, space.p
+    f0 = _unit_residual(space, route, np.zeros(N, dtype=np.int64))
+    units = np.eye(N, dtype=np.int64)
+    M = np.stack([field.sub(_unit_residual(space, route, e), f0) for e in units], axis=1)
+    kernel = kernel_basis(KMatrix(field, np.concatenate([M, f0[:, None]], axis=1)))
+    if not kernel or kernel[-1][N] != 1:
+        return np.zeros((0, N), dtype=np.int64)
+    offset = kernel[-1][:N]
+    basis = np.array([v[:N] for v in kernel[:-1]], dtype=np.int64).reshape(-1, N)
+    k = len(basis)
+    coeffs = (np.arange(p**k)[:, None] // _place_values(p, k)) % p
+    return (offset + coeffs @ basis) % p
+
+
+def _candidates(space: SearchSpace, routes, start: int, stop: int | None):
+    """(index, family) in ascending index order for every grid in [start, stop)
+    that passes the unit families of at least one of ``routes``."""
+    stop = space.total if stop is None else min(stop, space.total)
+    if start >= stop:
+        return
+    if start < 0:
+        raise IndexError(f"index {start} out of range for {space.total} candidates")
+    points = np.concatenate([_coset(space, route) for route in routes])
+    indices, rows = np.unique(space._indices(points), return_index=True)
+    keep = (indices >= start) & (indices < stop)
+    for idx, row in zip(indices[keep].tolist(), rows[keep].tolist()):
+        yield idx, GammaFamily(space.A, space.B, points[row].reshape(space.grid_shape))
 
 
 def enumerate_space(
@@ -91,18 +192,20 @@ def enumerate_space(
     """Ascending indices of accepted candidates in [start, stop).
 
     ``checker`` is one of ``direct``, ``rep``, ``oracle`` or ``all`` (the
-    conjunction of the three).
+    conjunction of the three).  Only the points of the route's unit-family
+    coset are evaluated; ``all`` uses the ``direct`` coset.
     """
     space.guard()
-    stop = space.total if stop is None else min(stop, space.total)
     if checker == "all":
         verdict = lambda fam: direct_ok(fam) and rep_ok(fam) and oracle_ok(fam)  # noqa: E731
+        route = "direct"
     else:
         try:
             verdict = _CHECKERS[checker]
         except KeyError:
             raise ValueError(f"unknown checker {checker!r}") from None
-    return [idx for idx in range(start, stop) if verdict(space.family_at(idx))]
+        route = checker
+    return [idx for idx, fam in _candidates(space, (route,), start, stop) if verdict(fam)]
 
 
 def cross_validate(
@@ -114,12 +217,12 @@ def cross_validate(
 
     The first candidate on which the structure-constant route, the combined
     representation route and the definition-level oracle disagree is reported
-    with its index, the three verdicts, and the full gamma grid.
+    with its index, the three verdicts, and the full gamma grid.  The routes
+    are evaluated on the union of their unit-family cosets; every route
+    rejects every grid outside it.
     """
     space.guard()
-    stop = space.total if stop is None else min(stop, space.total)
-    for idx in range(start, stop):
-        fam = space.family_at(idx)
+    for idx, fam in _candidates(space, tuple(_UNIT_FAMILIES), start, stop):
         verdicts = (direct_ok(fam), rep_ok(fam), oracle_ok(fam))
         if len(set(verdicts)) != 1:
             failure = Failure(

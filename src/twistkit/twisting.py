@@ -33,6 +33,7 @@ from .linalg import (
     EndoMatrix,
     KMatrix,
     _alg_entry_product,
+    _alg_identity,
     _endo_identity,
     _endo_products,
     _freeze,
@@ -154,8 +155,7 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _unit_images(field, G: np.ndarray, unitA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the unit rule gamma[i][j](1) = delta_ij 1; axes (i, j, r)."""
     left = field.tensordot(G, unitA, axes=([3], [0]))
-    right = field.reduce(field.identity(G.shape[0])[:, :, None] * unitA[None, None, :])
-    return left, right
+    return left, _alg_identity(field, G.shape[0], unitA)
 
 
 def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,5 +557,4 @@ def _faithful_pairs(family: GammaFamily, images: np.ndarray):
 
     # image of the product unit is the identity matrix
     unit_img = field.tensordot(unit, images, axes=([0], [0]))
-    eye = field.reduce(field.identity(family.B.dim)[:, :, None] * unitA[None, None, :])
-    yield "faithful.unit", unit_img, eye
+    yield "faithful.unit", unit_img, _alg_identity(field, family.B.dim, unitA)

@@ -231,6 +231,28 @@ def test_oversized_search_is_usage_error(tmp_path):
     assert main(["enumerate", "--A", a_path, "--B", a_path]) == 2
 
 
+def test_negative_start_is_usage_error(tmp_path, capsys):
+    k2 = serialize.algebra_to_json(kn_algebra(F2, 2))
+    a_path = write(tmp_path, "a.json", k2)
+    common = ["--A", a_path, "--B", a_path, "--from", "-1"]
+    for command in (["enumerate", *common], ["cross-validate", *common], ["enumerate", *common, "--to", "5"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == "error: index -1 out of range for 65536 candidates\n"
+
+
+def test_empty_ranges_exit_zero(tmp_path):
+    k2 = serialize.algebra_to_json(kn_algebra(F2, 2))
+    a_path = write(tmp_path, "a.json", k2)
+    out = str(tmp_path / "out")
+    for rng in (["--from", "9", "--to", "3"], ["--from", "65536"], ["--to", "-1"]):
+        common = ["--A", a_path, "--B", a_path, *rng, "--out", out]
+        assert main(["enumerate", *common]) == 0
+        assert open(out, encoding="utf-8").read() == ""
+        assert main(["cross-validate", *common]) == 0
+        assert read(out) == {"failures": [], "ok": True}
+
+
 def test_malformed_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{oops", encoding="utf-8")

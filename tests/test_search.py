@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
+from test_acceptance import ACCEPTED_22
 from twistkit import (
     GF,
+    FiniteDimAlgebra,
     GammaFamily,
     QQ,
     SearchSpaceTooLargeError,
@@ -11,12 +15,45 @@ from twistkit import (
     duplicate_algebra,
     enumerate_space,
     kn_algebra,
+    quadratic_algebra,
+    truncated_poly_algebra,
+    validate_algebra,
 )
+from twistkit.twisting import direct_condition_flags, direct_ok, oracle_ok, rep_ok
 from twistkit import search as search_mod
 from twistkit.errors import FieldError
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
+F7 = GF(7)
+
+
+def _tri_algebra(field):
+    """Upper-triangular 2 x 2 matrices: non-commutative, dimension 3."""
+    lam = field.zeros((3, 3, 3))
+    lam[0, 0, 0] = 1  # e11 e11 = e11
+    lam[1, 1, 1] = 1  # e22 e22 = e22
+    lam[0, 2, 2] = 1  # e11 e12 = e12
+    lam[2, 1, 2] = 1  # e12 e22 = e12
+    return FiniteDimAlgebra(field, 3, ("e11", "e22", "e12"), lam, field.asarray([1, 1, 0]))
+
+
+def _presentations(field):
+    """The four 2-dimensional presentations: K^2, the duplicate, K[Y]/(Y^2), F_4."""
+    return {
+        "K2": kn_algebra(field, 2),
+        "dup": duplicate_algebra(field),
+        "trunc2": truncated_poly_algebra(field, 2),
+        "F4": quadratic_algebra(field, 1, 1),
+    }
+
+
+def _all_ok(fam):
+    return direct_ok(fam) and rep_ok(fam) and oracle_ok(fam)
+
+
+_VERDICTS = {"direct": direct_ok, "rep": rep_ok, "oracle": oracle_ok, "all": _all_ok}
 
 
 def test_one_dimensional_space_accepts_only_identity():
@@ -39,6 +76,21 @@ def test_index_codec_roundtrip():
     for idx in (0, 1, 17, 3**15, space.total - 1):
         gamma = space.gamma_of_index(idx)
         assert space.index_of_gamma(gamma) == idx
+
+
+def test_index_codec_roundtrip_beyond_int64():
+    """3 x 3 over F_2 has 2^81 grids: indices are Python ints, never int64."""
+    space = SearchSpace(kn_algebra(F2, 3), kn_algebra(F2, 3))
+    assert space.total == 1 << 81
+    rng = random.Random(81)
+    for idx in (0, 1, (1 << 63) - 1, 1 << 63, 1 << 64, rng.randrange(space.total), space.total - 1):
+        gamma = space.gamma_of_index(idx)
+        assert gamma.dtype == np.int64 and gamma.shape == (3, 3, 3, 3)
+        assert space.index_of_gamma(gamma) == idx
+    top = space.gamma_of_index(space.total - 1)
+    assert (top == 1).all()
+    with pytest.raises(IndexError):
+        space.gamma_of_index(space.total)
 
 
 def test_lex_order_matches_index_order():
@@ -98,14 +150,7 @@ def test_cross_validate_subrange():
 def test_cross_validate_noncommutative_twisted_factor():
     """A need not be commutative: the full space over the upper-triangular
     3-dimensional algebra with a one-dimensional carrier."""
-    from twistkit import FiniteDimAlgebra, validate_algebra
-
-    lam = F2.zeros((3, 3, 3))
-    lam[0, 0, 0] = 1  # e11 e11 = e11
-    lam[1, 1, 1] = 1  # e22 e22 = e22
-    lam[0, 2, 2] = 1  # e11 e12 = e12
-    lam[2, 1, 2] = 1  # e12 e22 = e12
-    tri = FiniteDimAlgebra(F2, 3, ("e11", "e22", "e12"), lam, F2.asarray([1, 1, 0]))
+    tri = _tri_algebra(F2)
     assert validate_algebra(tri).ok
     space = SearchSpace(tri, kn_algebra(F2, 1))
     assert space.total == 512
@@ -117,8 +162,6 @@ def test_cross_validate_noncommutative_twisted_factor():
 
 def test_cross_validate_truncated_carrier_with_scalar_factor():
     """Non-idempotent carrier: K[Y]/(Y^3) twisted against the base field."""
-    from twistkit import truncated_poly_algebra
-
     space = SearchSpace(kn_algebra(F2, 1), truncated_poly_algebra(F2, 3))
     assert space.total == 512
     assert cross_validate(space).ok
@@ -173,3 +216,198 @@ def test_fault_injection_is_caught(monkeypatch):
     assert failure.condition == "cross.disagree"
     assert failure.witness == (flip_idx,)
     assert failure.right is not None  # the gamma dump travels with the report
+
+
+# -- the coset walk against brute force --------------------------------------------
+
+
+def _brute(space, verdict, lo, hi):
+    return [i for i in range(lo, hi) if verdict(space.family_at(i))]
+
+
+def _small_spaces():
+    spaces = {}
+    for field in (F2, F3):
+        k1, k2 = kn_algebra(field, 1), kn_algebra(field, 2)
+        spaces[f"K1xK2-F{field.p}"] = SearchSpace(k1, k2)
+        spaces[f"K2xK1-F{field.p}"] = SearchSpace(k2, k1)
+    spaces["tri x K"] = SearchSpace(_tri_algebra(F2), kn_algebra(F2, 1))
+    spaces["K x trunc3"] = SearchSpace(kn_algebra(F2, 1), truncated_poly_algebra(F2, 3))
+    return spaces
+
+
+@pytest.mark.parametrize("name", sorted(_small_spaces()))
+def test_coset_walk_matches_brute_force_on_whole_small_spaces(name):
+    space = _small_spaces()[name]
+    for checker, verdict in _VERDICTS.items():
+        expected = _brute(space, verdict, 0, space.total)
+        assert enumerate_space(space, checker) == expected, checker
+    assert cross_validate(space).ok
+
+
+@pytest.mark.parametrize("b_name", ["K2", "dup", "trunc2", "F4"])
+@pytest.mark.parametrize("a_name", ["K2", "dup", "trunc2", "F4"])
+def test_coset_walk_matches_brute_force_on_f2_slices(a_name, b_name):
+    """Seeded 2048-candidate slices of all 16 pairs of F_2 presentations, and
+    the slice that holds the flip (so every pair meets accepted grids)."""
+    algebras = _presentations(F2)
+    space = SearchSpace(algebras[a_name], algebras[b_name])
+    rng = random.Random(f"slice/{a_name}/{b_name}")
+    flip_idx = space.index_of_gamma(GammaFamily.flip(space.A, space.B).gamma)
+    for lo in (rng.randrange(space.total // 2048) * 2048, flip_idx // 2048 * 2048):
+        hi = lo + 2048
+        flags = {i: (direct_ok(f), rep_ok(f), oracle_ok(f))
+                 for i, f in ((i, space.family_at(i)) for i in range(lo, hi))}
+        expected = {
+            "direct": [i for i, v in flags.items() if v[0]],
+            "rep": [i for i, v in flags.items() if v[1]],
+            "oracle": [i for i, v in flags.items() if v[2]],
+            "all": [i for i, v in flags.items() if all(v)],
+        }
+        for checker, want in expected.items():
+            assert enumerate_space(space, checker, start=lo, stop=hi) == want, checker
+        assert cross_validate(space, start=lo, stop=hi).ok
+
+
+def _corrupt(monkeypatch, space, route, indices):
+    """Flip one route's verdict on the given indices."""
+    true_verdict = getattr(search_mod, route)
+
+    def corrupted(fam):
+        verdict = true_verdict(fam)
+        return not verdict if space.index_of_gamma(fam.gamma) in indices else verdict
+
+    monkeypatch.setattr(search_mod, route, corrupted)
+
+
+def _first_disagreement(space, lo, hi):
+    for i in range(lo, hi):
+        fam = space.family_at(i)
+        if len({search_mod.direct_ok(fam), search_mod.rep_ok(fam), search_mod.oracle_ok(fam)}) != 1:
+            return i
+    return None
+
+
+_SLICE_22 = (36864, 40960)  # holds ACCEPTED_22[2] (the flip) to ACCEPTED_22[4]
+
+
+def _check_witness(monkeypatch, space, corruptions):
+    """Corrupt routes; the reported witness is the lowest index at which a
+    plain loop over the same range sees a disagreement."""
+    for route, indices in corruptions.items():
+        _corrupt(monkeypatch, space, route, indices)
+    lo, hi = _SLICE_22
+    witness = _first_disagreement(space, lo, hi)
+    assert witness == min(i for indices in corruptions.values() for i in indices)
+    for start, stop in (_SLICE_22, (0, None)):
+        report = cross_validate(space, start=start, stop=stop)
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.condition == "cross.disagree"
+        assert failure.witness == (witness,)
+        assert failure.right == F2.format_array(space.gamma_of_index(witness))
+
+
+@pytest.mark.parametrize(
+    "corruptions",
+    [
+        {"rep_ok": {ACCEPTED_22[3]}},
+        {"oracle_ok": {ACCEPTED_22[4]}, "direct_ok": {ACCEPTED_22[3]}},
+        {"rep_ok": {ACCEPTED_22[3], ACCEPTED_22[4]}},
+    ],
+)
+def test_cross_validate_witness_at_accepted_indices(monkeypatch, corruptions):
+    space = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
+    flip_idx = space.index_of_gamma(GammaFamily.flip(space.A, space.B).gamma)
+    assert all(flip_idx not in indices for indices in corruptions.values())
+    _check_witness(monkeypatch, space, corruptions)
+
+
+def test_cross_validate_witness_at_a_rejected_unit_solution(monkeypatch):
+    """A grid that passes direct.1 and direct.3 but no route: a corrupted
+    oracle there is caught although every true verdict is a rejection."""
+    space = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
+    lo, hi = _SLICE_22
+    rejected = next(
+        i for i in range(lo, hi)
+        if (flags := direct_condition_flags(space.family_at(i)))[0] and flags[2] and not all(flags)
+    )
+    _check_witness(monkeypatch, space, {"oracle_ok": {rejected}})
+
+
+# -- each route's unit families are affine --------------------------------------------
+
+
+def _route_spaces():
+    spaces = []
+    for field in (F2, F3, F5, F7):
+        algebras = _presentations(field)
+        spaces.append(SearchSpace(algebras["K2"], algebras["trunc2"]))
+        spaces.append(SearchSpace(algebras["F4"], algebras["dup"]))
+    spaces.append(SearchSpace(_tri_algebra(F3), kn_algebra(F3, 1)))
+    return spaces
+
+
+@pytest.mark.parametrize("route", sorted(search_mod._UNIT_FAMILIES))
+def test_unit_families_are_affine(route):
+    rng = np.random.default_rng(7)
+    for space in _route_spaces():
+        p, N = space.p, space.free_entries
+
+        def residual(x):
+            return search_mod._unit_residual(space, route, x % p)
+
+        f0 = residual(np.zeros(N, dtype=np.int64))
+        for _ in range(5):
+            g1, g2 = rng.integers(0, p, size=(2, N))
+            c = int(rng.integers(0, p))
+            left = (residual(g1 + c * g2) - f0) % p
+            right = ((residual(g1) - f0) + c * (residual(g2) - f0)) % p
+            assert (left == right).all(), (route, p)
+
+
+@pytest.mark.parametrize("route", sorted(search_mod._UNIT_FAMILIES))
+@pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
+def test_coset_is_the_set_passing_the_unit_families(route, name):
+    space = _small_spaces()[name]
+    passing = [
+        i for i in range(space.total)
+        if not search_mod._unit_residual(space, route, space.gamma_of_index(i).reshape(-1)).any()
+    ]
+    coset = sorted(space._indices(search_mod._coset(space, route)).tolist())
+    assert coset == passing
+
+
+# -- the index range contract -------------------------------------------------------------
+
+
+def test_negative_start_of_a_nonempty_range_raises():
+    space = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
+    message = "index -1 out of range for 65536 candidates"
+    for start, stop in ((-1, None), (-1, 5), (-1, 0)):
+        with pytest.raises(IndexError, match=message):
+            enumerate_space(space, "direct", start=start, stop=stop)
+        with pytest.raises(IndexError, match=message):
+            cross_validate(space, start=start, stop=stop)
+
+
+def test_empty_ranges_are_empty():
+    space = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
+    for start, stop in ((5, 5), (9, 3), (space.total, None), (space.total + 7, None), (0, -1), (-3, -3)):
+        for checker in _VERDICTS:
+            assert enumerate_space(space, checker, start=start, stop=stop) == []
+        assert cross_validate(space, start=start, stop=stop).ok
+
+
+def test_unsolvable_unit_families_leave_nothing_to_walk():
+    """Over a carrier whose product is zero, sum_k unit[k] R_k = identity has
+    no solution: the rep coset is empty, and the walk still matches brute force,
+    including the disagreement it provokes."""
+    zero_product = FiniteDimAlgebra(F3, 1, ("z",), F3.zeros((1, 1, 1)), F3.asarray([1]))
+    assert not validate_algebra(zero_product).ok
+    space = SearchSpace(kn_algebra(F3, 1), zero_product)
+    assert len(search_mod._coset(space, "rep")) == 0
+    for checker, verdict in _VERDICTS.items():
+        assert enumerate_space(space, checker) == _brute(space, verdict, 0, space.total)
+    report = cross_validate(space)
+    assert report.failures[0].witness == (_first_disagreement(space, 0, space.total),)
