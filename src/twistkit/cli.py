@@ -8,6 +8,7 @@ Exit codes: 0 when every verification passed (or the construction succeeded),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -70,7 +71,9 @@ _CHECKS = {
 def _cmd_check_twisting(args) -> int:
     candidate = serialize.candidate_from_json(_read_json(args.input))
     if args.checker == "all":
-        reports = {name: fn(candidate.family) for name, fn in _CHECKS.items()}
+        reports = {name: fn(candidate.family) for name, fn in _CHECKS.items() if name != "rep"}
+        rho, phi = reports["rho"], reports["phi"]
+        reports["rep"] = VerificationReport.from_failures(rho.failures + phi.failures)
         ok = all(r.ok for r in reports.values())
         payload = {"ok": ok, "reports": {k: serialize.report_to_json(r) for k, r in reports.items()}}
         _write_output(payload, args.out)
@@ -259,7 +262,9 @@ def _cmd_cross_validate(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="twistkit",
         description="Exact verification and construction of twisting maps and "

@@ -5,13 +5,12 @@ Two kinds of field are supported: the rationals (elements are
 p < 2**16 (elements are canonical residues in ``int64`` arrays).  All array
 operations are exact; there is no floating point anywhere in the package.
 
-The Q arrays this module builds hold ``Fraction`` entries only, integral or
-not.  Contractions over Q (``Field.tensordot`` and ``matmul``, which every
-structure-constant product in the package goes through) clear denominators:
-each operand becomes Python-int numerators over one common denominator, the
-numerators are contracted, and the results are put back over the product of
-the two denominators as ``Fraction`` entries.  A term then costs one integer
-multiply and add, not a ``Fraction`` multiply and add.
+Every structure-constant product goes through ``Field.tensordot`` (and
+``matmul``) or ``Field.einsum`` (the route kernels, ``...`` being a batch of
+grids), and both through one exactness wrapper: over F_p it reduces mod p;
+over Q, whose arrays hold ``Fraction`` entries only, it contracts Python-int
+numerators over common denominators, so a term costs one integer multiply
+and add, not a ``Fraction`` multiply and add.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -151,8 +151,7 @@ class Field:
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros((n, n))
-        for i in range(n):
-            out[i, i] = self.one
+        np.fill_diagonal(out, self.one)
         return out
 
     def unit_vector(self, n: int, i: int) -> np.ndarray:
@@ -164,22 +163,29 @@ class Field:
         return arr % self.p if self.kind == "Fp" else arr
 
     def tensordot(self, x: np.ndarray, y: np.ndarray, axes) -> np.ndarray:
-        """Exact tensor contraction with the ``axes`` of ``np.tensordot``.
+        """Exact tensor contraction with the ``axes`` of ``np.tensordot``."""
+        return self._contract(partial(np.tensordot, axes=axes), x, y)
 
-        Over F_p the int64 contraction is reduced mod p.  Over Q each operand
-        is written as Python-int numerators over one common denominator (the
-        lcm of its entries' denominators), the numerators are contracted by
-        the same ``np.tensordot`` call, and the output numerators are put over
-        the product of the two denominators: one int multiply per term instead
-        of a ``Fraction`` multiply and add.  Each distinct output numerator
-        becomes one ``Fraction``, shared by the entries that hold it, so every
-        entry of a Q result is a ``Fraction``.
+    def einsum(self, spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact ``np.einsum(spec, x, y)`` (explicit output): einsum's own loop,
+        or ``tensordot`` where ``_dot_plan`` finds that faster.  Over F_p it is
+        exact while summed length * (p - 1)**2 < 2**63: any length below 2**31.
         """
+        plan = _dot_plan(spec, x.shape, y.shape)
+        if plan is None:
+            return self._contract(partial(np.einsum, spec), x, y)
+        axes, order = plan
+        return self.tensordot(x, y, axes).transpose(order)
+
+    def _contract(self, contract, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``contract(x, y)``, exactly.  Over Q the numerators (over the lcm of
+        each operand's denominators) are contracted and each distinct output
+        numerator becomes one ``Fraction`` over the product of the two lcms."""
         if self.kind == "Fp":
-            return self.reduce(np.tensordot(x, y, axes=axes))
+            return self.reduce(contract(x, y))
         nx, dx = _clear_denominators(x)
         ny, dy = _clear_denominators(y)
-        z = np.tensordot(nx, ny, axes=axes)
+        z = np.asarray(contract(nx, ny), dtype=object)
         flat = z.ravel().tolist()
         by_numerator = {v: Fraction(v, dx * dy) for v in set(flat)}
         return np.array([by_numerator[v] for v in flat], dtype=object).reshape(z.shape)
@@ -209,6 +215,23 @@ class Field:
         if isinstance(arr, np.ndarray) and arr.ndim > 0:
             return [self.format_array(sub) for sub in arr]
         return self.format(arr[()] if isinstance(arr, np.ndarray) else arr)
+
+
+@lru_cache(maxsize=1024)
+def _dot_plan(spec: str, x_shape: tuple, y_shape: tuple):
+    """``(axes, order)`` if ``np.tensordot(x, y, axes).transpose(order)`` is
+    ``np.einsum(spec, x, y)`` and the faster: 2**11 terms or more, no batch,
+    each letter summed over both operands or free in one.  Else None."""
+    inputs, out = spec.replace("...", "").split("->")
+    xs, ys = inputs.split(",")
+    if (len(xs), len(ys)) != (len(x_shape), len(y_shape)) or len(set(xs)) + len(set(ys)) < len(xs + ys):
+        return None
+    summed = [c for c in xs if c in ys]
+    free = [c for c in xs + ys if c not in summed]
+    sizes = dict(zip(xs, x_shape)) | dict(zip(ys, y_shape))
+    if sorted(free) != sorted(out) or math.prod(sizes.values()) < 1 << 11:
+        return None
+    return ([xs.index(c) for c in summed], [ys.index(c) for c in summed]), [free.index(c) for c in out]
 
 
 def _clear_denominators(arr) -> tuple[np.ndarray, int]:

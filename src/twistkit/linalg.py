@@ -239,14 +239,10 @@ def _endo_identity(field: Field, size: int, d: int) -> np.ndarray:
 
 
 def _endo_products(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise products of two stacks of End-valued matrices.
-
-    ``x`` has shape (a, r, s, d, d), ``y`` (b, s, t, d, d); the result
-    (a, b, r, t, d, d) holds x_i y_j for all pairs, entry products being
-    compositions.
-    """
-    prod = field.tensordot(x, y, axes=([2, 4], [1, 3]))  # (a, r, e, b, t, c)
-    return prod.transpose(0, 3, 1, 4, 2, 5)
+    """Pairwise products x_i y_j of two stacks of End-valued matrices, entry
+    products being compositions: (..., a, r, s, d, d) and (..., b, s, t, d, d)
+    give (..., a, b, r, t, d, d); batch axes pair up slice by slice."""
+    return field.einsum("...arspe,...bstec->...abrtpc", x, y)
 
 
 def endo_mat_mul(x: EndoMatrix, y: EndoMatrix) -> EndoMatrix:
@@ -307,18 +303,14 @@ def _alg_identity(field: Field, n: int, unit: np.ndarray) -> np.ndarray:
 
 
 def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise products of two stacks of A-valued rectangular matrices.
-
-    ``x`` has shape (a, r, s, dim), ``y`` (b, s, t, dim); the result
-    (a, b, r, t, dim) holds x_i y_j for all pairs, with entry (i, j) =
-    sum_k x[i, k] * y[k, j] and products taken via ``lam``.  Reducing after
-    each contraction bounds the int64 intermediates over F_p by
-    s * dim * (p - 1)^2, below 2**63 for p < 2**16 while s * dim stays below
-    2**31.
-    """
-    xl = field.tensordot(x, lam, axes=([3], [0]))               # (a, r, s, v, w)
-    out = field.tensordot(xl, y, axes=([2, 3], [1, 3]))         # (a, r, w, b, t)
-    return out.transpose(0, 3, 1, 4, 2)
+    """Pairwise products x_i y_j of two stacks of A-valued rectangular
+    matrices, entry (i, j) = sum_k x[i, k] * y[k, j] via ``lam``: (..., a, r,
+    s, dim) and (..., b, s, t, dim) give (..., a, b, r, t, dim); batch axes
+    pair up slice by slice.  Reducing after each contraction bounds the int64
+    intermediates over F_p by s * dim * (p - 1)^2, below 2**63 for p < 2**16
+    while s * dim stays below 2**31."""
+    xl = field.einsum("...arsv,vwz->...arswz", x, lam)
+    return field.einsum("...arswz,...bstw->...abrtz", xl, y)
 
 
 def algmat_mul(x: AlgMatrix, y: AlgMatrix, algebra=None) -> AlgMatrix:

@@ -10,22 +10,17 @@ their union.  A non-empty range that starts below 0 raises ``IndexError``;
 an empty one yields nothing.
 
 Only grids that can pass are visited.  Each route begins with unit families
-that are affine in the gamma grid:
-
-* ``direct``  ``direct.1`` and ``direct.3``;
-* ``rep``     ``rho.unit`` and ``phi.unit``;
-* ``oracle``  ``oracle.chi-left-unit`` and ``oracle.chi-right-unit``.
-
-Evaluating a route's own generators at the zero grid and at the N = n^2 d^2
-unit grids gives the linear system of those families (no formula is written
-twice, so the oracle stays independent of the condition formulas); its exact
+that are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit``
+/ ``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``.  One
+pass of each of the route's own generators (no formula is written twice, so
+the oracle stays independent) over the stack of the zero grid and the
+N = n^2 d^2 unit grids gives the linear system of those families; its exact
 solution set is an affine coset of F_p^N, expanded as digit rows and mapped
-to full-space indices.  A grid off the coset fails one of the route's unit
-families, so the route rejects it.  ``enumerate_space`` runs the route's
-unchanged scalar verdict on the coset points in range (``all`` walks the
-``direct`` coset, which holds the conjunction).  ``cross_validate`` runs all
-three routes on the union of the three cosets; off the union every route
-rejects, so the verdicts are unanimous there by construction.
+to full-space indices.  Off the coset the route rejects by a unit family.
+``enumerate_space`` runs the route's unchanged scalar verdict on the coset
+points in range (``all`` walks the ``direct`` coset, which holds the
+conjunction); ``cross_validate`` runs all three routes on the union of the
+three cosets, off which the verdicts are unanimous by construction.
 
 ``MAX_CANDIDATES`` still bounds the full space, not the coset.
 """
@@ -60,7 +55,7 @@ _CHECKERS = {
     "oracle": oracle_ok,
 }
 
-#: Each route's unit families: (family generator, tags taken from it).
+#: Each route's unit families: (family generator, tags taken from it, in its order).
 _UNIT_FAMILIES = {
     "direct": ((_direct_pairs, ("direct.1", "direct.3")),),
     "rep": ((_rho_pairs, ("rho.unit",)), (_phi_pairs, ("phi.unit",))),
@@ -132,32 +127,32 @@ class SearchSpace:
 
 
 def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.ndarray:
-    """left - right of the route's unit families at one grid, flattened."""
-    family = GammaFamily(space.A, space.B, digits.reshape(space.grid_shape))
+    """left - right of the route's unit families, flattened, at a stack of
+    grids: digit rows (..., N) in, residual rows (..., R) out."""
+    batch = digits.shape[:-1]
+    G = digits.reshape(batch + space.grid_shape)
     parts = []
     for pairs, tags in _UNIT_FAMILIES[route]:
-        wanted = set(tags)
-        for tag, left, right in pairs(family):
-            if tag in wanted:
-                parts.append((left - right).reshape(-1))
-                wanted.discard(tag)
-                if not wanted:
-                    break
-    return space.A.field.reduce(np.concatenate(parts))
+        for tag, left, right in pairs(space.A, space.B, G):
+            if tag in tags:
+                parts.append((left - right).reshape(batch + (-1,)))
+            if tag == tags[-1]:
+                break
+    return space.A.field.reduce(np.concatenate(parts, axis=-1))
 
 
 def _coset(space: SearchSpace, route: str) -> np.ndarray:
     """Every grid passing the route's unit families, one digit row each.
 
-    The families are affine, F(x) = F(0) + M x, so the homogeneous system
+    The families are affine, F(x) = F(0) + M x; one batched residual at the
+    zero grid and the N unit grids gives F(0) and M.  The homogeneous system
     [M | F(0)] (x, t) = 0 has the coset as its t = 1 slice.  Its kernel basis
     has a 1 in the t coordinate only on its last vector, and only when t is
     free; otherwise the coset is empty.
     """
     field, N, p = space.A.field, space.free_entries, space.p
-    f0 = _unit_residual(space, route, np.zeros(N, dtype=np.int64))
-    units = np.eye(N, dtype=np.int64)
-    M = np.stack([field.sub(_unit_residual(space, route, e), f0) for e in units], axis=1)
+    F = _unit_residual(space, route, np.eye(N + 1, N, k=-1, dtype=np.int64))
+    f0, M = F[0], field.sub(F[1:], F[0]).T
     kernel = kernel_basis(KMatrix(field, np.concatenate([M, f0[:, None]], axis=1)))
     if not kernel or kernel[-1][N] != 1:
         return np.zeros((0, N), dtype=np.int64)

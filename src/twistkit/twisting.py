@@ -125,6 +125,12 @@ def _require_verified(c: TwistingCandidate, what: str) -> GammaFamily:
     return c.family
 
 
+def _route(c, pairs) -> tuple:
+    """The field of a candidate and the family generator ``pairs`` on its grid."""
+    family = _family_of(c)
+    return family.field, pairs(family.A, family.B, family.gamma)
+
+
 def certify(c) -> TwistingCandidate:
     """Run the structure-constant checker and set the verified flag from it."""
     family = _family_of(c)
@@ -154,8 +160,8 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _unit_images(field, G: np.ndarray, unitA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the unit rule gamma[i][j](1) = delta_ij 1; axes (i, j, r)."""
-    left = field.tensordot(G, unitA, axes=([3], [0]))
-    return left, _alg_identity(field, G.shape[0], unitA)
+    left = field.einsum("...ijrc,c->...ijr", G, unitA)
+    return left, _alg_identity(field, G.shape[-3], unitA)
 
 
 def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,35 +171,36 @@ def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarra
     holds phi(a_x a_y) and the right side phi(a_x) phi(a_y), i.e.
     gamma[k][j](a_x a_y) against sum_l gamma[l][j](a_x) gamma[k][l](a_y).
     """
-    phi = G.transpose(3, 1, 0, 2)
-    left = field.tensordot(G, lamA, axes=([3], [2])).transpose(3, 4, 1, 0, 2)
+    phi = np.moveaxis(G, -1, -4).swapaxes(-3, -2)
+    left = field.einsum("...kjrc,xyc->...xyjkr", G, lamA)
     return left, _alg_entry_product(field, lamA, phi, phi)
 
 
 def _rule_compositions(field, lam: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """sum_{k,l} lam[k, l, m] X[j][l] o Y[i][k] for stacks of grid rows;
     axes (i, j, m, r, c)."""
-    comps = field.tensordot(X, Y, axes=([3], [2]))               # (j, l, r, i, k, c)
-    t = field.tensordot(lam, comps, axes=([0, 1], [4, 1]))       # (m, j, r, i, c)
-    return t.transpose(3, 1, 0, 2, 4)
+    comps = field.einsum("...jlre,...ikec->...jlrikc", X, Y)
+    return field.einsum("klm,...jlrikc->...ijmrc", lam, comps)
 
 
 def _transposed(tag: str, sides, axes) -> tuple:
-    """A (tag, left, right) family with both sides in the tag's witness order."""
-    return (tag, *(side.transpose(axes) for side in sides))
+    """A (tag, left, right) family with both sides in the tag's witness order
+    (``axes`` permutes the trailing axes; leading batch axes stay in front)."""
+    trailing = [a - len(axes) for a in axes]
+    return (tag, *(side.transpose(*range(side.ndim - len(axes)), *trailing) for side in sides))
 
 
 # -- route 1: structure-constant conditions ------------------------------------
 
 
-def _direct_pairs(family: GammaFamily):
-    """The four condition families, yielded lazily as (tag, left, right)."""
-    field = family.field
-    G = family.gamma
-    lamA, unitA = family.A.lam, family.A.unit
-    lamB, unitB = family.B.lam, family.B.unit
-    d = family.A.dim
-    eye_d = field.identity(d)
+def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The four condition families, yielded lazily as (tag, left, right).
+    Like every route generator it takes a grid G of shape (..., n, n, d, d):
+    its batch axes lead every side that depends on G."""
+    field = A.field
+    lamA, unitA = A.lam, A.unit
+    lamB, unitB = B.lam, B.unit
+    eye_d = field.identity(A.dim)
 
     # (1) gamma_i^j(1) = delta_ij 1; witness axes (i, j, r)
     yield ("direct.1", *_unit_images(field, G, unitA))
@@ -204,12 +211,12 @@ def _direct_pairs(family: GammaFamily):
 
     # (3) alpha_k id = sum_i alpha_i gamma_i^k; witness axes (k, r, c)
     left3 = field.reduce(unitB[:, None, None] * eye_d[None, :, :])
-    right3 = field.tensordot(unitB, G, axes=([0], [0]))         # (k, r, c)
+    right3 = field.einsum("i,...ikrc->...krc", unitB, G)
     yield "direct.3", left3, right3
 
     # (4) sum_k lam_ij^k gamma_k^m = sum_{k,l} lam_kl^m gamma_j^l o gamma_i^k;
     #     witness axes (i, j, m, r, c)
-    left4 = field.tensordot(lamB, G, axes=([2], [0]))           # (i, j, m, r, c)
+    left4 = field.einsum("ijk,...kmrc->...ijmrc", lamB, G)
     yield "direct.4", left4, _rule_compositions(field, lamB, G, G)
 
 
@@ -219,21 +226,17 @@ def check_conditions_direct(c) -> VerificationReport:
     Condition tags ``direct.1`` .. ``direct.4``; conditions quantified over A
     are checked on basis pairs, which suffices by bilinearity.
     """
-    family = _family_of(c)
-    return pairs_report(family.field, _direct_pairs(family))
+    return pairs_report(*_route(c, _direct_pairs))
 
 
 def direct_ok(c) -> bool:
-    family = _family_of(c)
-    return pairs_ok(family.field, _direct_pairs(family))
+    return pairs_ok(*_route(c, _direct_pairs))
 
 
 def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
     """Per-condition booleans (1, 2, 3, 4), each fully evaluated."""
-    family = _family_of(c)
-    field = family.field
-    flags = [field.equal(left, right) for _, left, right in _direct_pairs(family)]
-    return tuple(flags)
+    field, pairs = _route(c, _direct_pairs)
+    return tuple(field.equal(left, right) for _, left, right in pairs)
 
 
 # -- route 2a: End-valued representation ---------------------------------------
@@ -241,19 +244,18 @@ def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
 
 def _rho_tensor(field, lam: np.ndarray, G: np.ndarray) -> np.ndarray:
     """All matrices at once: R[k, i, m] = sum_l lam[m, l, i] G[k, l]."""
-    t = field.tensordot(lam, G, axes=([1], [1]))  # (m, i, k, r, c)
-    return t.transpose(2, 1, 0, 3, 4)
+    return field.einsum("mli,...klrc->...kimrc", lam, G)
 
 
 def _rho_unit_sides(field, unit: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of sum_k unit[k] R_k = identity; axes (i, m, r, c)."""
-    left = field.tensordot(unit, R, axes=([0], [0]))
-    return left, _endo_identity(field, R.shape[1], R.shape[3])
+    left = field.einsum("k,...kimrc->...imrc", unit, R)
+    return left, _endo_identity(field, R.shape[-4], R.shape[-2])
 
 
 def _rep_sides(field, lam: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of sum_k lam[j, i, k] R_k = R_i R_j; axes (i, j, u, v, r, c)."""
-    combination = field.tensordot(lam, R, axes=([2], [0])).transpose(1, 0, 2, 3, 4, 5)
+    combination = field.einsum("jik,...kuvrc->...ijuvrc", lam, R)
     return combination, _endo_products(field, R, R)
 
 
@@ -265,17 +267,15 @@ def rho_hat(c, k: int) -> EndoMatrix:
     return EndoMatrix(family.field, _rho_tensor(family.field, family.B.lam, family.gamma)[k].copy())
 
 
-def _rho_pairs(family: GammaFamily):
-    field = family.field
-    lamB, unitB = family.B.lam, family.B.unit
-    R = _rho_tensor(field, lamB, family.gamma)
+def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    R = _rho_tensor(B.field, B.lam, G)
 
     # unit: sum_k alpha_k R_k = identity; witness axes (i, m, r, c)
-    yield ("rho.unit", *_rho_unit_sides(field, unitB, R))
+    yield ("rho.unit", *_rho_unit_sides(B.field, B.unit, R))
 
     # multiplication against the opposite product: R_i R_j = sum_k lam[j, i, k] R_k;
     # witness axes (i, j, u, v, r, c)
-    yield ("rho.mul", *_rep_sides(field, lamB, R))
+    yield ("rho.mul", *_rep_sides(B.field, B.lam, R))
 
 
 def check_rho_representation(c) -> VerificationReport:
@@ -284,13 +284,11 @@ def check_rho_representation(c) -> VerificationReport:
     Equivalent to conditions (3) and (4) of the direct route; entry products
     are compositions of endomorphisms.
     """
-    family = _family_of(c)
-    return pairs_report(family.field, _rho_pairs(family))
+    return pairs_report(*_route(c, _rho_pairs))
 
 
 def rho_ok(c) -> bool:
-    family = _family_of(c)
-    return pairs_ok(family.field, _rho_pairs(family))
+    return pairs_ok(*_route(c, _rho_pairs))
 
 
 # -- route 2b: A-valued representation -----------------------------------------
@@ -306,17 +304,13 @@ def phi_hat(c, a: np.ndarray) -> AlgMatrix:
     return AlgMatrix(family.A, images.transpose(1, 0, 2).copy())
 
 
-def _phi_pairs(family: GammaFamily):
-    field = family.field
-    G = family.gamma
-    lamA, unitA = family.A.lam, family.A.unit
-
+def _phi_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     # unit: phi(1_A) = identity matrix; witness axes (j, k, r)
-    yield _transposed("phi.unit", _unit_images(field, G, unitA), (1, 0, 2))
+    yield _transposed("phi.unit", _unit_images(A.field, G, A.unit), (1, 0, 2))
 
     # multiplicativity on basis pairs: phi(a_p a_q) = phi(a_p) phi(a_q);
     # witness axes (p, q, j, l, w)
-    yield ("phi.mul", *_twisted_products(field, G, lamA))
+    yield ("phi.mul", *_twisted_products(A.field, G, A.lam))
 
 
 def check_phi_representation(c) -> VerificationReport:
@@ -324,13 +318,11 @@ def check_phi_representation(c) -> VerificationReport:
 
     Equivalent to conditions (1) and (2) of the direct route.
     """
-    family = _family_of(c)
-    return pairs_report(family.field, _phi_pairs(family))
+    return pairs_report(*_route(c, _phi_pairs))
 
 
 def phi_ok(c) -> bool:
-    family = _family_of(c)
-    return pairs_ok(family.field, _phi_pairs(family))
+    return pairs_ok(*_route(c, _phi_pairs))
 
 
 def rep_ok(c) -> bool:
@@ -339,29 +331,27 @@ def rep_ok(c) -> bool:
 
 
 def check_representations(c) -> VerificationReport:
-    family = _family_of(c)
-    return pairs_report(family.field, list(_rho_pairs(family)) + list(_phi_pairs(family)))
+    """The rho report's failures, then the phi report's."""
+    rho, phi = check_rho_representation(c), check_phi_representation(c)
+    return VerificationReport.from_failures(rho.failures + phi.failures)
 
 
 # -- twisted product ------------------------------------------------------------
 
 
-def _product_tensor(family: GammaFamily) -> tuple[np.ndarray, np.ndarray]:
+def _product_tensor(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray) -> tuple:
     """Structure constants and unit of the candidate product on B (x) A.
 
     (b_i (x) a_p)(b_j (x) a_q) = sum_{k,l} lamB[i,l,k] * (gamma[j][l](a_p) a_q)
-    on the basis vector b_k (x) -, ordered (i, p) -> i*d + p.
+    on the basis vector b_k (x) -, ordered (i, p) -> i*d + p.  Batch axes of
+    G lead the structure constants; the unit does not depend on G.
     """
-    field = family.field
-    G = family.gamma
-    lamA = family.A.lam
-    lamB = family.B.lam
-    n, d = family.B.dim, family.A.dim
-    t = field.tensordot(G, lamA, axes=([2], [0]))       # (j, l, p, q, w)
-    lam6 = field.tensordot(lamB, t, axes=([1], [1]))    # (i, k, j, p, q, w)
-    lam = lam6.transpose(0, 3, 2, 4, 1, 5).reshape(n * d, n * d, n * d)
-    unit = field.tensordot(family.B.unit, family.A.unit, axes=0).reshape(n * d)
-    return lam, unit
+    field = A.field
+    nd = B.dim * A.dim
+    t = field.einsum("...jlrp,rqw->...jlpqw", G, A.lam)
+    lam6 = field.einsum("ilk,...jlpqw->...ipjqkw", B.lam, t)
+    unit = field.einsum("i,p->ip", B.unit, A.unit).reshape(nd)
+    return lam6.reshape(lam6.shape[:-6] + (nd, nd, nd)), unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +379,7 @@ class TwistedTensorAlgebra:
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
     """The twisted tensor product algebra of a verified candidate."""
     family = _require_verified(c, "build_twisted_product")
-    lam, unit = _product_tensor(family)
+    lam, unit = _product_tensor(family.A, family.B, family.gamma)
     labels = tuple(
         f"{bl}⊗{al}" for bl in family.B.basis for al in family.A.basis
     )
@@ -400,55 +390,52 @@ def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
 # -- route 3: the definition-level oracle ----------------------------------------
 
 
-def _oracle_pairs(family: GammaFamily):
+def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Definition-level families: chi-unit axioms, associativity and units of
     the assembled product, and the canonical inclusions."""
-    field = family.field
-    G = family.gamma
-    lamA, unitA = family.A.lam, family.A.unit
-    lamB, unitB = family.B.lam, family.B.unit
-    n, d = family.B.dim, family.A.dim
-    nd = n * d
-    eye_n = field.identity(n)
-    eye_d = field.identity(d)
+    field = A.field
+    lamA, unitA = A.lam, A.unit
+    lamB, unitB = B.lam, B.unit
+    n, d, nd = B.dim, A.dim, B.dim * A.dim
+    eye_n, eye_d = field.identity(n), field.identity(d)
 
     # chi(1_A (x) b_i) = b_i (x) 1_A; witness axes (i, j, r)
-    left_cu = field.tensordot(G, unitA, axes=([3], [0]))
+    left_cu = field.einsum("...ijrc,c->...ijr", G, unitA)
     right_cu = field.reduce(eye_n[:, :, None] * unitA[None, None, :])
     yield "oracle.chi-left-unit", left_cu, right_cu
 
     # chi(a_p (x) 1_B) = 1_B (x) a_p; witness axes (p, j, r)
-    left_ru = field.tensordot(unitB, G, axes=([0], [0])).transpose(2, 0, 1)
+    left_ru = field.einsum("i,...ijrp->...pjr", unitB, G)
     right_ru = field.reduce(unitB[None, :, None] * eye_d[:, None, :])
     yield "oracle.chi-right-unit", left_ru, right_ru
 
-    lam, unit = _product_tensor(family)
+    lam, unit = _product_tensor(A, B, G)
 
     # associativity of the assembled product; witness axes (x, y, z, w)
-    assoc_l = field.tensordot(lam, lam, axes=([2], [0]))
-    assoc_r = field.tensordot(lam, lam, axes=([2], [1])).transpose(2, 0, 1, 3)
+    assoc_l = field.einsum("...xys,...szw->...xyzw", lam, lam)
+    assoc_r = field.einsum("...yzs,...xsw->...xyzw", lam, lam)
     yield "oracle.assoc", assoc_l, assoc_r
 
     eye_nd = field.identity(nd)
-    yield "oracle.unit-left", field.tensordot(unit, lam, axes=([0], [0])), eye_nd
-    yield "oracle.unit-right", field.tensordot(unit, lam, axes=([0], [1])), eye_nd
+    yield "oracle.unit-left", field.einsum("x,...xyw->...yw", unit, lam), eye_nd
+    yield "oracle.unit-right", field.einsum("y,...xyw->...xw", unit, lam), eye_nd
 
     # canonical inclusions are algebra maps
-    ib = field.tensordot(eye_n, unitA, axes=0).reshape(n, nd)
-    ia = field.tensordot(unitB, eye_d, axes=0).transpose(1, 0, 2).reshape(d, nd)
+    ib = field.einsum("ij,r->ijr", eye_n, unitA).reshape(n, nd)
+    ia = field.einsum("i,pr->pir", unitB, eye_d).reshape(d, nd)
 
-    t1 = field.tensordot(ib, lam, axes=([1], [0]))                    # (x, t, m)
-    prod_bb = field.tensordot(ib, t1, axes=([1], [1])).transpose(1, 0, 2)
-    exp_bb = field.tensordot(lamB, ib, axes=([2], [0]))
+    t1 = field.einsum("xs,...stm->...xtm", ib, lam)
+    prod_bb = field.einsum("yt,...xtm->...xym", ib, t1)
+    exp_bb = field.einsum("xyk,km->xym", lamB, ib)
     yield "oracle.iB", prod_bb, exp_bb
 
-    t2 = field.tensordot(ia, lam, axes=([1], [0]))                    # (p, t, m)
-    prod_aa = field.tensordot(ia, t2, axes=([1], [1])).transpose(1, 0, 2)
-    exp_aa = field.tensordot(lamA, ia, axes=([2], [0]))
+    t2 = field.einsum("ps,...stm->...ptm", ia, lam)
+    prod_aa = field.einsum("qt,...ptm->...pqm", ia, t2)
+    exp_aa = field.einsum("pqk,km->pqm", lamA, ia)
     yield "oracle.iA", prod_aa, exp_aa
 
     # i_B(b_i) i_A(a_p) = b_i (x) a_p; witness axes (i, p, m)
-    prod_ba = field.tensordot(t1, ia, axes=([1], [1])).transpose(0, 2, 1)
+    prod_ba = field.einsum("...xtm,pt->...xpm", t1, ia)
     yield "oracle.factor", prod_ba, eye_nd.reshape(n, d, nd)
 
 
@@ -460,13 +447,11 @@ def oracle_check(c) -> VerificationReport:
     that both canonical inclusions are algebra morphisms, and the
     factorization property.
     """
-    family = _family_of(c)
-    return pairs_report(family.field, _oracle_pairs(family))
+    return pairs_report(*_route(c, _oracle_pairs))
 
 
 def oracle_ok(c) -> bool:
-    family = _family_of(c)
-    return pairs_ok(family.field, _oracle_pairs(family))
+    return pairs_ok(*_route(c, _oracle_pairs))
 
 
 # -- the faithful representation -------------------------------------------------
@@ -549,7 +534,7 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
 def _faithful_pairs(family: GammaFamily, images: np.ndarray):
     field = family.field
     lamA, unitA = family.A.lam, family.A.unit
-    lam, unit = _product_tensor(family)
+    lam, unit = _product_tensor(family.A, family.B, family.gamma)
 
     # multiplicativity on all product-basis pairs; witness axes (x, y, i, l, w)
     prod = _alg_entry_product(field, lamA, images, images)

@@ -283,3 +283,61 @@ def test_module_entry_point(ncd_file):
     )
     assert help_proc.returncode == 0
     assert "--checker" in help_proc.stdout
+
+
+def test_parser_is_built_once_per_process(dup_file, ncd_file, bad_ncd_file, tmp_path, capsys, monkeypatch):
+    """Different subcommands in one process share one parser, and give the
+    stdout, stderr and exit codes of runs that each build a fresh parser."""
+    from twistkit import cli
+
+    k1 = write(tmp_path, "k1.json", serialize.algebra_to_json(kn_algebra(F2, 1)))
+    commands = [
+        ["validate-algebra", dup_file],
+        ["check-twisting", ncd_file],
+        ["check-twisting", bad_ncd_file, "--checker", "rho"],
+        ["build-product", bad_ncd_file],
+        ["represent", ncd_file],
+        ["enumerate", "--A", k1, "--B", k1, "--checker", "all"],
+        ["cross-validate", "--A", k1, "--B", k1, "--from", "1"],
+        ["extend", ncd_file],
+        ["check-twisting", ncd_file, "--checker", "none"],
+        ["validate-algebra", str(tmp_path / "missing.json")],
+    ]
+
+    def run_all():
+        results = []
+        for command in commands:
+            try:
+                code = cli.main(command)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cli._build_parser.cache_clear()
+    shared = run_all()
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 1, 1, 0, 0, 0, 2, 2, 2]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == shared
+
+
+def test_check_twisting_all_runs_each_representation_once(ncd_file, bad_ncd_file, tmp_path, monkeypatch):
+    """``--checker all`` builds the rep report from the rho and phi reports."""
+    runs = []
+    for name in ("_rho_pairs", "_phi_pairs"):
+
+        def counted(*args, _name=name, _original=getattr(twisting, name)):
+            runs.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(twisting, name, counted)
+    out = str(tmp_path / "verdict.json")
+    for path, code in ((ncd_file, 0), (bad_ncd_file, 1)):
+        runs.clear()
+        assert main(["check-twisting", path, "--out", out]) == code
+        assert sorted(runs) == ["_phi_pairs", "_rho_pairs"]
+        reports = read(out)["reports"]
+        joined = reports["rho"]["failures"] + reports["phi"]["failures"]
+        assert reports["rep"] == {"failures": joined, "ok": not joined}

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, kn_algebra
 from twistkit.basischange import identity_morphism
+from twistkit.fields import _dot_plan
 
 
 def test_rational_scalars_canonical():
@@ -173,6 +175,116 @@ def test_rational_tensordot_takes_integer_entries():
         expected = np.tensordot(ref_left, ref_right, 1)
         assert out.ravel().tolist() == expected.ravel().tolist()
         assert all(isinstance(v, Fraction) for v in out.flat)
+
+
+def _einsum_reference(spec, x, y):
+    """Plain-loop ``np.einsum(spec, x, y)`` without ellipsis: one multiply and
+    add per term, in whatever scalar type the operands hold."""
+    inputs, out = spec.split("->")
+    xs, ys = inputs.split(",")
+    sizes = dict(zip(xs, x.shape)) | dict(zip(ys, y.shape))
+    summed = sorted(set(xs + ys) - set(out))
+    result = np.empty(tuple(sizes[c] for c in out), dtype=object)
+    for idx in np.ndindex(*result.shape):
+        at = dict(zip(out, idx))
+        total = 0
+        for inner in itertools.product(*(range(sizes[c]) for c in summed)):
+            at.update(zip(summed, inner))
+            total += x[tuple(at[c] for c in xs)] * y[tuple(at[c] for c in ys)]
+        result[idx] = total
+    return result
+
+
+@st.composite
+def einsum_case(draw):
+    """A two-operand spec, its explicit form and Fraction operands.
+
+    Each letter is free in x, free in y, summed, or shared and kept (paired
+    up slice by slice); letters appear in random order, extents are 0-3.  A
+    batch of 0-2 axes, written ``...``, leads x, y or both, so specs without
+    ellipsis are drawn too.  The explicit form spells the batch as
+    upper-case letters."""
+    letters = draw(st.lists(st.sampled_from("abcdefg"), unique=True, max_size=5))
+    roles = {c: draw(st.sampled_from(["x", "y", "sum", "keep"])) for c in letters}
+    sizes = {c: draw(st.integers(0, 3)) for c in letters}
+    batch = draw(st.lists(st.integers(0, 2), max_size=2))
+    upper = "ABC"[: len(batch)]
+    sizes.update(zip(upper, batch))
+    x_has, y_has = draw(st.booleans()), draw(st.booleans())
+    x_lets = draw(st.permutations([c for c in letters if roles[c] in ("x", "sum", "keep")]))
+    y_lets = draw(st.permutations([c for c in letters if roles[c] in ("y", "sum", "keep")]))
+    o_lets = draw(st.permutations([c for c in letters if roles[c] in ("x", "y", "keep")]))
+
+    def side(has, lets):
+        return ("..." if has else "") + "".join(lets), (upper if has else "") + "".join(lets)
+
+    (xe, xx), (ye, yx) = side(x_has, x_lets), side(y_has, y_lets)
+    oe, ox = side(x_has or y_has, o_lets)
+    x = draw(rational_array(tuple(sizes[c] for c in xx)))
+    y = draw(rational_array(tuple(sizes[c] for c in yx)))
+    return f"{xe},{ye}->{oe}", f"{xx},{yx}->{ox}", x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(einsum_case())
+def test_rational_einsum_matches_fraction_reference(case):
+    spec, explicit, x, y = case
+    expected = _einsum_reference(explicit, x, y)  # Fraction multiply and add per term
+    out = QQ.einsum(spec, x, y)
+    assert out.dtype == object and out.shape == expected.shape
+    assert out.ravel().tolist() == expected.ravel().tolist()
+    assert all(isinstance(v, Fraction) for v in out.flat)
+
+
+#: The longest sums the route kernels take at n = d = 4 (16 terms each), on
+#: shapes small enough for einsum's own loop and large enough for a dot.
+LONGEST_SUMS = [
+    ("...xys,...szw->...xyzw", (1, 2, 16), (16, 1, 2), "loop"),  # oracle.assoc, n*d
+    ("...xys,...szw->...xyzw", (8, 8, 16), (16, 8, 8), "dot"),
+    ("...arswz,...bstw->...abrtz", (1, 1, 4, 4, 2), (1, 4, 1, 4), "loop"),  # A-valued products
+    ("...arswz,...bstw->...abrtz", (4, 4, 4, 4, 4), (4, 4, 4, 4), "dot"),
+    ("...arspe,...bstec->...abrtpc", (1, 1, 4, 2, 4), (1, 4, 1, 4, 2), "loop"),  # compositions
+    ("...arspe,...bstec->...abrtpc", (4, 4, 4, 4, 4), (4, 4, 4, 4, 4), "dot"),
+    ("klm,...jlrikc->...ijmrc", (4, 4, 2), (1, 4, 1, 1, 4, 1), "loop"),  # rule compositions, n^2
+    ("klm,...jlrikc->...ijmrc", (4, 4, 4), (4, 4, 4, 4, 4, 4), "dot"),
+]
+
+
+@pytest.mark.parametrize("spec, x_shape, y_shape, path", LONGEST_SUMS)
+def test_einsum_is_exact_mod_the_largest_prime(spec, x_shape, y_shape, path):
+    """All entries p - 1 at p = 65521, against Python ints."""
+    p = 65521
+    assert (_dot_plan(spec, x_shape, y_shape) is None) == (path == "loop")
+    x, y = np.full(x_shape, p - 1, dtype=np.int64), np.full(y_shape, p - 1, dtype=np.int64)
+    expected = np.einsum(spec, x.astype(object), y.astype(object)) % p  # Python-int terms
+    out = GF(p).einsum(spec, x, y)
+    assert out.dtype == np.int64
+    assert out.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("spec, x_shape, y_shape, path", LONGEST_SUMS)
+def test_rational_einsum_on_both_paths_matches_fraction_loop(spec, x_shape, y_shape, path):
+    rng = np.random.default_rng(3)
+
+    def rationals(shape):
+        nums, dens = rng.integers(-50, 50, size=shape), rng.choice([1, 2, 3, 10**9 + 7], size=shape)
+        entries = [Fraction(int(a), int(b)) for a, b in zip(nums.flat, dens.flat)]
+        return np.array(entries, dtype=object).reshape(shape)
+
+    x, y = rationals(x_shape), rationals(y_shape)
+    expected = np.einsum(spec, x, y)  # Fraction multiply and add per term
+    out = QQ.einsum(spec, x, y)
+    assert out.ravel().tolist() == expected.ravel().tolist()
+    assert all(isinstance(v, Fraction) for v in out.flat)
+
+
+def test_dot_plan_leaves_batched_and_small_contractions_to_einsum():
+    assert _dot_plan("...ab,...bc->...ac", (17, 64, 64), (17, 64, 64)) is None  # batch axes
+    assert _dot_plan("ab,bc->abc", (64, 64), (64, 64)) is None  # a kept shared letter
+    assert _dot_plan("ab,bc->a", (64, 64), (64, 64)) is None  # a letter summed in one operand
+    assert _dot_plan("aab,bc->ac", (8, 8, 64), (64, 64)) is None  # a diagonal
+    assert _dot_plan("ab,bc->ac", (4, 4), (4, 4)) is None  # 64 terms
+    assert _dot_plan("...ab,cb->...ca", (64, 64), (64, 64)) == (([1], [1]), [1, 0])
 
 
 def test_equal_and_is_zero():

@@ -449,7 +449,9 @@ def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
     """The number of contractions each fast verdict performs on K^2 x K^2 over
     F_2: a candidate failing the first family costs one family's work, not
     the whole route's.  Exhaustive sweeps reject almost every candidate at
-    the first family, so eager evaluation would multiply their cost."""
+    the first family, so eager evaluation would multiply their cost.  The
+    counter sits on the exactness wrapper shared by ``Field.tensordot`` and
+    ``Field.einsum``, so it sees every contraction of either primitive."""
     from twistkit.fields import Field
 
     a2 = kn_algebra(_F2, 2)
@@ -460,13 +462,13 @@ def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
     else:
         fam = GammaFamily.flip(a2, a2)
     calls = []
-    original = Field.tensordot
+    original = Field._contract
 
-    def counted(self, x, y, axes):
-        calls.append(axes)
-        return original(self, x, y, axes)
+    def counted(self, contract, x, y):
+        calls.append(contract)
+        return original(self, contract, x, y)
 
-    monkeypatch.setattr(Field, "tensordot", counted)
+    monkeypatch.setattr(Field, "_contract", counted)
     for verdict, expected in counts.items():
         calls.clear()
         assert verdict(fam) == (grid == "flip")
