@@ -72,8 +72,7 @@ def _cmd_check_twisting(args) -> int:
     candidate = serialize.candidate_from_json(_read_json(args.input))
     if args.checker == "all":
         reports = {name: fn(candidate.family) for name, fn in _CHECKS.items() if name != "rep"}
-        rho, phi = reports["rho"], reports["phi"]
-        reports["rep"] = VerificationReport.from_failures(rho.failures + phi.failures)
+        reports["rep"] = twisting.rep_report(reports["rho"], reports["phi"])
         ok = all(r.ok for r in reports.values())
         payload = {"ok": ok, "reports": {k: serialize.report_to_json(r) for k, r in reports.items()}}
         _write_output(payload, args.out)

@@ -7,10 +7,9 @@ operations are exact; there is no floating point anywhere in the package.
 
 Every structure-constant product goes through ``Field.tensordot`` (and
 ``matmul``) or ``Field.einsum`` (the route kernels, ``...`` being a batch of
-grids), and both through one exactness wrapper: over F_p it reduces mod p;
-over Q, whose arrays hold ``Fraction`` entries only, it contracts Python-int
-numerators over common denominators, so a term costs one integer multiply
-and add, not a ``Fraction`` multiply and add.
+grids), which passes ``tensordot`` each contraction it can write.  Both share
+one exactness wrapper: mod p over F_p; over Q (``Fraction`` entries only) one
+Python-int multiply and add per term, on numerators over common denominators.
 """
 
 from __future__ import annotations
@@ -151,7 +150,8 @@ class Field:
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros((n, n))
-        np.fill_diagonal(out, self.one)
+        for i in range(n):
+            out[i, i] = self.one
         return out
 
     def unit_vector(self, n: int, i: int) -> np.ndarray:
@@ -167,20 +167,18 @@ class Field:
         return self._contract(partial(np.tensordot, axes=axes), x, y)
 
     def einsum(self, spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact ``np.einsum(spec, x, y)`` (explicit output): einsum's own loop,
-        or ``tensordot`` where ``_dot_plan`` finds that faster.  Over F_p it is
-        exact while summed length * (p - 1)**2 < 2**63: any length below 2**31.
-        """
-        plan = _dot_plan(spec, x.shape, y.shape)
+        """Exact ``np.einsum(spec, x, y)``: ``tensordot`` plus a transpose where
+        ``_dot_plan`` finds one, else einsum's own loop.  Over F_p it is exact
+        while summed length * (p - 1)**2 < 2**63: any length below 2**31."""
+        plan = _dot_plan(spec, x.ndim, y.ndim)
         if plan is None:
             return self._contract(partial(np.einsum, spec), x, y)
         axes, order = plan
         return self.tensordot(x, y, axes).transpose(order)
 
     def _contract(self, contract, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``contract(x, y)``, exactly.  Over Q the numerators (over the lcm of
-        each operand's denominators) are contracted and each distinct output
-        numerator becomes one ``Fraction`` over the product of the two lcms."""
+        """``contract(x, y)``, exactly.  Over Q it contracts numerators over each
+        operand's lcm denominator; a distinct output numerator makes one ``Fraction``."""
         if self.kind == "Fp":
             return self.reduce(contract(x, y))
         nx, dx = _clear_denominators(x)
@@ -217,19 +215,21 @@ class Field:
         return self.format(arr[()] if isinstance(arr, np.ndarray) else arr)
 
 
-@lru_cache(maxsize=1024)
-def _dot_plan(spec: str, x_shape: tuple, y_shape: tuple):
-    """``(axes, order)`` if ``np.tensordot(x, y, axes).transpose(order)`` is
-    ``np.einsum(spec, x, y)`` and the faster: 2**11 terms or more, no batch,
-    each letter summed over both operands or free in one.  Else None."""
-    inputs, out = spec.replace("...", "").split("->")
+@lru_cache(maxsize=None)
+def _dot_plan(spec: str, x_ndim: int, y_ndim: int):
+    """``(axes, order)`` with ``np.tensordot(x, y, axes).transpose(order)``
+    equal to ``np.einsum(spec, x, y)``, or None.  A batch ``...`` with axes in
+    one operand only becomes letters free in it; then each letter must be
+    summed over both operands or free in one."""
+    inputs, out = spec.split("->")
     xs, ys = inputs.split(",")
-    if (len(xs), len(ys)) != (len(x_shape), len(y_shape)) or len(set(xs)) + len(set(ys)) < len(xs + ys):
-        return None
+    x_batch, y_batch = x_ndim - len(xs.replace("...", "")), y_ndim - len(ys.replace("...", ""))
+    batch = "ABCDEFGH"[: x_batch + y_batch]  # the specs use lower-case letters
+    xs, ys = xs.replace("...", batch if x_batch else ""), ys.replace("...", batch if y_batch else "")
+    out = out.replace("...", batch)
     summed = [c for c in xs if c in ys]
     free = [c for c in xs + ys if c not in summed]
-    sizes = dict(zip(xs, x_shape)) | dict(zip(ys, y_shape))
-    if sorted(free) != sorted(out) or math.prod(sizes.values()) < 1 << 11:
+    if x_batch and y_batch or len(set(xs)) + len(set(ys)) < len(xs + ys) or sorted(free) != sorted(out):
         return None
     return ([xs.index(c) for c in summed], [ys.index(c) for c in summed]), [free.index(c) for c in out]
 

@@ -306,9 +306,7 @@ def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarr
     """Pairwise products x_i y_j of two stacks of A-valued rectangular
     matrices, entry (i, j) = sum_k x[i, k] * y[k, j] via ``lam``: (..., a, r,
     s, dim) and (..., b, s, t, dim) give (..., a, b, r, t, dim); batch axes
-    pair up slice by slice.  Reducing after each contraction bounds the int64
-    intermediates over F_p by s * dim * (p - 1)^2, below 2**63 for p < 2**16
-    while s * dim stays below 2**31."""
+    pair up slice by slice.  The second sum has s * dim terms."""
     xl = field.einsum("...arsv,vwz->...arswz", x, lam)
     return field.einsum("...arswz,...bstw->...abrtz", xl, y)
 

@@ -330,10 +330,13 @@ def rep_ok(c) -> bool:
     return rho_ok(c) and phi_ok(c)
 
 
-def check_representations(c) -> VerificationReport:
-    """The rho report's failures, then the phi report's."""
-    rho, phi = check_rho_representation(c), check_phi_representation(c)
+def rep_report(rho: VerificationReport, phi: VerificationReport) -> VerificationReport:
+    """The representation-route report: the rho failures, then the phi failures."""
     return VerificationReport.from_failures(rho.failures + phi.failures)
+
+
+def check_representations(c) -> VerificationReport:
+    return rep_report(check_rho_representation(c), check_phi_representation(c))
 
 
 # -- twisted product ------------------------------------------------------------

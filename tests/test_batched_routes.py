@@ -79,3 +79,25 @@ def test_unit_residual_rows_equal_single_grid_residuals(route):
         rows = search_mod._unit_residual(space, route, digits)
         for b in np.ndindex(*BATCH):
             assert (rows[b] == search_mod._unit_residual(space, route, digits[b])).all()
+
+
+@pytest.mark.parametrize("route", sorted(GENERATORS))
+def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
+    """At one grid each contraction is one ``Field.tensordot`` call (einsum
+    specs with an empty batch all have a dot form), so a hook on
+    ``tensordot`` sees every contraction of a scalar verdict."""
+    from twistkit.fields import Field
+
+    calls = {"tensordot": 0, "_contract": 0}
+    for name in calls:
+        original = getattr(Field, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    for field in (GF(3), QQ):
+        for A, B in _pairs_of_algebras(field):
+            list(GENERATORS[route](A, B, _stack(field, A, B, np.random.default_rng(2))[0, 1]))
+    assert calls["tensordot"] == calls["_contract"] > 0

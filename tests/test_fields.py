@@ -236,16 +236,16 @@ def test_rational_einsum_matches_fraction_reference(case):
     assert all(isinstance(v, Fraction) for v in out.flat)
 
 
-#: The longest sums the route kernels take at n = d = 4 (16 terms each), on
-#: shapes small enough for einsum's own loop and large enough for a dot.
+#: The longest sums the route kernels take at n = d = 4 (16 terms each), with a
+#: batch on both operands (einsum's own loop) and without one (a dot).
 LONGEST_SUMS = [
-    ("...xys,...szw->...xyzw", (1, 2, 16), (16, 1, 2), "loop"),  # oracle.assoc, n*d
+    ("...xys,...szw->...xyzw", (2, 1, 2, 16), (2, 16, 1, 2), "loop"),  # oracle.assoc, n*d
     ("...xys,...szw->...xyzw", (8, 8, 16), (16, 8, 8), "dot"),
-    ("...arswz,...bstw->...abrtz", (1, 1, 4, 4, 2), (1, 4, 1, 4), "loop"),  # A-valued products
+    ("...arswz,...bstw->...abrtz", (2, 1, 1, 4, 4, 2), (2, 1, 4, 1, 4), "loop"),  # A-valued products
     ("...arswz,...bstw->...abrtz", (4, 4, 4, 4, 4), (4, 4, 4, 4), "dot"),
-    ("...arspe,...bstec->...abrtpc", (1, 1, 4, 2, 4), (1, 4, 1, 4, 2), "loop"),  # compositions
+    ("...arspe,...bstec->...abrtpc", (2, 1, 1, 4, 2, 4), (2, 1, 4, 1, 4, 2), "loop"),  # compositions
     ("...arspe,...bstec->...abrtpc", (4, 4, 4, 4, 4), (4, 4, 4, 4, 4), "dot"),
-    ("klm,...jlrikc->...ijmrc", (4, 4, 2), (1, 4, 1, 1, 4, 1), "loop"),  # rule compositions, n^2
+    ("klm,...jlrikc->...ijmrc", (4, 4, 2), (3, 1, 4, 1, 1, 4, 1), "dot"),  # rule compositions, n^2
     ("klm,...jlrikc->...ijmrc", (4, 4, 4), (4, 4, 4, 4, 4, 4), "dot"),
 ]
 
@@ -254,7 +254,7 @@ LONGEST_SUMS = [
 def test_einsum_is_exact_mod_the_largest_prime(spec, x_shape, y_shape, path):
     """All entries p - 1 at p = 65521, against Python ints."""
     p = 65521
-    assert (_dot_plan(spec, x_shape, y_shape) is None) == (path == "loop")
+    assert (_dot_plan(spec, len(x_shape), len(y_shape)) is None) == (path == "loop")
     x, y = np.full(x_shape, p - 1, dtype=np.int64), np.full(y_shape, p - 1, dtype=np.int64)
     expected = np.einsum(spec, x.astype(object), y.astype(object)) % p  # Python-int terms
     out = GF(p).einsum(spec, x, y)
@@ -278,13 +278,15 @@ def test_rational_einsum_on_both_paths_matches_fraction_loop(spec, x_shape, y_sh
     assert all(isinstance(v, Fraction) for v in out.flat)
 
 
-def test_dot_plan_leaves_batched_and_small_contractions_to_einsum():
-    assert _dot_plan("...ab,...bc->...ac", (17, 64, 64), (17, 64, 64)) is None  # batch axes
-    assert _dot_plan("ab,bc->abc", (64, 64), (64, 64)) is None  # a kept shared letter
-    assert _dot_plan("ab,bc->a", (64, 64), (64, 64)) is None  # a letter summed in one operand
-    assert _dot_plan("aab,bc->ac", (8, 8, 64), (64, 64)) is None  # a diagonal
-    assert _dot_plan("ab,bc->ac", (4, 4), (4, 4)) is None  # 64 terms
-    assert _dot_plan("...ab,cb->...ca", (64, 64), (64, 64)) == (([1], [1]), [1, 0])
+def test_dot_plan_takes_one_sided_batches_and_leaves_the_rest_to_einsum():
+    assert _dot_plan("...ab,...bc->...ac", 3, 3) is None  # a batch on both operands
+    assert _dot_plan("ab,bc->abc", 2, 2) is None  # a kept shared letter
+    assert _dot_plan("ab,bc->a", 2, 2) is None  # a letter summed in one operand
+    assert _dot_plan("aab,bc->ac", 3, 2) is None  # a diagonal
+    assert _dot_plan("...ab,...bc->...ac", 2, 2) == (([1], [0]), [0, 1])  # empty batches
+    assert _dot_plan("...ab,cb->...ca", 4, 2) == (([3], [1]), [0, 1, 3, 2])  # batch axes lead
+    assert _dot_plan("ab,...cb->...ca", 2, 3) == (([1], [2]), [1, 2, 0])
+    assert _dot_plan("i,p->ip", 1, 1) == (([], []), [0, 1])  # an outer product
 
 
 def test_equal_and_is_zero():
