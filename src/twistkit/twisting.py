@@ -171,7 +171,7 @@ def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarra
     holds phi(a_x a_y) and the right side phi(a_x) phi(a_y), i.e.
     gamma[k][j](a_x a_y) against sum_l gamma[l][j](a_x) gamma[k][l](a_y).
     """
-    phi = np.moveaxis(G, -1, -4).swapaxes(-3, -2)
+    phi = G.transpose(*range(G.ndim - 4), -1, -3, -4, -2)
     left = field.einsum("...kjrc,xyc->...xyjkr", G, lamA)
     return left, _alg_entry_product(field, lamA, phi, phi)
 
