@@ -66,9 +66,6 @@ class FiniteDimAlgebra:
     def basis_element(self, i: int) -> np.ndarray:
         return _freeze(self.field.unit_vector(self.dim, i))
 
-    def zero_element(self) -> np.ndarray:
-        return _freeze(self.field.zeros((self.dim,)))
-
     # -- operations -----------------------------------------------------------
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

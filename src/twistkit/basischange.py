@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, MorphismError
 from .linalg import KMatrix, _alg_entry_product, _endo_products, _freeze, mat_inverse
-from .report import Failure, VerificationReport, pairs_report
+from .report import Failure, VerificationReport, family_failures, pairs_report
 from .twisting import GammaFamily, TwistingCandidate, _require_verified, _rho_tensor, certify
 
 
@@ -38,6 +38,8 @@ class MorphismData:
         return self.source.field
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        if len(x) != self.source.dim:
+            raise DimensionMismatchError(f"expected {self.source.dim} coordinates, got {len(x)}")
         return self.field.matmul(self.zeta, self.field.asarray(x))
 
 
@@ -57,9 +59,8 @@ def make_morphism(source: FiniteDimAlgebra, target: FiniteDimAlgebra, zeta) -> M
     left = field.tensordot(source.lam, z, axes=([2], [1]))       # (i, j, r)
     t = field.tensordot(z, target.lam, axes=([0], [0]))          # (i, v, w)
     right = field.tensordot(z, t, axes=([0], [1])).transpose(1, 0, 2)
-    mismatch = field.reduce(left) != field.reduce(right)
-    if mismatch.any():
-        i, j, _ = tuple(int(v) for v in np.argwhere(mismatch)[0])
+    for failure in family_failures(field, "mult", left, right):
+        i, j, _ = failure.witness
         raise MorphismError(f"multiplicativity fails on basis pair ({i}, {j})")
     return MorphismData(source, target, z)
 
@@ -126,7 +127,7 @@ class RebaseResult:
     conjugation: VerificationReport  # the conjugation identities, asserted
 
 
-def rebase(chi: TwistingCandidate, p_matrix: KMatrix, labels=None) -> RebaseResult:
+def rebase(chi: TwistingCandidate, p_matrix: KMatrix) -> RebaseResult:
     """Rewrite a verified candidate in a new carrier basis.
 
     Column i of ``p_matrix`` holds the old-basis coordinates of the new i-th
@@ -150,9 +151,7 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix, labels=None) -> RebaseResu
     t2 = field.tensordot(p, t1, axes=([0], [1]))                    # (j, i, w)
     new_lam = field.tensordot(t2, pinv, axes=([2], [1])).transpose(1, 0, 2)
     new_unit = field.matmul(pinv, family.B.unit)
-    if labels is None:
-        labels = tuple(f"v{i + 1}" for i in range(n))
-    new_b = FiniteDimAlgebra(field, n, tuple(labels), new_lam, new_unit)
+    new_b = FiniteDimAlgebra(field, n, tuple(f"v{i + 1}" for i in range(n)), new_lam, new_unit)
 
     tg = field.tensordot(p, family.gamma, axes=([0], [0]))          # (i, v, r, c)
     new_gamma = field.tensordot(pinv, tg, axes=([1], [1])).transpose(1, 0, 2, 3)

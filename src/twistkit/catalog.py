@@ -52,7 +52,7 @@ def _endo_array(field: Field, d: int, value) -> np.ndarray:
 def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
     """The (n, n, d, d) array of an n x n grid of d x d endomorphisms."""
     if isinstance(grid, np.ndarray) and grid.shape == (n, n, d, d):
-        return grid
+        return field.asarray(grid)
     if len(grid) != n or any(len(row) != n for row in grid):
         raise DimensionMismatchError(f"grid must be {n} x {n} endomorphisms of size {d} x {d}")
     data = field.zeros((n, n, d, d))
@@ -252,15 +252,10 @@ def quiver_of(candidate: TwistingCandidate | GammaFamily) -> tuple[Quiver, Quive
     family = _family_of(candidate)
     _require_kn_carrier(family)
     field = family.field
-    n = family.B.dim
-    arrows = []
-    maps = {}
-    for j in range(n):
-        for i in range(n):
-            if not field.is_zero(family.gamma[j, i]):
-                arrows.append((j, i))
-                maps[(j, i)] = KMatrix(field, family.gamma[j, i])
-    quiver = Quiver(tuple(f"v{i + 1}" for i in range(n)), tuple(arrows))
+    nonzero = field.mismatch(family.gamma, field.zero).any(axis=(2, 3))
+    arrows = tuple((j, i) for j, i in np.argwhere(nonzero).tolist())
+    maps = {(j, i): KMatrix(field, family.gamma[j, i]) for j, i in arrows}
+    quiver = Quiver(tuple(f"v{i + 1}" for i in range(family.B.dim)), arrows)
     return quiver, QuiverRep(quiver, maps)
 
 
@@ -319,10 +314,12 @@ def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> Twisting
     each higher row is derived by the convolution rule with step 1."""
     field = A.field
     d = A.dim
+    if n < 2 or len(first_row) != n:
+        raise DimensionMismatchError(f"need n >= 2 and a first row of {n} endomorphisms of size {d} x {d}")
     lam = truncated_poly_algebra(field, n).lam
     grid = field.zeros((n, n, d, d))
     grid[0, 0] = field.identity(d)
-    grid[1] = [_endo_array(field, d, entry) for entry in first_row[:n]]
+    grid[1] = [_endo_array(field, d, entry) for entry in first_row]
     for r in range(2, n):
         grid[r] = _rule_compositions(field, lam, grid[r - 1 : r], grid[1:2])[0, 0]
     return make_truncated(A, n, grid)

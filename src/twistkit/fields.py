@@ -10,6 +10,9 @@ Every structure-constant product goes through ``Field.tensordot`` (and
 grids), which passes ``tensordot`` each contraction it can write.  Both share
 one exactness wrapper: mod p over F_p; over Q (``Fraction`` entries only) one
 Python-int multiply and add per term, on numerators over common denominators.
+
+``Field.mismatch`` is the one comparison of exact arrays: ``equal``,
+``is_zero`` and every checker's report decide equality through it.
 """
 
 from __future__ import annotations
@@ -197,16 +200,16 @@ class Field:
     def sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.reduce(x - y)
 
-    def scale(self, c, x: np.ndarray) -> np.ndarray:
-        return self.reduce(c * x)
+    def mismatch(self, x, y) -> np.ndarray:
+        """Boolean array, broadcast like ``x != y``, true where the reduced
+        exact values differ (``Fraction`` equality over Q)."""
+        return np.asarray(self.reduce(x) != self.reduce(y))
 
     def equal(self, x: np.ndarray, y: np.ndarray) -> bool:
-        return bool(np.array_equal(self.reduce(x), self.reduce(y)))
+        return np.shape(x) == np.shape(y) and not self.mismatch(x, y).any()
 
     def is_zero(self, arr: np.ndarray) -> bool:
-        if self.kind == "Fp":
-            return not (arr % self.p).any()
-        return all(v == 0 for v in arr.reshape(-1))
+        return not self.mismatch(arr, self.zero).any()
 
     def format_array(self, arr):
         """Nested lists of canonical scalar strings (for reports and JSON)."""

@@ -85,9 +85,6 @@ class KMatrix:
             raise DimensionMismatchError("matrix subtraction needs equal shapes")
         return KMatrix(self.field, self.field.sub(self.data, other.data))
 
-    def scale(self, c) -> "KMatrix":
-        return KMatrix(self.field, self.field.scale(self.field.scalar(c), self.data))
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix times coordinate column."""
         if self.cols != len(vec):
@@ -199,10 +196,6 @@ class EndoMatrix:
     def identity(cls, field: Field, n: int, d: int) -> "EndoMatrix":
         return cls(field, _endo_identity(field, n, d))
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int, d: int) -> "EndoMatrix":
-        return cls(field, field.zeros((rows, cols, d, d)))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -221,12 +214,6 @@ class EndoMatrix:
 
     def __matmul__(self, other: "EndoMatrix") -> "EndoMatrix":
         return endo_mat_mul(self, other)
-
-    def __add__(self, other: "EndoMatrix") -> "EndoMatrix":
-        return EndoMatrix(self.field, self.field.add(self.data, other.data))
-
-    def scale(self, c) -> "EndoMatrix":
-        return EndoMatrix(self.field, self.field.scale(self.field.scalar(c), self.data))
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.data)
@@ -311,10 +298,10 @@ def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarr
     return field.einsum("...arswz,...bstw->...abrtz", xl, y)
 
 
-def algmat_mul(x: AlgMatrix, y: AlgMatrix, algebra=None) -> AlgMatrix:
+def algmat_mul(x: AlgMatrix, y: AlgMatrix) -> AlgMatrix:
     """Product in M_n(A): entry (i, j) = sum_k x(i, k) * y(k, j) in A."""
-    amb = algebra if algebra is not None else x.algebra
-    if x.algebra != amb or y.algebra != amb:
+    amb = x.algebra
+    if y.algebra != amb:
         raise FieldMismatchError("matrices live over different ambient algebras")
     if x.size != y.size:
         raise DimensionMismatchError(f"sizes {x.size} and {y.size} differ")

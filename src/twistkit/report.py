@@ -8,7 +8,8 @@ plus the family's total violation count.
 
 Checkers yield their families lazily as ``(tag, left, right)`` triples;
 ``pairs_report`` folds them into a report and ``pairs_ok`` gives the verdict,
-stopping at the first failing family.
+stopping at the first failing family.  Both compare the two sides through
+``Field.mismatch``, the one comparison of exact arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ PASS = VerificationReport(ok=True)
 
 def family_failures(fld, tag: str, left: np.ndarray, right: np.ndarray) -> Iterator[Failure]:
     """Yield at most one Failure for the condition family ``left == right``."""
-    mismatch = fld.reduce(left) != fld.reduce(right)
+    mismatch = fld.mismatch(left, right)
     if not mismatch.any():
         return
     count = int(np.count_nonzero(mismatch))

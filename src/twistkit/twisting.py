@@ -70,9 +70,6 @@ class GammaFamily:
     def field(self):
         return self.A.field
 
-    def endo(self, i: int, j: int) -> KMatrix:
-        return KMatrix(self.field, self.gamma[i, j])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaFamily):
             return NotImplemented
@@ -472,6 +469,8 @@ class FaithfulRep:
     on_basis: tuple[AlgMatrix, ...]
 
     def apply(self, coords: np.ndarray) -> AlgMatrix:
+        if len(coords) != len(self.on_basis):
+            raise DimensionMismatchError(f"expected {len(self.on_basis)} coordinates, got {len(coords)}")
         field = self.product.algebra.field
         stack = np.stack([m.data for m in self.on_basis])
         data = field.tensordot(field.asarray(coords), stack, axes=([0], [0]))

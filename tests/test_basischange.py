@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twistkit import (
+    DimensionMismatchError,
     GF,
     GammaFamily,
     KMatrix,
@@ -14,6 +15,7 @@ from twistkit import (
     certify,
     check_induced_morphism,
     duplicate_algebra,
+    faithful_rep,
     kn_algebra,
     make_kn,
     make_morphism,
@@ -75,6 +77,16 @@ def test_scaled_image_fails_multiplicativity():
     k2 = kn_algebra(QQ, 2)
     with pytest.raises(MorphismError, match="multiplicativity"):
         make_morphism(dup, k2, [[1, 0], [1, 2]])  # X -> 2 e2
+
+
+def test_apply_rejects_vectors_of_the_wrong_length(ncd_q):
+    morphism = make_morphism(duplicate_algebra(QQ), kn_algebra(QQ, 2), [[1, 0], [1, 1]])
+    rep = faithful_rep(ncd_q)
+    for apply, dim in ((morphism.apply, 2), (rep.apply, 4)):
+        for length in (dim - 1, dim + 1):
+            with pytest.raises(DimensionMismatchError):
+                apply(QQ.zeros((length,)))
+        assert apply(QQ.zeros((dim,))) is not None
 
 
 def test_unit_violation_rejected():

@@ -5,6 +5,7 @@ import pytest
 
 from twistkit import (
     DimensionMismatchError,
+    FieldError,
     GF,
     GammaFamily,
     QQ,
@@ -31,6 +32,7 @@ from twistkit.twisting import direct_ok, oracle_ok
 
 F2 = GF(2)
 F3 = GF(3)
+F7 = GF(7)
 
 
 def seeded_pairs(field, count, seed):
@@ -315,3 +317,43 @@ def test_grid_must_be_exactly_n_by_n(build):
             pytest.fail(name)
     build(a, 2, square)
     build(a, 2, np.array(square))
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["F7", "Q"])
+@pytest.mark.parametrize(
+    "build", [make_kn, make_truncated, kn_conditions, truncated_conditions]
+)
+def test_grid_arrays_are_made_exact(field, build):
+    """A grid given as an (n, n, d, d) array goes through ``field.asarray``:
+    floats are rejected, and integers become canonical residues or Fractions."""
+    a = kn_algebra(field, 2)
+    with pytest.raises(FieldError):
+        build(a, 2, np.full((2, 2, 2, 2), 0.5))
+    grid = np.full((2, 2, 2, 2), 9)
+    exact = field.asarray(grid)
+    out = build(a, 2, grid)
+    if build in (make_kn, make_truncated):
+        gamma = out.family.gamma
+        assert gamma.dtype == exact.dtype
+        assert gamma.tolist() == exact.tolist()
+        assert all(type(v) is type(field.zero) for v in gamma.ravel().tolist())
+    else:
+        assert out == build(a, 2, exact)
+
+
+def test_first_row_must_have_exactly_n_entries():
+    a = kn_algebra(F2, 2)
+    eye, zero = F2.identity(2), F2.zeros((2, 2))
+    bad_rows = {
+        "long": (2, [zero, eye, zero]),
+        "one entry broadcast": (3, [eye]),
+        "short": (3, [zero, eye]),
+        "no exponent-1 row": (1, [eye]),
+        "entry of wrong size": (2, [zero, F2.identity(3)]),
+    }
+    for name, (n, row) in bad_rows.items():
+        with pytest.raises(DimensionMismatchError):
+            truncated_from_first_row(a, n, row)
+            pytest.fail(name)
+    gamma = truncated_from_first_row(a, 2, [zero, eye]).family.gamma
+    assert gamma[1].tolist() == [zero.tolist(), eye.tolist()]

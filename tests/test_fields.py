@@ -296,5 +296,52 @@ def test_equal_and_is_zero():
     assert not QQ.is_zero(QQ.asarray([0, "1/3"]))
 
 
+def _differ(field, u, v) -> bool:
+    """Per-entry reference: cross-multiplied over Q, the difference mod p over F_p."""
+    if field.kind == "Q":
+        return u.numerator * v.denominator != v.numerator * u.denominator
+    return (int(u) - int(v)) % field.p != 0
+
+
+@st.composite
+def comparison_case(draw):
+    """Two exact arrays with entries from one small pool, so that entries often
+    agree: over F_p residues 0, 1, p - 1 shifted by -2p..2p (non-canonical and
+    negative), over Q the ``RATIONALS``.  The right side has the left side's
+    shape or a shape that broadcasts against it."""
+    field = draw(st.sampled_from([GF(2), GF(7), GF(65521), QQ]))
+    if field.kind == "Q":
+        values = RATIONALS
+    else:
+        residues = sorted({0, 1, field.p - 1})
+        values = st.builds(lambda r, k: r + k * field.p, st.sampled_from(residues), st.integers(-2, 2))
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    y_shape = shape
+    if draw(st.booleans()):  # leading axes dropped, some kept axes of length 1
+        y_shape = tuple(draw(st.sampled_from([1, k])) for k in shape[draw(st.integers(0, len(shape))):])
+
+    def array(shape):
+        size = int(np.prod(shape))
+        entries = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        return np.array(entries, dtype=object if field.kind == "Q" else np.int64).reshape(shape)
+
+    return field, array(shape), array(y_shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(comparison_case())
+def test_mismatch_equal_and_is_zero_match_per_entry_reference(case):
+    field, x, y = case
+    xb, yb = np.broadcast_arrays(x, y)
+    pairs = zip(xb.ravel().tolist(), yb.ravel().tolist())
+    expected = np.array([_differ(field, u, v) for u, v in pairs], dtype=bool).reshape(xb.shape)
+    out = field.mismatch(x, y)
+    assert out.dtype == bool and out.shape == expected.shape
+    assert out.tolist() == expected.tolist()
+    assert field.equal(x, y) is field.equal(y, x) is (x.shape == y.shape and not expected.any())
+    assert field.is_zero(x) is not any(_differ(field, u, field.zero) for u in x.ravel().tolist())
+
+
 def test_format_array_nested():
     assert QQ.format_array(QQ.asarray([[1, "1/2"]])) == [["1", "1/2"]]
