@@ -27,7 +27,7 @@ from .algebra import (
     quadratic_algebra,
     truncated_poly_algebra,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
 from .linalg import KMatrix
 from .report import VerificationReport, pairs_ok, pairs_report
@@ -43,6 +43,8 @@ from .twisting import (
 
 
 def _endo_array(field: Field, d: int, value) -> np.ndarray:
+    if isinstance(value, KMatrix) and value.field != field:
+        raise FieldMismatchError(f"endomorphism over {value.field}, algebra over {field}")
     arr = value.data if isinstance(value, KMatrix) else field.asarray(value)
     if arr.shape != (d, d):
         raise DimensionMismatchError(f"endomorphism must be {d} x {d}, got {arr.shape}")

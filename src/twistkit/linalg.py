@@ -73,18 +73,6 @@ class KMatrix:
     def __matmul__(self, other: "KMatrix") -> "KMatrix":
         return mat_mul(self, other)
 
-    def __add__(self, other: "KMatrix") -> "KMatrix":
-        _check_same_field(self, other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatchError("matrix addition needs equal shapes")
-        return KMatrix(self.field, self.field.add(self.data, other.data))
-
-    def __sub__(self, other: "KMatrix") -> "KMatrix":
-        _check_same_field(self, other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatchError("matrix subtraction needs equal shapes")
-        return KMatrix(self.field, self.field.sub(self.data, other.data))
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix times coordinate column."""
         if self.cols != len(vec):
@@ -160,17 +148,11 @@ def kernel_basis(x: KMatrix) -> list[np.ndarray]:
     """
     field = x.field
     R, pivots = _rref(field, x.data)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(x.cols):
-        if free in pivot_set:
-            continue
-        v = field.zeros((x.cols,))
-        v[free] = field.one
-        for row, piv in enumerate(pivots):
-            v[piv] = field.reduce(-R[row, free])
-        basis.append(_freeze(v))
-    return basis
+    free = [c for c in range(x.cols) if c not in pivots]
+    basis = field.zeros((len(free), x.cols))
+    basis[:, free] = field.identity(len(free))
+    basis[:, pivots] = field.reduce(-R[: len(pivots), free].T)
+    return list(_freeze(basis))
 
 
 # -- matrices over End_K(A) ---------------------------------------------------

@@ -7,8 +7,8 @@ identity, quantifier indices as leading axes).  A report carries at most one
 plus the family's total violation count.
 
 Checkers yield their families lazily as ``(tag, left, right)`` triples;
-``pairs_report`` folds them into a report and ``pairs_ok`` gives the verdict,
-stopping at the first failing family.  Both compare the two sides through
+``pairs_report`` folds them into a report and ``pairs_ok`` into the verdict
+of one grid or of each grid of a stack.  Both compare the two sides through
 ``Field.mismatch``, the one comparison of exact arrays.
 """
 
@@ -81,6 +81,16 @@ def pairs_report(fld, pairs) -> VerificationReport:
     )
 
 
-def pairs_ok(fld, pairs) -> bool:
-    """Fast verdict: families are generated lazily, stop at the first failure."""
-    return all(fld.equal(left, right) for _, left, right in pairs)
+def pairs_ok(fld, pairs, batch: tuple[int, ...] = ()):
+    """Verdict of each grid of a stack of batch shape ``batch`` (``G.shape[:-4]``;
+    the default, one grid, gives a ``bool``): no family mismatches on its
+    non-batch axes.  Families are generated lazily, none once no grid passes."""
+    ok = np.ones(batch, dtype=bool)
+    if not ok.size:
+        return ok
+    for _, left, right in pairs:
+        mismatch = fld.mismatch(left, right)
+        ok &= ~mismatch.any(axis=tuple(range(len(batch), mismatch.ndim)))
+        if not ok.any():
+            break
+    return ok if batch else bool(ok)

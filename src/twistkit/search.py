@@ -17,10 +17,12 @@ the oracle stays independent) over the stack of the zero grid and the
 N = n^2 d^2 unit grids gives the linear system of those families; its exact
 solution set is an affine coset of F_p^N, expanded as digit rows and mapped
 to full-space indices.  Off the coset the route rejects by a unit family.
-``enumerate_space`` runs the route's unchanged scalar verdict on the coset
-points in range (``all`` walks the ``direct`` coset, which holds the
-conjunction); ``cross_validate`` runs all three routes on the union of the
-three cosets, off which the verdicts are unanimous by construction.
+The coset points in range are evaluated in stacks of at most ``_CHUNK``
+grids, one ``pairs_ok`` verdict per route generator on the grids that passed
+the generators before it (``all`` chains ``direct``, ``rep`` and ``oracle``
+on the ``direct`` coset, which holds the conjunction).  ``cross_validate``
+runs the three routes on the union of the three cosets, off which the
+verdicts are unanimous by construction.
 
 ``MAX_CANDIDATES`` still bounds the full space, not the coset.
 """
@@ -34,29 +36,18 @@ import numpy as np
 from .algebra import FiniteDimAlgebra
 from .errors import FieldError, SearchSpaceTooLargeError
 from .linalg import KMatrix, kernel_basis
-from .report import Failure, VerificationReport
-from .twisting import (
-    GammaFamily,
-    _direct_pairs,
-    _oracle_pairs,
-    _phi_pairs,
-    _rho_pairs,
-    direct_ok,
-    oracle_ok,
-    rep_ok,
-)
+from .report import Failure, VerificationReport, pairs_ok
+from .twisting import GammaFamily, _direct_pairs, _oracle_pairs, _phi_pairs, _rho_pairs
 
 #: Hard guard on the number of candidates a space may hold.
 MAX_CANDIDATES = 1 << 24
 
-_CHECKERS = {
-    "direct": direct_ok,
-    "rep": rep_ok,
-    "oracle": oracle_ok,
-}
+#: Most grids one verdict pass evaluates at once.  With zero units in A and B
+#: the ``direct`` and ``oracle`` cosets are the whole space, up to the guard.
+_CHUNK = 4096
 
-#: Each route's unit families: (family generator, tags taken from it, in its order).
-_UNIT_FAMILIES = {
+#: Each route's family generators in verdict order, each with its unit-family tags.
+_ROUTES = {
     "direct": ((_direct_pairs, ("direct.1", "direct.3")),),
     "rep": ((_rho_pairs, ("rho.unit",)), (_phi_pairs, ("phi.unit",))),
     "oracle": ((_oracle_pairs, ("oracle.chi-left-unit", "oracle.chi-right-unit")),),
@@ -132,7 +123,7 @@ def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.nda
     batch = digits.shape[:-1]
     G = digits.reshape(batch + space.grid_shape)
     parts = []
-    for pairs, tags in _UNIT_FAMILIES[route]:
+    for pairs, tags in _ROUTES[route]:
         for tag, left, right in pairs(space.A, space.B, G):
             if tag in tags:
                 parts.append((left - right).reshape(batch + (-1,)))
@@ -163,9 +154,9 @@ def _coset(space: SearchSpace, route: str) -> np.ndarray:
     return (offset + coeffs @ basis) % p
 
 
-def _candidates(space: SearchSpace, routes, start: int, stop: int | None):
-    """(index, family) in ascending index order for every grid in [start, stop)
-    that passes the unit families of at least one of ``routes``."""
+def _stacks(space: SearchSpace, routes, start: int, stop: int | None):
+    """(indices, grids), ascending and at most ``_CHUNK`` at a time, of every
+    grid in [start, stop) passing the unit families of one of ``routes``."""
     stop = space.total if stop is None else min(stop, space.total)
     if start >= stop:
         return
@@ -174,8 +165,20 @@ def _candidates(space: SearchSpace, routes, start: int, stop: int | None):
     points = np.concatenate([_coset(space, route) for route in routes])
     indices, rows = np.unique(space._indices(points), return_index=True)
     keep = (indices >= start) & (indices < stop)
-    for idx, row in zip(indices[keep].tolist(), rows[keep].tolist()):
-        yield idx, GammaFamily(space.A, space.B, points[row].reshape(space.grid_shape))
+    indices, grids = indices[keep], points[rows[keep]].reshape((-1,) + space.grid_shape)
+    for lo in range(0, len(indices), _CHUNK):
+        yield indices[lo : lo + _CHUNK], grids[lo : lo + _CHUNK]
+
+
+def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, generators, G: np.ndarray) -> np.ndarray:
+    """One boolean per grid of the stack G (batch shape ``G.shape[:-4]``):
+    every family of every generator holds.  Each generator runs only on the
+    grids that passed the ones before it."""
+    ok = np.ones(G.shape[:-4], dtype=bool)
+    for pairs, _ in generators:
+        live = np.nonzero(ok)
+        ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
+    return ok
 
 
 def enumerate_space(
@@ -192,15 +195,15 @@ def enumerate_space(
     """
     space.guard()
     if checker == "all":
-        verdict = lambda fam: direct_ok(fam) and rep_ok(fam) and oracle_ok(fam)  # noqa: E731
-        route = "direct"
+        route, generators = "direct", sum(_ROUTES.values(), ())
+    elif checker in _ROUTES:
+        route, generators = checker, _ROUTES[checker]
     else:
-        try:
-            verdict = _CHECKERS[checker]
-        except KeyError:
-            raise ValueError(f"unknown checker {checker!r}") from None
-        route = checker
-    return [idx for idx, fam in _candidates(space, (route,), start, stop) if verdict(fam)]
+        raise ValueError(f"unknown checker {checker!r}")
+    accepted = []
+    for indices, G in _stacks(space, (route,), start, stop):
+        accepted += indices[_verdict(space.A, space.B, generators, G)].tolist()
+    return accepted
 
 
 def cross_validate(
@@ -217,14 +220,16 @@ def cross_validate(
     rejects every grid outside it.
     """
     space.guard()
-    for idx, fam in _candidates(space, tuple(_UNIT_FAMILIES), start, stop):
-        verdicts = (direct_ok(fam), rep_ok(fam), oracle_ok(fam))
-        if len(set(verdicts)) != 1:
+    for indices, G in _stacks(space, tuple(_ROUTES), start, stop):
+        verdicts = np.array([_verdict(space.A, space.B, route, G) for route in _ROUTES.values()])
+        split = np.flatnonzero((verdicts != verdicts[0]).any(axis=0))
+        if split.size:
+            direct, rep, oracle = verdicts[:, split[0]].tolist()
             failure = Failure(
                 condition="cross.disagree",
-                witness=(idx,),
-                left=f"direct={verdicts[0]} rep={verdicts[1]} oracle={verdicts[2]}",
-                right=space.A.field.format_array(fam.gamma),
+                witness=(int(indices[split[0]]),),
+                left=f"direct={direct} rep={rep} oracle={oracle}",
+                right=space.A.field.format_array(G[split[0]]),
             )
             return VerificationReport(ok=False, failures=(failure,))
     return VerificationReport(ok=True)

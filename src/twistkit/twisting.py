@@ -233,7 +233,7 @@ def direct_ok(c) -> bool:
 def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
     """Per-condition booleans (1, 2, 3, 4), each fully evaluated."""
     field, pairs = _route(c, _direct_pairs)
-    return tuple(field.equal(left, right) for _, left, right in pairs)
+    return tuple(pairs_ok(field, [family]) for family in pairs)
 
 
 # -- route 2a: End-valued representation ---------------------------------------

@@ -48,7 +48,12 @@ from twistkit import (
 )
 from twistkit import serialize
 from twistkit.basischange import identity_morphism
+from twistkit.report import pairs_ok
 from twistkit.twisting import (
+    _direct_pairs,
+    _oracle_pairs,
+    _phi_pairs,
+    _rho_pairs,
     direct_condition_flags,
     direct_ok,
     oracle_ok,
@@ -82,31 +87,35 @@ def space22():
 @pytest.fixture(scope="module")
 def sweep22(space22):
     """Single exhaustive pass over all 65536 candidates, shared by the first
-    three criteria: per-condition flags and all three route verdicts."""
-    accepted = []
-    partition_ok = True
-    unanimity_ok = True
+    three criteria: per-condition flags and all three route verdicts, each
+    computed by the batched verdict ``pairs_ok`` on stacks of 4096 grids.
+    A seeded sample of 512 grids and every accepted grid are checked against
+    the scalar verdicts, the batch-of-one case of the same fold."""
+    A, B = space22.A, space22.B
+    bits = np.arange(space22.free_entries - 1, -1, -1)  # index digits, most significant first
     started = time.monotonic()
-    for idx in range(space22.total):
-        fam = space22.family_at(idx)
-        c1, c2, c3, c4 = direct_condition_flags(fam)
-        phi = phi_ok(fam)
-        rho = rho_ok(fam)
-        oracle = oracle_ok(fam)
-        direct = c1 and c2 and c3 and c4
-        if phi != (c1 and c2) or rho != (c3 and c4):
-            partition_ok = False
-            break
-        if not (direct == (phi and rho) == oracle):
-            unanimity_ok = False
-            break
-        if direct:
-            accepted.append(idx)
+    stacks = []
+    for lo in range(0, space22.total, 4096):
+        G = ((np.arange(lo, lo + 4096)[:, None] >> bits) & 1).reshape((-1,) + space22.grid_shape)
+        batch = G.shape[:-4]
+        conditions = [pairs_ok(F2, [family], batch) for family in _direct_pairs(A, B, G)]
+        routes = [pairs_ok(F2, pairs(A, B, G), batch) for pairs in (_phi_pairs, _rho_pairs, _oracle_pairs)]
+        stacks.append(np.array(conditions + routes))
+    flags = np.concatenate(stacks, axis=1)
+    c1, c2, c3, c4, phi, rho, oracle = flags
+    direct = c1 & c2 & c3 & c4
     elapsed = time.monotonic() - started
+    accepted = np.flatnonzero(direct).tolist()
+    sample = set(random.Random(22).sample(range(space22.total), 512)) | set(accepted)
+    scalar_sample_ok = all(
+        (*direct_condition_flags(fam), phi_ok(fam), rho_ok(fam), oracle_ok(fam)) == tuple(flags[:, i])
+        for i, fam in ((i, space22.family_at(i)) for i in sorted(sample))
+    )
     return {
         "accepted": accepted,
-        "partition_ok": partition_ok,
-        "unanimity_ok": unanimity_ok,
+        "partition_ok": bool((phi == (c1 & c2)).all() and (rho == (c3 & c4)).all()),
+        "unanimity_ok": bool((direct == (phi & rho)).all() and (direct == oracle).all()),
+        "scalar_sample_ok": scalar_sample_ok,
         "elapsed": elapsed,
     }
 
@@ -155,6 +164,7 @@ def _seeded_invertible(field, n, rng):
 
 def test_criterion_1_checker_equivalence(space22, sweep22):
     assert sweep22["unanimity_ok"], "three-route unanimity failed"
+    assert sweep22["scalar_sample_ok"], "batched and scalar verdicts differ on the sample"
     assert sweep22["accepted"] == ACCEPTED_22
     assert len(sweep22["accepted"]) == len(ACCEPTED_22)
 

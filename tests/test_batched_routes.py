@@ -1,9 +1,11 @@
-"""Route generators on a stack of grids against the scalar generators.
+"""Route generators and verdicts on a stack of grids against the scalar ones.
 
 Every kernel of the four route generators takes leading batch axes on the
 gamma grid.  Each slice of a batched pass must equal the scalar pass at that
 grid, family by family, with the same tags in the same order; sides that do
-not depend on the grid carry no batch axes and broadcast.
+not depend on the grid carry no batch axes and broadcast.  The stack verdict
+of each route must equal the scalar verdict slice by slice, and keep its
+laziness: a stack no grid of which passes stops where one such grid would.
 """
 
 from fractions import Fraction
@@ -14,7 +16,19 @@ import pytest
 from test_search import _tri_algebra
 from twistkit import GF, QQ, GammaFamily, SearchSpace, duplicate_algebra, kn_algebra, truncated_poly_algebra
 from twistkit import search as search_mod
-from twistkit.twisting import _direct_pairs, _oracle_pairs, _phi_pairs, _rho_pairs
+from twistkit.fields import Field
+from twistkit.report import pairs_ok
+from twistkit.twisting import (
+    _direct_pairs,
+    _oracle_pairs,
+    _phi_pairs,
+    _rho_pairs,
+    direct_ok,
+    oracle_ok,
+    rep_ok,
+)
+
+SCALAR_VERDICTS = {"direct": direct_ok, "rep": rep_ok, "oracle": oracle_ok}
 
 GENERATORS = {
     "direct": _direct_pairs,
@@ -69,7 +83,7 @@ def test_batched_generator_slices_equal_scalar_generator(field, route):
                         assert all(isinstance(v, Fraction) for v in sliced.flat)
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._UNIT_FAMILIES))
+@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
 def test_unit_residual_rows_equal_single_grid_residuals(route):
     rng = np.random.default_rng(5)
     for field in (GF(2), GF(5)):
@@ -86,8 +100,6 @@ def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
     """At one grid each contraction is one ``Field.tensordot`` call (einsum
     specs with an empty batch all have a dot form), so a hook on
     ``tensordot`` sees every contraction of a scalar verdict."""
-    from twistkit.fields import Field
-
     calls = {"tensordot": 0, "_contract": 0}
     for name in calls:
         original = getattr(Field, name)
@@ -101,3 +113,47 @@ def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
         for A, B in _pairs_of_algebras(field):
             list(GENERATORS[route](A, B, _stack(field, A, B, np.random.default_rng(2))[0, 1]))
     assert calls["tensordot"] == calls["_contract"] > 0
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(65521), QQ], ids=["F2", "F3", "F65521", "Q"])
+@pytest.mark.parametrize("route", sorted(SCALAR_VERDICTS))
+def test_stack_verdict_slices_equal_scalar_verdict(field, route):
+    rng = np.random.default_rng(13)
+    for A, B in _pairs_of_algebras(field):
+        stack = _stack(field, A, B, rng)
+        ok = search_mod._verdict(A, B, search_mod._ROUTES[route], stack)
+        assert ok.shape == BATCH and ok[0, 0]
+        for b in np.ndindex(*BATCH):
+            assert ok[b] == SCALAR_VERDICTS[route](GammaFamily(A, B, stack[b])), (route, b)
+
+
+@pytest.mark.parametrize("route", sorted(SCALAR_VERDICTS))
+def test_stack_failing_the_first_family_costs_that_family(monkeypatch, route):
+    """Every grid of the stack fails the route's first family: the verdict
+    builds that family and no other, and an empty stack builds none."""
+    field = GF(3)
+    rng = np.random.default_rng(17)
+    calls = []
+    original = Field._contract
+
+    def counted(self, contract, x, y):
+        calls.append(contract)
+        return original(self, contract, x, y)
+
+    monkeypatch.setattr(Field, "_contract", counted)
+    generators = search_mod._ROUTES[route]
+    first = generators[0][0]
+    for A, B in _pairs_of_algebras(field):
+        stack = _stack(field, A, B, rng).reshape((-1, B.dim, B.dim, A.dim, A.dim))
+        family = next(first(A, B, stack))
+        stack = stack[~pairs_ok(field, [family], stack.shape[:-4])]
+        assert len(stack) >= 4
+        calls.clear()
+        next(first(A, B, stack))
+        expected = len(calls)
+        calls.clear()
+        assert not search_mod._verdict(A, B, generators, stack).any()
+        assert len(calls) == expected > 0
+        calls.clear()
+        empty = search_mod._verdict(A, B, generators, stack[:0])
+        assert empty.shape == (0,) and calls == []

@@ -6,8 +6,10 @@ import pytest
 from twistkit import (
     DimensionMismatchError,
     FieldError,
+    FieldMismatchError,
     GF,
     GammaFamily,
+    KMatrix,
     QQ,
     certify,
     direct_sum,
@@ -357,3 +359,27 @@ def test_first_row_must_have_exactly_n_entries():
             pytest.fail(name)
     gamma = truncated_from_first_row(a, 2, [zero, eye]).family.gamma
     assert gamma[1].tolist() == [zero.tolist(), eye.tolist()]
+
+
+_F5_MATRIX = KMatrix.from_rows(GF(5), [[4, 0], [0, 4]])
+_F3_EYE = KMatrix.from_rows(F3, [[1, 0], [0, 1]])
+
+_FOREIGN_ENTRY_BUILDS = {
+    "make_ncd": lambda a, m: make_ncd(a, m, _F3_EYE),
+    "make_quantum_duplicate": lambda a, m: make_quantum_duplicate(a, 1, 0, _F3_EYE, m),
+    "ncd_conditions": lambda a, m: ncd_conditions(a, _F3_EYE, m),
+    "qdup_conditions": lambda a, m: qdup_conditions(a, 1, 0, m, _F3_EYE),
+    "truncated_from_first_row": lambda a, m: truncated_from_first_row(a, 2, [m, _F3_EYE]),
+    "make_kn": lambda a, m: make_kn(a, 2, [[_F3_EYE, m], [m, _F3_EYE]]),
+    "kn_conditions": lambda a, m: kn_conditions(a, 2, [[_F3_EYE, m], [m, _F3_EYE]]),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_FOREIGN_ENTRY_BUILDS))
+def test_endomorphism_over_another_field_is_rejected(build):
+    """A ``KMatrix`` entry over F_5 given to an algebra over F_3 would put
+    the residue 4 into an F_3 grid; it is refused as ``mat_mul`` refuses it."""
+    a = kn_algebra(F3, 2)
+    with pytest.raises(FieldMismatchError):
+        _FOREIGN_ENTRY_BUILDS[build](a, _F5_MATRIX)
+    _FOREIGN_ENTRY_BUILDS[build](a, _F3_EYE)

@@ -24,6 +24,7 @@ from twistkit import (
     rank,
     truncated_poly_algebra,
 )
+from twistkit.linalg import _rref
 
 
 def km(field, rows):
@@ -105,6 +106,38 @@ def test_kernel_annihilates_and_counts(entries):
     assert len(basis) + rank(mat) == mat.cols
     for vec in basis:
         assert QQ.is_zero(mat.apply(vec))
+
+
+def _kernel_reference(x):
+    """One vector per free column: 1 there, minus the echelon entry of that
+    column on each pivot coordinate."""
+    R, pivots = _rref(x.field, x.data)
+    basis = []
+    for free in range(x.cols):
+        if free in pivots:
+            continue
+        v = x.field.zeros((x.cols,))
+        v[free] = x.field.one
+        for row, piv in enumerate(pivots):
+            v[piv] = x.field.reduce(-R[row, free])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_kernel_basis_matches_the_per_column_loop(field):
+    rng = np.random.default_rng(23)
+    for rows, cols in ((1, 1), (2, 5), (4, 4), (5, 3), (3, 7)):
+        for _ in range(20):
+            entries = rng.integers(0, 3, size=(rows, cols)) * rng.integers(0, 2, size=(1, cols))
+            mat = km(field, entries.tolist())
+            basis = kernel_basis(mat)
+            expected = _kernel_reference(mat)
+            assert len(basis) == len(expected)
+            for vec, ref in zip(basis, expected):
+                assert vec.dtype == ref.dtype and vec.tolist() == ref.tolist()
+                assert all(type(v) is type(field.zero) for v in vec.tolist())
+                assert not vec.flags.writeable
 
 
 # -- exact algebra laws (random) ----------------------------------------------------

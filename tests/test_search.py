@@ -201,15 +201,7 @@ def test_fault_injection_is_caught(monkeypatch):
     with the candidate dump."""
     space = SearchSpace(kn_algebra(F2, 1), kn_algebra(F2, 2))
     flip_idx = space.index_of_gamma(GammaFamily.flip(space.A, space.B).gamma)
-    true_rep_ok = search_mod.rep_ok
-
-    def corrupted(fam):
-        verdict = true_rep_ok(fam)
-        if space.index_of_gamma(fam.gamma) == flip_idx:
-            return not verdict
-        return verdict
-
-    monkeypatch.setattr(search_mod, "rep_ok", corrupted)
+    _corrupt(monkeypatch, space, {"rep": {flip_idx}})
     report = cross_validate(space)
     assert not report.ok
     failure = report.failures[0]
@@ -269,21 +261,29 @@ def test_coset_walk_matches_brute_force_on_f2_slices(a_name, b_name):
         assert cross_validate(space, start=lo, stop=hi).ok
 
 
-def _corrupt(monkeypatch, space, route, indices):
-    """Flip one route's verdict on the given indices."""
-    true_verdict = getattr(search_mod, route)
+def _corrupt(monkeypatch, space, corruptions):
+    """Flip each route's stack verdict on the grids at the given indices."""
+    true_verdict = search_mod._verdict
 
-    def corrupted(fam):
-        verdict = true_verdict(fam)
-        return not verdict if space.index_of_gamma(fam.gamma) in indices else verdict
+    def corrupted(A, B, generators, G):
+        verdict = true_verdict(A, B, generators, G)
+        indices = space._indices(G.reshape(G.shape[:-4] + (-1,)))
+        for route, flipped in corruptions.items():
+            if generators == search_mod._ROUTES[route]:
+                verdict = verdict ^ np.isin(indices, list(flipped))
+        return verdict
 
-    monkeypatch.setattr(search_mod, route, corrupted)
+    monkeypatch.setattr(search_mod, "_verdict", corrupted)
 
 
-def _first_disagreement(space, lo, hi):
+def _first_disagreement(space, lo, hi, corruptions=None):
+    """A plain loop over the scalar verdicts, each route flipped on the
+    indices ``corruptions`` gives it."""
+    corruptions = corruptions or {}
     for i in range(lo, hi):
         fam = space.family_at(i)
-        if len({search_mod.direct_ok(fam), search_mod.rep_ok(fam), search_mod.oracle_ok(fam)}) != 1:
+        verdicts = {"direct": direct_ok(fam), "rep": rep_ok(fam), "oracle": oracle_ok(fam)}
+        if len({v ^ (i in corruptions.get(route, ())) for route, v in verdicts.items()}) != 1:
             return i
     return None
 
@@ -294,10 +294,9 @@ _SLICE_22 = (36864, 40960)  # holds ACCEPTED_22[2] (the flip) to ACCEPTED_22[4]
 def _check_witness(monkeypatch, space, corruptions):
     """Corrupt routes; the reported witness is the lowest index at which a
     plain loop over the same range sees a disagreement."""
-    for route, indices in corruptions.items():
-        _corrupt(monkeypatch, space, route, indices)
+    _corrupt(monkeypatch, space, corruptions)
     lo, hi = _SLICE_22
-    witness = _first_disagreement(space, lo, hi)
+    witness = _first_disagreement(space, lo, hi, corruptions)
     assert witness == min(i for indices in corruptions.values() for i in indices)
     for start, stop in (_SLICE_22, (0, None)):
         report = cross_validate(space, start=start, stop=stop)
@@ -311,9 +310,9 @@ def _check_witness(monkeypatch, space, corruptions):
 @pytest.mark.parametrize(
     "corruptions",
     [
-        {"rep_ok": {ACCEPTED_22[3]}},
-        {"oracle_ok": {ACCEPTED_22[4]}, "direct_ok": {ACCEPTED_22[3]}},
-        {"rep_ok": {ACCEPTED_22[3], ACCEPTED_22[4]}},
+        {"rep": {ACCEPTED_22[3]}},
+        {"oracle": {ACCEPTED_22[4]}, "direct": {ACCEPTED_22[3]}},
+        {"rep": {ACCEPTED_22[3], ACCEPTED_22[4]}},
     ],
 )
 def test_cross_validate_witness_at_accepted_indices(monkeypatch, corruptions):
@@ -332,7 +331,7 @@ def test_cross_validate_witness_at_a_rejected_unit_solution(monkeypatch):
         i for i in range(lo, hi)
         if (flags := direct_condition_flags(space.family_at(i)))[0] and flags[2] and not all(flags)
     )
-    _check_witness(monkeypatch, space, {"oracle_ok": {rejected}})
+    _check_witness(monkeypatch, space, {"oracle": {rejected}})
 
 
 # -- each route's unit families are affine --------------------------------------------
@@ -348,7 +347,7 @@ def _route_spaces():
     return spaces
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._UNIT_FAMILIES))
+@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
 def test_unit_families_are_affine(route):
     rng = np.random.default_rng(7)
     for space in _route_spaces():
@@ -366,7 +365,7 @@ def test_unit_families_are_affine(route):
             assert (left == right).all(), (route, p)
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._UNIT_FAMILIES))
+@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
 @pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
 def test_coset_is_the_set_passing_the_unit_families(route, name):
     space = _small_spaces()[name]
@@ -411,3 +410,28 @@ def test_unsolvable_unit_families_leave_nothing_to_walk():
         assert enumerate_space(space, checker) == _brute(space, verdict, 0, space.total)
     report = cross_validate(space)
     assert report.failures[0].witness == (_first_disagreement(space, 0, space.total),)
+
+
+def test_zero_units_walk_the_whole_space_in_partial_chunks(monkeypatch):
+    """With zero units in A and B every grid passes the ``direct`` and
+    ``oracle`` unit families, so those cosets are the whole space (81 grids)
+    and the ``rep`` coset is empty.  Stacks of 7 grids leave a partial last
+    stack; the walk still matches brute force, witness included."""
+    A = FiniteDimAlgebra(F3, 1, ("a",), F3.asarray([[[1]]]), F3.asarray([0]))
+    k2 = kn_algebra(F3, 2)
+    B = FiniteDimAlgebra(F3, 2, k2.basis, k2.lam, F3.asarray([0, 0]))
+    space = SearchSpace(A, B)
+    assert space.total == 81 and space.total % 7
+    assert [len(search_mod._coset(space, route)) for route in ("direct", "rep", "oracle")] == [81, 0, 81]
+    monkeypatch.setattr(search_mod, "_CHUNK", 7)
+    for checker, verdict in _VERDICTS.items():
+        assert enumerate_space(space, checker) == _brute(space, verdict, 0, space.total), checker
+    witness = _first_disagreement(space, 0, space.total)
+    report = cross_validate(space)
+    assert report.ok == (witness is None)
+    if witness is not None:
+        fam = space.family_at(witness)
+        failure = report.failures[0]
+        assert failure.witness == (witness,)
+        assert failure.left == f"direct={direct_ok(fam)} rep={rep_ok(fam)} oracle={oracle_ok(fam)}"
+        assert failure.right == F3.format_array(fam.gamma)
