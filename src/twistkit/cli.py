@@ -36,7 +36,10 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise TwistKitError(f"cannot write {out}: {exc}") from None
 
 
 def _write_output(payload, out: str | None) -> None:

@@ -8,8 +8,20 @@ operations are exact; there is no floating point anywhere in the package.
 Every structure-constant product goes through ``Field.tensordot`` (and
 ``matmul``) or ``Field.einsum`` (the route kernels, ``...`` being a batch of
 grids), which passes ``tensordot`` each contraction it can write.  Both share
-one exactness wrapper: mod p over F_p; over Q (``Fraction`` entries only) one
-Python-int multiply and add per term, on numerators over common denominators.
+one exactness wrapper: mod p over F_p; over Q one Python-int multiply and add
+per term, on numerators over common denominators.
+
+Over Q a checker keeps its arrays in cleared form from the grid to the
+comparison.  ``twisting._route`` (behind every route check and verdict) and
+``twisting.verify_faithful`` turn the gamma grid into Python-int numerators
+over one denominator once per check with ``Field.cleared``; a contraction
+with a cleared operand returns the cleared product (the denominators
+multiply), and ``Field.mismatch`` compares cleared sides by cross-multiplied
+numerators.  No ``Fraction`` is built inside a route: the cleared form leaves
+only through ``Field.format``, one ``Fraction`` per witness entry of a
+report.  Contractions of ``Fraction`` operands alone (the public
+constructions, ``linalg``) return ``Fraction`` arrays, and no public function
+returns a cleared array.  Over F_p ``cleared`` is the identity.
 
 ``Field.mismatch`` is the one comparison of exact arrays: ``equal``,
 ``is_zero`` and every checker's report decide equality through it.
@@ -67,12 +79,15 @@ class Field:
     def scalar(self, value) -> Fraction | int:
         """Coerce an int, Fraction or canonical string to a field element.
 
-        Floats are rejected: every value in the package is exact.
+        Floats are rejected: every value in the package is exact.  So are
+        booleans, although ``bool`` is an ``int``: JSON ``true`` is no number.
         """
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, (float, np.floating)):
             raise FieldError(f"floating point value {value!r} rejected")
+        if isinstance(value, (bool, np.bool_)):
+            raise FieldError(f"boolean value {value!r} rejected")
         if self.kind == "Q":
             if isinstance(value, Fraction):
                 return value
@@ -95,6 +110,8 @@ class Field:
     def format(self, x) -> str:
         """Canonical string form: "3", "-2/5" over Q; residue "5" over F_p."""
         if self.kind == "Q":
+            if isinstance(x, _Cleared):
+                return str(Fraction(int(x.num), x.den))
             return str(Fraction(x))
         return str(int(x) % self.p)
 
@@ -179,14 +196,29 @@ class Field:
         axes, order = plan
         return self.tensordot(x, y, axes).transpose(order)
 
+    def cleared(self, x):
+        """``x`` in the cleared form of a check over Q (Python-int numerators
+        over one denominator, see the module docstring); ``x`` itself over F_p."""
+        if self.kind == "Fp":
+            return x
+        return _Cleared(*_clear_denominators(x))
+
+    def numerators(self, x) -> np.ndarray:
+        """An exact array equal to ``x`` times a positive integer: the
+        numerators of a cleared ``x``, ``x`` itself otherwise."""
+        return x.num if isinstance(x, _Cleared) else x
+
     def _contract(self, contract, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``contract(x, y)``, exactly.  Over Q it contracts numerators over each
-        operand's lcm denominator; a distinct output numerator makes one ``Fraction``."""
+        operand's lcm denominator.  With a cleared operand the product stays
+        cleared; otherwise a distinct output numerator makes one ``Fraction``."""
         if self.kind == "Fp":
             return self.reduce(contract(x, y))
         nx, dx = _clear_denominators(x)
         ny, dy = _clear_denominators(y)
         z = np.asarray(contract(nx, ny), dtype=object)
+        if isinstance(x, _Cleared) or isinstance(y, _Cleared):
+            return _Cleared(z, dx * dy)
         flat = z.ravel().tolist()
         by_numerator = {v: Fraction(v, dx * dy) for v in set(flat)}
         return np.array([by_numerator[v] for v in flat], dtype=object).reshape(z.shape)
@@ -202,10 +234,22 @@ class Field:
 
     def mismatch(self, x, y) -> np.ndarray:
         """Boolean array, broadcast like ``x != y``, true where the reduced
-        exact values differ (``Fraction`` equality over Q)."""
-        return np.asarray(self.reduce(x) != self.reduce(y))
+        exact values differ.  Over Q a cleared side compares by Python-int
+        cross multiplication, ``nx * dy != ny * dx`` (``Fraction`` equality
+        when neither side is cleared)."""
+        if self.kind == "Fp":
+            return np.asarray(self.reduce(x) != self.reduce(y))
+        if not (isinstance(x, _Cleared) or isinstance(y, _Cleared)):
+            return np.asarray(x != y)
+        nx, dx = _clear_denominators(x)
+        ny, dy = _clear_denominators(y)
+        # over lcm(dx, dy): sides with one denominator (such as both sides of
+        # oracle.assoc) compare without building scaled copies
+        g = math.gcd(dx, dy)
+        return np.asarray((nx if dy == g else nx * (dy // g)) != (ny if dx == g else ny * (dx // g)))
 
     def equal(self, x: np.ndarray, y: np.ndarray) -> bool:
+        # np.shape reads a cleared array's ``shape``, and takes scalars too
         return np.shape(x) == np.shape(y) and not self.mismatch(x, y).any()
 
     def is_zero(self, arr: np.ndarray) -> bool:
@@ -237,12 +281,42 @@ def _dot_plan(spec: str, x_ndim: int, y_ndim: int):
     return ([xs.index(c) for c in summed], [ys.index(c) for c in summed]), [free.index(c) for c in out]
 
 
+@dataclass(frozen=True, eq=False)
+class _Cleared:
+    """The exact array ``num / den`` over Q: ``num`` a Python-int object
+    array, ``den`` a positive int.  It has the view operations the route
+    generators apply to a grid and to contraction outputs; each keeps ``den``."""
+
+    num: np.ndarray
+    den: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.num.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.num.ndim
+
+    def transpose(self, *axes) -> "_Cleared":
+        return _Cleared(self.num.transpose(*axes), self.den)
+
+    def reshape(self, *shape) -> "_Cleared":
+        return _Cleared(self.num.reshape(*shape), self.den)
+
+    def __getitem__(self, key) -> "_Cleared":
+        return _Cleared(self.num[key], self.den)
+
+
 def _clear_denominators(arr) -> tuple[np.ndarray, int]:
-    """Python-int object array N and int D > 0 with N / D equal to ``arr``.
+    """Python-int object array N and int D > 0 with N / D equal to ``arr``;
+    a cleared ``arr`` gives its own pair without any work.
 
     ``int`` and numpy integers carry ``numerator`` / ``denominator`` too, so
     integral entries of any type are accepted.
     """
+    if isinstance(arr, _Cleared):
+        return arr.num, arr.den
     arr = np.asarray(arr)
     flat = arr.ravel().tolist()
     dens = [v.denominator for v in flat]

@@ -123,9 +123,10 @@ def _require_verified(c: TwistingCandidate, what: str) -> GammaFamily:
 
 
 def _route(c, pairs) -> tuple:
-    """The field of a candidate and the family generator ``pairs`` on its grid."""
+    """The field of a candidate and the family generator ``pairs`` on its grid,
+    cleared once for the whole check (``Field.cleared``)."""
     family = _family_of(c)
-    return family.field, pairs(family.A, family.B, family.gamma)
+    return family.field, pairs(family.A, family.B, family.field.cleared(family.gamma))
 
 
 def certify(c) -> TwistingCandidate:
@@ -477,15 +478,15 @@ class FaithfulRep:
         return AlgMatrix(self.on_basis[0].algebra, data)
 
 
-def _faithful_tensor(family: GammaFamily) -> np.ndarray:
+def _faithful_tensor(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray) -> np.ndarray:
     """Images of all product basis vectors, shape (n*d, n, n, d)."""
-    field = family.field
-    lamA, unitA = family.A.lam, family.A.unit
-    n, d = family.B.dim, family.A.dim
+    field = A.field
+    lamA, unitA = A.lam, A.unit
+    n, d = B.dim, A.dim
     # image of b_k: entry (i, j) = lamB[k, j, i] * 1_A
-    pb = field.tensordot(family.B.lam, unitA, axes=0).transpose(0, 2, 1, 3)
+    pb = field.tensordot(B.lam, unitA, axes=0).transpose(0, 2, 1, 3)
     # image of a_p: entry (i, j) = gamma[j][i](a_p)
-    pa = family.gamma.transpose(3, 1, 0, 2)
+    pa = G.transpose(3, 1, 0, 2)
     # image of b_k (x) a_p is the matrix product pb[k] pa[p]
     return _alg_entry_product(field, lamA, pb, pa).reshape(n * d, n, n, d)
 
@@ -508,7 +509,7 @@ def faithful_rep(c: TwistingCandidate) -> FaithfulRep:
     """The faithful representation of a verified candidate, on all basis vectors."""
     family = _require_verified(c, "faithful_rep")
     product = build_twisted_product(c)
-    images = _faithful_tensor(family)
+    images = _faithful_tensor(family.A, family.B, family.gamma)
     mats = tuple(AlgMatrix(family.A, images[x].copy()) for x in range(images.shape[0]))
     return FaithfulRep(product, mats)
 
@@ -517,26 +518,30 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
     """Morphism, unit and injectivity checks for the faithful representation.
 
     Tags: ``faithful.mul`` (all product-basis pairs), ``faithful.unit`` and
-    ``faithful.kernel`` (the underlying linear map must be injective).
+    ``faithful.kernel`` (the underlying linear map must be injective).  The
+    grid is cleared once for all three (``Field.cleared``).
     """
     family = _require_verified(c, "verify_faithful")
-    field = family.field
-    n, d = family.B.dim, family.A.dim
-    images = _faithful_tensor(family)
-    report = pairs_report(field, _faithful_pairs(family, images))
+    field, A, B = family.field, family.A, family.B
+    n, d = B.dim, A.dim
+    G = field.cleared(family.gamma)
+    images = _faithful_tensor(A, B, G)
+    report = pairs_report(field, _faithful_pairs(A, B, G, images))
 
-    # injectivity of the underlying linear map (n*d -> n*n*d)
-    kernel = kernel_basis(KMatrix(field, images.reshape(n * d, n * n * d).T.copy()))
+    # injectivity of the underlying linear map (n*d -> n*n*d); a positive
+    # multiple of the images has the same RREF, so the same kernel basis
+    flat = field.numerators(images).reshape(n * d, n * n * d).T
+    kernel = kernel_basis(KMatrix(field, flat.copy()))
     if not kernel:
         return report
     failure = Failure("faithful.kernel", left=field.format_array(kernel[0]), count=len(kernel))
     return VerificationReport.from_failures((*report.failures, failure))
 
 
-def _faithful_pairs(family: GammaFamily, images: np.ndarray):
-    field = family.field
-    lamA, unitA = family.A.lam, family.A.unit
-    lam, unit = _product_tensor(family.A, family.B, family.gamma)
+def _faithful_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray, images: np.ndarray):
+    field = A.field
+    lamA, unitA = A.lam, A.unit
+    lam, unit = _product_tensor(A, B, G)
 
     # multiplicativity on all product-basis pairs; witness axes (x, y, i, l, w)
     prod = _alg_entry_product(field, lamA, images, images)
@@ -544,4 +549,4 @@ def _faithful_pairs(family: GammaFamily, images: np.ndarray):
 
     # image of the product unit is the identity matrix
     unit_img = field.tensordot(unit, images, axes=([0], [0]))
-    yield "faithful.unit", unit_img, _alg_identity(field, family.B.dim, unitA)
+    yield "faithful.unit", unit_img, _alg_identity(field, B.dim, unitA)

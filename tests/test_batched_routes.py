@@ -99,7 +99,8 @@ def test_unit_residual_rows_equal_single_grid_residuals(route):
 def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
     """At one grid each contraction is one ``Field.tensordot`` call (einsum
     specs with an empty batch all have a dot form), so a hook on
-    ``tensordot`` sees every contraction of a scalar verdict."""
+    ``tensordot`` sees every contraction of a scalar verdict.  Over Q this
+    holds for the ``Fraction`` grid and for the cleared grid of a check."""
     calls = {"tensordot": 0, "_contract": 0}
     for name in calls:
         original = getattr(Field, name)
@@ -111,8 +112,11 @@ def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
         monkeypatch.setattr(Field, name, counted)
     for field in (GF(3), QQ):
         for A, B in _pairs_of_algebras(field):
-            list(GENERATORS[route](A, B, _stack(field, A, B, np.random.default_rng(2))[0, 1]))
-    assert calls["tensordot"] == calls["_contract"] > 0
+            grid = _stack(field, A, B, np.random.default_rng(2))[0, 1]
+            for G in ((grid,) if field.kind == "Fp" else (grid, field.cleared(grid))):
+                calls.update(tensordot=0, _contract=0)
+                list(GENERATORS[route](A, B, G))
+                assert calls["tensordot"] == calls["_contract"] > 0, (field, type(G))
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(65521), QQ], ids=["F2", "F3", "F65521", "Q"])

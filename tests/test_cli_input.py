@@ -197,3 +197,50 @@ def test_fuzzed_input_never_escapes(command, data):
         assert written.get("ok", written.get("verdict", {}).get("ok")) is False
     if code == 2:
         assert err.startswith("error: ")
+
+
+def _unwritable_outputs(tmp_path: Path, ok: dict):
+    """(argv, out) pairs: each subcommand that writes ``--out`` given a path in
+    a missing directory, and given a directory."""
+    missing = str(tmp_path / "missing" / "out.json")
+    for out in (missing, str(tmp_path)):
+        yield ["check-twisting", ok["candidate"], "--out", out], out
+        yield ["build-product", ok["candidate"], "--out", out], out
+        yield ["enumerate", "--A", ok["algebra"], "--B", ok["algebra"], "--out", out], out
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    ok = _valid_files(tmp_path)
+    cases = list(_unwritable_outputs(tmp_path, ok))
+    assert len(cases) == 6
+    for argv, out in cases:
+        code, _, err = _run(argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+_BOOLEAN_MATRICES = [[[True, False], [False, True]], [[1, 0], [0, True]], [[True]]]
+
+
+@pytest.mark.parametrize("matrix", _BOOLEAN_MATRICES, ids=repr)
+def test_boolean_matrix_entries_are_usage_error(matrix, tmp_path):
+    """JSON ``true`` is no field element, although Python's ``bool`` is an ``int``."""
+    ok = _valid_files(tmp_path)
+    bad = tmp_path / "matrix.json"
+    bad.write_text(json.dumps(matrix), encoding="utf-8")
+    code, out, err = _run(["rebase", ok["candidate"], "--matrix", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: change-of-basis matrix: ") and "boolean" in err
+
+
+@pytest.mark.parametrize("kind", ["Q", "Fp"])
+def test_boolean_algebra_entries_are_usage_error(kind, tmp_path):
+    field = QQ if kind == "Q" else GF(5)
+    payload = serialize.algebra_to_json(kn_algebra(field, 2))
+    payload["unit"] = [True, True]
+    bad = tmp_path / "algebra.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = _run(["validate-algebra", str(bad)])
+    assert code == 2
+    assert err.startswith("error: algebra.unit: ") and "boolean" in err

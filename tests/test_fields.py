@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, kn_algebra
 from twistkit.basischange import identity_morphism
-from twistkit.fields import _dot_plan
+from twistkit.fields import _Cleared, _dot_plan
 
 
 def test_rational_scalars_canonical():
@@ -78,6 +78,18 @@ def test_floats_rejected_everywhere():
         GF(5).asarray(np.array([[0.5, 1.0]]))
     with pytest.raises(FieldError):
         QQ.asarray([[0.25]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_booleans_rejected_everywhere(field):
+    """``bool`` is an ``int`` subclass, but JSON ``true`` is no field element."""
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(FieldError, match="boolean"):
+            field.scalar(value)
+    for data in ([True, 0], [[1, 0], [0, False]], [[[0, np.True_]]]):
+        with pytest.raises(FieldError, match="boolean"):
+            field.asarray(data)
+    assert field.asarray([[1, 0]]).tolist() == [[field.one, field.zero]]
 
 
 def _element_calls(field):
@@ -341,6 +353,51 @@ def test_mismatch_equal_and_is_zero_match_per_entry_reference(case):
     assert out.tolist() == expected.tolist()
     assert field.equal(x, y) is field.equal(y, x) is (x.shape == y.shape and not expected.any())
     assert field.is_zero(x) is not any(_differ(field, u, field.zero) for u in x.ravel().tolist())
+    # the same verdicts with either side, or both, in the cleared form of a check
+    for cx, cy in ((field.cleared(x), y), (x, field.cleared(y)), (field.cleared(x), field.cleared(y))):
+        assert field.mismatch(cx, cy).tolist() == expected.tolist()
+        assert field.equal(cx, cy) is (x.shape == y.shape and not expected.any())
+    assert field.is_zero(field.cleared(x)) is field.is_zero(x)
+
+
+def _value(arr):
+    """Entries of an exact array as Fractions (a cleared array's ``num / den``)."""
+    if isinstance(arr, _Cleared):
+        return [Fraction(v, arr.den) for v in np.asarray(arr.num).ravel().tolist()]
+    return [Fraction(v) for v in np.asarray(arr).ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(einsum_case(), st.sampled_from(["x", "y", "both"]))
+def test_cleared_einsum_stays_cleared_and_matches_fraction_path(case, which):
+    """A contraction with a cleared operand returns the cleared product, whose
+    value is the ``Fraction`` product; views keep the denominator."""
+    spec, _, x, y = case
+    cx = QQ.cleared(x) if which in ("x", "both") else x
+    cy = QQ.cleared(y) if which in ("y", "both") else y
+    expected = QQ.einsum(spec, x, y)
+    out = QQ.einsum(spec, cx, cy)
+    assert isinstance(out, _Cleared) and out.den > 0
+    assert out.shape == expected.shape and out.ndim == expected.ndim
+    assert all(type(v) is int for v in out.num.flat)
+    assert _value(out) == _value(expected)
+    assert _value(out.reshape(-1)) == _value(expected.reshape(-1))
+    if out.ndim and out.shape[0]:
+        assert _value(out[0]) == _value(expected[0])
+        order = tuple(reversed(range(out.ndim)))
+        assert _value(out.transpose(*order)) == _value(expected.transpose(*order))
+
+
+def test_cleared_is_the_identity_over_fp_and_formats_one_fraction_over_q():
+    f7 = GF(7)
+    x = f7.asarray([[1, 2], [3, 4]])
+    assert f7.cleared(x) is x and f7.numerators(x) is x
+    q = QQ.asarray([["1/2", "-2/3"], [0, 5]])
+    c = QQ.cleared(q)
+    assert c.den == 6 and c.num.tolist() == [[3, -4], [0, 30]]
+    assert QQ.numerators(c) is c.num and QQ.numerators(q) is q
+    assert [QQ.format(c[i, j]) for i in range(2) for j in range(2)] == ["1/2", "-2/3", "0", "5"]
+    assert QQ.cleared(c).num is c.num  # clearing a cleared array does no work
 
 
 def test_format_array_nested():
