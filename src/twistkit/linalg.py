@@ -12,11 +12,18 @@ Three matrix flavours appear throughout the package:
                  constants.
 
 Everything is immutable after construction and all operations are pure.
+
+``rank``, ``mat_inverse`` and ``kernel_basis`` share one exact Gauss-Jordan
+elimination, ``_rref``, on rows of Python ints for both fields: residues
+over F_p; over Q integer rows eliminated fraction-free (Bareiss), whose
+pivot rows become ``Fraction`` s once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -97,30 +104,89 @@ def mat_mul(x: KMatrix, y: KMatrix) -> KMatrix:
 
 
 def _rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    R = mat.copy()
-    rows, cols = R.shape
-    pivots: list[int] = []
+    """Reduced row echelon form; returns (R, pivot column list).
+
+    One Gauss-Jordan elimination on rows of Python ints for both fields, so
+    no ``int64`` product is formed; R has the dtype of ``mat``.  Over F_p
+    the rows hold residues.  Over Q each row is scaled by the lcm of its
+    denominators (``verify_faithful`` passes Python-int numerators, which
+    stay as they are) and eliminated fraction-free; no ``Fraction`` is built
+    before the pivot rows are divided by the last pivot at the end.
+    """
+    if field.kind == "Fp":
+        rows, pivots = _rref_mod(field.p, (mat % field.p).tolist())
+    else:
+        rows, pivots = _rref_bareiss([_integral_row(row) for row in mat.tolist()])
+    return np.array(rows, dtype=mat.dtype).reshape(mat.shape), pivots
+
+
+def _pivot_steps(rows: list[list]):
+    """(r, c) of each pivot of the Gauss-Jordan elimination of ``rows``: the
+    first row from r on with a nonzero entry in column c, swapped up to row
+    r.  The caller clears column c outside row r before the next step."""
     r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if R[i, c] != 0:
-                pivot_row = i
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            return
+        for i in range(r, len(rows)):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != r:
-            R[[r, pivot_row]] = R[[pivot_row, r]]
-        R[r] = field.reduce(R[r] * field.inv(R[r, c]))
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i] = field.reduce(R[i] - R[i, c] * R[r])
-        pivots.append(c)
+        rows[r], rows[i] = rows[i], rows[r]
+        yield r, c
         r += 1
-        if r == rows:
-            break
-    return R, pivots
+
+
+def _rref_mod(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """RREF of rows of residues mod p, in place: each pivot row is scaled by
+    its pivot's inverse, then f times it is subtracted from every row with a
+    nonzero entry f in its pivot column.  Only the pivot row's nonzero
+    entries change anything (the unit-family systems of ``search`` are
+    mostly zeros), and a pivot row is zero left of its pivot."""
+    pivots = []
+    for r, c in _pivot_steps(rows):
+        top = rows[r]
+        inv = pow(top[c], p - 2, p)
+        nonzero = [(j, top[j] * inv % p) for j in range(c, len(top)) if top[j]]
+        for j, b in nonzero:
+            top[j] = b
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, b in nonzero:
+                    row[j] = (row[j] - f * b) % p
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rref_bareiss(rows: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """RREF over Q of rows of integers, eliminated fraction-free (Bareiss):
+    every row but the pivot row becomes (piv * row - f * pivot row) //
+    previous pivot.  The division is exact (every entry is a minor of the
+    input), and every pivot row ends with the last pivot on its pivot column,
+    so one division by it gives the RREF."""
+    pivots, prev = [], 1
+    for r, c in _pivot_steps(rows):
+        top = rows[r]
+        piv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        pivots.append(c)
+        prev = piv
+    zero = Fraction(0)
+    return [
+        [Fraction(a, prev) if a else zero for a in row] if i < len(pivots) else [zero] * len(row)
+        for i, row in enumerate(rows)
+    ], pivots
+
+
+def _integral_row(row: list) -> list[int]:
+    """A row of rationals (or integers) times the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [int(v.numerator) * (den // v.denominator) for v in row]
 
 
 def rank(x: KMatrix) -> int:

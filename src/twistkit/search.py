@@ -9,14 +9,18 @@ and concatenating the results gives exactly the result of one run over
 their union.  A non-empty range that starts below 0 raises ``IndexError``;
 an empty one yields nothing.
 
-Only grids that can pass are visited.  Each route begins with unit families
-that are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit``
-/ ``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``.  One
-pass of each of the route's own generators (no formula is written twice, so
-the oracle stays independent) over the stack of the zero grid and the
-N = n^2 d^2 unit grids gives the linear system of those families; its exact
-solution set is an affine coset of F_p^N, expanded as digit rows and mapped
-to full-space indices.  Off the coset the route rejects by a unit family.
+Only grids that can pass are visited.  Each route has unit families that
+are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit`` /
+``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``.  One
+pass of generators the routes themselves use (no formula is written twice,
+so the oracle stays independent) over the stack of the zero grid and the
+N = n^2 d^2 unit grids gives the linear system of those families.  For
+``rep`` and ``oracle`` these are the route generators, whose unit families
+come first; ``direct``'s system comes from its unit families alone
+(``twisting._direct_unit_pairs``, which ``_direct_pairs`` yields from around
+``direct.2``).  The system's exact solution set (``linalg.kernel_basis``) is
+an affine coset of F_p^N, expanded as digit rows and mapped to full-space
+indices.  Off the coset the route rejects by a unit family.
 The coset points in range are evaluated in stacks of at most ``_CHUNK``
 grids, one ``pairs_ok`` verdict per route generator on the grids that passed
 the generators before it (``all`` chains ``direct``, ``rep`` and ``oracle``
@@ -37,7 +41,14 @@ from .algebra import FiniteDimAlgebra
 from .errors import FieldError, SearchSpaceTooLargeError
 from .linalg import KMatrix, kernel_basis
 from .report import Failure, VerificationReport, pairs_ok
-from .twisting import GammaFamily, _direct_pairs, _oracle_pairs, _phi_pairs, _rho_pairs
+from .twisting import (
+    GammaFamily,
+    _direct_pairs,
+    _direct_unit_pairs,
+    _oracle_pairs,
+    _phi_pairs,
+    _rho_pairs,
+)
 
 #: Hard guard on the number of candidates a space may hold.
 MAX_CANDIDATES = 1 << 24
@@ -52,6 +63,10 @@ _ROUTES = {
     "rep": ((_rho_pairs, ("rho.unit",)), (_phi_pairs, ("phi.unit",))),
     "oracle": ((_oracle_pairs, ("oracle.chi-left-unit", "oracle.chi-right-unit")),),
 }
+
+#: The generator of a route generator's unit families where they do not come
+#: first: ``direct.2`` lies between ``direct.1`` and ``direct.3``.
+_UNIT_PAIRS = {_direct_pairs: _direct_unit_pairs}
 
 
 def _place_values(p: int, length: int) -> np.ndarray:
@@ -124,7 +139,7 @@ def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.nda
     G = digits.reshape(batch + space.grid_shape)
     parts = []
     for pairs, tags in _ROUTES[route]:
-        for tag, left, right in pairs(space.A, space.B, G):
+        for tag, left, right in _UNIT_PAIRS.get(pairs, pairs)(space.A, space.B, G):
             if tag in tags:
                 parts.append((left - right).reshape(batch + (-1,)))
             if tag == tags[-1]:

@@ -191,31 +191,39 @@ def _transposed(tag: str, sides, axes) -> tuple:
 # -- route 1: structure-constant conditions ------------------------------------
 
 
-def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The four condition families, yielded lazily as (tag, left, right).
-    Like every route generator it takes a grid G of shape (..., n, n, d, d):
-    its batch axes lead every side that depends on G."""
+def _direct_unit_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The two unit families ``direct.1`` and ``direct.3``, the ones affine in
+    the grid, yielded lazily as (tag, left, right)."""
     field = A.field
-    lamA, unitA = A.lam, A.unit
-    lamB, unitB = B.lam, B.unit
-    eye_d = field.identity(A.dim)
 
     # (1) gamma_i^j(1) = delta_ij 1; witness axes (i, j, r)
-    yield ("direct.1", *_unit_images(field, G, unitA))
+    yield ("direct.1", *_unit_images(field, G, A.unit))
+
+    # (3) alpha_k id = sum_i alpha_i gamma_i^k; witness axes (k, r, c)
+    left3 = field.reduce(B.unit[:, None, None] * field.identity(A.dim)[None, :, :])
+    right3 = field.einsum("i,...ikrc->...krc", B.unit, G)
+    yield "direct.3", left3, right3
+
+
+def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The four condition families, yielded lazily as (tag, left, right):
+    the unit families of ``_direct_unit_pairs`` as (1) and (3).  Like every
+    route generator it takes a grid G of shape (..., n, n, d, d): its batch
+    axes lead every side that depends on G."""
+    field = A.field
+    units = _direct_unit_pairs(A, B, G)
+    yield next(units)
 
     # (2) gamma_i^k(a a') = sum_j gamma_j^k(a) gamma_i^j(a') on basis pairs;
     #     witness axes (i, k, p, q, r)
-    yield _transposed("direct.2", _twisted_products(field, G, lamA), (3, 2, 0, 1, 4))
+    yield _transposed("direct.2", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
 
-    # (3) alpha_k id = sum_i alpha_i gamma_i^k; witness axes (k, r, c)
-    left3 = field.reduce(unitB[:, None, None] * eye_d[None, :, :])
-    right3 = field.einsum("i,...ikrc->...krc", unitB, G)
-    yield "direct.3", left3, right3
+    yield next(units)
 
     # (4) sum_k lam_ij^k gamma_k^m = sum_{k,l} lam_kl^m gamma_j^l o gamma_i^k;
     #     witness axes (i, j, m, r, c)
-    left4 = field.einsum("ijk,...kmrc->...ijmrc", lamB, G)
-    yield "direct.4", left4, _rule_compositions(field, lamB, G, G)
+    left4 = field.einsum("ijk,...kmrc->...ijmrc", B.lam, G)
+    yield "direct.4", left4, _rule_compositions(field, B.lam, G, G)
 
 
 def check_conditions_direct(c) -> VerificationReport:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from twistkit import (
     rank,
     truncated_poly_algebra,
 )
+from twistkit import linalg
 from twistkit.linalg import _rref
 
 
@@ -108,10 +110,39 @@ def test_kernel_annihilates_and_counts(entries):
         assert QQ.is_zero(mat.apply(vec))
 
 
+def _rref_reference(field, mat):
+    """The per-row numpy elimination ``_rref`` replaced, kept as the reference:
+    one scaled pivot row and one numpy row operation per nonzero entry of
+    its column, in the field's own arithmetic."""
+    R = mat.copy()
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if R[i, c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            R[[r, pivot_row]] = R[[pivot_row, r]]
+        R[r] = field.reduce(R[r] * field.inv(R[r, c]))
+        for i in range(rows):
+            if i != r and R[i, c] != 0:
+                R[i] = field.reduce(R[i] - R[i, c] * R[r])
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
 def _kernel_reference(x):
     """One vector per free column: 1 there, minus the echelon entry of that
     column on each pivot coordinate."""
-    R, pivots = _rref(x.field, x.data)
+    R, pivots = _rref_reference(x.field, x.data)
     basis = []
     for free in range(x.cols):
         if free in pivots:
@@ -138,6 +169,117 @@ def test_kernel_basis_matches_the_per_column_loop(field):
                 assert vec.dtype == ref.dtype and vec.tolist() == ref.tolist()
                 assert all(type(v) is type(field.zero) for v in vec.tolist())
                 assert not vec.flags.writeable
+
+
+# -- the elimination against the per-row reference ----------------------------------
+
+
+_FIELDS = {"F2": GF(2), "F3": GF(3), "F31": GF(31), "F65521": GF(65521), "Q": QQ, "Q-int": QQ}
+
+#: (rows, cols, rank): empty, tall, wide, square, zero and rank-deficient shapes.
+_SHAPES = [
+    (0, 3, 0), (3, 0, 0), (0, 0, 0), (1, 1, 1), (2, 2, 0), (3, 3, 0),
+    (6, 3, 3), (9, 4, 2), (3, 6, 3), (4, 9, 2), (5, 5, 5), (5, 5, 3), (7, 7, 4),
+]
+
+
+def _random_matrix(name, rows, cols, rank, rng):
+    """A rows x cols matrix of rank at most ``rank`` over ``_FIELDS[name]``:
+    canonical residues over F_p, ``Fraction`` s with denominators up to 6 over
+    Q, and the Python-int object array ``verify_faithful`` passes for Q-int."""
+    field = _FIELDS[name]
+    scale = 9 if name.startswith("Q") else field.p
+    left = [[rng.randrange(-scale, scale + 1) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(-scale, scale + 1) for _ in range(cols)] for _ in range(rank)]
+    ints = [sum(left[i][k] * right[k][j] for k in range(rank)) for i in range(rows) for j in range(cols)]
+    if name == "Q":
+        entries = np.array([Fraction(v, rng.randrange(1, 7)) for v in ints], dtype=object)
+    elif name == "Q-int":
+        entries = np.array(ints, dtype=object)
+    else:
+        entries = np.array([v % field.p for v in ints], dtype=np.int64)
+    return entries.reshape(rows, cols)
+
+
+def _assert_same(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
+def _public_results(x):
+    """rank, kernel_basis and mat_inverse (or its refusal) of ``x``."""
+    try:
+        inverse = mat_inverse(x).data if x.is_square else None
+    except SingularMatrixError as err:
+        inverse = ("singular", err.rank)
+    return rank(x), kernel_basis(x), inverse
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+def test_elimination_matches_the_per_row_reference(monkeypatch, name):
+    """``_rref`` and the three public functions over it give the values,
+    dtypes and pivot lists of the per-row numpy elimination, on every shape,
+    including the Python-int input of ``verify_faithful``."""
+    field, rng = _FIELDS[name], random.Random(f"rref/{name}")
+    for rows, cols, r in _SHAPES:
+        for _ in range(4):
+            mat = _random_matrix(name, rows, cols, r, rng)
+            R, pivots = _rref(field, mat)
+            R_ref, pivots_ref = _rref_reference(field, mat)
+            _assert_same(R, R_ref)
+            assert pivots == pivots_ref
+            if not name.startswith("Q"):
+                assert all(0 <= v < field.p for v in R.flat)
+            if name == "Q":
+                assert all(type(v) is Fraction for v in R.flat)
+            x = KMatrix(field, mat)
+            got = _public_results(x)
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_rref", _rref_reference)
+                expected = _public_results(x)
+            assert got[0] == expected[0]
+            assert len(got[1]) == len(expected[1])
+            for vec, ref in zip(got[1], expected[1]):
+                _assert_same(vec, ref)
+                assert not vec.flags.writeable
+            if isinstance(expected[2], np.ndarray):
+                _assert_same(got[2], expected[2])
+                assert all(type(v) is type(field.zero) for v in got[2].ravel().tolist())
+            else:
+                assert got[2] == expected[2]
+
+
+def _is_rref(field, R, pivots):
+    """Pivots ascending, each a 1 alone in its column and the first nonzero
+    entry of its row; the rows below the pivot rows are zero."""
+    nonzero = [[v != 0 for v in row] for row in R.tolist()]
+    if pivots != sorted(set(pivots)) or any(any(row) for row in nonzero[len(pivots) :]):
+        return False
+    for i, c in enumerate(pivots):
+        if R[i, c] != 1 or sum(row[c] for row in nonzero) != 1 or any(nonzero[i][:c]):
+            return False
+    return True
+
+
+@given(
+    st.sampled_from(sorted(_FIELDS)),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_elimination_is_an_rref_with_the_same_row_space(name, rows, cols, r, seed):
+    """The output is in reduced row echelon form, and stacking it under the
+    input adds nothing to the input's rank (both ranks counted by the
+    reference): the two row spaces are equal."""
+    field = _FIELDS[name]
+    mat = _random_matrix(name, rows, cols, r, random.Random(seed))
+    R, pivots = _rref(field, mat)
+    assert R.shape == mat.shape and _is_rref(field, R, pivots)
+    rank_of = len(_rref_reference(field, mat)[1])
+    both = np.concatenate([mat, R], axis=0)
+    assert len(pivots) == rank_of == len(_rref_reference(field, both)[1])
 
 
 # -- exact algebra laws (random) ----------------------------------------------------

@@ -377,6 +377,25 @@ def test_coset_is_the_set_passing_the_unit_families(route, name):
     assert coset == passing
 
 
+@pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
+def test_direct_coset_is_built_from_the_unit_families_alone(monkeypatch, name):
+    """The ``direct`` system comes from ``direct.1`` and ``direct.3`` only:
+    building the coset evaluates neither ``direct.2`` nor ``direct.4``."""
+    from twistkit import twisting
+
+    space = _small_spaces()[name]
+    expected = search_mod._coset(space, "direct")
+
+    def refuse(*args):
+        raise AssertionError("a non-unit direct family was evaluated")
+
+    monkeypatch.setattr(twisting, "_twisted_products", refuse)
+    monkeypatch.setattr(twisting, "_rule_compositions", refuse)
+    assert (search_mod._coset(space, "direct") == expected).all()
+    with pytest.raises(AssertionError, match="non-unit"):
+        direct_ok(GammaFamily.flip(space.A, space.B))
+
+
 # -- the index range contract -------------------------------------------------------------
 
 

@@ -370,6 +370,17 @@ def test_faithful_rep_refuses_unverified():
         faithful_rep(TwistingCandidate(fam))
 
 
+def test_direct_failures_are_listed_in_condition_order():
+    """``direct.1`` and ``direct.3`` come from their own unit-family generator;
+    the report still lists the four families in the order 1, 2, 3, 4."""
+    a2 = kn_algebra(QQ, 2)
+    grid = [[[[1, 2], [0, 1]], [[0, 1], [1, 0]]], [[[0, 0], [1, 0]], [[2, 0], [0, 1]]]]
+    fam = GammaFamily(a2, a2, QQ.asarray(grid))
+    assert direct_condition_flags(fam) == (False, False, False, False)
+    report = check_conditions_direct(fam)
+    assert [f.condition for f in report.failures] == ["direct.1", "direct.2", "direct.3", "direct.4"]
+
+
 # -- the oracle --------------------------------------------------------------------------
 
 
