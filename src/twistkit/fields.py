@@ -7,9 +7,15 @@ operations are exact; there is no floating point anywhere in the package.
 
 Every structure-constant product goes through ``Field.tensordot`` (and
 ``matmul``) or ``Field.einsum`` (the route kernels, ``...`` being a batch of
-grids), which passes ``tensordot`` each contraction it can write.  Both share
-one exactness wrapper: mod p over F_p; over Q one Python-int multiply and add
-per term, on numerators over common denominators.
+grids), which passes ``tensordot`` each contraction it can write.
+``tensordot`` runs one planned ``np.dot``: a bounded cache keyed on the
+operand shapes and the normalised axes gives each operand's transpose and 2-D
+shape and the output shape, so a call does none of ``np.tensordot``'s
+per-call setup but the same transpose, reshape and dot.  Both share one
+exactness wrapper: over F_p the fresh product is reduced mod p in place (an
+input never is), exact while summed length * (p - 1)**2 < 2**63, so for any
+summed length below 2**31; over Q one Python-int multiply and add per term,
+on numerators over common denominators.
 
 Over Q a checker keeps its arrays in cleared form from the grid to the
 comparison.  ``twisting._route`` (behind every route check and verdict) and
@@ -24,7 +30,9 @@ constructions, ``linalg``) return ``Fraction`` arrays, and no public function
 returns a cleared array.  Over F_p ``cleared`` is the identity.
 
 ``Field.mismatch`` is the one comparison of exact arrays: ``equal``,
-``is_zero`` and every checker's report decide equality through it.
+``is_zero`` and every checker's report decide equality through it.  Over F_p
+it compares the raw ``int64`` entries first and reduces both sides only when
+some entry differs: equal entries are equal residues.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,16 +191,25 @@ class Field:
         return arr % self.p if self.kind == "Fp" else arr
 
     def tensordot(self, x: np.ndarray, y: np.ndarray, axes) -> np.ndarray:
-        """Exact tensor contraction with the ``axes`` of ``np.tensordot``."""
-        return self._contract(partial(np.tensordot, axes=axes), x, y)
+        """Exact tensor contraction with the ``axes`` of ``np.tensordot``: an
+        int, or one int or sequence of (possibly negative) axes per operand.
+        It is one ``np.dot`` of the operands transposed and reshaped to 2-D by
+        the cached ``_tensordot_plan``; over F_p exact for any summed length
+        below 2**31."""
+        px, sx, py, sy, out = _tensordot_plan(x.shape, y.shape, _axes_key(axes))
+        return self._contract(
+            lambda a, b: np.dot(a.transpose(px).reshape(sx), b.transpose(py).reshape(sy)).reshape(out), x, y
+        )
 
     def einsum(self, spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact ``np.einsum(spec, x, y)``: ``tensordot`` plus a transpose where
-        ``_dot_plan`` finds one, else einsum's own loop.  Over F_p it is exact
-        while summed length * (p - 1)**2 < 2**63: any length below 2**31."""
+        """Exact ``np.einsum(spec, x, y)``: ``tensordot`` (one planned ``np.dot``)
+        plus a transpose where ``_dot_plan`` finds one, else einsum's own loop
+        (a batch on both operands, a diagonal or a kept shared letter).  Over
+        F_p it is exact while summed length * (p - 1)**2 < 2**63: any length
+        below 2**31."""
         plan = _dot_plan(spec, x.ndim, y.ndim)
         if plan is None:
-            return self._contract(partial(np.einsum, spec), x, y)
+            return self._contract(lambda a, b: np.asarray(np.einsum(spec, a, b)), x, y)
         axes, order = plan
         return self.tensordot(x, y, axes).transpose(order)
 
@@ -211,9 +228,11 @@ class Field:
     def _contract(self, contract, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``contract(x, y)``, exactly.  Over Q it contracts numerators over each
         operand's lcm denominator.  With a cleared operand the product stays
-        cleared; otherwise a distinct output numerator makes one ``Fraction``."""
+        cleared; otherwise a distinct output numerator makes one ``Fraction``.
+        Over F_p it reduces the fresh product mod p in place."""
         if self.kind == "Fp":
-            return self.reduce(contract(x, y))
+            z = contract(x, y)
+            return np.remainder(z, self.p, out=z)
         nx, dx = _clear_denominators(x)
         ny, dy = _clear_denominators(y)
         z = np.asarray(contract(nx, ny), dtype=object)
@@ -234,11 +253,14 @@ class Field:
 
     def mismatch(self, x, y) -> np.ndarray:
         """Boolean array, broadcast like ``x != y``, true where the reduced
-        exact values differ.  Over Q a cleared side compares by Python-int
-        cross multiplication, ``nx * dy != ny * dx`` (``Fraction`` equality
-        when neither side is cleared)."""
+        exact values differ.  Over F_p the raw comparison is the answer when
+        no entry differs; otherwise both sides are reduced.  Over Q a cleared
+        side compares by Python-int cross multiplication,
+        ``nx * dy != ny * dx`` (``Fraction`` equality when neither side is
+        cleared)."""
         if self.kind == "Fp":
-            return np.asarray(self.reduce(x) != self.reduce(y))
+            raw = np.asarray(x != y)
+            return np.asarray(self.reduce(x) != self.reduce(y)) if raw.any() else raw
         if not (isinstance(x, _Cleared) or isinstance(y, _Cleared)):
             return np.asarray(x != y)
         nx, dx = _clear_denominators(x)
@@ -262,12 +284,55 @@ class Field:
         return self.format(arr[()] if isinstance(arr, np.ndarray) else arr)
 
 
-@lru_cache(maxsize=None)
+_INT = (int, np.integer)
+
+
+def _axes_key(axes):
+    """The ``axes`` of ``tensordot`` in hashable form: an int, or one int or
+    tuple per operand."""
+    if isinstance(axes, _INT):
+        return axes
+    a, b = axes
+    return (a if isinstance(a, _INT) else tuple(a), b if isinstance(b, _INT) else tuple(b))
+
+
+@lru_cache(maxsize=1024)
+def _tensordot_plan(x_shape: tuple[int, ...], y_shape: tuple[int, ...], axes):
+    """``(px, sx, py, sy, out)`` with ``np.dot(x.transpose(px).reshape(sx),
+    y.transpose(py).reshape(sy)).reshape(out)`` equal to
+    ``np.tensordot(x, y, axes)``: ``x``'s free axes then its summed ones, the
+    summed axes of ``y`` in the same order then its free ones.  ``axes`` is
+    normalised here: an int ``k`` sums the last ``k`` axes of ``x`` with the
+    first ``k`` of ``y``, a bare int per side is one axis, negative indices
+    count from the end, and ``([], [])`` is the outer product."""
+    if isinstance(axes, _INT):
+        if not 0 <= axes <= min(len(x_shape), len(y_shape)):
+            raise ValueError(f"cannot sum {axes} axes of shapes {x_shape} and {y_shape}")
+        ax, ay = range(len(x_shape) - axes, len(x_shape)), range(axes)
+    else:
+        ax, ay = ((a,) if isinstance(a, _INT) else a for a in axes)
+    ax = [a + len(x_shape) if a < 0 else a for a in ax]
+    ay = [a + len(y_shape) if a < 0 else a for a in ay]
+    if len(ax) != len(ay) or any(x_shape[i] != y_shape[j] for i, j in zip(ax, ay)):
+        raise ValueError(f"shape-mismatch for sum: axes {axes} of shapes {x_shape} and {y_shape}")
+    free_x = [i for i in range(len(x_shape)) if i not in ax]
+    free_y = [j for j in range(len(y_shape)) if j not in ay]
+    summed = math.prod(x_shape[i] for i in ax)
+    out_x, out_y = tuple(x_shape[i] for i in free_x), tuple(y_shape[j] for j in free_y)
+    return (
+        tuple(free_x + ax), (math.prod(out_x), summed),
+        tuple(ay + free_y), (summed, math.prod(out_y)),
+        out_x + out_y,
+    )
+
+
+@lru_cache(maxsize=1024)
 def _dot_plan(spec: str, x_ndim: int, y_ndim: int):
-    """``(axes, order)`` with ``np.tensordot(x, y, axes).transpose(order)``
-    equal to ``np.einsum(spec, x, y)``, or None.  A batch ``...`` with axes in
-    one operand only becomes letters free in it; then each letter must be
-    summed over both operands or free in one."""
+    """``(axes, order)`` with ``Field.tensordot(x, y, axes).transpose(order)``
+    (one planned ``np.dot``) equal to ``np.einsum(spec, x, y)``, or None: then
+    ``Field.einsum`` runs einsum's own loop.  A batch ``...`` with axes in one
+    operand only becomes letters free in it; then each letter must be summed
+    over both operands or free in one."""
     inputs, out = spec.split("->")
     xs, ys = inputs.split(",")
     x_batch, y_batch = x_ndim - len(xs.replace("...", "")), y_ndim - len(ys.replace("...", ""))

@@ -41,6 +41,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 def _expect(obj: Any, key: str, context: str) -> Any:

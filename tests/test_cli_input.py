@@ -84,6 +84,20 @@ def test_non_object_top_level_is_usage_error(command, payload):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_DEEP = "[" * 5000 + "]" * 5000  # deeper than the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("text", [_DEEP, '{"field": ' + _DEEP + "}"], ids=["list", "in-object"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_deeply_nested_json_is_usage_error(command, text, tmp_path):
+    ok = _valid_files(tmp_path)
+    bad = tmp_path / "deep.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = _run(COMMANDS[command](str(bad), ok))
+    assert code == 2 and out == ""
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
 _A = serialize.algebra_to_json(kn_algebra(QQ, 2))
 _ENDO = [["1", "0"], ["0", "1"]]
 _ZERO = [["0", "0"], ["0", "0"]]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, kn_algebra
+from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, fields, kn_algebra
 from twistkit.basischange import identity_morphism
 from twistkit.fields import _Cleared, _dot_plan
+from twistkit.twisting import direct_ok
 
 
 def test_rational_scalars_canonical():
@@ -189,6 +190,144 @@ def test_rational_tensordot_takes_integer_entries():
         assert all(isinstance(v, Fraction) for v in out.flat)
 
 
+def _operand(field, shape, rng):
+    """Random canonical entries: residues over F_p, ``Fraction``s over Q."""
+    if field.kind == "Fp":
+        return rng.integers(0, field.p, size=shape, dtype=np.int64)
+    nums, dens = rng.integers(-50, 50, size=shape), rng.choice([1, 2, 3, 10**9 + 7], size=shape)
+    entries = [Fraction(int(a), int(b)) for a, b in zip(np.ravel(nums), np.ravel(dens))]
+    return np.array(entries, dtype=object).reshape(shape)
+
+
+def _check_tensordot(field, x, y, axes):
+    """``field.tensordot`` (and over Q its cleared form) against
+    ``np.tensordot`` on object arrays, one exact multiply and add per term;
+    the operands are left as they were."""
+    before = (x.copy(), y.copy())
+    expected = np.tensordot(x.astype(object), y.astype(object), axes=axes)
+    out = field.tensordot(x, y, axes)
+    if field.kind == "Fp":
+        expected = np.asarray(expected % field.p)
+        assert out.dtype == np.int64
+    else:
+        assert out.dtype == object and all(isinstance(v, Fraction) for v in out.flat)
+        cleared = field.tensordot(field.cleared(x), y, axes)
+        assert isinstance(cleared, _Cleared) and cleared.shape == expected.shape
+        assert _value(cleared) == _value(expected)
+    assert out.shape == expected.shape
+    assert out.ravel().tolist() == expected.ravel().tolist()
+    for arr, old in zip((x, y), before):
+        assert arr.dtype == old.dtype and arr.ravel().tolist() == old.ravel().tolist()
+
+
+TENSORDOT_FIELDS = [GF(2), GF(3), GF(65521), QQ]
+
+#: (x shape, y shape, axes): int axes, lists, tuples, negative indices, a bare
+#: int per side and the outer product; zero-size extents, 0-d results, 1-D · 1-D.
+TENSORDOT_CASES = [
+    ((2, 3), (4,), 0),
+    ((2, 3), (3, 4), 1),
+    ((2, 3, 4), (3, 4, 2), 2),
+    ((3, 2, 4), (4, 3), ([0, 2], [1, 0])),
+    ((3, 2, 4), (4, 3), ((0, 2), (1, 0))),
+    ((3, 2, 4), (4, 3), ([-3, -1], [-1, 0])),
+    ((3, 4), (2, 4), (1, -1)),
+    ((3, 4), (4, 2), (np.int64(1), [0])),
+    ((2, 3), (4,), ([], [])),
+    ((5,), (5,), 1),
+    ((5,), (5,), ([0], [0])),
+    ((2, 3), (2, 3), 2),
+    ((0, 3), (3, 2), 1),
+    ((2, 0), (0, 3), 1),
+    ((2, 0, 3), (3, 0), ([2], [0])),
+    ((), (3,), 0),
+    ((), (), 0),
+]
+
+
+@pytest.mark.parametrize("x_shape, y_shape, axes", TENSORDOT_CASES, ids=repr)
+@pytest.mark.parametrize("field", TENSORDOT_FIELDS, ids=str)
+def test_tensordot_matches_numpy_reference(field, x_shape, y_shape, axes):
+    rng = np.random.default_rng(len(x_shape) + 7 * len(y_shape))
+    _check_tensordot(field, _operand(field, x_shape, rng), _operand(field, y_shape, rng), axes)
+
+
+def test_tensordot_is_exact_mod_the_largest_prime_over_long_sums():
+    """All entries p - 1 at p = 65521 over summed lengths up to 4096."""
+    p = 65521
+    for summed in (1024, 4096):
+        x = np.full((3, summed), p - 1, dtype=np.int64)
+        y = np.full((summed, 2), p - 1, dtype=np.int64)
+        _check_tensordot(GF(p), x, y, 1)
+        _check_tensordot(GF(p), x.reshape(3, 4, summed // 4), y.reshape(4, summed // 4, 2), ([-2, 2], [0, 1]))
+
+
+def test_tensordot_rejects_mismatched_axes():
+    x, y = np.zeros((2, 3), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)
+    for axes in (([0], [0]), ([1], []), 3):
+        with pytest.raises(ValueError):
+            GF(5).tensordot(x, y, axes)
+
+
+@st.composite
+def tensordot_case(draw):
+    """A field, operands of random shape (zero-length axes and 0-d included)
+    and their ``axes``: an int, two lists, two tuples or a bare int per side,
+    each index possibly negative."""
+    field = draw(st.sampled_from(TENSORDOT_FIELDS))
+    form = draw(st.sampled_from(["int", "list", "tuple", "bare"]))
+    dims = st.lists(st.integers(0, 3), max_size=2)
+    free_x, free_y = draw(dims), draw(dims)
+    shared = [draw(st.integers(0, 3))] if form == "bare" else draw(dims)
+    if form == "int":
+        x_shape, y_shape, axes = free_x + shared, shared + free_y, len(shared)
+    else:
+        x_order = draw(st.permutations(range(len(free_x) + len(shared))))
+        y_order = draw(st.permutations(range(len(shared) + len(free_y))))
+        x_shape = [(free_x + shared)[i] for i in x_order]
+        y_shape = [(shared + free_y)[i] for i in y_order]
+        pairs = draw(st.permutations(range(len(shared))))
+        ax = [x_order.index(len(free_x) + k) - draw(st.sampled_from([0, len(x_shape)])) for k in pairs]
+        ay = [y_order.index(k) - draw(st.sampled_from([0, len(y_shape)])) for k in pairs]
+        axes = (ax[0], ay[0]) if form == "bare" else (ax, ay) if form == "list" else (tuple(ax), tuple(ay))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return field, _operand(field, tuple(x_shape), rng), _operand(field, tuple(y_shape), rng), axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensordot_case())
+def test_tensordot_matches_numpy_reference_on_random_shapes_and_axes(case):
+    _check_tensordot(*case)
+
+
+def test_every_planned_contraction_goes_through_tensordot(monkeypatch):
+    """The traced benchmark hooks ``Field.tensordot``: every contraction of a
+    route check and of a one-sided batch ``einsum`` reaches it, each plan
+    lookup from inside it.  The plan caches are bounded."""
+    calls = {"tensordot": 0, "contract": 0, "plan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    plan = fields._tensordot_plan
+    monkeypatch.setattr(Field, "tensordot", counted("tensordot", Field.tensordot))
+    monkeypatch.setattr(Field, "_contract", counted("contract", Field._contract))
+    monkeypatch.setattr(fields, "_tensordot_plan", counted("plan", plan))
+    f3 = GF(3)
+    assert direct_ok(GammaFamily.flip(kn_algebra(f3, 2), kn_algebra(f3, 3)))
+    routed = calls["tensordot"]
+    stack = np.arange(5 * 2 * 3 * 4).reshape(5, 2, 3, 4) % 3
+    f3.einsum("...ijk,kl->...ilj", stack, np.ones((4, 2), dtype=np.int64))
+    assert 0 < routed < calls["tensordot"]
+    assert calls["tensordot"] == calls["contract"] == calls["plan"]
+    assert plan.cache_info().maxsize is not None
+    assert fields._dot_plan.cache_info().maxsize is not None
+
+
 def _einsum_reference(spec, x, y):
     """Plain-loop ``np.einsum(spec, x, y)`` without ellipsis: one multiply and
     add per term, in whatever scalar type the operands hold."""
@@ -318,15 +457,17 @@ def _differ(field, u, v) -> bool:
 @st.composite
 def comparison_case(draw):
     """Two exact arrays with entries from one small pool, so that entries often
-    agree: over F_p residues 0, 1, p - 1 shifted by -2p..2p (non-canonical and
-    negative), over Q the ``RATIONALS``.  The right side has the left side's
+    agree: over F_p ``int64`` residues 0, 1, p - 1 shifted by k * p for small
+    and large k (values >= p and negative values, equal residues in distinct
+    entries), over Q the ``RATIONALS``.  The right side has the left side's
     shape or a shape that broadcasts against it."""
     field = draw(st.sampled_from([GF(2), GF(7), GF(65521), QQ]))
     if field.kind == "Q":
         values = RATIONALS
     else:
         residues = sorted({0, 1, field.p - 1})
-        values = st.builds(lambda r, k: r + k * field.p, st.sampled_from(residues), st.integers(-2, 2))
+        shifts = st.integers(-2, 2) | st.integers(-(2**40), 2**40)
+        values = st.builds(lambda r, k: r + k * field.p, st.sampled_from(residues), shifts)
     pool = draw(st.lists(values, min_size=1, max_size=3))
     shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
     y_shape = shape
@@ -353,6 +494,14 @@ def test_mismatch_equal_and_is_zero_match_per_entry_reference(case):
     assert out.tolist() == expected.tolist()
     assert field.equal(x, y) is field.equal(y, x) is (x.shape == y.shape and not expected.any())
     assert field.is_zero(x) is not any(_differ(field, u, field.zero) for u in x.ravel().tolist())
+    # against the scalar zero, and, over F_p, against the same residues written
+    # identically (no raw entry differs) and shifted by p (raw entries differ)
+    zero = np.array([_differ(field, u, field.zero) for u in x.ravel().tolist()], dtype=bool).reshape(x.shape)
+    same = [(field.zero, zero)] + ([(x.copy(), False), (x + field.p, False)] if field.kind == "Fp" else [])
+    for other, want in same:
+        for out in (field.mismatch(x, other), field.mismatch(other, x)):
+            assert out.dtype == bool and out.shape == x.shape
+            assert out.tolist() == np.broadcast_to(want, x.shape).tolist()
     # the same verdicts with either side, or both, in the cleared form of a check
     for cx, cy in ((field.cleared(x), y), (x, field.cleared(y)), (field.cleared(x), field.cleared(y))):
         assert field.mismatch(cx, cy).tolist() == expected.tolist()
