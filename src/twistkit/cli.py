@@ -62,25 +62,15 @@ def _cmd_validate_algebra(args) -> int:
     return _exit_for(report)
 
 
-_CHECKS = {
-    "direct": twisting.check_conditions_direct,
-    "rho": twisting.check_rho_representation,
-    "phi": twisting.check_phi_representation,
-    "rep": twisting.check_representations,
-    "oracle": twisting.oracle_check,
-}
-
-
 def _cmd_check_twisting(args) -> int:
     candidate = serialize.candidate_from_json(_read_json(args.input))
     if args.checker == "all":
-        reports = {name: fn(candidate.family) for name, fn in _CHECKS.items() if name != "rep"}
-        reports["rep"] = twisting.rep_report(reports["rho"], reports["phi"])
+        reports = twisting.route_reports(candidate.family, twisting.ROUTES)
         ok = all(r.ok for r in reports.values())
         payload = {"ok": ok, "reports": {k: serialize.report_to_json(r) for k, r in reports.items()}}
         _write_output(payload, args.out)
         return 0 if ok else 1
-    report = _CHECKS[args.checker](candidate.family)
+    report = twisting.route_reports(candidate.family, [args.checker])[args.checker]
     _write_output(serialize.report_to_json(report), args.out)
     return _exit_for(report)
 
@@ -285,11 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check-twisting", _cmd_check_twisting, "run twisting checkers on a candidate")
     p.add_argument("input", help="candidate JSON file")
-    p.add_argument(
-        "--checker",
-        choices=["direct", "rho", "phi", "rep", "oracle", "all"],
-        default="all",
-    )
+    p.add_argument("--checker", choices=[*twisting.ROUTES, "all"], default="all")
 
     p = add("build-product", _cmd_build_product, "build the twisted tensor product")
     p.add_argument("input", help="candidate JSON file")
@@ -317,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", _cmd_enumerate, "enumerate accepted candidates over a prime field")
     p.add_argument("--A", required=True, help="algebra JSON file for A")
     p.add_argument("--B", required=True, help="algebra JSON file for B")
-    p.add_argument("--checker", choices=["direct", "rep", "oracle", "all"], default="direct")
+    p.add_argument("--checker", choices=[*twisting.UNIT_FAMILIES, "all"], default="direct")
     p.add_argument("--from", dest="start", type=int, default=0)
     p.add_argument("--to", dest="to", type=int, default=None)
 

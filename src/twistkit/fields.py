@@ -18,9 +18,10 @@ summed length below 2**31; over Q one Python-int multiply and add per term,
 on numerators over common denominators.
 
 Over Q a checker keeps its arrays in cleared form from the grid to the
-comparison.  ``twisting._route`` (behind every route check and verdict) and
-``twisting.verify_faithful`` turn the gamma grid into Python-int numerators
-over one denominator once per check with ``Field.cleared``; a contraction
+comparison.  ``twisting.route_ok`` and ``twisting.route_reports`` (behind
+every route check and verdict) and ``twisting.verify_faithful`` turn the gamma
+grid into Python-int numerators over one denominator once per check with
+``Field.cleared``; a contraction
 with a cleared operand returns the cleared product (the denominators
 multiply), and ``Field.mismatch`` compares cleared sides by cross-multiplied
 numerators.  No ``Fraction`` is built inside a route: the cleared form leaves

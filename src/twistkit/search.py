@@ -7,26 +7,24 @@ most significant first.  Enumeration scans a half-open index range
 restarted from any index: enumerating contiguous ranges one after another
 and concatenating the results gives exactly the result of one run over
 their union.  A non-empty range that starts below 0 raises ``IndexError``;
-an empty one yields nothing.
+an empty one yields nothing.  Indices and bounds are ``int`` or numpy
+integers, never ``bool``; a grid to encode is exact and of ``grid_shape``.
 
 Only grids that can pass are visited.  Each route has unit families that
 are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit`` /
-``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``.  One
-pass of generators the routes themselves use (no formula is written twice,
-so the oracle stays independent) over the stack of the zero grid and the
-N = n^2 d^2 unit grids gives the linear system of those families.  For
-``rep`` and ``oracle`` these are the route generators, whose unit families
-come first; ``direct``'s system comes from its unit families alone
-(``twisting._direct_unit_pairs``, which ``_direct_pairs`` yields from around
-``direct.2``).  The system's exact solution set (``linalg.kernel_basis``) is
-an affine coset of F_p^N, expanded as digit rows and mapped to full-space
-indices.  Off the coset the route rejects by a unit family.
+``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``, yielded
+first by the generators ``twisting.UNIT_FAMILIES`` names (the routes' own, so
+no formula is written twice and the oracle stays independent).  One pass of
+them over the stack of the zero grid and the N = n^2 d^2 unit grids gives
+the linear system of those families.  Its exact solution set
+(``linalg.kernel_basis``) is an affine coset of F_p^N, expanded as digit rows
+and mapped to full-space indices.  Off the coset the route rejects.
 The coset points in range are evaluated in stacks of at most ``_CHUNK``
-grids, one ``pairs_ok`` verdict per route generator on the grids that passed
-the generators before it (``all`` chains ``direct``, ``rep`` and ``oracle``
-on the ``direct`` coset, which holds the conjunction).  ``cross_validate``
-runs the three routes on the union of the three cosets, off which the
-verdicts are unanimous by construction.
+grids, one ``pairs_ok`` verdict per generator of ``twisting.ROUTES`` on the
+grids that passed the generators before it (``all`` chains ``direct``,
+``rep`` and ``oracle`` on the ``direct`` coset, which holds the
+conjunction).  ``cross_validate`` runs the three routes on the union of the
+three cosets, off which the verdicts are unanimous by construction.
 
 ``MAX_CANDIDATES`` still bounds the full space, not the coset.
 """
@@ -34,21 +32,15 @@ verdicts are unanimous by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
-from .errors import FieldError, SearchSpaceTooLargeError
+from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError
 from .linalg import KMatrix, kernel_basis
 from .report import Failure, VerificationReport, pairs_ok
-from .twisting import (
-    GammaFamily,
-    _direct_pairs,
-    _direct_unit_pairs,
-    _oracle_pairs,
-    _phi_pairs,
-    _rho_pairs,
-)
+from .twisting import ROUTES, UNIT_FAMILIES, GammaFamily
 
 #: Hard guard on the number of candidates a space may hold.
 MAX_CANDIDATES = 1 << 24
@@ -57,16 +49,12 @@ MAX_CANDIDATES = 1 << 24
 #: the ``direct`` and ``oracle`` cosets are the whole space, up to the guard.
 _CHUNK = 4096
 
-#: Each route's family generators in verdict order, each with its unit-family tags.
-_ROUTES = {
-    "direct": ((_direct_pairs, ("direct.1", "direct.3")),),
-    "rep": ((_rho_pairs, ("rho.unit",)), (_phi_pairs, ("phi.unit",))),
-    "oracle": ((_oracle_pairs, ("oracle.chi-left-unit", "oracle.chi-right-unit")),),
-}
 
-#: The generator of a route generator's unit families where they do not come
-#: first: ``direct.2`` lies between ``direct.1`` and ``direct.3``.
-_UNIT_PAIRS = {_direct_pairs: _direct_unit_pairs}
+def _require_int(value, what: str):
+    """``value``, refused unless it is an integer: floats, and ``bool``, which is one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _place_values(p: int, length: int) -> np.ndarray:
@@ -115,13 +103,17 @@ class SearchSpace:
             )
 
     def gamma_of_index(self, index: int) -> np.ndarray:
+        _require_int(index, "index")
         if not 0 <= index < self.total:
             raise IndexError(f"index {index} out of range for {self.total} candidates")
         digits = (index // _place_values(self.p, self.free_entries)) % self.p
         return digits.astype(np.int64).reshape(self.grid_shape)
 
     def index_of_gamma(self, gamma: np.ndarray) -> int:
-        return int(self._indices(np.asarray(gamma).reshape(-1)))
+        grid = self.A.field.asarray(gamma)
+        if grid.shape != self.grid_shape:
+            raise DimensionMismatchError(f"gamma grid has shape {grid.shape}, not {self.grid_shape}")
+        return int(self._indices(grid.reshape(-1)))
 
     def _indices(self, digits: np.ndarray) -> np.ndarray:
         """Full-space indices of digit rows (the last axis holds the N digits)."""
@@ -137,13 +129,11 @@ def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.nda
     grids: digit rows (..., N) in, residual rows (..., R) out."""
     batch = digits.shape[:-1]
     G = digits.reshape(batch + space.grid_shape)
-    parts = []
-    for pairs, tags in _ROUTES[route]:
-        for tag, left, right in _UNIT_PAIRS.get(pairs, pairs)(space.A, space.B, G):
-            if tag in tags:
-                parts.append((left - right).reshape(batch + (-1,)))
-            if tag == tags[-1]:
-                break
+    parts = [
+        (left - right).reshape(batch + (-1,))
+        for pairs, count in UNIT_FAMILIES[route]
+        for _, left, right in islice(pairs(space.A, space.B, G), count)
+    ]
     return space.A.field.reduce(np.concatenate(parts, axis=-1))
 
 
@@ -172,7 +162,8 @@ def _coset(space: SearchSpace, route: str) -> np.ndarray:
 def _stacks(space: SearchSpace, routes, start: int, stop: int | None):
     """(indices, grids), ascending and at most ``_CHUNK`` at a time, of every
     grid in [start, stop) passing the unit families of one of ``routes``."""
-    stop = space.total if stop is None else min(stop, space.total)
+    _require_int(start, "start")
+    stop = space.total if stop is None else min(_require_int(stop, "stop"), space.total)
     if start >= stop:
         return
     if start < 0:
@@ -185,14 +176,15 @@ def _stacks(space: SearchSpace, routes, start: int, stop: int | None):
         yield indices[lo : lo + _CHUNK], grids[lo : lo + _CHUNK]
 
 
-def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, generators, G: np.ndarray) -> np.ndarray:
+def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) -> np.ndarray:
     """One boolean per grid of the stack G (batch shape ``G.shape[:-4]``):
-    every family of every generator holds.  Each generator runs only on the
-    grids that passed the ones before it."""
+    every family of every generator of ``routes`` holds.  Each generator runs
+    only on the grids that passed the ones before it."""
     ok = np.ones(G.shape[:-4], dtype=bool)
-    for pairs, _ in generators:
-        live = np.nonzero(ok)
-        ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
+    for route in routes:
+        for pairs in ROUTES[route]:
+            live = np.nonzero(ok)
+            ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
     return ok
 
 
@@ -210,14 +202,14 @@ def enumerate_space(
     """
     space.guard()
     if checker == "all":
-        route, generators = "direct", sum(_ROUTES.values(), ())
-    elif checker in _ROUTES:
-        route, generators = checker, _ROUTES[checker]
+        route, routes = "direct", tuple(UNIT_FAMILIES)
+    elif checker in UNIT_FAMILIES:
+        route, routes = checker, (checker,)
     else:
         raise ValueError(f"unknown checker {checker!r}")
     accepted = []
     for indices, G in _stacks(space, (route,), start, stop):
-        accepted += indices[_verdict(space.A, space.B, generators, G)].tolist()
+        accepted += indices[_verdict(space.A, space.B, routes, G)].tolist()
     return accepted
 
 
@@ -235,8 +227,8 @@ def cross_validate(
     rejects every grid outside it.
     """
     space.guard()
-    for indices, G in _stacks(space, tuple(_ROUTES), start, stop):
-        verdicts = np.array([_verdict(space.A, space.B, route, G) for route in _ROUTES.values()])
+    for indices, G in _stacks(space, tuple(UNIT_FAMILIES), start, stop):
+        verdicts = np.array([_verdict(space.A, space.B, (route,), G) for route in UNIT_FAMILIES])
         split = np.flatnonzero((verdicts != verdicts[0]).any(axis=0))
         if split.size:
             direct, rep, oracle = verdicts[:, split[0]].tolist()

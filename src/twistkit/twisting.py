@@ -16,6 +16,10 @@ Three independent routes decide whether ``chi`` is a twisting map:
   B (x) A unconditionally and test associativity, units and the canonical
   inclusions.
 
+``ROUTES`` lists each route's family generators (``rep`` is ``rho`` then
+``phi``) and ``UNIT_FAMILIES`` the affine unit families of the three
+independent routes; every check, verdict and search route derives from them.
+
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
 """
@@ -122,13 +126,6 @@ def _require_verified(c: TwistingCandidate, what: str) -> GammaFamily:
     return c.family
 
 
-def _route(c, pairs) -> tuple:
-    """The field of a candidate and the family generator ``pairs`` on its grid,
-    cleared once for the whole check (``Field.cleared``)."""
-    family = _family_of(c)
-    return family.field, pairs(family.A, family.B, family.field.cleared(family.gamma))
-
-
 def certify(c) -> TwistingCandidate:
     """Run the structure-constant checker and set the verified flag from it."""
     family = _family_of(c)
@@ -232,17 +229,17 @@ def check_conditions_direct(c) -> VerificationReport:
     Condition tags ``direct.1`` .. ``direct.4``; conditions quantified over A
     are checked on basis pairs, which suffices by bilinearity.
     """
-    return pairs_report(*_route(c, _direct_pairs))
+    return route_reports(c, ["direct"])["direct"]
 
 
 def direct_ok(c) -> bool:
-    return pairs_ok(*_route(c, _direct_pairs))
+    return route_ok("direct", c)
 
 
 def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
     """Per-condition booleans (1, 2, 3, 4), each fully evaluated."""
-    field, pairs = _route(c, _direct_pairs)
-    return tuple(pairs_ok(field, [family]) for family in pairs)
+    failed = check_conditions_direct(c).conditions()
+    return tuple(f"direct.{k}" not in failed for k in range(1, 5))
 
 
 # -- route 2a: End-valued representation ---------------------------------------
@@ -290,11 +287,7 @@ def check_rho_representation(c) -> VerificationReport:
     Equivalent to conditions (3) and (4) of the direct route; entry products
     are compositions of endomorphisms.
     """
-    return pairs_report(*_route(c, _rho_pairs))
-
-
-def rho_ok(c) -> bool:
-    return pairs_ok(*_route(c, _rho_pairs))
+    return route_reports(c, ["rho"])["rho"]
 
 
 # -- route 2b: A-valued representation -----------------------------------------
@@ -324,25 +317,7 @@ def check_phi_representation(c) -> VerificationReport:
 
     Equivalent to conditions (1) and (2) of the direct route.
     """
-    return pairs_report(*_route(c, _phi_pairs))
-
-
-def phi_ok(c) -> bool:
-    return pairs_ok(*_route(c, _phi_pairs))
-
-
-def rep_ok(c) -> bool:
-    """Combined representation-route verdict."""
-    return rho_ok(c) and phi_ok(c)
-
-
-def rep_report(rho: VerificationReport, phi: VerificationReport) -> VerificationReport:
-    """The representation-route report: the rho failures, then the phi failures."""
-    return VerificationReport.from_failures(rho.failures + phi.failures)
-
-
-def check_representations(c) -> VerificationReport:
-    return rep_report(check_rho_representation(c), check_phi_representation(c))
+    return route_reports(c, ["phi"])["phi"]
 
 
 # -- twisted product ------------------------------------------------------------
@@ -456,11 +431,56 @@ def oracle_check(c) -> VerificationReport:
     that both canonical inclusions are algebra morphisms, and the
     factorization property.
     """
-    return pairs_report(*_route(c, _oracle_pairs))
+    return route_reports(c, ["oracle"])["oracle"]
 
 
-def oracle_ok(c) -> bool:
-    return pairs_ok(*_route(c, _oracle_pairs))
+# -- the route table ---------------------------------------------------------------
+
+#: Each route's family generators; their order is the report and verdict order.
+ROUTES = {
+    "direct": (_direct_pairs,),
+    "rho": (_rho_pairs,),
+    "phi": (_phi_pairs,),
+    "rep": (_rho_pairs, _phi_pairs),
+    "oracle": (_oracle_pairs,),
+}
+
+#: The affine unit families of each independent route: each generator with how
+#: many families it yields first.  ``direct.2`` lies between ``direct.1`` and
+#: ``direct.3``, so ``direct`` names the generator of those two alone.
+UNIT_FAMILIES = {
+    "direct": ((_direct_unit_pairs, 2),),
+    "rep": ((_rho_pairs, 1), (_phi_pairs, 1)),
+    "oracle": ((_oracle_pairs, 2),),
+}
+
+
+def route_pairs(route: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """Every family of the route, lazily and in report order, on one grid or a
+    stack G of shape (..., n, n, d, d)."""
+    for pairs in ROUTES[route]:
+        yield from pairs(A, B, G)
+
+
+def route_ok(route: str, c) -> bool:
+    """The route's verdict on one candidate; it stops at the first failing family."""
+    family = _family_of(c)
+    field = family.field
+    return pairs_ok(field, route_pairs(route, family.A, family.B, field.cleared(family.gamma)))
+
+
+def route_reports(c, routes) -> dict[str, VerificationReport]:
+    """The report of each of ``routes`` on one candidate, in the order given.
+    The grid is cleared once and each distinct generator runs once: the ``rep``
+    report is the ``rho`` failures, then the ``phi`` failures."""
+    family = _family_of(c)
+    field, G = family.field, family.field.cleared(family.gamma)
+    generators = dict.fromkeys(pairs for route in routes for pairs in ROUTES[route])
+    failures = {g: pairs_report(field, g(family.A, family.B, G)).failures for g in generators}
+    return {
+        route: VerificationReport.from_failures(f for pairs in ROUTES[route] for f in failures[pairs])
+        for route in routes
+    }
 
 
 # -- the faithful representation -------------------------------------------------

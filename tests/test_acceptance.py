@@ -56,10 +56,7 @@ from twistkit.twisting import (
     _rho_pairs,
     direct_condition_flags,
     direct_ok,
-    oracle_ok,
-    phi_ok,
-    rep_ok,
-    rho_ok,
+    route_ok,
 )
 
 F2 = GF(2)
@@ -108,7 +105,7 @@ def sweep22(space22):
     accepted = np.flatnonzero(direct).tolist()
     sample = set(random.Random(22).sample(range(space22.total), 512)) | set(accepted)
     scalar_sample_ok = all(
-        (*direct_condition_flags(fam), phi_ok(fam), rho_ok(fam), oracle_ok(fam)) == tuple(flags[:, i])
+        (*direct_condition_flags(fam), route_ok("phi", fam), route_ok("rho", fam), route_ok("oracle", fam)) == tuple(flags[:, i])
         for i, fam in ((i, space22.family_at(i)) for i in sorted(sample))
     )
     return {
@@ -281,7 +278,7 @@ def test_criterion_6_truncated_sweep(trunc_accepted):
             for r2 in endos:
                 cand = truncated_from_first_row(a, 3, [r0, r1, r2])
                 verdict = direct_ok(cand.family)
-                assert verdict == oracle_ok(cand.family)
+                assert verdict == route_ok("oracle", cand.family)
                 accepted += verdict
     elapsed = time.monotonic() - started
     assert accepted == N_TRUNC_DERIVED == len(trunc_accepted)
@@ -307,7 +304,7 @@ def test_criterion_7_extensions(space22, sweep22, trunc_accepted):
         n, m = theta.B.dim, ups.B.dim
         fam = psi.family
         assert psi.verified
-        assert rep_ok(fam) and oracle_ok(fam)
+        assert route_ok("rep", fam) and route_ok("oracle", fam)
         assert restrict(fam, "B", n) == theta.family
         assert restrict(fam, "C", n) == ups.family
         assert F2.is_zero(fam.gamma[n:, :n])  # upper-right corner of the A-matrix
@@ -359,7 +356,7 @@ def test_criterion_7_extensions(space22, sweep22, trunc_accepted):
         if not (direct_ok(theta) and direct_ok(ups)):
             continue
         cross_zero = F2.is_zero(fam.gamma[:2, 2:]) and F2.is_zero(fam.gamma[2:, :2])
-        is_twisting = direct_ok(fam) and oracle_ok(fam)
+        is_twisting = direct_ok(fam) and route_ok("oracle", fam)
         assert is_twisting == cross_zero
         if is_twisting:
             assert direct_sum(certify(theta), certify(ups)).family == fam

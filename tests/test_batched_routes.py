@@ -19,16 +19,14 @@ from twistkit import search as search_mod
 from twistkit.fields import Field
 from twistkit.report import pairs_ok
 from twistkit.twisting import (
+    ROUTES,
+    UNIT_FAMILIES,
     _direct_pairs,
     _oracle_pairs,
     _phi_pairs,
     _rho_pairs,
-    direct_ok,
-    oracle_ok,
-    rep_ok,
+    route_ok,
 )
-
-SCALAR_VERDICTS = {"direct": direct_ok, "rep": rep_ok, "oracle": oracle_ok}
 
 GENERATORS = {
     "direct": _direct_pairs,
@@ -83,7 +81,7 @@ def test_batched_generator_slices_equal_scalar_generator(field, route):
                         assert all(isinstance(v, Fraction) for v in sliced.flat)
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
+@pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 def test_unit_residual_rows_equal_single_grid_residuals(route):
     rng = np.random.default_rng(5)
     for field in (GF(2), GF(5)):
@@ -120,18 +118,18 @@ def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(65521), QQ], ids=["F2", "F3", "F65521", "Q"])
-@pytest.mark.parametrize("route", sorted(SCALAR_VERDICTS))
+@pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 def test_stack_verdict_slices_equal_scalar_verdict(field, route):
     rng = np.random.default_rng(13)
     for A, B in _pairs_of_algebras(field):
         stack = _stack(field, A, B, rng)
-        ok = search_mod._verdict(A, B, search_mod._ROUTES[route], stack)
+        ok = search_mod._verdict(A, B, (route,), stack)
         assert ok.shape == BATCH and ok[0, 0]
         for b in np.ndindex(*BATCH):
-            assert ok[b] == SCALAR_VERDICTS[route](GammaFamily(A, B, stack[b])), (route, b)
+            assert ok[b] == route_ok(route, GammaFamily(A, B, stack[b])), (route, b)
 
 
-@pytest.mark.parametrize("route", sorted(SCALAR_VERDICTS))
+@pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 def test_stack_failing_the_first_family_costs_that_family(monkeypatch, route):
     """Every grid of the stack fails the route's first family: the verdict
     builds that family and no other, and an empty stack builds none."""
@@ -145,8 +143,7 @@ def test_stack_failing_the_first_family_costs_that_family(monkeypatch, route):
         return original(self, contract, x, y)
 
     monkeypatch.setattr(Field, "_contract", counted)
-    generators = search_mod._ROUTES[route]
-    first = generators[0][0]
+    first = ROUTES[route][0]
     for A, B in _pairs_of_algebras(field):
         stack = _stack(field, A, B, rng).reshape((-1, B.dim, B.dim, A.dim, A.dim))
         family = next(first(A, B, stack))
@@ -156,8 +153,8 @@ def test_stack_failing_the_first_family_costs_that_family(monkeypatch, route):
         next(first(A, B, stack))
         expected = len(calls)
         calls.clear()
-        assert not search_mod._verdict(A, B, generators, stack).any()
+        assert not search_mod._verdict(A, B, (route,), stack).any()
         assert len(calls) == expected > 0
         calls.clear()
-        empty = search_mod._verdict(A, B, generators, stack[:0])
+        empty = search_mod._verdict(A, B, (route,), stack[:0])
         assert empty.shape == (0,) and calls == []

@@ -30,7 +30,7 @@ from twistkit import (
     truncated_from_first_row,
     truncated_poly_algebra,
 )
-from twistkit.twisting import direct_ok, oracle_ok
+from twistkit.twisting import direct_ok, route_ok
 
 F2 = GF(2)
 F3 = GF(3)
@@ -92,7 +92,7 @@ def test_ncd_idempotency_of_delta_is_not_redundant():
         assert "ncd.1" in tags
         assert tags.isdisjoint({"ncd.2", "ncd.4", "ncd.5", "ncd.6", "ncd.7"})
         assert not direct_ok(make_ncd(a, f, delta).family)
-        assert not oracle_ok(make_ncd(a, f, delta).family)
+        assert not route_ok("oracle", make_ncd(a, f, delta).family)
 
 
 def test_ncd_implications_on_sampled_pairs():
@@ -271,7 +271,7 @@ def test_truncated_derivation_from_first_row_matches_oracle():
     for row in rows:
         cand = truncated_from_first_row(a, 3, row)
         verdict = direct_ok(cand.family)
-        assert verdict == oracle_ok(cand.family)
+        assert verdict == route_ok("oracle", cand.family)
         assert verdict == truncated_conditions(a, 3, cand.family.gamma).ok
         accepted += verdict
     assert accepted > 0

@@ -166,18 +166,10 @@ def test_no_cleared_array_leaves_a_public_function():
     G = c.family.gamma.copy()
     G[0, 1, 1, 0] += Fraction(1, 3)
     bad = GammaFamily(c.A, c.B, G)
-    verdicts = [twisting.direct_ok(bad), twisting.rho_ok(bad), twisting.phi_ok(bad), twisting.oracle_ok(bad)]
+    verdicts = [twisting.direct_ok(bad)] + [twisting.route_ok(route, bad) for route in twisting.ROUTES]
     assert all(type(v) is bool for v in verdicts + list(twisting.direct_condition_flags(bad)))
     assert not any(verdicts) and not certify(bad).verified
-    checks = (
-        twisting.check_conditions_direct,
-        twisting.check_rho_representation,
-        twisting.check_phi_representation,
-        twisting.check_representations,
-        twisting.oracle_check,
-    )
-    for check in checks:
-        report = check(bad)
-        assert not report.ok, check.__name__
+    for route, report in twisting.route_reports(bad, twisting.ROUTES).items():
+        assert not report.ok, route
         for failure in report.failures:
-            assert _canonical(failure.left) and _canonical(failure.right), (check.__name__, failure)
+            assert _canonical(failure.left) and _canonical(failure.right), (route, failure)

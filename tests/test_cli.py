@@ -324,20 +324,70 @@ def test_parser_is_built_once_per_process(dup_file, ncd_file, bad_ncd_file, tmp_
 
 
 def test_check_twisting_all_runs_each_representation_once(ncd_file, bad_ncd_file, tmp_path, monkeypatch):
-    """``--checker all`` builds the rep report from the rho and phi reports."""
+    """``--checker all`` runs each generator of the route table once: the rep
+    report is the rho failures, then the phi failures."""
     runs = []
-    for name in ("_rho_pairs", "_phi_pairs"):
 
-        def counted(*args, _name=name, _original=getattr(twisting, name)):
-            runs.append(_name)
-            return _original(*args)
+    def counting(pairs):
+        def counted(*args):
+            runs.append(pairs.__name__)
+            return pairs(*args)
 
-        monkeypatch.setattr(twisting, name, counted)
+        return counted
+
+    counted = {pairs: counting(pairs) for table in twisting.ROUTES.values() for pairs in table}
+    for route, table in list(twisting.ROUTES.items()):
+        monkeypatch.setitem(twisting.ROUTES, route, tuple(counted[pairs] for pairs in table))
     out = str(tmp_path / "verdict.json")
     for path, code in ((ncd_file, 0), (bad_ncd_file, 1)):
         runs.clear()
         assert main(["check-twisting", path, "--out", out]) == code
-        assert sorted(runs) == ["_phi_pairs", "_rho_pairs"]
+        assert sorted(runs) == ["_direct_pairs", "_oracle_pairs", "_phi_pairs", "_rho_pairs"]
         reports = read(out)["reports"]
         joined = reports["rho"]["failures"] + reports["phi"]["failures"]
         assert reports["rep"] == {"failures": joined, "ok": not joined}
+
+
+def _f2_candidate_files(tmp_path):
+    a = kn_algebra(F2, 2)
+    flip = twisting.GammaFamily.flip(a, a)
+    grid = [[[[1, 0], [0, 1]], [[0, 0], [1, 0]]], [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]]
+    bad = twisting.GammaFamily(a, a, F2.asarray(grid))
+    return {
+        "f2-flip": (write(tmp_path, "f2_flip.json", serialize.candidate_to_json(flip)), 0),
+        "f2-bad": (write(tmp_path, "f2_bad.json", serialize.candidate_to_json(bad)), 1),
+    }
+
+
+def test_each_checker_prints_its_report_of_checker_all(ncd_file, bad_ncd_file, tmp_path):
+    """``--checker X`` writes exactly ``reports[X]`` of ``--checker all``, for
+    every route of the table, on accepted and rejected candidates over F_2 and Q."""
+    files = {"q-ncd": (ncd_file, 0), "q-bad": (bad_ncd_file, 1), **_f2_candidate_files(tmp_path)}
+    out = str(tmp_path / "verdict.json")
+    for name, (path, code) in files.items():
+        assert main(["check-twisting", path, "--checker", "all", "--out", out]) == code, name
+        reports = read(out)["reports"]
+        assert list(reports) == sorted(twisting.ROUTES)
+        for route in twisting.ROUTES:
+            single = main(["check-twisting", path, "--checker", route, "--out", out])
+            assert read(out) == reports[route], (name, route)
+            assert single == (0 if reports[route]["ok"] else 1), (name, route)
+        assert {r["ok"] for r in reports.values()} == {code == 0}, name
+
+
+def test_check_twisting_all_clears_the_grid_once(ncd_file, bad_ncd_file, tmp_path, monkeypatch):
+    from twistkit.fields import Field
+
+    calls = []
+    original = Field.cleared
+
+    def counted(self, x):
+        calls.append(self.kind)
+        return original(self, x)
+
+    monkeypatch.setattr(Field, "cleared", counted)
+    out = str(tmp_path / "verdict.json")
+    for path, code in ((ncd_file, 0), (bad_ncd_file, 1)):
+        calls.clear()
+        assert main(["check-twisting", path, "--checker", "all", "--out", out]) == code
+        assert calls == ["Q"]

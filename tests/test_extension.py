@@ -24,7 +24,7 @@ from twistkit import (
     split_blocks,
 )
 from twistkit.search import SearchSpace
-from twistkit.twisting import check_phi_representation, check_rho_representation, direct_ok, oracle_ok
+from twistkit.twisting import check_phi_representation, check_rho_representation, direct_ok, route_ok
 
 F2 = GF(2)
 F3 = GF(3)
@@ -201,7 +201,6 @@ def test_lemma_blocks_match_checkers_exhaustively():
     """D = K x K with n = m = 1, A = K^2 over F_2: the full 65536-candidate
     space, block criterion versus combined representation checkers."""
     from twistkit.extension import lemma_blocks_ok
-    from twistkit.twisting import phi_ok, rho_ok
 
     a = kn_algebra(F2, 2)
     d_alg = direct_product(kn_algebra(F2, 1), kn_algebra(F2, 1))
@@ -210,7 +209,7 @@ def test_lemma_blocks_match_checkers_exhaustively():
     agreements = 0
     for idx in range(space.total):
         fam = space.family_at(idx)
-        assert lemma_blocks_ok(fam, 1) == (rho_ok(fam) and phi_ok(fam)), idx
+        assert lemma_blocks_ok(fam, 1) == (route_ok("rho", fam) and route_ok("phi", fam)), idx
         agreements += 1
     assert agreements == space.total
 
@@ -252,7 +251,7 @@ def test_sum_decomposition_exhaustive_k3():
             continue
         cross_zero = F2.is_zero(fam.gamma[:n, n:]) and F2.is_zero(fam.gamma[n:, :n])
         is_twisting = direct_ok(fam)
-        assert is_twisting == oracle_ok(fam)
+        assert is_twisting == route_ok("oracle", fam)
         assert is_twisting == cross_zero, idx
         if is_twisting:
             rebuilt = direct_sum(certify(theta), certify(ups))
@@ -279,7 +278,7 @@ def test_extension_stages_match_oracle_exhaustively():
         fam = space.family_at(idx)
         if not direct_ok(restrict(fam, "B", 2)):
             continue
-        verdict = oracle_ok(fam)
+        verdict = route_ok("oracle", fam)
         assert check_extension_given_theta(fam, 2).ok == verdict, idx
         assert check_extension_given_theta(fam, 2, require_gamma01_zero=False).ok == verdict, idx
         checked += 1
@@ -293,7 +292,7 @@ def test_extension_stages_match_oracle_exhaustively():
         fam = space2.family_at(idx)
         if not direct_ok(restrict(fam, "B", 1)):
             continue
-        verdict = oracle_ok(fam)
+        verdict = route_ok("oracle", fam)
         assert check_extension_given_theta(fam, 1).ok == verdict, idx
         assert check_extension_given_theta(fam, 1, require_gamma01_zero=False).ok == verdict, idx
         checked2 += 1

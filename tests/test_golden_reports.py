@@ -51,7 +51,6 @@ from twistkit import (
     qdup_conditions,
     qdup_predicate,
     mat_inverse,
-    oracle_check,
     rebase,
     serialize,
     truncated_conditions,
@@ -63,7 +62,7 @@ from twistkit import (
 from twistkit.basischange import identity_morphism
 from twistkit.cli import main
 from twistkit.extension import lemma_blocks_ok
-from twistkit.twisting import check_representations, direct_ok, oracle_ok, phi_ok, rep_ok, rho_ok
+from twistkit.twisting import ROUTES, route_ok, route_reports
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -517,17 +516,13 @@ def test_extend_blocks_stdout_matches_golden():
 
 
 def test_fast_verdicts_match_reports():
-    """Every lazy verdict equals ``.ok`` of the report over the same families."""
-    route_checks = (
-        (direct_ok, check_conditions_direct),
-        (rho_ok, check_rho_representation),
-        (phi_ok, check_phi_representation),
-        (rep_ok, check_representations),
-        (oracle_ok, oracle_check),
-    )
-    for fam in _route_families().values():
-        for fast, full in route_checks:
-            assert fast(fam) == full(fam).ok, (fast.__name__, fam)
+    """Every lazy verdict equals ``.ok`` of the report over the same families,
+    on every route of the table, over F_p and Q."""
+    families = _route_families()
+    assert {fam.field.kind for fam in families.values()} == {"Fp", "Q"}
+    for name, fam in families.items():
+        for route in ROUTES:
+            assert route_ok(route, fam) == route_reports(fam, [route])[route].ok, (route, name)
     ncd, qdup = _duplicate_inputs()
     verdicts = [(ncd_predicate(*args), ncd_conditions(*args).ok) for args in ncd.values()]
     verdicts += [(qdup_predicate(*args), qdup_conditions(*args).ok) for args in qdup.values()]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from twistkit import (
     truncated_poly_algebra,
     validate_algebra,
 )
-from twistkit.twisting import direct_condition_flags, direct_ok, oracle_ok, rep_ok
+from twistkit.twisting import UNIT_FAMILIES, direct_condition_flags, direct_ok, route_ok
 from twistkit import search as search_mod
-from twistkit.errors import FieldError
+from twistkit.errors import DimensionMismatchError, FieldError
 
 F2 = GF(2)
 F3 = GF(3)
@@ -49,11 +50,12 @@ def _presentations(field):
     }
 
 
-def _all_ok(fam):
-    return direct_ok(fam) and rep_ok(fam) and oracle_ok(fam)
+def _scalar_verdict(checker):
+    routes = UNIT_FAMILIES if checker == "all" else [checker]
+    return lambda fam: all(route_ok(route, fam) for route in routes)
 
 
-_VERDICTS = {"direct": direct_ok, "rep": rep_ok, "oracle": oracle_ok, "all": _all_ok}
+_VERDICTS = {checker: _scalar_verdict(checker) for checker in [*UNIT_FAMILIES, "all"]}
 
 
 def test_one_dimensional_space_accepts_only_identity():
@@ -248,7 +250,7 @@ def test_coset_walk_matches_brute_force_on_f2_slices(a_name, b_name):
     flip_idx = space.index_of_gamma(GammaFamily.flip(space.A, space.B).gamma)
     for lo in (rng.randrange(space.total // 2048) * 2048, flip_idx // 2048 * 2048):
         hi = lo + 2048
-        flags = {i: (direct_ok(f), rep_ok(f), oracle_ok(f))
+        flags = {i: (direct_ok(f), route_ok("rep", f), route_ok("oracle", f))
                  for i, f in ((i, space.family_at(i)) for i in range(lo, hi))}
         expected = {
             "direct": [i for i, v in flags.items() if v[0]],
@@ -265,11 +267,11 @@ def _corrupt(monkeypatch, space, corruptions):
     """Flip each route's stack verdict on the grids at the given indices."""
     true_verdict = search_mod._verdict
 
-    def corrupted(A, B, generators, G):
-        verdict = true_verdict(A, B, generators, G)
+    def corrupted(A, B, routes, G):
+        verdict = true_verdict(A, B, routes, G)
         indices = space._indices(G.reshape(G.shape[:-4] + (-1,)))
         for route, flipped in corruptions.items():
-            if generators == search_mod._ROUTES[route]:
+            if routes == (route,):
                 verdict = verdict ^ np.isin(indices, list(flipped))
         return verdict
 
@@ -282,7 +284,7 @@ def _first_disagreement(space, lo, hi, corruptions=None):
     corruptions = corruptions or {}
     for i in range(lo, hi):
         fam = space.family_at(i)
-        verdicts = {"direct": direct_ok(fam), "rep": rep_ok(fam), "oracle": oracle_ok(fam)}
+        verdicts = {"direct": direct_ok(fam), "rep": route_ok("rep", fam), "oracle": route_ok("oracle", fam)}
         if len({v ^ (i in corruptions.get(route, ())) for route, v in verdicts.items()}) != 1:
             return i
     return None
@@ -347,7 +349,7 @@ def _route_spaces():
     return spaces
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
+@pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 def test_unit_families_are_affine(route):
     rng = np.random.default_rng(7)
     for space in _route_spaces():
@@ -365,7 +367,7 @@ def test_unit_families_are_affine(route):
             assert (left == right).all(), (route, p)
 
 
-@pytest.mark.parametrize("route", sorted(search_mod._ROUTES))
+@pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 @pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
 def test_coset_is_the_set_passing_the_unit_families(route, name):
     space = _small_spaces()[name]
@@ -452,5 +454,65 @@ def test_zero_units_walk_the_whole_space_in_partial_chunks(monkeypatch):
         fam = space.family_at(witness)
         failure = report.failures[0]
         assert failure.witness == (witness,)
-        assert failure.left == f"direct={direct_ok(fam)} rep={rep_ok(fam)} oracle={oracle_ok(fam)}"
+        direct, rep, oracle = (route_ok(route, fam) for route in UNIT_FAMILIES)
+        assert failure.left == f"direct={direct} rep={rep} oracle={oracle}"
         assert failure.right == F3.format_array(fam.gamma)
+
+
+# -- the index codec refuses inexact input ---------------------------------------------------
+
+
+_CODEC_SPACE = SearchSpace(kn_algebra(F2, 2), kn_algebra(F2, 2))
+_GRID = _CODEC_SPACE.gamma_of_index(20681)
+
+
+@pytest.mark.parametrize(
+    "grid, error",
+    [
+        (_GRID.astype(float) + 0.5, FieldError),
+        (_GRID.astype(float), FieldError),
+        (_GRID.astype(bool), FieldError),
+        (_GRID.astype(str), FieldError),
+        ((_GRID + 0.5).tolist(), FieldError),
+        (_GRID.astype(bool).tolist(), FieldError),
+        (_GRID.reshape(-1), DimensionMismatchError),
+        (_GRID.reshape(4, 4), DimensionMismatchError),
+        (_GRID[:1], DimensionMismatchError),
+    ],
+    ids=["float", "integral-float", "bool", "str", "float-list", "bool-list", "flat", "4x4", "short"],
+)
+def test_index_of_gamma_refuses_inexact_or_misshapen_grids(grid, error):
+    with pytest.raises(error):
+        _CODEC_SPACE.index_of_gamma(grid)
+
+
+def test_index_of_gamma_accepts_exact_grids():
+    for grid in (_GRID, _GRID.tolist(), _GRID.astype(np.uint8), _GRID + 2):
+        assert _CODEC_SPACE.index_of_gamma(grid) == 20681
+
+
+_BAD_INDICES = [3.5, 3.0, np.float64(3), True, np.bool_(False), "3", Fraction(3)]
+_BAD_IDS = ["float", "integral-float", "np-float", "bool", "np-bool", "str", "fraction"]
+
+
+@pytest.mark.parametrize("index", _BAD_INDICES, ids=_BAD_IDS)
+def test_gamma_of_index_refuses_non_integers(index):
+    with pytest.raises(TypeError, match="index must be an integer"):
+        _CODEC_SPACE.gamma_of_index(index)
+
+
+@pytest.mark.parametrize("bound", ["start", "stop"])
+@pytest.mark.parametrize("value", _BAD_INDICES, ids=_BAD_IDS)
+def test_range_bounds_refuse_non_integers(bound, value):
+    with pytest.raises(TypeError, match=f"{bound} must be an integer"):
+        enumerate_space(_CODEC_SPACE, "direct", **{bound: value})
+    with pytest.raises(TypeError, match=f"{bound} must be an integer"):
+        cross_validate(_CODEC_SPACE, **{bound: value})
+
+
+def test_numpy_integers_index_the_space():
+    assert (_CODEC_SPACE.gamma_of_index(np.int64(20681)) == _GRID).all()
+    assert (_CODEC_SPACE.gamma_of_index(np.uint16(20681)) == _GRID).all()
+    lo, hi = np.int32(20000), np.int64(21000)
+    assert enumerate_space(_CODEC_SPACE, "direct", start=lo, stop=hi) == [20681]
+    assert cross_validate(_CODEC_SPACE, start=lo, stop=hi).ok

@@ -1,8 +1,11 @@
 import random
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistkit
 from twistkit import (
     EndoMatrix,
     GF,
@@ -34,7 +37,7 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
-from twistkit.twisting import direct_ok, oracle_ok, phi_ok, rep_ok, rho_ok
+from twistkit.twisting import ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs
 
 F3 = GF(3)
 F5 = GF(5)
@@ -215,7 +218,7 @@ def test_rho_route_equals_duplicate_conditions_123():
         report = ncd_conditions(a, f, delta)
         tags = report.conditions()
         first_three = not ({"ncd.1", "ncd.2", "ncd.3"} & tags)
-        assert rho_ok(fam) == first_three
+        assert route_ok("rho", fam) == first_three
 
 
 def test_phi_route_equals_duplicate_conditions_4567():
@@ -224,28 +227,28 @@ def test_phi_route_equals_duplicate_conditions_4567():
         report = ncd_conditions(a, f, delta)
         tags = report.conditions()
         last_four = not ({"ncd.4", "ncd.5", "ncd.6", "ncd.7"} & tags)
-        assert phi_ok(fam) == last_four
+        assert route_ok("phi", fam) == last_four
 
 
 def test_condition_partition_on_random_grids():
     for fam in seeded_families(F3, 150):
         c1, c2, c3, c4 = direct_condition_flags(fam)
-        assert phi_ok(fam) == (c1 and c2)
-        assert rho_ok(fam) == (c3 and c4)
+        assert route_ok("phi", fam) == (c1 and c2)
+        assert route_ok("rho", fam) == (c3 and c4)
         assert direct_ok(fam) == (c1 and c2 and c3 and c4)
 
 
 def test_three_routes_agree_on_random_grids():
     for fam in seeded_families(F3, 120, seed=7):
-        assert direct_ok(fam) == rep_ok(fam) == oracle_ok(fam)
+        assert direct_ok(fam) == route_ok("rep", fam) == route_ok("oracle", fam)
     for fam in seeded_families(F5, 60, seed=8):
-        assert direct_ok(fam) == rep_ok(fam) == oracle_ok(fam)
+        assert direct_ok(fam) == route_ok("rep", fam) == route_ok("oracle", fam)
 
 
 def test_three_routes_agree_on_structured_duplicates():
     for a, f, delta in seeded_ncd_pairs(F3, 150, seed=903):
         fam = ncd_family(F3, f, delta)
-        assert direct_ok(fam) == rep_ok(fam) == oracle_ok(fam)
+        assert direct_ok(fam) == route_ok("rep", fam) == route_ok("oracle", fam)
 
 
 def test_three_routes_agree_over_the_rationals():
@@ -267,7 +270,7 @@ def test_three_routes_agree_over_the_rationals():
     accepted = 0
     for fam in fams:
         verdict = direct_ok(fam)
-        assert verdict == rep_ok(fam) == oracle_ok(fam)
+        assert verdict == route_ok("rep", fam) == route_ok("oracle", fam)
         accepted += verdict
     assert accepted > 0
 
@@ -451,9 +454,9 @@ _UNIT_OK_NOT_MULT = [[[[0, 1], [0, 1]], [[1, 1], [0, 0]]], [[[1, 1], [0, 0]], [[
 @pytest.mark.parametrize(
     "grid, counts",
     [
-        ("zero", {direct_ok: 1, rep_ok: 2, oracle_ok: 1}),
-        ("unit-ok", {direct_ok: 4, rep_ok: 8, oracle_ok: 7}),
-        ("flip", {direct_ok: 8, rep_ok: 8, oracle_ok: 18}),
+        ("zero", {"direct": 1, "rep": 2, "oracle": 1}),
+        ("unit-ok", {"direct": 4, "rep": 8, "oracle": 7}),
+        ("flip", {"direct": 8, "rep": 8, "oracle": 18}),
     ],
 )
 def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
@@ -480,7 +483,50 @@ def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
         return original(self, contract, x, y)
 
     monkeypatch.setattr(Field, "_contract", counted)
-    for verdict, expected in counts.items():
+    for route, expected in counts.items():
         calls.clear()
-        assert verdict(fam) == (grid == "flip")
-        assert len(calls) == expected, verdict.__name__
+        assert route_ok(route, fam) == (grid == "flip")
+        assert len(calls) == expected, route
+
+
+# -- the route table ----------------------------------------------------------------
+
+
+def test_rep_route_is_rho_then_phi():
+    assert ROUTES["rep"] == ROUTES["rho"] + ROUTES["phi"]
+    assert list(ROUTES) == ["direct", "rho", "phi", "rep", "oracle"]
+    assert list(UNIT_FAMILIES) == ["direct", "rep", "oracle"]
+    a2 = kn_algebra(_F2, 2)
+    tags = [tag for tag, _, _ in route_pairs("rep", a2, a2, GammaFamily.flip(a2, a2).gamma)]
+    assert tags == ["rho.unit", "rho.mul", "phi.unit", "phi.mul"]
+
+
+def test_unit_families_select_the_unit_tags():
+    """Each count of the table takes exactly the affine unit families of its
+    generator, so a reordered generator fails here, not in a search."""
+    a2, dup = kn_algebra(_F2, 2), duplicate_algebra(_F2)
+    G = GammaFamily.flip(a2, dup).gamma
+    selected = {
+        route: [tag for pairs, count in entries for tag, _, _ in islice(pairs(a2, dup, G), count)]
+        for route, entries in UNIT_FAMILIES.items()
+    }
+    assert selected == {
+        "direct": ["direct.1", "direct.3"],
+        "rep": ["rho.unit", "phi.unit"],
+        "oracle": ["oracle.chi-left-unit", "oracle.chi-right-unit"],
+    }
+
+
+def test_route_generators_are_named_only_in_twisting():
+    """The route table is the one place that knows the generators: no other
+    module of the package names them, not even in a docstring."""
+    names = ("_direct_pairs", "_direct_unit_pairs", "_rho_pairs", "_phi_pairs", "_oracle_pairs")
+    package = Path(twistkit.__file__).parent
+    offenders = [
+        (str(path.relative_to(package)), name)
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "twisting.py"
+        for name in names
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
