@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FieldMismatchError
+from .errors import DimensionMismatchError, FieldMismatchError, _require_int
 from .fields import Field
 from .linalg import KMatrix, _freeze
 from .report import VerificationReport, pairs_report
@@ -64,7 +64,14 @@ class FiniteDimAlgebra:
         return _freeze(vec)
 
     def basis_element(self, i: int) -> np.ndarray:
-        return _freeze(self.field.unit_vector(self.dim, i))
+        return _freeze(self.field.unit_vector(self.dim, self._basis_index(i)))
+
+    def _basis_index(self, k: int) -> int:
+        """``k``, refused unless it numbers a basis vector: ``TypeError`` for a
+        ``bool`` or non-integer, ``IndexError`` outside [0, dim)."""
+        if not 0 <= _require_int(k, "basis index") < self.dim:
+            raise IndexError(f"basis index {k} out of range for dimension {self.dim}")
+        return k
 
     # -- operations -----------------------------------------------------------
 
@@ -77,9 +84,7 @@ class FiniteDimAlgebra:
 
     def structure_matrix(self, k: int) -> KMatrix:
         """Left-multiplication matrix of ``b_k``: entry (i, j) = lam[k, j, i]."""
-        if not 0 <= k < self.dim:
-            raise IndexError(f"basis index {k} out of range for dimension {self.dim}")
-        return KMatrix(self.field, self.lam[k].T.copy())
+        return KMatrix(self.field, self.lam[self._basis_index(k)].T.copy())
 
     def left_mul_matrix(self, x: np.ndarray) -> KMatrix:
         """Left multiplication by an arbitrary element, as a coordinate matrix."""

@@ -141,19 +141,22 @@ def _cmd_rebase(args) -> int:
 
 def _cmd_extend(args) -> int:
     obj = _read_object(args.input, "extend")
-    candidate = serialize.candidate_from_json(obj.get("psi", obj))
+    family = serialize.candidate_from_json(obj.get("psi", obj)).family
     n = serialize._expect_int(obj, "n", "extend") if "n" in obj else args.n
     if n is None:
         raise TwistKitError("the cut position n is required (in the file or via --n)")
-    blocks = extension.split_blocks(candidate.family, n)
-    m = serialize._expect_int(obj, "m", "extend") if "m" in obj else blocks.m
-    if m != blocks.m:
-        raise DimensionMismatchError(f"expected m = {blocks.m}, got {m}")
-    report = extension._extension_report(blocks, not args.lemma_stage)
+    if args.n is not None and args.n != n:
+        raise DimensionMismatchError(f"--n {args.n} conflicts with n = {n} in the input")
+    _, second = extension.factor_algebras(family, n)
+    m = serialize._expect_int(obj, "m", "extend") if "m" in obj else second.dim
+    if m != second.dim:
+        raise DimensionMismatchError(f"expected m = {second.dim}, got {m}")
+    report = extension.check_extension_given_theta(family, n, require_gamma01_zero=not args.lemma_stage)
     payload = {"ok": report.ok, "report": serialize.report_to_json(report)}
     if args.blocks:
+        blocks = extension.split_blocks(family, n)
         payload["blocks"] = {
-            name: serialize.array_to_json(candidate.family.field, getattr(blocks, name))
+            name: serialize.array_to_json(family.field, getattr(blocks, name))
             for name in ("B1", "B2", "C1", "C2")
         }
     _write_output(payload, args.out)
@@ -289,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("extend", _cmd_extend, "check the extension criterion on a product carrier")
     p.add_argument("input", help='JSON file {"psi": candidate, "n": cut} or candidate with --n')
-    p.add_argument("--n", type=int, default=None, help="cut position (dim of the first factor)")
+    p.add_argument("--n", type=int, default=None, help="cut position (dim of the first factor); must agree with the file's n")
     p.add_argument("--lemma-stage", action="store_true", help="stop before the corner-vanishing strengthening")
     p.add_argument("--blocks", action="store_true", help="include the block dump")
 

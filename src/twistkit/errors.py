@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all twistkit modules."""
+"""Exception hierarchy shared by all twistkit modules, and the one check that
+an index, bound or cut is an integer."""
+
+import numpy as np
 
 
 class TwistKitError(Exception):
@@ -43,3 +46,11 @@ class SearchSpaceTooLargeError(TwistKitError):
 
 class SchemaError(TwistKitError):
     """Malformed JSON input."""
+
+
+def _require_int(value, what: str):
+    """``value``, refused with ``TypeError`` unless it is an integer: floats,
+    and ``bool``, which is one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -2,19 +2,20 @@
 
 For D = B x C with the B-block-first basis the structure constants of D are
 block-diagonal, so every End-valued matrix R_k of a candidate on (A, D) is
-block-diagonal too, and blocks of products are products of blocks.  The block
-data of the candidate are therefore slices of its D-level representations:
-the two diagonal blocks of R_k at B- and C-basis vectors, every End-valued
-block condition as an index-block x matrix-block slice of ``rho.mul`` /
-``rho.unit``, and the four A-valued corner blocks and their conditions as
-corners of ``phi.unit`` / ``phi.mul``.  The checkers here decide, given that
-the restriction to B is already a twisting map, whether the whole candidate
-is one, by testing the block conditions directly.
+block-diagonal too, and blocks of products are products of blocks.  Every
+block criterion is therefore a slice of the ``rep`` route on D: each
+End-valued block condition an index-block x matrix-block slice of
+``rho.mul`` / ``rho.unit``, each A-valued one a corner of ``phi.unit`` /
+``phi.mul``, on one grid or a stack G of shape (..., N, N, d, d) like the
+route generators.  The checkers here decide, given that the restriction to B
+is already a twisting map, whether the whole candidate is one, by testing the
+block conditions directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     UnverifiedCandidateError,
+    _require_int,
 )
 from .linalg import _alg_entry_product, _freeze
 from .report import VerificationReport, pairs_ok, pairs_report
@@ -31,15 +33,12 @@ from .twisting import (
     GammaFamily,
     TwistingCandidate,
     _family_of,
-    _rep_sides,
     _require_verified,
     _rho_tensor,
-    _rho_unit_sides,
-    _twisted_products,
-    _unit_images,
     certify,
     direct_ok,
     phi_hat,
+    route_pairs,
 )
 
 
@@ -47,7 +46,7 @@ def _check_block_structure(psi: GammaFamily, n: int) -> tuple[slice, slice]:
     """The index blocks (B, C) of the cut at n; the carrier of psi must be a
     direct product in the block basis."""
     total = psi.B.dim
-    if not 0 < n < total:
+    if not 0 < _require_int(n, "cut") < total:
         raise DimensionMismatchError(f"cut {n} out of range for dimension {total}")
     B, C = slice(0, n), slice(n, None)
     off_diagonal = ((B, B, C), (C, C, B), (B, C), (C, B))
@@ -143,15 +142,8 @@ def restrict(psi, side: str, n: int) -> GammaFamily:
 def _diagonal_block(tag: str, sides, index: tuple, block: slice) -> tuple:
     """A (tag, left, right) family of End-valued matrices restricted to the
     ``index`` blocks of its leading axes and to one diagonal block of its
-    (row, column) axes."""
-    return (tag, *(side[(*index, block, block)] for side in sides))
-
-
-def _rho_sides(blocks: BlockDecomposition) -> tuple[tuple, tuple]:
-    """The sides of ``rho.mul`` (products first) and ``rho.unit`` on D."""
-    psi = blocks.psi
-    combination, products = _rep_sides(psi.field, psi.B.lam, blocks.R)
-    return (products, combination), _rho_unit_sides(psi.field, psi.B.unit, blocks.R)
+    (row, column) axes, behind any batch axes."""
+    return (tag, *(side[(..., *index, block, block, slice(None), slice(None))] for side in sides))
 
 
 def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
@@ -160,9 +152,12 @@ def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
     return (tag, *(side[..., rows, cols, :] for side in sides))
 
 
-def _unit_sides(psi: GammaFamily) -> list[np.ndarray]:
-    """phi(1_A) against the identity matrix; axes (j, k, w)."""
-    return [side.transpose(1, 0, 2) for side in _unit_images(psi.field, psi.gamma, psi.A.unit)]
+def _cut_grid(psi, n: int):
+    """The family of a candidate with its cut validated, and its grid in the
+    cleared form of a check."""
+    psi = _family_of(psi)
+    _check_block_structure(psi, n)
+    return psi, psi.field.cleared(psi.gamma)
 
 
 def check_lemma_blocks(psi, n: int) -> VerificationReport:
@@ -184,23 +179,23 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
 
     Agrees with the combined representation checkers on D for every candidate.
     """
-    blocks = split_blocks(psi, n)
-    return pairs_report(blocks.psi.field, _lemma_pairs(blocks))
+    psi, G = _cut_grid(psi, n)
+    return pairs_report(psi.field, _lemma_pairs(psi.A, psi.B, G, n))
 
 
 def lemma_blocks_ok(psi, n: int) -> bool:
     """Fast verdict of the block criterion."""
-    blocks = split_blocks(psi, n)
-    return pairs_ok(blocks.psi.field, _lemma_pairs(blocks))
+    psi, G = _cut_grid(psi, n)
+    return pairs_ok(psi.field, _lemma_pairs(psi.A, psi.B, G, n))
 
 
-def _lemma_pairs(blocks: BlockDecomposition):
-    """Condition families of the block criterion, yielded lazily."""
-    psi = blocks.psi
-    field = psi.field
-    parts = B, C = blocks.parts
-
-    mul, unit = _rho_sides(blocks)
+def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):
+    """Condition families of the block criterion at the cut n, yielded lazily
+    as slices of the ``rep`` families on one grid or a stack G."""
+    parts = B, C = slice(0, n), slice(n, None)
+    rep = route_pairs("rep", A, D, G)
+    (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
+    mul = products, combination
     for l, block in ((1, B), (2, C)):
         yield _diagonal_block(f"B.rep.{l}", mul, (B, B), block)
         yield _diagonal_block(f"C.rep.{l}", mul, (C, C), block)
@@ -208,15 +203,13 @@ def _lemma_pairs(blocks: BlockDecomposition):
         yield _diagonal_block(f"CB.zero.{l}", mul, (C, B), block)
         yield _diagonal_block(f"unit.sum.{l}", unit, (), block)
 
-    # A-valued corners: every block product rule is a block of phi(a a') = phi(a) phi(a')
-    unit_sides = _unit_sides(psi)
-    for p in (0, 1):
-        for q in (0, 1):
-            yield _corner(f"Gamma{p}{q}.unit", unit_sides, parts[p], parts[q])
-    mul_sides = _twisted_products(field, psi.gamma, psi.A.lam)
-    for p in (0, 1):
-        for q in (0, 1):
-            yield _corner(f"Gamma{p}{q}.mul", mul_sides, parts[p], parts[q])
+    # A-valued corners of phi.unit, then of phi.mul: every block product rule
+    # is a block of phi(a a') = phi(a) phi(a')
+    for rule in ("unit", "mul"):
+        _, *sides = next(rep)
+        for p in (0, 1):
+            for q in (0, 1):
+                yield _corner(f"Gamma{p}{q}.{rule}", sides, parts[p], parts[q])
 
 
 def check_extension_given_theta(
@@ -242,56 +235,54 @@ def check_extension_given_theta(
     Raises ``UnverifiedCandidateError`` when the B-restriction fails its own
     verification.
     """
-    return _extension_report(split_blocks(psi, n), require_gamma01_zero)
-
-
-def _extension_report(blocks: BlockDecomposition, require_gamma01_zero: bool) -> VerificationReport:
-    """The extension criterion on an already split candidate."""
-    if not direct_ok(_corner_family(blocks.psi, blocks.parts[0])):
+    psi, G = _cut_grid(psi, n)
+    if not direct_ok(_corner_family(psi, slice(0, n))):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
-    return pairs_report(blocks.psi.field, _extension_pairs(blocks, require_gamma01_zero))
+    return pairs_report(psi.field, _extension_pairs(psi.A, psi.B, G, n, require_gamma01_zero))
 
 
-def _extension_pairs(blocks: BlockDecomposition, require_gamma01_zero: bool):
-    """Condition families of the extension criterion, in report order."""
-    psi = blocks.psi
-    field = psi.field
-    lamA = psi.A.lam
-    B, C = blocks.parts
-
-    mul, unit = _rho_sides(blocks)
+def _extension_pairs(
+    A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int, require_gamma01_zero: bool
+):
+    """Condition families of the extension criterion at the cut n, in report
+    order, as slices of the ``rep`` families on one grid or a stack G."""
+    field = A.field
+    B, C = slice(0, n), slice(n, None)
+    rep = route_pairs("rep", A, D, G)
+    (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
+    mul = products, combination
     yield _diagonal_block("B2.mul", mul, (B, B), C)
-    yield "C1.zero", blocks.C1, field.zeros(blocks.C1.shape)
+    C1 = _rho_tensor(field, D.lam, G)[..., C, B, B, :, :]
+    yield "C1.zero", C1, field.zeros(C1.shape)
     yield _diagonal_block("C2.mul", mul, (C, C), C)
     yield _diagonal_block("B2C2.zero", mul, (B, C), C)
     yield _diagonal_block("C2B2.zero", mul, (C, B), C)
     yield _diagonal_block("unit.sum", unit, (), C)
 
-    # phi[x, j, k] = gamma[k][j](e_x); the corner rules are blocks of
+    # phi[..., x, j, k] = gamma[k][j](e_x); the corner rules are blocks of
     # phi(a a') = phi(a) phi(a') except where a corner is dropped from the sum
-    phi = psi.gamma.transpose(3, 1, 0, 2)
-    mul_sides = _twisted_products(field, psi.gamma, lamA)
-    unit_sides = _unit_sides(psi)
+    phi = G.transpose(*range(G.ndim - 4), -1, -3, -4, -2)
+    (_, *unit), (_, *mul) = rep  # phi.unit, phi.mul
     if require_gamma01_zero:
-        yield "Gamma01", psi.gamma[C, B], field.zeros(psi.gamma[C, B].shape)
+        yield "Gamma01", G[..., C, B, :, :], field.zeros(G[..., C, B, :, :].shape)
         # Gamma11 multiplicative
-        yield "Gamma11.mul", mul_sides[0][:, :, C, C], _alg_entry_product(
-            field, lamA, phi[:, C, C], phi[:, C, C]
+        yield "Gamma11.mul", mul[0][..., C, C, :], _alg_entry_product(
+            field, A.lam, phi[..., C, C, :], phi[..., C, C, :]
         )
     else:
         # corner product rules with Gamma01 unconstrained: the Gamma^p_1 rule
         # for row block p in {0, 1}
-        yield _corner("Gamma01.rule", mul_sides, B, C)
-        yield _corner("Gamma11.rule", mul_sides, C, C)
+        yield _corner("Gamma01.rule", mul, B, C)
+        yield _corner("Gamma11.rule", mul, C, C)
         # Gamma01(a) Gamma10(a') = 0
-        mixed = _alg_entry_product(field, lamA, phi[:, B, C], phi[:, C, B])
+        mixed = _alg_entry_product(field, A.lam, phi[..., B, C, :], phi[..., C, B, :])
         yield "Gamma01Gamma10.zero", mixed, field.zeros(mixed.shape)
-        yield _corner("Gamma01.unit", unit_sides, B, C)
+        yield _corner("Gamma01.unit", unit, B, C)
 
     # Gamma10 twisted-derivation rule, shared by both stages
-    yield _corner("Gamma10.der", mul_sides, C, B)
-    yield _corner("Gamma11.unit", unit_sides, C, C)
-    yield _corner("Gamma10.unit", unit_sides, C, B)
+    yield _corner("Gamma10.der", mul, C, B)
+    yield _corner("Gamma11.unit", unit, C, C)
+    yield _corner("Gamma10.unit", unit, C, B)
 
 
 def direct_sum(theta: TwistingCandidate, ups: TwistingCandidate) -> TwistingCandidate:
@@ -327,10 +318,10 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     field = family.field
     if not field.is_zero(family.gamma[C, B]):
         raise BlockFormError("upper-right corner block does not vanish")
-    mul_sides = _twisted_products(field, family.gamma, family.A.lam)
+    _, (_, *mul) = route_pairs("phi", family.A, family.B, field.cleared(family.gamma))
     families = (
-        _corner("phiB.mul", mul_sides, B, B),
-        _corner("phiC.mul", mul_sides, C, C),
-        _corner("Delta.der", mul_sides, C, B),
+        _corner("phiB.mul", mul, B, B),
+        _corner("phiC.mul", mul, C, C),
+        _corner("Delta.der", mul, C, B),
     )
     return pairs_report(field, families)

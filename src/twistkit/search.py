@@ -37,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
-from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError
+from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError, _require_int
 from .linalg import KMatrix, kernel_basis
 from .report import Failure, VerificationReport, pairs_ok
 from .twisting import ROUTES, UNIT_FAMILIES, GammaFamily
@@ -48,13 +48,6 @@ MAX_CANDIDATES = 1 << 24
 #: Most grids one verdict pass evaluates at once.  With zero units in A and B
 #: the ``direct`` and ``oracle`` cosets are the whole space, up to the guard.
 _CHUNK = 4096
-
-
-def _require_int(value, what: str):
-    """``value``, refused unless it is an integer: floats, and ``bool``, which is one."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _place_values(p: int, length: int) -> np.ndarray:

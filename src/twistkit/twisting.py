@@ -250,35 +250,23 @@ def _rho_tensor(field, lam: np.ndarray, G: np.ndarray) -> np.ndarray:
     return field.einsum("mli,...klrc->...kimrc", lam, G)
 
 
-def _rho_unit_sides(field, unit: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of sum_k unit[k] R_k = identity; axes (i, m, r, c)."""
-    left = field.einsum("k,...kimrc->...imrc", unit, R)
-    return left, _endo_identity(field, R.shape[-4], R.shape[-2])
-
-
-def _rep_sides(field, lam: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of sum_k lam[j, i, k] R_k = R_i R_j; axes (i, j, u, v, r, c)."""
-    combination = field.einsum("jik,...kuvrc->...ijuvrc", lam, R)
-    return combination, _endo_products(field, R, R)
-
-
 def rho_hat(c, k: int) -> EndoMatrix:
     """The End-valued matrix attached to the k-th opposite basis vector."""
     family = _family_of(c)
-    if not 0 <= k < family.B.dim:
-        raise IndexError(f"basis index {k} out of range for dimension {family.B.dim}")
+    k = family.B._basis_index(k)
     return EndoMatrix(family.field, _rho_tensor(family.field, family.B.lam, family.gamma)[k].copy())
 
 
 def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    R = _rho_tensor(B.field, B.lam, G)
+    field = B.field
+    R = _rho_tensor(field, B.lam, G)
 
     # unit: sum_k alpha_k R_k = identity; witness axes (i, m, r, c)
-    yield ("rho.unit", *_rho_unit_sides(B.field, B.unit, R))
+    yield "rho.unit", field.einsum("k,...kimrc->...imrc", B.unit, R), _endo_identity(field, B.dim, A.dim)
 
-    # multiplication against the opposite product: R_i R_j = sum_k lam[j, i, k] R_k;
+    # multiplication against the opposite product: sum_k lam[j, i, k] R_k = R_i R_j;
     # witness axes (i, j, u, v, r, c)
-    yield ("rho.mul", *_rep_sides(B.field, B.lam, R))
+    yield "rho.mul", field.einsum("jik,...kuvrc->...ijuvrc", B.lam, R), _endo_products(field, R, R)
 
 
 def check_rho_representation(c) -> VerificationReport:
@@ -526,10 +514,8 @@ def lift_structure_matrix(c, k: int) -> AlgMatrix:
     the image of ``b_k (x) 1`` under the faithful representation.
     """
     family = _family_of(c)
-    if not 0 <= k < family.B.dim:
-        raise IndexError(f"basis index {k} out of range for dimension {family.B.dim}")
     field = family.field
-    data = field.tensordot(family.B.lam[k], family.A.unit, axes=0).transpose(1, 0, 2)
+    data = field.tensordot(family.B.lam[family.B._basis_index(k)], family.A.unit, axes=0).transpose(1, 0, 2)
     return AlgMatrix(family.A, data.copy())
 
 

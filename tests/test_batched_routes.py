@@ -6,6 +6,8 @@ grid, family by family, with the same tags in the same order; sides that do
 not depend on the grid carry no batch axes and broadcast.  The stack verdict
 of each route must equal the scalar verdict slice by slice, and keep its
 laziness: a stack no grid of which passes stops where one such grid would.
+The block criteria of ``twistkit.extension``, slices of the ``rep`` route on
+D = B x C, are held to the same slice-by-slice equality.
 """
 
 from fractions import Fraction
@@ -14,8 +16,18 @@ import numpy as np
 import pytest
 
 from test_search import _tri_algebra
-from twistkit import GF, QQ, GammaFamily, SearchSpace, duplicate_algebra, kn_algebra, truncated_poly_algebra
+from twistkit import (
+    GF,
+    QQ,
+    GammaFamily,
+    SearchSpace,
+    direct_product,
+    duplicate_algebra,
+    kn_algebra,
+    truncated_poly_algebra,
+)
 from twistkit import search as search_mod
+from twistkit.extension import _extension_pairs, _lemma_pairs
 from twistkit.fields import Field
 from twistkit.report import pairs_ok
 from twistkit.twisting import (
@@ -35,6 +47,16 @@ GENERATORS = {
     "oracle": _oracle_pairs,
 }
 
+#: The block criteria at a cut n: the lemma and both forms of the extension criterion.
+BLOCK_GENERATORS = {
+    "lemma": _lemma_pairs,
+    "extension": lambda A, D, G, n: _extension_pairs(A, D, G, n, True),
+    "extension-staged": lambda A, D, G, n: _extension_pairs(A, D, G, n, False),
+}
+
+FIELDS = [GF(2), GF(3), GF(65521), QQ]
+FIELD_IDS = ["F2", "F3", "F65521", "Q"]
+
 BATCH = (2, 3)
 
 
@@ -53,6 +75,15 @@ def _pairs_of_algebras(field):
     return [(tri, trunc), (duplicate_algebra(field), _tri_algebra(field)), (kn_algebra(field, 2), trunc)]
 
 
+def _products(field):
+    """(A, D, n) with D = B x C cut at n != m and a non-commutative A."""
+    tri = _tri_algebra(field)
+    return [
+        (tri, direct_product(truncated_poly_algebra(field, 2), kn_algebra(field, 1)), 2),
+        (tri, direct_product(kn_algebra(field, 1), duplicate_algebra(field)), 1),
+    ]
+
+
 def _stack(field, A, B, rng):
     """Seeded grids of shape BATCH + (n, n, d, d); slice (0, 0) is the flip."""
     n, d = B.dim, A.dim
@@ -61,24 +92,37 @@ def _stack(field, A, B, rng):
     return stack
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), GF(65521), QQ], ids=["F2", "F3", "F65521", "Q"])
+def _assert_slices_equal_scalar(field, pairs, stack):
+    """``pairs(G)`` on the stack, slice by slice, against ``pairs`` at each grid:
+    the same tags in the same order and equal sides."""
+    batched = list(pairs(stack))
+    for b in np.ndindex(*BATCH):
+        scalar = list(pairs(stack[b]))
+        assert [tag for tag, _, _ in batched] == [tag for tag, _, _ in scalar]
+        for (tag, left, right), (_, s_left, s_right) in zip(batched, scalar):
+            for side, s_side in ((left, s_left), (right, s_right)):
+                assert side.shape in (s_side.shape, BATCH + s_side.shape), tag
+                sliced = np.broadcast_to(side, BATCH + s_side.shape)[b]
+                assert field.equal(sliced, s_side), (tag, b)
+                if field.kind == "Q":
+                    assert all(isinstance(v, Fraction) for v in sliced.flat)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("route", sorted(GENERATORS))
 def test_batched_generator_slices_equal_scalar_generator(field, route):
     rng = np.random.default_rng(11)
-    pairs = GENERATORS[route]
     for A, B in _pairs_of_algebras(field):
-        stack = _stack(field, A, B, rng)
-        batched = list(pairs(A, B, stack))
-        for b in np.ndindex(*BATCH):
-            scalar = list(pairs(A, B, stack[b]))
-            assert [tag for tag, _, _ in batched] == [tag for tag, _, _ in scalar]
-            for (tag, left, right), (_, s_left, s_right) in zip(batched, scalar):
-                for side, s_side in ((left, s_left), (right, s_right)):
-                    assert side.shape in (s_side.shape, BATCH + s_side.shape), tag
-                    sliced = np.broadcast_to(side, BATCH + s_side.shape)[b]
-                    assert field.equal(sliced, s_side), (route, tag, b)
-                    if field.kind == "Q":
-                        assert all(isinstance(v, Fraction) for v in sliced.flat)
+        _assert_slices_equal_scalar(field, lambda G: GENERATORS[route](A, B, G), _stack(field, A, B, rng))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("criterion", sorted(BLOCK_GENERATORS))
+def test_batched_block_generator_slices_equal_scalar_generator(field, criterion):
+    rng = np.random.default_rng(19)
+    for A, D, n in _products(field):
+        stack = _stack(field, A, D, rng)
+        _assert_slices_equal_scalar(field, lambda G: BLOCK_GENERATORS[criterion](A, D, G, n), stack)
 
 
 @pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
@@ -117,7 +161,7 @@ def test_scalar_generators_contract_only_through_tensordot(route, monkeypatch):
                 assert calls["tensordot"] == calls["_contract"] > 0, (field, type(G))
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), GF(65521), QQ], ids=["F2", "F3", "F65521", "Q"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 def test_stack_verdict_slices_equal_scalar_verdict(field, route):
     rng = np.random.default_rng(13)

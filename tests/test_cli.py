@@ -153,7 +153,7 @@ def test_extend_cli(tmp_path):
 
 
 def test_extend_blocks_splits_once(tmp_path, monkeypatch):
-    """The report and the block dump come from one decomposition."""
+    """``--blocks`` splits the candidate once, for the block dump."""
     from twistkit import extension
 
     calls = []
@@ -169,6 +169,15 @@ def test_extend_wrong_m_is_usage_error(tmp_path, capsys):
     assert main(["extend", path]) == 2
     err = capsys.readouterr().err
     assert err == "error: expected m = 1, got 2\n"
+
+
+def test_extend_conflicting_n_is_usage_error(tmp_path, capsys):
+    """A ``--n`` that differs from the file's ``n`` is refused, not dropped."""
+    path = _extend_input(tmp_path, n=2)
+    assert main(["extend", path, "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --n 1 conflicts with n = 2 in the input\n")
+    assert main(["extend", path, "--n", "2", "--out", str(tmp_path / "ext.json")]) == 0
 
 
 def test_quiver_cli(tmp_path):

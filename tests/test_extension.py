@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,30 @@ from twistkit import (
     rho_hat,
     split_blocks,
 )
-from twistkit.search import SearchSpace
-from twistkit.twisting import check_phi_representation, check_rho_representation, direct_ok, route_ok
+from twistkit.extension import _extension_pairs, _lemma_pairs, lemma_blocks_ok
+from twistkit.report import pairs_ok
+from twistkit.search import SearchSpace, _place_values
+from twistkit.twisting import direct_ok, route_ok, route_pairs
 
 F2 = GF(2)
 F3 = GF(3)
+
+#: Grids per stack verdict in the exhaustive sweeps.
+CHUNK = 2048
+
+
+def _all_grids(A, D):
+    """Every grid of the space of (A, D) over a prime field, in index order."""
+    space = SearchSpace(A, D)
+    digits = (np.arange(space.total)[:, None] // _place_values(space.p, space.free_entries)) % space.p
+    return space, digits.reshape((space.total,) + space.grid_shape)
+
+
+def _stack_verdict(field, pairs, grids) -> np.ndarray:
+    """One boolean per grid: ``pairs(G)`` holds, evaluated ``CHUNK`` grids at a time."""
+    return np.concatenate(
+        [pairs_ok(field, pairs(G), G.shape[:-4]) for G in np.split(grids, range(CHUNK, len(grids), CHUNK))]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +92,6 @@ def test_split_blocks_of_direct_sum_has_zero_corners(psi_sum):
 def test_reassembly_matches_rho_hat_on_arbitrary_candidates():
     """The block-diagonal form of the End-valued matrices holds for every
     candidate over a product carrier, twisting or not."""
-    import random
-
     rng = random.Random(5150)
     a = kn_algebra(F3, 2)
     d_alg = direct_product(kn_algebra(F3, 2), kn_algebra(F3, 1))
@@ -98,8 +117,6 @@ def test_reassembly_matches_rho_hat_on_arbitrary_candidates():
 def test_split_blocks_idempotent_carrier_second_factor_is_diagonal():
     """Over D = K^2 x K the first-factor block at a second-factor basis
     vector is the diagonal of the corresponding grid row."""
-    import random
-
     rng = random.Random(2718)
     a = kn_algebra(F3, 2)
     d_alg = direct_product(kn_algebra(F3, 2), kn_algebra(F3, 1))
@@ -122,6 +139,30 @@ def test_direct_sum_of_flips_is_flip():
     ups = certify(GammaFamily.flip(a, kn_algebra(F2, 1)))
     psi = direct_sum(theta, ups)
     assert psi.family == GammaFamily.flip(a, direct_product(theta.B, ups.B))
+
+
+@pytest.mark.parametrize("cut", [True, np.bool_(True), 2.0, 1.5], ids=["bool", "np.bool_", "2.0", "1.5"])
+def test_cut_must_be_an_integer(psi_sum, cut):
+    """Every checker refuses a ``bool`` or non-integer cut with one rule;
+    ``True`` is no cut 1."""
+    fam = psi_sum.family
+    for check in (
+        lambda: split_blocks(fam, cut),
+        lambda: restrict(fam, "C", cut),
+        lambda: factor_algebras(fam, cut),
+        lambda: check_lemma_blocks(fam, cut),
+        lambda: lemma_blocks_ok(fam, cut),
+        lambda: check_extension_given_theta(fam, cut),
+        lambda: check_remark_delta(psi_sum, cut),
+    ):
+        with pytest.raises(TypeError, match="cut must be an integer"):
+            check()
+
+
+def test_numpy_integer_cut_is_a_cut(psi_sum):
+    fam = psi_sum.family
+    assert split_blocks(fam, np.int64(2)).m == 2
+    assert check_extension_given_theta(fam, np.int64(2)).ok
 
 
 def test_split_blocks_requires_product_carrier():
@@ -198,20 +239,25 @@ def test_cross_block_perturbation_rejected(psi_sum):
 
 
 def test_lemma_blocks_match_checkers_exhaustively():
-    """D = K x K with n = m = 1, A = K^2 over F_2: the full 65536-candidate
-    space, block criterion versus combined representation checkers."""
-    from twistkit.extension import lemma_blocks_ok
-
+    """D = K x K with n = m = 1, A = K^2 over F_2: on the full 65536-grid
+    space the block criterion's stack verdict equals the ``rep`` route's, and
+    the public scalar functions agree with both on a seeded sample of 512
+    grids and on every accepted grid."""
     a = kn_algebra(F2, 2)
     d_alg = direct_product(kn_algebra(F2, 1), kn_algebra(F2, 1))
-    space = SearchSpace(a, d_alg)
-    assert space.total == 65536
-    agreements = 0
-    for idx in range(space.total):
+    space, grids = _all_grids(a, d_alg)
+    assert len(grids) == space.total == 65536
+    lemma = _stack_verdict(F2, lambda G: _lemma_pairs(a, d_alg, G, 1), grids)
+    rep = _stack_verdict(F2, lambda G: route_pairs("rep", a, d_alg, G), grids)
+    assert (lemma == rep).all()
+    accepted = np.flatnonzero(lemma).tolist()
+    sample = random.Random(65536).sample(range(space.total), 512)
+    assert 0 < len(accepted) < space.total
+    for idx in sorted(set(sample) | set(accepted)):
         fam = space.family_at(idx)
-        assert lemma_blocks_ok(fam, 1) == (route_ok("rho", fam) and route_ok("phi", fam)), idx
-        agreements += 1
-    assert agreements == space.total
+        assert F2.equal(fam.gamma, grids[idx])
+        verdict = route_ok("rho", fam) and route_ok("phi", fam)
+        assert lemma_blocks_ok(fam, 1) == check_lemma_blocks(fam, 1).ok == verdict == lemma[idx], idx
 
 
 def test_lemma_blocks_flag_mutual_annihilation():
@@ -268,8 +314,8 @@ def test_sum_decomposition_exhaustive_k3():
 def test_extension_stages_match_oracle_exhaustively():
     """Whenever the first restriction is a twisting map, both stages of the
     extension criterion must agree with the definition-level oracle; swept
-    over the full D = K^2 x K, A = K space and a strided slice of the
-    two-block space with A = K^2."""
+    over the full D = K^2 x K, A = K space through the public checkers and
+    over the full two-block space with A = K^2 as stack verdicts."""
     a1 = kn_algebra(F2, 1)
     d3 = direct_product(kn_algebra(F2, 2), kn_algebra(F2, 1))
     space = SearchSpace(a1, d3)
@@ -284,19 +330,19 @@ def test_extension_stages_match_oracle_exhaustively():
         checked += 1
     assert checked > 0
 
+    # the two-block space with A = K^2, all 65536 grids as stacks
     a2 = kn_algebra(F2, 2)
-    d2 = direct_product(kn_algebra(F2, 1), kn_algebra(F2, 1))
-    space2 = SearchSpace(a2, d2)
-    checked2 = 0
-    for idx in range(0, space2.total, 13):
-        fam = space2.family_at(idx)
-        if not direct_ok(restrict(fam, "B", 1)):
-            continue
-        verdict = route_ok("oracle", fam)
-        assert check_extension_given_theta(fam, 1).ok == verdict, idx
-        assert check_extension_given_theta(fam, 1, require_gamma01_zero=False).ok == verdict, idx
-        checked2 += 1
-    assert checked2 > 0
+    b1 = kn_algebra(F2, 1)
+    d2 = direct_product(b1, b1)
+    _, grids = _all_grids(a2, d2)
+    theta = _stack_verdict(F2, lambda G: route_pairs("direct", a2, b1, G[..., :1, :1, :, :]), grids)
+    grids = grids[theta]
+    assert 0 < len(grids) < len(theta)
+    oracle = _stack_verdict(F2, lambda G: route_pairs("oracle", a2, d2, G), grids)
+    assert oracle.any()
+    for require_gamma01_zero in (True, False):
+        staged = _stack_verdict(F2, lambda G: _extension_pairs(a2, d2, G, 1, require_gamma01_zero), grids)
+        assert (staged == oracle).all(), require_gamma01_zero
 
 
 def test_direct_sum_requires_verified(theta_ups_f2):

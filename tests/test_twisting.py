@@ -1,3 +1,4 @@
+import ast
 import random
 from itertools import islice
 from pathlib import Path
@@ -321,6 +322,44 @@ def test_product_unit_is_tensor_unit(ncd_idempotent_q):
     assert QQ.equal(prod.algebra.unit, expected)
 
 
+# -- basis indices ------------------------------------------------------------------------
+
+
+def _basis_index_takers():
+    """The four functions that take a basis index of the carrier B = K x dup."""
+    carrier = duplicate_algebra(F3)
+    fam = GammaFamily.flip(kn_algebra(F3, 2), carrier)
+    return {
+        "basis_element": carrier.basis_element,
+        "structure_matrix": carrier.structure_matrix,
+        "rho_hat": lambda k: rho_hat(fam, k),
+        "lift_structure_matrix": lambda k: lift_structure_matrix(fam, k),
+    }
+
+
+@pytest.mark.parametrize("taker", ["basis_element", "structure_matrix", "rho_hat", "lift_structure_matrix"])
+@pytest.mark.parametrize("k", [True, np.bool_(False), 1.0, "1"], ids=["bool", "np.bool_", "float", "str"])
+def test_basis_index_must_be_an_integer(taker, k):
+    """``True`` is no index 1: numpy would read it as a mask."""
+    with pytest.raises(TypeError, match="basis index must be an integer"):
+        _basis_index_takers()[taker](k)
+
+
+@pytest.mark.parametrize("taker", ["basis_element", "structure_matrix", "rho_hat", "lift_structure_matrix"])
+@pytest.mark.parametrize("k", [-1, 2, np.int64(-3)])
+def test_basis_index_out_of_range(taker, k):
+    """A negative index does not count from the end."""
+    with pytest.raises(IndexError, match="out of range for dimension 2"):
+        _basis_index_takers()[taker](k)
+
+
+def test_numpy_integer_basis_index():
+    takers = _basis_index_takers()
+    assert F3.equal(takers["basis_element"](np.int64(1)), F3.asarray([0, 1]))
+    assert takers["structure_matrix"](np.int64(1)) == takers["structure_matrix"](1)
+    assert F3.equal(takers["rho_hat"](np.int64(1)).data, takers["rho_hat"](1).data)
+
+
 # -- faithful representation ------------------------------------------------------------
 
 
@@ -530,3 +569,15 @@ def test_route_generators_are_named_only_in_twisting():
         if name in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def test_extension_takes_no_twisting_kernel_but_rho_tensor():
+    """The block criteria read their sides from the ``rep`` and ``phi``
+    routes: of the private names of ``twisting``, ``extension`` imports the
+    candidate helpers and the identity kernel ``_rho_tensor`` (for
+    ``C1.zero``) alone."""
+    source = (Path(twistkit.__file__).parent / "extension.py").read_text(encoding="utf-8")
+    imports = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
+    private = {a.name for node in imports if node.module == "twisting" for a in node.names if a.name.startswith("_")}
+    assert private == {"_family_of", "_require_verified", "_rho_tensor"}
+    assert all(a.name != "twisting" for node in imports for a in node.names)
