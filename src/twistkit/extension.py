@@ -110,7 +110,13 @@ class BlockDecomposition:
     C2 = property(lambda self: self._diagonal(1, 1))  # (m, m, m, d, d)
 
     def gamma_block(self, p: int, q: int, a: np.ndarray) -> np.ndarray:
-        """A-valued corner block at an element of A, sliced from its full matrix."""
+        """A-valued corner block at an element of A, sliced from its full matrix.
+
+        ``p`` and ``q`` number the blocks, 0 for B and 1 for C: ``TypeError``
+        for a ``bool`` or non-integer, ``IndexError`` outside {0, 1}."""
+        for block in (p, q):
+            if _require_int(block, "block index") not in (0, 1):
+                raise IndexError(f"block index {block} out of range for the blocks 0 and 1")
         parts = self.parts
         return phi_hat(self.psi, a).data[parts[p], parts[q]]
 

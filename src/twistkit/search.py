@@ -16,17 +16,23 @@ are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit`` /
 first by the generators ``twisting.UNIT_FAMILIES`` names (the routes' own, so
 no formula is written twice and the oracle stays independent).  One pass of
 them over the stack of the zero grid and the N = n^2 d^2 unit grids gives
-the linear system of those families.  Its exact solution set
-(``linalg.kernel_basis``) is an affine coset of F_p^N, expanded as digit rows
-and mapped to full-space indices.  Off the coset the route rejects.
-The coset points in range are evaluated in stacks of at most ``_CHUNK``
-grids, one ``pairs_ok`` verdict per generator of ``twisting.ROUTES`` on the
-grids that passed the generators before it (``all`` chains ``direct``,
-``rep`` and ``oracle`` on the ``direct`` coset, which holds the
-conjunction).  ``cross_validate`` runs the three routes on the union of the
-three cosets, off which the verdicts are unanimous by construction.
+the linear system of those families.  Each call solves it once for each
+route it walks, by one exact elimination with the digit columns reversed,
+into an echelon description of its affine coset of F_p^N: an offset and a
+basis whose vectors each lead with a 1 in their own free digit.  The coset
+points then ascend by index as their coefficient vectors count up in base p,
+so [start, stop) maps to a range of ranks by one pass down the
+digits of each bound, and only the points of that range are built, at most
+``_CHUNK`` at a time.  Off the coset the route rejects.  Each stack gets one
+``pairs_ok`` verdict per generator of ``twisting.ROUTES``, on the grids that
+passed the generators before it (``all`` chains ``direct``, ``rep`` and
+``oracle`` on the ``direct`` coset, which holds the conjunction).
+``cross_validate`` merges the three cosets' ranked walks window by window,
+each window at most one chunk per route, and runs the three routes on their
+union, off which the verdicts are unanimous by construction.
 
-``MAX_CANDIDATES`` still bounds the full space, not the coset.
+``MAX_CANDIDATES`` bounds the full space; memory per call is bounded by
+``_CHUNK`` points per route whatever the coset's size.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError, _require_int
-from .linalg import KMatrix, kernel_basis
+from .linalg import _rref
 from .report import Failure, VerificationReport, pairs_ok
 from .twisting import ROUTES, UNIT_FAMILIES, GammaFamily
 
@@ -130,43 +136,115 @@ def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.nda
     return space.A.field.reduce(np.concatenate(parts, axis=-1))
 
 
-def _coset(space: SearchSpace, route: str) -> np.ndarray:
-    """Every grid passing the route's unit families, one digit row each.
+@dataclass(frozen=True, eq=False)
+class _Coset:
+    """The points (offset + c @ basis) mod p, c in F_p^k, as digit rows.
+
+    ``basis[j]`` leads with a 1 in its free digit ``free[j]`` (ascending),
+    and the offset and the other vectors are 0 there.  So the point of c
+    holds c_j at ``free[j]``, and each of its other digits depends only on
+    the coefficients of the free digits before it: the points ascend by index
+    exactly as c counts up in base p, and the point of rank r is the one
+    whose c is the k base-p digits of r.
+    """
+
+    p: int
+    offset: np.ndarray  # (N,)
+    basis: np.ndarray  # (k, N)
+    free: tuple[int, ...]
+
+    def rank(self, index: int) -> int:
+        """How many points lie below ``index``, for 0 <= index <= p^N.
+
+        One pass down the digits of ``index``: a free digit fixes its
+        coefficient to the digit and counts the points with a smaller one;
+        the first other digit where the fixed point differs ends the pass.
+        """
+        p, N, k = self.p, len(self.offset), len(self.free)
+        if index >= p**N:
+            return p**k
+        point, rows, below, j = self.offset.tolist(), self.basis.tolist(), 0, 0
+        for t in range(N):
+            digit = index // p ** (N - 1 - t) % p
+            if j < k and self.free[j] == t:
+                point = [(x + digit * b) % p for x, b in zip(point, rows[j])]
+                j += 1
+                below += digit * p ** (k - j)
+            elif point[t] != digit:
+                return below + (p ** (k - j) if point[t] < digit else 0)
+        return below
+
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Digit rows of the points of rank lo to hi - 1, ascending."""
+        p, ranks = self.p, np.arange(lo, hi)[:, None]
+        return (self.offset + (ranks // _place_values(p, len(self.free)) % p) @ self.basis) % p
+
+
+def _coset(space: SearchSpace, route: str) -> _Coset | None:
+    """The grids passing the route's unit families, or None when none does.
 
     The families are affine, F(x) = F(0) + M x; one batched residual at the
-    zero grid and the N unit grids gives F(0) and M.  The homogeneous system
-    [M | F(0)] (x, t) = 0 has the coset as its t = 1 slice.  Its kernel basis
-    has a 1 in the t coordinate only on its last vector, and only when t is
-    free; otherwise the coset is empty.
+    zero grid and the N unit grids gives F(0) and M.  The system
+    [M | F(0)] (x, 1) = 0 is brought to reduced echelon form with the digit
+    columns reversed.  There each free column's solution vector has a 1 on
+    it, 0 on the other free columns, and its other entries on pivot columns
+    before it, so read back in digit order it leads with that 1.  A pivot on
+    the constant column means no grid passes.
     """
-    field, N, p = space.A.field, space.free_entries, space.p
+    field, N = space.A.field, space.free_entries
     F = _unit_residual(space, route, np.eye(N + 1, N, k=-1, dtype=np.int64))
-    f0, M = F[0], field.sub(F[1:], F[0]).T
-    kernel = kernel_basis(KMatrix(field, np.concatenate([M, f0[:, None]], axis=1)))
-    if not kernel or kernel[-1][N] != 1:
-        return np.zeros((0, N), dtype=np.int64)
-    offset = kernel[-1][:N]
-    basis = np.array([v[:N] for v in kernel[:-1]], dtype=np.int64).reshape(-1, N)
-    k = len(basis)
-    coeffs = (np.arange(p**k)[:, None] // _place_values(p, k)) % p
-    return (offset + coeffs @ basis) % p
+    R, pivots = _rref(field, np.concatenate([field.sub(F[:0:-1], F[0]).T, F[:1].T], axis=1))
+    if pivots and pivots[-1] == N:
+        return None
+    free = [c for c in range(N) if c not in pivots]
+    vectors = np.zeros((len(free) + 1, N), dtype=np.int64)
+    vectors[range(len(free)), free] = 1
+    vectors[:, pivots] = field.reduce(-R[: len(pivots), free + [N]].T)
+    return _Coset(space.p, vectors[-1, ::-1], vectors[-2::-1, ::-1], tuple(N - 1 - c for c in reversed(free)))
 
 
-def _stacks(space: SearchSpace, routes, start: int, stop: int | None):
-    """(indices, grids), ascending and at most ``_CHUNK`` at a time, of every
-    grid in [start, stop) passing the unit families of one of ``routes``."""
+def _span(space: SearchSpace, start, stop) -> range:
+    """The indices of [start, stop) in the space; a non-empty range may not
+    start below 0."""
     _require_int(start, "start")
     stop = space.total if stop is None else min(_require_int(stop, "stop"), space.total)
-    if start >= stop:
-        return
-    if start < 0:
+    span = range(start, stop)
+    if span and start < 0:
         raise IndexError(f"index {start} out of range for {space.total} candidates")
-    points = np.concatenate([_coset(space, route) for route in routes])
-    indices, rows = np.unique(space._indices(points), return_index=True)
-    keep = (indices >= start) & (indices < stop)
-    indices, grids = indices[keep], points[rows[keep]].reshape((-1,) + space.grid_shape)
-    for lo in range(0, len(indices), _CHUNK):
-        yield indices[lo : lo + _CHUNK], grids[lo : lo + _CHUNK]
+    return span
+
+
+def _walk(space: SearchSpace, route: str, span: range):
+    """(indices, grids, reach), ascending and at most ``_CHUNK`` points at a
+    time, of the route's coset points in ``span``: every such point up to the
+    index ``reach`` is in this chunk or an earlier one."""
+    coset = _coset(space, route) if span else None
+    if coset is None:
+        return
+    lo, hi = coset.rank(span.start), coset.rank(span.stop)
+    for r in range(lo, hi, _CHUNK):
+        points = coset.points(r, min(r + _CHUNK, hi))
+        indices = space._indices(points)
+        reach = indices[-1] if r + _CHUNK < hi else span.stop - 1
+        yield indices, points.reshape((-1,) + space.grid_shape), reach
+
+
+def _windows(walks: list):
+    """The ascending union of the walks' points, one window at a time: every
+    point up to the least reach of the walks' current chunks, so at most one
+    chunk per walk.  A point on several walks appears once."""
+    heads = [next(walk, None) for walk in walks]
+    while any(head is not None for head in heads):
+        bound = min(head[2] for head in heads if head is not None)
+        parts = []
+        for w, head in enumerate(heads):
+            if head is not None:
+                indices, grids, reach = head
+                cut = int(np.searchsorted(indices, bound, side="right"))
+                parts.append((indices[:cut], grids[:cut]))
+                heads[w] = (indices[cut:], grids[cut:], reach) if cut < len(indices) else next(walks[w], None)
+        indices, first = np.unique(np.concatenate([i for i, _ in parts]), return_index=True)
+        yield indices, np.concatenate([grids for _, grids in parts])[first]
 
 
 def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) -> np.ndarray:
@@ -201,7 +279,7 @@ def enumerate_space(
     else:
         raise ValueError(f"unknown checker {checker!r}")
     accepted = []
-    for indices, G in _stacks(space, (route,), start, stop):
+    for indices, G, _ in _walk(space, route, _span(space, start, stop)):
         accepted += indices[_verdict(space.A, space.B, routes, G)].tolist()
     return accepted
 
@@ -220,7 +298,8 @@ def cross_validate(
     rejects every grid outside it.
     """
     space.guard()
-    for indices, G in _stacks(space, tuple(UNIT_FAMILIES), start, stop):
+    span = _span(space, start, stop)
+    for indices, G in _windows([_walk(space, route, span) for route in UNIT_FAMILIES]):
         verdicts = np.array([_verdict(space.A, space.B, (route,), G) for route in UNIT_FAMILIES])
         split = np.flatnonzero((verdicts != verdicts[0]).any(axis=0))
         if split.size:

@@ -254,7 +254,7 @@ def rho_hat(c, k: int) -> EndoMatrix:
     """The End-valued matrix attached to the k-th opposite basis vector."""
     family = _family_of(c)
     k = family.B._basis_index(k)
-    return EndoMatrix(family.field, _rho_tensor(family.field, family.B.lam, family.gamma)[k].copy())
+    return EndoMatrix(family.field, family.field.einsum("mli,lrc->imrc", family.B.lam, family.gamma[k]))
 
 
 def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):

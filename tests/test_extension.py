@@ -80,6 +80,19 @@ def test_split_blocks_of_flip():
     assert F3.is_zero(blocks.gamma_block(1, 0, a.unit))
 
 
+@pytest.mark.parametrize(
+    "block, error", [(-1, IndexError), (2, IndexError), (True, TypeError)], ids=["-1", "2", "True"]
+)
+def test_gamma_block_refuses_indices_outside_the_two_blocks(block, error):
+    """Block indices number B (0) and C (1): ``-1`` does not count from the
+    end and ``True`` is no index 1."""
+    a = kn_algebra(F3, 2)
+    blocks = split_blocks(GammaFamily.flip(a, direct_product(kn_algebra(F3, 2), duplicate_algebra(F3))), 2)
+    for p, q in ((block, 0), (0, block)):
+        with pytest.raises(error, match="block index"):
+            blocks.gamma_block(p, q, a.unit)
+
+
 def test_split_blocks_of_direct_sum_has_zero_corners(psi_sum):
     blocks = split_blocks(psi_sum.family, 2)
     fam = psi_sum.family

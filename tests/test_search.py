@@ -23,6 +23,8 @@ from twistkit import (
 from twistkit.twisting import UNIT_FAMILIES, direct_condition_flags, direct_ok, route_ok
 from twistkit import search as search_mod
 from twistkit.errors import DimensionMismatchError, FieldError
+from twistkit.linalg import KMatrix, kernel_basis
+from twistkit.report import Failure, VerificationReport
 
 F2 = GF(2)
 F3 = GF(3)
@@ -367,6 +369,39 @@ def test_unit_families_are_affine(route):
             assert (left == right).all(), (route, p)
 
 
+def _reference_coset(space, route):
+    """The full expansion the ranked walk replaced: every digit row of the
+    route's unit-family coset, from the kernel basis of the unreversed
+    system, in coefficient order (not index order)."""
+    field, N, p = space.A.field, space.free_entries, space.p
+    F = search_mod._unit_residual(space, route, np.eye(N + 1, N, k=-1, dtype=np.int64))
+    f0, M = F[0], field.sub(F[1:], F[0]).T
+    kernel = kernel_basis(KMatrix(field, np.concatenate([M, f0[:, None]], axis=1)))
+    if not kernel or kernel[-1][N] != 1:
+        return np.zeros((0, N), dtype=np.int64)
+    offset = kernel[-1][:N]
+    basis = np.array([v[:N] for v in kernel[:-1]], dtype=np.int64).reshape(-1, N)
+    k = len(basis)
+    coeffs = (np.arange(p**k)[:, None] // search_mod._place_values(p, k)) % p
+    return (offset + coeffs @ basis) % p
+
+
+def _walked(space, route, lo, hi):
+    """(indices, digit rows) of the ranked walk over [lo, hi), concatenated;
+    every chunk ascends, holds at most ``_CHUNK`` points and indexes its rows,
+    and reaches its last index, or the end of the range on the last chunk."""
+    span = search_mod._span(space, lo, hi)
+    walk = list(search_mod._walk(space, route, span))
+    chunks = [(indices, grids.reshape(len(grids), -1)) for indices, grids, _ in walk]
+    for t, (indices, points) in enumerate(chunks):
+        assert 0 < len(indices) <= search_mod._CHUNK
+        assert (indices == space._indices(points)).all()
+        assert walk[t][2] == (span.stop - 1 if t == len(walk) - 1 else indices[-1])
+    if not chunks:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, space.free_entries), dtype=np.int64)
+    return np.concatenate([i for i, _ in chunks]), np.concatenate([r for _, r in chunks])
+
+
 @pytest.mark.parametrize("route", sorted(UNIT_FAMILIES))
 @pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
 def test_coset_is_the_set_passing_the_unit_families(route, name):
@@ -375,14 +410,18 @@ def test_coset_is_the_set_passing_the_unit_families(route, name):
         i for i in range(space.total)
         if not search_mod._unit_residual(space, route, space.gamma_of_index(i).reshape(-1)).any()
     ]
-    coset = sorted(space._indices(search_mod._coset(space, route)).tolist())
-    assert coset == passing
+    assert sorted(space._indices(_reference_coset(space, route)).tolist()) == passing
+    assert _walked(space, route, 0, None)[0].tolist() == passing
+
+
+def _same_coset(x, y):
+    return (x is None and y is None) or ((x.offset == y.offset).all() and (x.basis == y.basis).all())
 
 
 @pytest.mark.parametrize("name", ["K1xK2-F3", "K2xK1-F3", "tri x K"])
 def test_direct_coset_is_built_from_the_unit_families_alone(monkeypatch, name):
     """The ``direct`` system comes from ``direct.1`` and ``direct.3`` only:
-    building the coset evaluates neither ``direct.2`` nor ``direct.4``."""
+    solving it evaluates neither ``direct.2`` nor ``direct.4``."""
     from twistkit import twisting
 
     space = _small_spaces()[name]
@@ -393,9 +432,161 @@ def test_direct_coset_is_built_from_the_unit_families_alone(monkeypatch, name):
 
     monkeypatch.setattr(twisting, "_twisted_products", refuse)
     monkeypatch.setattr(twisting, "_rule_compositions", refuse)
-    assert (search_mod._coset(space, "direct") == expected).all()
+    assert _same_coset(search_mod._coset(space, "direct"), expected)
     with pytest.raises(AssertionError, match="non-unit"):
         direct_ok(GammaFamily.flip(space.A, space.B))
+
+
+# -- the ranked walk against the full expansion --------------------------------------------------
+
+
+def _reference_stacks(space, routes, lo, hi):
+    """(indices, grids) in [lo, hi) of the union of the fully expanded cosets."""
+    points = np.concatenate([_reference_coset(space, route) for route in routes])
+    indices, rows = np.unique(space._indices(points), return_index=True)
+    keep = (indices >= lo) & (indices < hi)
+    return indices[keep], points[rows[keep]].reshape((-1,) + space.grid_shape)
+
+
+def _reference_enumerate(space, checker, lo, hi):
+    route, routes = ("direct", tuple(UNIT_FAMILIES)) if checker == "all" else (checker, (checker,))
+    indices, G = _reference_stacks(space, (route,), lo, hi)
+    return indices[search_mod._verdict(space.A, space.B, routes, G)].tolist()
+
+
+def _reference_cross_validate(space, lo, hi):
+    indices, G = _reference_stacks(space, tuple(UNIT_FAMILIES), lo, hi)
+    if not len(indices):
+        return VerificationReport(ok=True)
+    verdicts = np.array([search_mod._verdict(space.A, space.B, (route,), G) for route in UNIT_FAMILIES])
+    split = np.flatnonzero((verdicts != verdicts[0]).any(axis=0))
+    if not split.size:
+        return VerificationReport(ok=True)
+    direct, rep, oracle = verdicts[:, split[0]].tolist()
+    failure = Failure(
+        condition="cross.disagree",
+        witness=(int(indices[split[0]]),),
+        left=f"direct={direct} rep={rep} oracle={oracle}",
+        right=space.A.field.format_array(G[split[0]]),
+    )
+    return VerificationReport(ok=False, failures=(failure,))
+
+
+def _zero_unit(algebra):
+    field = algebra.field
+    return FiniteDimAlgebra(field, algebra.dim, algebra.basis, algebra.lam, field.zeros(algebra.dim))
+
+
+def _walk_spaces():
+    """The 16 F_2 2 x 2 spaces, the small spaces, and three whose routes'
+    cosets differ: the whole space, an empty one, or free digits 0, 2, ..., 14
+    with a pivot digit after each."""
+    f2 = _presentations(F2)
+    spaces = {f"{a}x{b}-F2": SearchSpace(A, B) for a, A in f2.items() for b, B in f2.items()}
+    zero_product = FiniteDimAlgebra(F3, 1, ("z",), F3.zeros((1, 1, 1)), F3.asarray([1]))
+    return {
+        **spaces,
+        **_small_spaces(),
+        "zero units F3": SearchSpace(_zero_unit(kn_algebra(F3, 1)), _zero_unit(kn_algebra(F3, 2))),
+        "zero product F3": SearchSpace(kn_algebra(F3, 1), zero_product),
+        "K2 x zero-unit dup F2": SearchSpace(f2["K2"], _zero_unit(f2["dup"])),
+    }
+
+
+def _ranges(space, rng):
+    """Random ranges, ranges ending on coset points (both sides), empty ranges
+    and ranges past the end of the space."""
+    total = space.total
+    points = sorted({int(i) for route in UNIT_FAMILIES for i in space._indices(_reference_coset(space, route))})
+    ranges = [(0, None), (0, total)]
+    ranges += [tuple(sorted(rng.randrange(total + 1) for _ in range(2))) for _ in range(3)]
+    if points:
+        x, y = sorted(rng.choice(points) for _ in range(2))
+        ranges += [(x, y), (x, y + 1), (x + 1, y), (x, x + 1), (x + 1, x + 1)]
+    ranges += [(5 % total, 5 % total), (total, None), (total - 1, total + 9), (total + 3, total + 4)]
+    return ranges
+
+
+@pytest.mark.parametrize("name", sorted(_walk_spaces()))
+def test_ranked_walk_matches_the_full_expansion(monkeypatch, name):
+    """Point sets and ascending order of each route's walk, then
+    ``enumerate_space`` and ``cross_validate`` (witness included, on one
+    corrupted coset point) equal the full expansion's, in stacks of 7 grids
+    so that walks end on partial stacks."""
+    space = _walk_spaces()[name]
+    rng = random.Random(f"walk/{name}")
+    monkeypatch.setattr(search_mod, "_CHUNK", 7)
+    for lo, hi in _ranges(space, rng):
+        end = space.total if hi is None else min(hi, space.total)
+        for route in UNIT_FAMILIES:
+            reference = _reference_coset(space, route)
+            order = np.argsort(space._indices(reference))
+            keep = [t for t in order if lo <= space._indices(reference[t]) < end]
+            indices, points = _walked(space, route, lo, hi)
+            assert (np.diff(indices) > 0).all()
+            assert (points == reference[keep].reshape(-1, space.free_entries)).all(), (route, lo, hi)
+        for checker in _VERDICTS:
+            assert enumerate_space(space, checker, lo, hi) == _reference_enumerate(space, checker, lo, end)
+        assert cross_validate(space, lo, hi) == _reference_cross_validate(space, lo, end)
+    route = rng.choice(sorted(UNIT_FAMILIES))
+    points = space._indices(_reference_coset(space, route)).tolist()
+    if points:
+        _corrupt(monkeypatch, space, {route: {rng.choice(points)}})
+        for lo, hi in _ranges(space, rng):
+            end = space.total if hi is None else min(hi, space.total)
+            assert cross_validate(space, lo, hi) == _reference_cross_validate(space, lo, end)
+
+
+@pytest.mark.parametrize("name", ["zero units F3", "zero product F3", "K1xK2-F3", "K2xK2-F2", "K2 x zero-unit dup F2"])
+def test_rank_counts_the_points_below_an_index(name):
+    """``_Coset.rank`` against the sorted full expansion: at every index of a
+    small space, else at each coset point, its neighbours and random indices;
+    and ``points`` at every rank."""
+    space = _walk_spaces()[name]
+    rng = random.Random(f"rank/{name}")
+    for route in UNIT_FAMILIES:
+        coset = search_mod._coset(space, route)
+        indices = np.sort(space._indices(_reference_coset(space, route)))
+        if coset is None:
+            assert len(indices) == 0
+            continue
+        if space.total <= 1000:
+            probes = list(range(space.total + 1))
+        else:
+            near = {int(i) + d for i in indices for d in (0, 1)}
+            probes = sorted(near | {rng.randrange(space.total) for _ in range(200)} | {space.total})
+        assert [coset.rank(i) for i in probes] == np.searchsorted(indices, probes).tolist()
+        assert (space._indices(coset.points(0, len(indices))) == indices).all()
+
+
+def test_walk_memory_is_bounded_on_a_whole_space_coset():
+    """A of dimension 1 with unit 0 against K^2's constants with unit 0 over
+    F_61: the ``direct`` and ``oracle`` cosets are all 13.8 M grids.  On a
+    200-grid slice in the middle every checker and ``cross_validate`` equal
+    brute force, and the walk allocates a bounded amount (the full expansion
+    took over 400 MB)."""
+    import tracemalloc
+
+    space = SearchSpace(_zero_unit(kn_algebra(GF(61), 1)), _zero_unit(kn_algebra(GF(61), 2)))
+    assert space.total == 61**4 <= search_mod.MAX_CANDIDATES
+    lo = space.total // 2
+    hi = lo + 200
+    tracemalloc.start()
+    try:
+        accepted = {checker: enumerate_space(space, checker, lo, hi) for checker in _VERDICTS}
+        report = cross_validate(space, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert [len(search_mod._coset(space, route).basis) for route in ("direct", "oracle")] == [4, 4]
+    assert search_mod._coset(space, "rep") is None
+    for checker, verdict in _VERDICTS.items():
+        assert accepted[checker] == _brute(space, verdict, lo, hi), checker
+    witness = _first_disagreement(space, lo, hi)
+    assert report.ok == (witness is None)
+    if witness is not None:
+        assert report.failures[0].witness == (witness,)
 
 
 # -- the index range contract -------------------------------------------------------------
@@ -426,7 +617,7 @@ def test_unsolvable_unit_families_leave_nothing_to_walk():
     zero_product = FiniteDimAlgebra(F3, 1, ("z",), F3.zeros((1, 1, 1)), F3.asarray([1]))
     assert not validate_algebra(zero_product).ok
     space = SearchSpace(kn_algebra(F3, 1), zero_product)
-    assert len(search_mod._coset(space, "rep")) == 0
+    assert search_mod._coset(space, "rep") is None
     for checker, verdict in _VERDICTS.items():
         assert enumerate_space(space, checker) == _brute(space, verdict, 0, space.total)
     report = cross_validate(space)
@@ -438,12 +629,9 @@ def test_zero_units_walk_the_whole_space_in_partial_chunks(monkeypatch):
     ``oracle`` unit families, so those cosets are the whole space (81 grids)
     and the ``rep`` coset is empty.  Stacks of 7 grids leave a partial last
     stack; the walk still matches brute force, witness included."""
-    A = FiniteDimAlgebra(F3, 1, ("a",), F3.asarray([[[1]]]), F3.asarray([0]))
-    k2 = kn_algebra(F3, 2)
-    B = FiniteDimAlgebra(F3, 2, k2.basis, k2.lam, F3.asarray([0, 0]))
-    space = SearchSpace(A, B)
+    space = _walk_spaces()["zero units F3"]
     assert space.total == 81 and space.total % 7
-    assert [len(search_mod._coset(space, route)) for route in ("direct", "rep", "oracle")] == [81, 0, 81]
+    assert [len(_reference_coset(space, route)) for route in ("direct", "rep", "oracle")] == [81, 0, 81]
     monkeypatch.setattr(search_mod, "_CHUNK", 7)
     for checker, verdict in _VERDICTS.items():
         assert enumerate_space(space, checker) == _brute(space, verdict, 0, space.total), checker

@@ -182,6 +182,28 @@ def test_rho_hat_kn_is_diagonal():
                     assert entry.is_zero()
 
 
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_rho_hat_is_one_slice_of_the_rho_tensor(field):
+    """``rho_hat(c, k)`` contracts only ``gamma[k]``; it equals the k-th
+    matrix of the whole tensor on random grids over K[X]/(X^2 - X + 2)."""
+    from fractions import Fraction
+
+    from twistkit.twisting import _rho_tensor
+
+    rng = random.Random(f"rho_hat/{field}")
+    A = kn_algebra(field, 2)
+    B = quadratic_algebra(field, 1, 2)
+    def draw():
+        return rng.randrange(3) if field is F3 else Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+
+    for _ in range(5):
+        grid = field.asarray([[[[draw() for _ in range(2)] for _ in range(2)] for _ in range(2)] for _ in range(2)])
+        fam = GammaFamily(A, B, grid)
+        whole = _rho_tensor(field, B.lam, fam.gamma)
+        for k in range(B.dim):
+            assert field.equal(rho_hat(fam, k).data, whole[k]), k
+
+
 def test_phi_hat_duplicate_display(generic_markers_f5):
     f, delta = generic_markers_f5
     fam = ncd_family(F5, f, delta)
