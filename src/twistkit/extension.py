@@ -32,6 +32,7 @@ from .report import VerificationReport, pairs_ok, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
+    _check_image,
     _family_of,
     _require_verified,
     _rho_tensor,
@@ -159,11 +160,11 @@ def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
 
 
 def _cut_grid(psi, n: int):
-    """The family of a candidate with its cut validated, and its grid in the
-    cleared form of a check."""
+    """The family of a candidate with its cut validated, and the image
+    (A, D, G) of its check (``twisting._check_image``)."""
     psi = _family_of(psi)
     _check_block_structure(psi, n)
-    return psi, psi.field.cleared(psi.gamma)
+    return psi, _check_image(psi)
 
 
 def check_lemma_blocks(psi, n: int) -> VerificationReport:
@@ -185,14 +186,14 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
 
     Agrees with the combined representation checkers on D for every candidate.
     """
-    psi, G = _cut_grid(psi, n)
-    return pairs_report(psi.field, _lemma_pairs(psi.A, psi.B, G, n))
+    psi, image = _cut_grid(psi, n)
+    return pairs_report(psi.field, _lemma_pairs(*image, n))
 
 
 def lemma_blocks_ok(psi, n: int) -> bool:
     """Fast verdict of the block criterion."""
-    psi, G = _cut_grid(psi, n)
-    return pairs_ok(psi.field, _lemma_pairs(psi.A, psi.B, G, n))
+    psi, image = _cut_grid(psi, n)
+    return pairs_ok(psi.field, _lemma_pairs(*image, n))
 
 
 def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):
@@ -241,10 +242,10 @@ def check_extension_given_theta(
     Raises ``UnverifiedCandidateError`` when the B-restriction fails its own
     verification.
     """
-    psi, G = _cut_grid(psi, n)
+    psi, image = _cut_grid(psi, n)
     if not direct_ok(_corner_family(psi, slice(0, n))):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
-    return pairs_report(psi.field, _extension_pairs(psi.A, psi.B, G, n, require_gamma01_zero))
+    return pairs_report(psi.field, _extension_pairs(*image, n, require_gamma01_zero))
 
 
 def _extension_pairs(
@@ -324,7 +325,7 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     field = family.field
     if not field.is_zero(family.gamma[C, B]):
         raise BlockFormError("upper-right corner block does not vanish")
-    _, (_, *mul) = route_pairs("phi", family.A, family.B, field.cleared(family.gamma))
+    _, (_, *mul) = route_pairs("phi", *_check_image(family))
     families = (
         _corner("phiB.mul", mul, B, B),
         _corner("phiC.mul", mul, C, C),

@@ -14,19 +14,37 @@ shape and the output shape, so a call does none of ``np.tensordot``'s
 per-call setup but the same transpose, reshape and dot.  Both share one
 exactness wrapper: over F_p the fresh product is reduced mod p in place (an
 input never is), exact while summed length * (p - 1)**2 < 2**63, so for any
-summed length below 2**31; over Q one Python-int multiply and add per term,
-on numerators over common denominators.
+summed length below 2**31; over Q one integer multiply and add per term,
+on numerators over common denominators (``int64`` under the bound below).
 
-Over Q a checker keeps its arrays in cleared form from the grid to the
+Over Q a checker keeps its arrays in cleared form from its inputs to the
 comparison.  ``twisting.route_ok`` and ``twisting.route_reports`` (behind
-every route check and verdict) and ``twisting.verify_faithful`` turn the gamma
-grid into Python-int numerators over one denominator once per check with
-``Field.cleared``; a contraction
-with a cleared operand returns the cleared product (the denominators
-multiply), and ``Field.mismatch`` compares cleared sides by cross-multiplied
-numerators.  No ``Fraction`` is built inside a route: the cleared form leaves
-only through ``Field.format``, one ``Fraction`` per witness entry of a
-report.  Contractions of ``Fraction`` operands alone (the public
+every route check and verdict), ``twisting.verify_faithful`` and the block
+checkers of ``extension`` run on the image of the check
+(``twisting._check_image``): the structure constants and units of A and B
+and the gamma grid, each turned into integer numerators over one
+denominator once per check with ``Field.cleared``.  A contraction with a
+cleared operand returns the cleared product (the denominators multiply), a
+broadcast ``*`` of a cleared array with an exact array does too, and
+``Field.mismatch`` compares cleared sides by cross-multiplied numerators.
+
+Each cleared array carries an upper bound on the sum of the absolute values
+of its numerators (its L1 norm): ``Field.cleared`` counts it, views keep it,
+and a contraction or broadcast product of operands with bounds bx and by gets
+bx * by.  That is proven: every output entry, and every partial sum that
+``np.dot`` or ``np.einsum`` forms on the way, is a sum of products
+x_a * y_b over distinct pairs (a, b) of operand entries, so its absolute
+value is at most sum|x| * sum|y|, and so is the sum of the outputs.  The
+numerators are ``int64`` while the bounds allow it: a contraction or product
+runs in ``int64`` when bx, by and bx * by are all below 2**63, and a
+comparison when both cross-multiplied bounds (and both factors) are; it runs
+on Python ints (``object`` arrays) otherwise.  The bound alone picks the
+dtype, so no ``int64`` value can wrap.
+
+No ``Fraction`` is built inside a route: the cleared form leaves only
+through ``Field.format``, one ``Fraction`` per witness entry of a report, and
+``Field.numerators``, which hands Python ints to the exact elimination of
+``linalg``.  Contractions of ``Fraction`` operands alone (the public
 constructions, ``linalg``) return ``Fraction`` arrays, and no public function
 returns a cleared array.  Over F_p ``cleared`` is the identity.
 
@@ -215,7 +233,7 @@ class Field:
         return self.tensordot(x, y, axes).transpose(order)
 
     def cleared(self, x):
-        """``x`` in the cleared form of a check over Q (Python-int numerators
+        """``x`` in the cleared form of a check over Q (integer numerators
         over one denominator, see the module docstring); ``x`` itself over F_p."""
         if self.kind == "Fp":
             return x
@@ -223,22 +241,28 @@ class Field:
 
     def numerators(self, x) -> np.ndarray:
         """An exact array equal to ``x`` times a positive integer: the
-        numerators of a cleared ``x``, ``x`` itself otherwise."""
-        return x.num if isinstance(x, _Cleared) else x
+        numerators of a cleared ``x`` as Python ints (an object array),
+        ``x`` itself otherwise."""
+        return x.num.astype(object) if isinstance(x, _Cleared) else x
 
     def _contract(self, contract, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``contract(x, y)``, exactly.  Over Q it contracts numerators over each
-        operand's lcm denominator.  With a cleared operand the product stays
-        cleared; otherwise a distinct output numerator makes one ``Fraction``.
-        Over F_p it reduces the fresh product mod p in place."""
+        """``contract(x, y)``, exactly (a contraction, or the broadcast product
+        ``np.multiply``).  Over Q it contracts numerators over each operand's
+        lcm denominator, in ``int64`` when both L1 bounds and their product
+        are below 2**63 (see the module docstring).  With a cleared
+        operand the product stays cleared; otherwise a distinct output
+        numerator makes one ``Fraction``.  Over F_p it reduces the fresh
+        product mod p in place."""
         if self.kind == "Fp":
             z = contract(x, y)
             return np.remainder(z, self.p, out=z)
-        nx, dx = _clear_denominators(x)
-        ny, dy = _clear_denominators(y)
-        z = np.asarray(contract(nx, ny), dtype=object)
+        nx, dx, bx = _clear_denominators(x)
+        ny, dy, by = _clear_denominators(y)
+        bound = bx * by
+        dtype = _dtype(bx, by, bound)
+        z = np.asarray(contract(nx.astype(dtype, copy=False), ny.astype(dtype, copy=False)))
         if isinstance(x, _Cleared) or isinstance(y, _Cleared):
-            return _Cleared(z, dx * dy)
+            return _Cleared(z, dx * dy, bound)
         flat = z.ravel().tolist()
         by_numerator = {v: Fraction(v, dx * dy) for v in set(flat)}
         return np.array([by_numerator[v] for v in flat], dtype=object).reshape(z.shape)
@@ -256,27 +280,31 @@ class Field:
         """Boolean array, broadcast like ``x != y``, true where the reduced
         exact values differ.  Over F_p the raw comparison is the answer when
         no entry differs; otherwise both sides are reduced.  Over Q a cleared
-        side compares by Python-int cross multiplication,
-        ``nx * dy != ny * dx`` (``Fraction`` equality when neither side is
-        cleared)."""
+        side compares by cross multiplication over lcm(dx, dy),
+        ``nx * (dy / g) != ny * (dx / g)`` with g = gcd(dx, dy), in ``int64``
+        when both scaled bounds are below 2**63 (``Fraction`` equality when
+        neither side is cleared)."""
         if self.kind == "Fp":
             raw = np.asarray(x != y)
-            return np.asarray(self.reduce(x) != self.reduce(y)) if raw.any() else raw
+            return np.asarray(self.reduce(x) != self.reduce(y)) if np.count_nonzero(raw) else raw
         if not (isinstance(x, _Cleared) or isinstance(y, _Cleared)):
             return np.asarray(x != y)
-        nx, dx = _clear_denominators(x)
-        ny, dy = _clear_denominators(y)
-        # over lcm(dx, dy): sides with one denominator (such as both sides of
-        # oracle.assoc) compare without building scaled copies
+        nx, dx, bx = _clear_denominators(x)
+        ny, dy, by = _clear_denominators(y)
         g = math.gcd(dx, dy)
-        return np.asarray((nx if dy == g else nx * (dy // g)) != (ny if dx == g else ny * (dx // g)))
+        sx, sy = dy // g, dx // g
+        dtype = _dtype(bx * sx, by * sy, sx, sy)
+        nx, ny = nx.astype(dtype, copy=False), ny.astype(dtype, copy=False)
+        # sides with one denominator (such as both sides of oracle.assoc)
+        # compare without building scaled copies
+        return np.asarray((nx if sx == 1 else nx * sx) != (ny if sy == 1 else ny * sy))
 
     def equal(self, x: np.ndarray, y: np.ndarray) -> bool:
         # np.shape reads a cleared array's ``shape``, and takes scalars too
-        return np.shape(x) == np.shape(y) and not self.mismatch(x, y).any()
+        return np.shape(x) == np.shape(y) and not np.count_nonzero(self.mismatch(x, y))
 
     def is_zero(self, arr: np.ndarray) -> bool:
-        return not self.mismatch(arr, self.zero).any()
+        return not np.count_nonzero(self.mismatch(arr, self.zero))
 
     def format_array(self, arr):
         """Nested lists of canonical scalar strings (for reports and JSON)."""
@@ -286,6 +314,15 @@ class Field:
 
 
 _INT = (int, np.integer)
+
+#: Numerators are ``int64`` only below this bound; at or above it, Python ints.
+_INT64_LIMIT = 1 << 63
+
+
+def _dtype(*bounds: int):
+    """``int64`` when every bound (on an operand, a product or a sum) is below
+    2**63, else ``object``: Python ints, which cannot overflow."""
+    return np.int64 if max(bounds) < _INT64_LIMIT else object
 
 
 def _axes_key(axes):
@@ -349,12 +386,20 @@ def _dot_plan(spec: str, x_ndim: int, y_ndim: int):
 
 @dataclass(frozen=True, eq=False)
 class _Cleared:
-    """The exact array ``num / den`` over Q: ``num`` a Python-int object
-    array, ``den`` a positive int.  It has the view operations the route
-    generators apply to a grid and to contraction outputs; each keeps ``den``."""
+    """The exact array ``num / den`` over Q: ``num`` an integer array,
+    ``den`` a positive int and ``bound`` an upper bound on the sum of
+    ``|num|``; ``num`` is ``int64`` only when ``bound`` is below 2**63, and
+    Python ints (an object array) otherwise.  It has the view operations the
+    route generators apply to a grid and to contraction outputs, each keeping
+    ``den`` and ``bound``, and the broadcast product with an exact array on
+    either side."""
 
     num: np.ndarray
     den: int
+    bound: int
+
+    # numpy defers ``ndarray * _Cleared`` to ``__rmul__``
+    __array_ufunc__ = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -365,30 +410,40 @@ class _Cleared:
         return self.num.ndim
 
     def transpose(self, *axes) -> "_Cleared":
-        return _Cleared(self.num.transpose(*axes), self.den)
+        return _Cleared(self.num.transpose(*axes), self.den, self.bound)
 
     def reshape(self, *shape) -> "_Cleared":
-        return _Cleared(self.num.reshape(*shape), self.den)
+        return _Cleared(self.num.reshape(*shape), self.den, self.bound)
 
     def __getitem__(self, key) -> "_Cleared":
-        return _Cleared(self.num[key], self.den)
+        return _Cleared(self.num[key], self.den, self.bound)
+
+    def __mul__(self, other) -> "_Cleared":
+        """The broadcast product, through the exactness wrapper of the
+        contractions: each entry is one product ``x_a * y_b`` of a distinct
+        pair, so the bounds multiply."""
+        return QQ._contract(np.multiply, self, other)
+
+    __rmul__ = __mul__
 
 
-def _clear_denominators(arr) -> tuple[np.ndarray, int]:
-    """Python-int object array N and int D > 0 with N / D equal to ``arr``;
-    a cleared ``arr`` gives its own pair without any work.
+def _clear_denominators(arr) -> tuple[np.ndarray, int, int]:
+    """Integer array N, int D > 0 and the bound sum(|N|), with N / D equal to
+    ``arr`` and N in the dtype ``_dtype`` gives the bound; a cleared ``arr``
+    gives its own triple without any work.
 
     ``int`` and numpy integers carry ``numerator`` / ``denominator`` too, so
     integral entries of any type are accepted.
     """
     if isinstance(arr, _Cleared):
-        return arr.num, arr.den
+        return arr.num, arr.den, arr.bound
     arr = np.asarray(arr)
     flat = arr.ravel().tolist()
     dens = [v.denominator for v in flat]
     den = math.lcm(*dens)
     nums = [int(v.numerator) * (den // d) for v, d in zip(flat, dens)]
-    return np.array(nums, dtype=object).reshape(arr.shape), den
+    bound = sum(map(abs, nums))
+    return np.array(nums, dtype=_dtype(bound)).reshape(arr.shape), den, bound
 
 
 def _shape_of(nested) -> tuple[int, ...]:

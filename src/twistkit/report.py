@@ -61,9 +61,9 @@ PASS = VerificationReport(ok=True)
 def family_failures(fld, tag: str, left: np.ndarray, right: np.ndarray) -> Iterator[Failure]:
     """Yield at most one Failure for the condition family ``left == right``."""
     mismatch = fld.mismatch(left, right)
-    if not mismatch.any():
-        return
     count = int(np.count_nonzero(mismatch))
+    if not count:
+        return
     witness = tuple(int(t) for t in np.argwhere(mismatch)[0])
     yield Failure(
         condition=tag,
@@ -90,7 +90,7 @@ def pairs_ok(fld, pairs, batch: tuple[int, ...] = ()):
         return ok
     for _, left, right in pairs:
         mismatch = fld.mismatch(left, right)
-        ok &= ~mismatch.any(axis=tuple(range(len(batch), mismatch.ndim)))
-        if not ok.any():
+        ok &= ~np.logical_or.reduce(mismatch, axis=tuple(range(len(batch), mismatch.ndim)))
+        if not np.count_nonzero(ok):
             break
     return ok if batch else bool(ok)

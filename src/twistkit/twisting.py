@@ -27,11 +27,13 @@ The routes agree on every candidate; the exhaustive searches in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
+from .fields import Field
 from .linalg import (
     AlgMatrix,
     EndoMatrix,
@@ -443,6 +445,31 @@ UNIT_FAMILIES = {
 }
 
 
+class _AlgebraImage(NamedTuple):
+    """What the family generators read of an algebra, in the cleared form of
+    a check: its field, dimension, structure constants and unit."""
+
+    field: Field
+    dim: int
+    lam: object
+    unit: object
+
+
+def _check_image(family: GammaFamily) -> tuple:
+    """(A, B, G): the algebras and grid one check of ``family`` runs on.  Over
+    Q the structure constants, the units and the grid are each cleared once
+    (``Field.cleared``; an algebra used on both sides once); over F_p they
+    are the family's own."""
+    field, A, B = family.field, family.A, family.B
+    if field.kind == "Fp":
+        return A, B, family.gamma
+    images = [
+        _AlgebraImage(field, algebra.dim, field.cleared(algebra.lam), field.cleared(algebra.unit))
+        for algebra in ((A,) if B is A else (A, B))
+    ]
+    return images[0], images[-1], field.cleared(family.gamma)
+
+
 def route_pairs(route: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Every family of the route, lazily and in report order, on one grid or a
     stack G of shape (..., n, n, d, d)."""
@@ -453,18 +480,18 @@ def route_pairs(route: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndar
 def route_ok(route: str, c) -> bool:
     """The route's verdict on one candidate; it stops at the first failing family."""
     family = _family_of(c)
-    field = family.field
-    return pairs_ok(field, route_pairs(route, family.A, family.B, field.cleared(family.gamma)))
+    return pairs_ok(family.field, route_pairs(route, *_check_image(family)))
 
 
 def route_reports(c, routes) -> dict[str, VerificationReport]:
     """The report of each of ``routes`` on one candidate, in the order given.
-    The grid is cleared once and each distinct generator runs once: the ``rep``
-    report is the ``rho`` failures, then the ``phi`` failures."""
+    All run on one image of the check (``_check_image``) and each distinct
+    generator runs once: the ``rep`` report is the ``rho`` failures, then the
+    ``phi`` failures."""
     family = _family_of(c)
-    field, G = family.field, family.field.cleared(family.gamma)
+    image = _check_image(family)
     generators = dict.fromkeys(pairs for route in routes for pairs in ROUTES[route])
-    failures = {g: pairs_report(field, g(family.A, family.B, G)).failures for g in generators}
+    failures = {g: pairs_report(family.field, g(*image)).failures for g in generators}
     return {
         route: VerificationReport.from_failures(f for pairs in ROUTES[route] for f in failures[pairs])
         for route in routes
@@ -532,13 +559,13 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
     """Morphism, unit and injectivity checks for the faithful representation.
 
     Tags: ``faithful.mul`` (all product-basis pairs), ``faithful.unit`` and
-    ``faithful.kernel`` (the underlying linear map must be injective).  The
-    grid is cleared once for all three (``Field.cleared``).
+    ``faithful.kernel`` (the underlying linear map must be injective).  All
+    three run on one image of the check (``_check_image``).
     """
     family = _require_verified(c, "verify_faithful")
-    field, A, B = family.field, family.A, family.B
+    field = family.field
+    A, B, G = _check_image(family)
     n, d = B.dim, A.dim
-    G = field.cleared(family.gamma)
     images = _faithful_tensor(A, B, G)
     report = pairs_report(field, _faithful_pairs(A, B, G, images))
 

@@ -1,13 +1,17 @@
-"""Over Q the route checks run on the cleared grid (Python-int numerators
-over one denominator, ``Field.cleared``) instead of ``Fraction`` arrays.
+"""Over Q the route checks run on the image of the check (``A`` and ``B``
+with cleared structure constants and units, and the cleared grid:
+integer numerators over one denominator, ``twisting._check_image``) instead
+of ``Fraction`` arrays.
 
 The cleared path must give the reports of the ``Fraction`` path family by
 family (tag, witness, left, right and count) on twisting maps and on
-non-twisting grids alike, and the ``verify_faithful`` kernel of the
-numerators must be the kernel of the ``Fraction`` images.  The ``Fraction``
-path is a route generator called on the ``Fraction`` grid itself: without a
-cleared operand, ``Field._contract`` and ``Field.mismatch`` build and
-compare ``Fraction`` entries.  No cleared array may leave a public function.
+non-twisting grids alike, with ``int64`` numerators and, on grids with large
+numerators, with Python ints where the bound does not allow ``int64``; the
+``verify_faithful`` kernel of the numerators must be the kernel of the
+``Fraction`` images.  The ``Fraction`` path is a route generator called on
+the ``Fraction`` algebras and grid themselves: without a cleared operand,
+``Field._contract`` and ``Field.mismatch`` build and compare ``Fraction``
+entries.  No cleared array may leave a public function.
 """
 
 from fractions import Fraction
@@ -65,6 +69,14 @@ RATIONALS = st.builds(
     st.sampled_from([1, 1, 2, 3, 4, 9, 10**9 + 7]),
 )
 
+#: Numerators near 2**31 and 2**40: the bounds of the products built from a
+#: grid of them cross 2**63, so its checks run partly on Python ints.
+LARGE_RATIONALS = st.builds(
+    Fraction,
+    st.sampled_from([2**31, 2**40]).flatmap(lambda s: st.integers(-s - 9, -s + 9) | st.integers(s - 9, s + 9)),
+    st.sampled_from([1, 2, 3]),
+)
+
 _K2 = kn_algebra(QQ, 2)
 #: Twisting maps with a 2-dimensional carrier, for rebasing.
 _TWISTING = [
@@ -78,8 +90,9 @@ _TWISTING = [
 @st.composite
 def q_candidates(draw):
     """(A, B, G): a twisting map as built, rebased by a random rational carrier
-    basis, or a random grid; then possibly perturbed in one entry."""
-    kind = draw(st.sampled_from(["flip", "twisting", "rebased", "random"]))
+    basis, or a random grid of small or large entries; then possibly
+    perturbed in one entry."""
+    kind = draw(st.sampled_from(["flip", "twisting", "rebased", "random", "large"]))
     if kind in ("twisting", "rebased"):
         candidate = draw(st.sampled_from(_TWISTING))
         if kind == "rebased":  # P = U L: invertible upper times unipotent lower
@@ -91,8 +104,9 @@ def q_candidates(draw):
     else:
         A, B = draw(st.sampled_from(ALGEBRAS)), draw(st.sampled_from(ALGEBRAS))
         G = GammaFamily.flip(A, B).gamma.copy()
-        if kind == "random":
-            entries = draw(st.lists(RATIONALS, min_size=G.size, max_size=G.size))
+        if kind in ("random", "large"):
+            values = RATIONALS if kind == "random" else RATIONALS | LARGE_RATIONALS
+            entries = draw(st.lists(values, min_size=G.size, max_size=G.size))
             G = np.array(entries, dtype=object).reshape(G.shape)
     if draw(st.booleans()):
         index = tuple(draw(st.integers(0, k - 1)) for k in G.shape)
@@ -110,23 +124,52 @@ def _kernel(field, A, B, images):
 @given(q_candidates())
 def test_cleared_path_reports_equal_fraction_path_reports(candidate):
     A, B, G = candidate
-    C = QQ.cleared(G)
-    assert isinstance(C, _Cleared)
+    image = twisting._check_image(GammaFamily(A, B, G))
+    assert all(isinstance(a, _Cleared) for a in (image[0].lam, image[1].unit, image[2]))
+    # the image of the check, and the cleared grid alone with Fraction algebras
+    for cA, cB, C in (image, (A, B, image[2])):
+        for route, pairs in GENERATORS.items():
+            cleared, fraction = list(pairs(cA, cB, C)), list(pairs(A, B, G))
+            assert [t for t, _, _ in cleared] == [t for t, _, _ in fraction]
+            for (tag, left, right), (_, f_left, f_right) in zip(cleared, fraction):
+                assert all(isinstance(v, Fraction) for side in (f_left, f_right) for v in side.flat), tag
+                assert QQ.equal(left, f_left) and QQ.equal(right, f_right), (route, tag)
+                for side in (left, right):
+                    _check_numerators(side)
+            report = pairs_report(QQ, fraction)
+            assert pairs_report(QQ, cleared) == report, route
+            assert pairs_ok(QQ, pairs(cA, cB, C)) is report.ok
+        images, f_images = twisting._faithful_tensor(cA, cB, C), twisting._faithful_tensor(A, B, G)
+        assert QQ.equal(images, f_images)
+        assert pairs_report(QQ, twisting._faithful_pairs(cA, cB, C, images)) == pairs_report(
+            QQ, twisting._faithful_pairs(A, B, G, f_images)
+        )
+        assert _kernel(QQ, A, B, images) == _kernel(QQ, A, B, f_images)
+
+
+def _check_numerators(side) -> None:
+    """A cleared side holds exact integers within its bound: ``int64`` only
+    below 2**63, Python ints otherwise."""
+    if isinstance(side, _Cleared):
+        assert sum(abs(v) for v in side.num.ravel().tolist()) <= side.bound
+        assert side.num.dtype == object or (side.num.dtype == np.int64 and side.bound < 2**63)
+        assert side.num.dtype == np.int64 or all(type(v) is int for v in side.num.flat)
+
+
+def test_large_grids_check_on_both_dtypes_and_report_like_fractions():
+    """A grid with numerators near 2**40 puts the unit families on ``int64``
+    and the product tensor's associativity on Python ints; the reports match
+    the ``Fraction`` path."""
+    A, B = ALGEBRAS[3], ALGEBRAS[2]
+    G = GammaFamily.flip(A, B).gamma.copy()
+    G[0, 0, 0, 0] += Fraction(2**40 + 3, 3)
+    image = twisting._check_image(GammaFamily(A, B, G))
+    pairs = twisting._oracle_pairs(*image)
+    dtypes = {tag: {side.num.dtype for side in sides if isinstance(side, _Cleared)} for tag, *sides in pairs}
+    assert dtypes["oracle.chi-left-unit"] == {np.dtype(np.int64)}
+    assert dtypes["oracle.assoc"] == {np.dtype(object)}
     for route, pairs in GENERATORS.items():
-        cleared, fraction = list(pairs(A, B, C)), list(pairs(A, B, G))
-        assert [t for t, _, _ in cleared] == [t for t, _, _ in fraction]
-        for (tag, left, right), (_, f_left, f_right) in zip(cleared, fraction):
-            assert all(isinstance(v, Fraction) for side in (f_left, f_right) for v in side.flat), tag
-            assert QQ.equal(left, f_left) and QQ.equal(right, f_right), (route, tag)
-        report = pairs_report(QQ, fraction)
-        assert pairs_report(QQ, cleared) == report, route
-        assert pairs_ok(QQ, pairs(A, B, C)) is report.ok
-    images, f_images = twisting._faithful_tensor(A, B, C), twisting._faithful_tensor(A, B, G)
-    assert QQ.equal(images, f_images)
-    assert pairs_report(QQ, twisting._faithful_pairs(A, B, C, images)) == pairs_report(
-        QQ, twisting._faithful_pairs(A, B, G, f_images)
-    )
-    assert _kernel(QQ, A, B, images) == _kernel(QQ, A, B, f_images)
+        assert pairs_report(QQ, pairs(*image)) == pairs_report(QQ, pairs(A, B, G)), route
 
 
 def _fractions_only(arr) -> bool:
@@ -173,3 +216,15 @@ def test_no_cleared_array_leaves_a_public_function():
         assert not report.ok, route
         for failure in report.failures:
             assert _canonical(failure.left) and _canonical(failure.right), (route, failure)
+
+
+def test_an_algebra_on_both_sides_of_a_check_is_cleared_once(monkeypatch):
+    from twistkit.fields import Field
+
+    calls, original = [], Field.cleared
+    monkeypatch.setattr(Field, "cleared", lambda self, x: calls.append(x) or original(self, x))
+    A = ALGEBRAS[3]
+    family = GammaFamily.flip(A, A)
+    A_image, B_image, _ = twisting._check_image(family)
+    assert A_image is B_image
+    assert [id(x) for x in calls] == [id(A.lam), id(A.unit), id(family.gamma)]

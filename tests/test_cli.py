@@ -385,18 +385,31 @@ def test_each_checker_prints_its_report_of_checker_all(ncd_file, bad_ncd_file, t
 
 
 def test_check_twisting_all_clears_the_grid_once(ncd_file, bad_ncd_file, tmp_path, monkeypatch):
+    """One image per check: the grid and the structure constants and units of
+    A and B are each cleared once (``Field.cleared``), and none of them is
+    cleared again in any contraction, product or comparison of the check."""
+    from twistkit import fields
     from twistkit.fields import Field
 
-    calls = []
-    original = Field.cleared
+    inputs, clears = [], []
+    original, clear = Field.cleared, fields._clear_denominators
 
-    def counted(self, x):
-        calls.append(self.kind)
+    def cleared(self, x):
+        inputs.append(x)
         return original(self, x)
 
-    monkeypatch.setattr(Field, "cleared", counted)
+    def counted(arr):
+        clears.append(arr)  # held, so no two arrays share an id
+        return clear(arr)
+
+    monkeypatch.setattr(Field, "cleared", cleared)
+    monkeypatch.setattr(fields, "_clear_denominators", counted)
     out = str(tmp_path / "verdict.json")
     for path, code in ((ncd_file, 0), (bad_ncd_file, 1)):
-        calls.clear()
+        inputs.clear()
+        clears.clear()
         assert main(["check-twisting", path, "--checker", "all", "--out", out]) == code
-        assert calls == ["Q"]
+        n, d = inputs[-1].shape[:2], inputs[-1].shape[-1]
+        assert [x.shape for x in inputs] == [(d, d, d), (d,), n + (n[0],), n[:1], (*n, d, d)]
+        assert len({id(x) for x in inputs}) == len(inputs)
+        assert [sum(a is x for a in clears) for x in inputs] == [1] * len(inputs)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -509,6 +510,24 @@ def test_mismatch_equal_and_is_zero_match_per_entry_reference(case):
     assert field.is_zero(field.cleared(x)) is field.is_zero(x)
 
 
+def _l1(arr) -> int:
+    """Sum of |numerator| of ``arr`` over the lcm of its denominators."""
+    fractions = [Fraction(v) for v in np.asarray(arr).ravel().tolist()]
+    den = math.lcm(*(v.denominator for v in fractions))
+    return sum(abs(v.numerator) * (den // v.denominator) for v in fractions)
+
+
+def _check_numerators(c, bound: int, small: bool) -> None:
+    """``c`` is cleared with bound ``bound``, which holds, and exact numerators:
+    ``int64`` when ``small``, Python ints otherwise."""
+    assert isinstance(c, _Cleared) and c.bound == bound
+    assert sum(abs(v) for v in np.ravel(c.num).tolist()) <= bound
+    if small:
+        assert c.num.dtype == np.int64
+    else:
+        assert c.num.dtype == object and all(type(v) is int for v in c.num.flat)
+
+
 def _value(arr):
     """Entries of an exact array as Fractions (a cleared array's ``num / den``)."""
     if isinstance(arr, _Cleared):
@@ -520,7 +539,9 @@ def _value(arr):
 @given(einsum_case(), st.sampled_from(["x", "y", "both"]))
 def test_cleared_einsum_stays_cleared_and_matches_fraction_path(case, which):
     """A contraction with a cleared operand returns the cleared product, whose
-    value is the ``Fraction`` product; views keep the denominator."""
+    value is the ``Fraction`` product, with the product of the operands' L1
+    bounds as its bound and ``int64`` numerators exactly when that bound and
+    both operand bounds are below 2**63; views keep the denominator."""
     spec, _, x, y = case
     cx = QQ.cleared(x) if which in ("x", "both") else x
     cy = QQ.cleared(y) if which in ("y", "both") else y
@@ -528,7 +549,8 @@ def test_cleared_einsum_stays_cleared_and_matches_fraction_path(case, which):
     out = QQ.einsum(spec, cx, cy)
     assert isinstance(out, _Cleared) and out.den > 0
     assert out.shape == expected.shape and out.ndim == expected.ndim
-    assert all(type(v) is int for v in out.num.flat)
+    bx, by = _l1(x), _l1(y)
+    _check_numerators(out, bx * by, max(bx, by, bx * by) < 2**63)
     assert _value(out) == _value(expected)
     assert _value(out.reshape(-1)) == _value(expected.reshape(-1))
     if out.ndim and out.shape[0]:
@@ -544,9 +566,114 @@ def test_cleared_is_the_identity_over_fp_and_formats_one_fraction_over_q():
     q = QQ.asarray([["1/2", "-2/3"], [0, 5]])
     c = QQ.cleared(q)
     assert c.den == 6 and c.num.tolist() == [[3, -4], [0, 30]]
-    assert QQ.numerators(c) is c.num and QQ.numerators(q) is q
+    assert c.bound == 37 and c.num.dtype == np.int64
+    # the numerators leave as Python ints, whatever the cleared dtype
+    nums = QQ.numerators(c)
+    assert nums.dtype == object and nums.tolist() == c.num.tolist()
+    assert all(type(v) is int for v in nums.flat) and QQ.numerators(q) is q
     assert [QQ.format(c[i, j]) for i in range(2) for j in range(2)] == ["1/2", "-2/3", "0", "5"]
     assert QQ.cleared(c).num is c.num  # clearing a cleared array does no work
+
+
+# -- the int64 guard on cleared numerators ------------------------------------
+#
+# Every case below is compared with the ``Fraction`` path, then its dtype is
+# checked: ``int64`` exactly when the proven bound allows it.
+
+#: Numerator scales of the two operands: L1 bounds below 2**63 and products
+#: below it (2**20 x 2**31), and products at or above it (the rest).
+GUARD_SCALES = [(2**20, 2**31), (2**31, 2**31), (2**31, 2**40), (2**40, 2**40)]
+
+
+@pytest.mark.parametrize("which", ["x", "y", "both", "neither"])
+@pytest.mark.parametrize("sx, sy", GUARD_SCALES)
+def test_contraction_near_2_31_and_2_40_falls_back_to_python_ints(sx, sy, which):
+    x = QQ.asarray([[sx + 1, Fraction(-sx, 3)], [sx - 1, sx]])
+    y = QQ.asarray([[sy, -sy - 1], [Fraction(sy, 7), sy + 3]])
+    expected = _einsum_reference("ij,jk->ik", x, y)  # one Fraction multiply and add per term
+    cx = QQ.cleared(x) if which in ("x", "both") else x
+    cy = QQ.cleared(y) if which in ("y", "both") else y
+    out = QQ.einsum("ij,jk->ik", cx, cy)
+    assert _value(out) == _value(expected)
+    if which == "neither":
+        assert _fractions(out)
+    else:
+        bx, by = _l1(x), _l1(y)
+        _check_numerators(out, bx * by, bx * by < 2**63)
+
+
+def test_zero_operand_next_to_a_huge_one_stays_exact():
+    """A zero operand has bound 0, so the product's bound is 0 even when the
+    other operand's numerators do not fit ``int64``."""
+    huge = QQ.asarray([[2**70, Fraction(-(2**64), 5)], [3, 2**63]])
+    zero = QQ.zeros((2, 2))
+    assert QQ.cleared(zero).bound == 0 and QQ.cleared(huge).num.dtype == object
+    for x, y in ((zero, huge), (huge, zero)):
+        for cx, cy in ((QQ.cleared(x), y), (x, QQ.cleared(y)), (QQ.cleared(x), QQ.cleared(y))):
+            for out in (QQ.tensordot(cx, cy, 1), cx * cy):
+                _check_numerators(out, 0, False)
+                assert _value(out) == [0] * 4
+            assert QQ.mismatch(cx, cy).tolist() == QQ.mismatch(x, y).tolist() == [[True, True], [True, True]]
+    # a zero side scaled by a denominator above 2**63 in the comparison
+    tiny = QQ.asarray([[Fraction(1, 2**70), 0], [0, 0]])
+    assert QQ.mismatch(QQ.cleared(zero), tiny).tolist() == [[True, False], [False, False]]
+    assert QQ.mismatch(tiny, QQ.cleared(zero)).tolist() == [[True, False], [False, False]]
+
+
+def test_mismatch_whose_cross_multiplication_alone_crosses_2_63():
+    """Both sides fit ``int64`` and so do their bounds, but (2**39 + 1) * 2**25
+    = 2**64 + 2**25 would wrap to 2**25 and make the first entries equal."""
+    x = QQ.asarray([2**39 + 1, 0])  # over 1
+    y = QQ.asarray([1, Fraction(1, 2**25)])  # over 2**25
+    cx, cy = QQ.cleared(x), QQ.cleared(y)
+    assert cx.num.dtype == cy.num.dtype == np.int64 and cx.bound * cy.den >= 2**63
+    for a, b in ((cx, cy), (cx, y), (x, cy)):
+        assert QQ.mismatch(a, b).tolist() == QQ.mismatch(b, a).tolist() == [True, True]
+    # equal values over different denominators
+    z = QQ.asarray([2**39 + 1, Fraction(1, 2**25)])
+    for a in (x, cx):
+        assert QQ.mismatch(a, QQ.cleared(z)).tolist() == [False, True]
+        assert QQ.mismatch(QQ.cleared(z), a).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 2**31])
+def test_einsum_on_numpys_loop_with_a_batch_on_both_operands(scale):
+    """The ``oracle.assoc`` contraction: a batch on both operands runs
+    einsum's own loop, whose partial sums the bound covers too."""
+    spec = "...xys,...szw->...xyzw"
+    assert _dot_plan(spec, 4, 4) is None
+    rng = np.random.default_rng(scale)
+
+    def operand():
+        nums, dens = rng.integers(-9, 9, 16), rng.choice([1, 2, 3], 16)
+        entries = [Fraction(int(a) * scale + 1, int(b)) for a, b in zip(nums, dens)]
+        return np.array(entries, dtype=object).reshape(2, 2, 2, 2)
+
+    x, y = operand(), operand()
+    expected = np.stack([_einsum_reference("xys,szw->xyzw", x[b], y[b]) for b in range(2)])
+    out = QQ.einsum(spec, QQ.cleared(x), QQ.cleared(y))
+    bx, by = _l1(x), _l1(y)
+    _check_numerators(out, bx * by, max(bx, by, bx * by) < 2**63)
+    assert _value(out) == _value(expected)
+    assert QQ.equal(out, expected) and QQ.equal(expected, out)
+
+
+@pytest.mark.parametrize("scale", [1, 2**31])
+def test_broadcast_product_of_a_cleared_and_a_fraction_array_both_ways(scale):
+    """``ndarray * cleared`` defers to the cleared side, so both orders give
+    the cleared broadcast product (as in the unit sides of ``direct.3``)."""
+    unit = QQ.asarray([Fraction(scale, 3), -1, Fraction(1, 2)])
+    diagonal = QQ.asarray([[scale * scale, 0], [0, Fraction(-scale, 5)]])
+    expected = diagonal[:, :, None] * unit[None, None, :]
+    c = QQ.cleared(unit)
+    for out in (diagonal[:, :, None] * c[None, None, :], c[None, None, :] * diagonal[:, :, None]):
+        bx, by = _l1(diagonal), _l1(unit)
+        _check_numerators(out, bx * by, max(bx, by, bx * by) < 2**63)
+        assert out.shape == expected.shape and _value(out) == _value(expected)
+
+
+def _fractions(arr) -> bool:
+    return isinstance(arr, np.ndarray) and arr.dtype == object and all(type(v) is Fraction for v in arr.flat)
 
 
 def test_format_array_nested():
