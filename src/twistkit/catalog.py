@@ -3,7 +3,11 @@
 Each family comes with a constructor (which always builds; verification is a
 separate call) and the family's own acceptance conditions, exposed as a
 tagged report so the equivalence with the generic checkers can be swept
-family by family.  The families:
+family by family.  The conditions come from generators with the signature of
+the route generators of ``twisting``: (A, B, G), G one grid or a stack of
+shape (..., n, n, d, d).  They read the family's data off the carrier and the
+grid and validate nothing; each public entry validates once, through the
+constructor it mirrors.  The families:
 
 * duplicates           carrier K[X]/(X^2 - X), data a pair (f, delta);
 * quantum duplicates   carrier K[X]/(X^2 - alpha X + beta), same data;
@@ -22,14 +26,13 @@ import numpy as np
 
 from .algebra import (
     FiniteDimAlgebra,
-    duplicate_algebra,
     kn_algebra,
     quadratic_algebra,
     truncated_poly_algebra,
 )
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
-from .linalg import KMatrix
+from .linalg import KMatrix, _endo_identity
 from .report import VerificationReport, pairs_ok, pairs_report
 from .twisting import (
     GammaFamily,
@@ -64,26 +67,32 @@ def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
     return data
 
 
+def _fold(fold, pairs, family: GammaFamily):
+    """``pairs_report`` or ``pairs_ok`` of a generator on a validated family."""
+    return fold(family.field, pairs(family.A, family.B, family.gamma))
+
+
 # -- shared condition families --------------------------------------------------
 
 
-def _duplicate_grid(field: Field, d: int, f, delta) -> np.ndarray:
-    """Identity over the unit basis vector, (delta, f) over X."""
-    grid = field.zeros((2, 2, d, d))
-    grid[0, 0] = field.identity(d)
-    grid[1, 0] = _endo_array(field, d, delta)
-    grid[1, 1] = _endo_array(field, d, f)
-    return grid
+def _duplicate_compositions(field: Field, G: np.ndarray) -> np.ndarray:
+    """comps[a][b] = X_a o X_b for (X_0, X_1) = (delta, f) = (G[..., 1, 0],
+    G[..., 1, 1]), on a grid or a stack of duplicate grids."""
+    X = G[..., 1, :, :, :]
+    return field.einsum("...ars,...bsc->ab...rc", X, X)
 
 
-def _duplicate_rule_pairs(A: FiniteDimAlgebra, tags, fm, dm):
-    """delta(a_p a_q) = a_p delta(a_q) + delta(a_p) f(a_q), then f(a_p a_q) =
-    f(a_p) f(a_q); witness (p, q, w).  Both are entries of the twisted
-    multiplicativity of the duplicate grid."""
+def _duplicate_rule_pairs(A: FiniteDimAlgebra, G: np.ndarray, units, rules):
+    """Entries of the unit rule at gamma[1][j] for each (tag, j) of ``units``,
+    then of twisted multiplicativity at delta and f, tagged ``rules``: delta(a_p
+    a_q) = a_p delta(a_q) + delta(a_p) f(a_q), f(a_p a_q) = f(a_p) f(a_q)."""
     field = A.field
-    left, right = _twisted_products(field, _duplicate_grid(field, A.dim, fm, dm), A.lam)
-    for tag, (j, k) in zip(tags, ((0, 1), (1, 1))):
-        yield tag, left[:, :, j, k], right[:, :, j, k]
+    left, right = _unit_images(field, G, A.unit)
+    for tag, j in units:
+        yield tag, left[..., 1, j, :], right[1, j]
+    products = _twisted_products(field, G, A.lam)
+    for tag, j in zip(rules, (0, 1)):
+        yield (tag, *(side[..., j, 1, :] for side in products))
 
 
 # -- duplicates (carrier K[X]/(X^2 - X)) -----------------------------------------
@@ -92,8 +101,7 @@ def _duplicate_rule_pairs(A: FiniteDimAlgebra, tags, fm, dm):
 def make_ncd(A: FiniteDimAlgebra, f, delta) -> TwistingCandidate:
     """Duplicate candidate: identity over the unit basis vector, (delta, f)
     over X.  Verification is a separate call."""
-    grid = _duplicate_grid(A.field, A.dim, f, delta)
-    return TwistingCandidate(GammaFamily(A, duplicate_algebra(A.field), grid))
+    return make_quantum_duplicate(A, 1, 0, f, delta)
 
 
 def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
@@ -109,38 +117,38 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
 
     1 and 2 imply 3, and 5 and 6 imply 4, so {1, 2, 5, 6, 7} generate.
     """
-    return pairs_report(A.field, _ncd_pairs(A, f, delta))
+    return _fold(pairs_report, _ncd_pairs, make_ncd(A, f, delta).family)
 
 
 def ncd_predicate(A: FiniteDimAlgebra, f, delta) -> bool:
     """f a unital multiplicative endomorphism, delta a twisted derivation
     along (id, f) with delta o delta = delta and f = f^2 + delta o f + f o delta."""
-    return pairs_ok(A.field, _ncd_pairs(A, f, delta))
+    return _fold(pairs_ok, _ncd_pairs, make_ncd(A, f, delta).family)
 
 
-def _ncd_pairs(A: FiniteDimAlgebra, f, delta):
+def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The duplicate families on a grid or a stack G of duplicate grids,
+    (f, delta) = (G[..., 1, 1], G[..., 1, 0])."""
     field = A.field
-    d = A.dim
-    fm = _endo_array(field, d, f)
-    dm = _endo_array(field, d, delta)
-    unit = A.unit
+    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
+    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
 
-    yield "ncd.1", field.matmul(dm, dm), dm
-    lhs2 = field.reduce(field.matmul(fm, dm) + field.matmul(dm, fm) + field.matmul(fm, fm))
-    yield "ncd.2", lhs2, fm
-    s = field.add(dm, fm)
-    yield "ncd.3", field.matmul(s, s), s
-    yield "ncd.4", field.matmul(dm, unit), field.zeros((d,))
-    yield "ncd.5", field.matmul(fm, unit), unit
-    yield from _duplicate_rule_pairs(A, ("ncd.6", "ncd.7"), fm, dm)
+    yield "ncd.1", dd, delta
+    yield "ncd.2", field.reduce(fd + df + ff), f
+    yield "ncd.3", field.reduce(dd + df + fd + ff), field.add(delta, f)
+    yield from _duplicate_rule_pairs(A, G, (("ncd.4", 0), ("ncd.5", 1)), ("ncd.6", "ncd.7"))
 
 
 # -- quantum duplicates (carrier K[X]/(X^2 - alpha X + beta)) ---------------------
 
 
 def make_quantum_duplicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> TwistingCandidate:
-    grid = _duplicate_grid(A.field, A.dim, f, delta)
-    return TwistingCandidate(GammaFamily(A, quadratic_algebra(A.field, alpha, beta), grid))
+    field, d = A.field, A.dim
+    grid = field.zeros((2, 2, d, d))
+    grid[0, 0] = field.identity(d)
+    grid[1, 0] = _endo_array(field, d, delta)
+    grid[1, 1] = _endo_array(field, d, f)
+    return TwistingCandidate(GammaFamily(A, quadratic_algebra(field, alpha, beta), grid))
 
 
 def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationReport:
@@ -153,30 +161,24 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     ``qdup.derivation`` delta(ab) = a delta(b) + delta(a) f(b)
     ``qdup.mult``       f(ab) = f(a) f(b)
     """
-    return pairs_report(A.field, _qdup_pairs(A, alpha, beta, f, delta))
+    return _fold(pairs_report, _qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta).family)
 
 
 def qdup_predicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> bool:
-    return pairs_ok(A.field, _qdup_pairs(A, alpha, beta, f, delta))
+    return _fold(pairs_ok, _qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta).family)
 
 
-def _qdup_pairs(A: FiniteDimAlgebra, alpha, beta, f, delta):
+def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The quantum-duplicate families on a grid or a stack G of duplicate
+    grids; alpha and beta are read off the carrier, X^2 = alpha X - beta."""
     field = A.field
-    d = A.dim
-    a = field.scalar(alpha)
-    b = field.scalar(beta)
-    fm = _endo_array(field, d, f)
-    dm = _endo_array(field, d, delta)
-    unit = A.unit
-    eye = field.identity(d)
-    ff = field.matmul(fm, fm)
+    a, b = B.lam[1, 1, 1], -B.lam[1, 1, 0]
+    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
+    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
 
-    lhs_p = field.reduce(field.matmul(dm, dm) - a * dm + b * eye)
-    yield "qdup.P", lhs_p, field.reduce(b * ff)
-    lhs_s = field.add(field.matmul(fm, dm), field.matmul(dm, fm))
-    yield "qdup.swap", lhs_s, field.reduce(a * (fm - ff))
-    yield "qdup.unital", field.matmul(fm, unit), unit
-    yield from _duplicate_rule_pairs(A, ("qdup.derivation", "qdup.mult"), fm, dm)
+    yield "qdup.P", field.reduce(dd - a * delta + b * field.identity(A.dim)), field.reduce(b * ff)
+    yield "qdup.swap", field.reduce(fd + df), field.reduce(a * (f - ff))
+    yield from _duplicate_rule_pairs(A, G, (("qdup.unital", 1),), ("qdup.derivation", "qdup.mult"))
 
 
 # -- K^n twists -------------------------------------------------------------------
@@ -197,31 +199,28 @@ def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport
     ``kn.3``  twisted multiplicativity on basis pairs
     ``kn.4``  grid[i][j](1) = delta_ij 1
     """
-    return pairs_report(A.field, _kn_pairs(A, n, gamma_grid))
+    return _fold(pairs_report, _kn_pairs, make_kn(A, n, gamma_grid).family)
 
 
-def _kn_pairs(A: FiniteDimAlgebra, n: int, gamma_grid):
+def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The K^n families on a grid or a stack G of shape (..., n, n, d, d)."""
     field = A.field
-    d = A.dim
-    grid = _grid_array(field, n, d, gamma_grid)
+    comps = field.einsum("...iprs,...jpsc->...ijprc", G, G)
+    expected = field.reduce(field.identity(B.dim)[:, :, None, None, None] * G[..., :, None, :, :, :])
+    yield "kn.1", comps, expected
 
-    comps = field.tensordot(grid, grid, axes=([3], [2]))            # (i, p, r, j, p', c)
-    diag = np.diagonal(comps, axis1=1, axis2=4).transpose(0, 2, 4, 1, 3)  # (i, j, p, r, c)
-    expected = field.reduce(field.identity(n)[:, :, None, None, None] * grid[:, None])
-    yield "kn.1", diag, expected
+    row_sums = field.reduce(G.sum(axis=-4))                         # (i, r, c)
+    yield "kn.2", row_sums, np.broadcast_to(field.identity(A.dim), row_sums.shape)
 
-    row_sums = field.reduce(grid.sum(axis=0))                       # (i, r, c)
-    yield "kn.2", row_sums, np.broadcast_to(field.identity(d), row_sums.shape)
-
-    yield _transposed("kn.3", _twisted_products(field, grid, A.lam), (3, 2, 0, 1, 4))
-    yield ("kn.4", *_unit_images(field, grid, A.unit))
+    yield _transposed("kn.3", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
+    yield ("kn.4", *_unit_images(field, G, A.unit))
 
 
 def kn_admissible(candidate: TwistingCandidate | GammaFamily) -> VerificationReport:
     """Family conditions evaluated on an existing K^n candidate."""
     family = _family_of(candidate)
     _require_kn_carrier(family)
-    return kn_conditions(family.A, family.B.dim, family.gamma)
+    return _fold(pairs_report, _kn_pairs, family)
 
 
 # -- quivers of K^n twists ---------------------------------------------------------
@@ -285,30 +284,31 @@ def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> Verificatio
 
     (u, v) is the entry of the d x d coordinate matrix.
     """
-    return pairs_report(A.field, _truncated_pairs(A, n, gamma_grid))
+    return _fold(pairs_report, _truncated_pairs, make_truncated(A, n, gamma_grid).family)
 
 
-def _truncated_pairs(A: FiniteDimAlgebra, n: int, gamma_grid):
+def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The truncated-carrier families on a grid or a stack G of shape
+    (..., n, n, d, d)."""
     field = A.field
-    d = A.dim
-    grid = _grid_array(field, n, d, gamma_grid)
+    n, d = B.dim, A.dim
+    batch = G.shape[:-4]
 
-    first_expected = field.zeros((n, d, d))
-    first_expected[0] = field.identity(d)
-    yield "trunc.1", grid[0].copy(), first_expected
+    yield "trunc.1", G[..., 0, :, :, :], _endo_identity(field, n, d)[0]
 
-    # conv[i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product rule
-    # against the constants of the carrier
-    conv = _rule_compositions(field, truncated_poly_algebra(field, n).lam, grid, grid)
+    # conv[..., i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product
+    # rule against the constants of the carrier
+    conv = _rule_compositions(field, B.lam, G, G)
     r, i = np.tril_indices(n - 1, -1)      # 0 < i < r < n, r slowest
     r, i = r + 1, i + 1
-    yield "trunc.2", grid[r].reshape(-1, d, d), conv[i, r - i].reshape(-1, d, d)
+    left2 = G[..., r, :, :, :].reshape(*batch, -1, d, d)
+    yield "trunc.2", left2, conv[..., i, r - i, :, :, :].reshape(left2.shape)
     i = np.arange(1, n)
-    left3 = conv[i, n - i].reshape(-1, d, d)
+    left3 = conv[..., i, n - i, :, :, :].reshape(*batch, -1, d, d)
     yield "trunc.3", left3, field.zeros(left3.shape)
 
-    yield _transposed("trunc.4", _twisted_products(field, grid, A.lam), (3, 2, 0, 1, 4))
-    yield ("trunc.5", *_unit_images(field, grid, A.unit))
+    yield _transposed("trunc.4", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
+    yield ("trunc.5", *_unit_images(field, G, A.unit))
 
 
 def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> TwistingCandidate:

@@ -131,7 +131,10 @@ class Field:
 
     def parse(self, text: str) -> Fraction | int:
         if self.kind == "Q":
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise FieldError(f"zero denominator in {text!r}") from None
         return int(text) % self.p
 
     def format(self, x) -> str:
@@ -307,10 +310,16 @@ class Field:
         return not np.count_nonzero(self.mismatch(arr, self.zero))
 
     def format_array(self, arr):
-        """Nested lists of canonical scalar strings (for reports and JSON)."""
-        if isinstance(arr, np.ndarray) and arr.ndim > 0:
-            return [self.format_array(sub) for sub in arr]
-        return self.format(arr[()] if isinstance(arr, np.ndarray) else arr)
+        """Nested lists of canonical scalar strings (for reports and JSON),
+        formatted in one flat pass."""
+        if not isinstance(arr, np.ndarray):
+            return self.format(arr)
+        flat = arr.ravel().tolist()
+        if self.kind == "Q":
+            strings = [str(x) if type(x) is Fraction else self.format(x) for x in flat]
+        else:
+            strings = [str(int(x) % self.p) for x in flat]
+        return np.array(strings, dtype=object).reshape(arr.shape).tolist()
 
 
 _INT = (int, np.integer)

@@ -34,9 +34,7 @@ from twistkit import (
     make_ncd,
     make_quantum_duplicate,
     mat_inverse,
-    ncd_conditions,
     phi_hat,
-    qdup_conditions,
     quadratic_algebra,
     rebase,
     restrict,
@@ -48,6 +46,7 @@ from twistkit import (
 )
 from twistkit import serialize
 from twistkit.basischange import identity_morphism
+from twistkit.catalog import _ncd_pairs, _qdup_pairs
 from twistkit.report import pairs_ok
 from twistkit.twisting import (
     _direct_pairs,
@@ -214,26 +213,32 @@ def test_criterion_3_products_and_faithfulness(space22, sweep22):
 # -- criterion 4: duplicate predicate equivalence over F_3 --------------------------------
 
 
+def _duplicate_stack(field, d):
+    """Every duplicate grid over ``field``: identity over 1, (delta, f) over X,
+    f slowest; shape (p^(2 d^2), 2, 2, d, d)."""
+    endos = np.array(_all_endos(field, d))
+    G = np.zeros((len(endos), len(endos), 2, 2, d, d), dtype=np.int64)
+    G[..., 0, 0, :, :] = np.identity(d, dtype=np.int64)
+    G[..., 1, 1, :, :] = endos[:, None]
+    G[..., 1, 0, :, :] = endos[None, :]
+    return G.reshape(-1, 2, 2, d, d)
+
+
 def test_criterion_4_duplicate_predicate_sweep():
-    a = kn_algebra(F3, 2)
-    endos = _all_endos(F3, 2)
-    assert len(endos) ** 2 == 6561
+    a, b = kn_algebra(F3, 2), duplicate_algebra(F3)
+    G = _duplicate_stack(F3, 2)
+    batch = G.shape[:-4]
+    assert batch == (6561,)
     started = time.monotonic()
-    accepted = 0
-    for f in endos:
-        for delta in endos:
-            report = ncd_conditions(a, f, delta)
-            tags = report.conditions()
-            verdict = direct_ok(make_ncd(a, f, delta).family)
-            assert verdict == report.ok, (f.tolist(), delta.tolist())
-            # composition conditions 1+2 force the square condition 3
-            if "ncd.1" not in tags and "ncd.2" not in tags:
-                assert "ncd.3" not in tags
-            # unit and derivation conditions 5+6 force the vanishing 4
-            if "ncd.5" not in tags and "ncd.6" not in tags:
-                assert "ncd.4" not in tags
-            accepted += verdict
+    flags = {tag: pairs_ok(F3, [(tag, *sides)], batch) for tag, *sides in _ncd_pairs(a, b, G)}
+    verdict = pairs_ok(F3, _direct_pairs(a, b, G), batch)
     elapsed = time.monotonic() - started
+    assert (verdict == np.logical_and.reduce(list(flags.values()))).all()
+    # composition conditions 1+2 force the square condition 3
+    assert not (flags["ncd.1"] & flags["ncd.2"] & ~flags["ncd.3"]).any()
+    # unit and derivation conditions 5+6 force the vanishing 4
+    assert not (flags["ncd.5"] & flags["ncd.6"] & ~flags["ncd.4"]).any()
+    accepted = int(np.count_nonzero(verdict))
     assert accepted == N_NCD_F3
     assert elapsed < 60, f"sweep took {elapsed:.1f}s"
     _announce(
@@ -248,16 +253,14 @@ def test_criterion_4_duplicate_predicate_sweep():
 
 def test_criterion_5_quantum_duplicate_sweep():
     a = kn_algebra(F3, 2)
-    endos = _all_endos(F3, 2)
+    G = _duplicate_stack(F3, 2)
+    batch = G.shape[:-4]
     counts = {}
     for alpha, beta in [(0, -1), (1, 0), (1, 1)]:
-        accepted = 0
-        for f in endos:
-            for delta in endos:
-                verdict = direct_ok(make_quantum_duplicate(a, alpha, beta, f, delta).family)
-                assert verdict == qdup_conditions(a, alpha, beta, f, delta).ok
-                accepted += verdict
-        counts[(alpha, beta)] = accepted
+        b = quadratic_algebra(F3, alpha, beta)
+        verdict = pairs_ok(F3, _direct_pairs(a, b, G), batch)
+        assert (verdict == pairs_ok(F3, _qdup_pairs(a, b, G), batch)).all()
+        counts[(alpha, beta)] = int(np.count_nonzero(verdict))
     assert counts == N_QDUP_F3
     _announce(
         "criterion 5",

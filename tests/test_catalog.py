@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -30,10 +31,13 @@ from twistkit import (
     truncated_from_first_row,
     truncated_poly_algebra,
 )
+from twistkit.catalog import _kn_pairs, _ncd_pairs, _qdup_pairs, _truncated_pairs
+from twistkit.report import pairs_ok
 from twistkit.twisting import direct_ok, route_ok
 
 F2 = GF(2)
 F3 = GF(3)
+F5 = GF(5)
 F7 = GF(7)
 
 
@@ -383,3 +387,79 @@ def test_endomorphism_over_another_field_is_rejected(build):
     with pytest.raises(FieldMismatchError):
         _FOREIGN_ENTRY_BUILDS[build](a, _F5_MATRIX)
     _FOREIGN_ENTRY_BUILDS[build](a, _F3_EYE)
+
+
+# -- stack generators against the public scalar entries ----------------------------
+
+
+def _duplicate_grids(field, rng):
+    """Duplicate grids over K^2 (identity over 1, (delta, f) over X): the flip,
+    then every (delta, f) when there are at most 6561, else 6561 seeded ones."""
+    p = field.p
+    if p**8 <= 6561:
+        data = np.array(list(itertools.product(range(p), repeat=8)))
+    else:
+        data = rng.integers(p, size=(6561, 8))
+    G = np.zeros((len(data) + 1, 2, 2, 2, 2), dtype=np.int64)
+    G[:, 0, 0] = G[0, 1, 1] = np.identity(2, dtype=np.int64)
+    G[1:, 1] = data.reshape(-1, 2, 2, 2)
+    return G
+
+
+def _kn_grids(field, rng):
+    """The flip and a dictionary image over K^2, then 4096 seeded grids."""
+    eye, zero, f = np.identity(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64), np.array([[1, 0], [1, 0]])
+    known = [[[eye, zero], [zero, eye]], [[eye, (eye - f) % field.p], [zero, f]]]
+    return np.concatenate([np.array(known), rng.integers(field.p, size=(4096, 2, 2, 2, 2))])
+
+
+def _truncated_grids(field, rng):
+    """The flip, then 512 grids derived from seeded exponent-1 rows."""
+    a = kn_algebra(field, 2)
+    flip = [field.zeros((2, 2)), field.identity(2), field.zeros((2, 2))]
+    rows = [flip, *rng.integers(field.p, size=(512, 3, 2, 2))]
+    return np.array([truncated_from_first_row(a, 3, list(row)).family.gamma for row in rows])
+
+
+def _qdup_case(alpha, beta):
+    return (
+        _qdup_pairs,
+        lambda field: quadratic_algebra(field, alpha, beta),
+        _duplicate_grids,
+        lambda a, G: qdup_predicate(a, alpha, beta, G[1, 1], G[1, 0]),
+    )
+
+
+#: generator, carrier, stack of grids and the public scalar entry at one grid
+_STACK_CASES = {
+    "ncd": (_ncd_pairs, duplicate_algebra, _duplicate_grids, lambda a, G: ncd_predicate(a, G[1, 1], G[1, 0])),
+    "qdup(0,-1)": _qdup_case(0, -1),
+    "qdup(1,1)": _qdup_case(1, 1),
+    "kn": (_kn_pairs, lambda field: kn_algebra(field, 2), _kn_grids, lambda a, G: kn_conditions(a, 2, G).ok),
+    "trunc": (
+        _truncated_pairs,
+        lambda field: truncated_poly_algebra(field, 3),
+        _truncated_grids,
+        lambda a, G: truncated_conditions(a, 3, G).ok,
+    ),
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
+def test_stack_verdict_equals_scalar_entry(case, field):
+    """The verdict of a catalog generator on a stack equals the public scalar
+    entry on a seeded sample of 512 of its grids (all of a smaller stack) and
+    on every grid it accepts; a stack with two batch axes gives the same
+    verdicts."""
+    pairs, carrier, grids, scalar = _STACK_CASES[case]
+    a, b = kn_algebra(field, 2), carrier(field)
+    G = grids(field, np.random.default_rng(field.p))
+    verdict = pairs_ok(field, pairs(a, b, G), G.shape[:-4])
+    accepted = np.flatnonzero(verdict).tolist()
+    assert verdict[0] and len(accepted) < len(G)  # the flip, and some rejection
+    sample = set(random.Random(field.p).sample(range(len(G)), min(512, len(G)))) | set(accepted)
+    assert [bool(verdict[i]) for i in sorted(sample)] == [scalar(a, G[i]) for i in sorted(sample)]
+    even = len(G) // 2 * 2
+    halves = G[:even].reshape(2, -1, *G.shape[1:])
+    assert (pairs_ok(field, pairs(a, b, halves), halves.shape[:-4]) == verdict[:even].reshape(2, -1)).all()

@@ -145,7 +145,7 @@ _KEYS = st.sampled_from(
      "field", "kind", "p", "dim", "basis", "lambda", "unit"]
 )
 _LEAVES = (
-    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from(["x", "1", "1/2", "Q", "Fp"])
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from(["x", "1", "1/2", "1/0", "Q", "Fp"])
 )
 _JSON = st.recursive(
     _LEAVES,
@@ -211,6 +211,14 @@ def test_fuzzed_input_never_escapes(command, data):
         assert written.get("ok", written.get("verdict", {}).get("ok")) is False
     if code == 2:
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_zero_denominator_is_usage_error(key):
+    """``Fraction("1/0")`` raises ``ZeroDivisionError``; the parameter is bad input."""
+    code, out, err = _run_on("catalog-qdup", {**_VALID["catalog-qdup"], key: "1/0"})
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err and "Traceback" not in err
 
 
 def _unwritable_outputs(tmp_path: Path, ok: dict):

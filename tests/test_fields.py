@@ -18,6 +18,8 @@ def test_rational_scalars_canonical():
     assert QQ.format(Fraction(6, -4)) == "-3/2"
     assert QQ.format(Fraction(12, 4)) == "3"
     assert QQ.scalar(5) == Fraction(5)
+    with pytest.raises(FieldError, match="zero denominator"):
+        QQ.parse("1/0")
 
 
 def test_prime_field_scalars():
@@ -676,5 +678,23 @@ def _fractions(arr) -> bool:
     return isinstance(arr, np.ndarray) and arr.dtype == object and all(type(v) is Fraction for v in arr.flat)
 
 
+def _format_nested(field, arr):
+    """Reference: one ``Field.format`` call per scalar, one list per sub-array."""
+    if isinstance(arr, np.ndarray) and arr.ndim > 0:
+        return [_format_nested(field, sub) for sub in arr]
+    return field.format(arr[()] if isinstance(arr, np.ndarray) else arr)
+
+
 def test_format_array_nested():
     assert QQ.format_array(QQ.asarray([[1, "1/2"]])) == [["1", "1/2"]]
+    rng = np.random.default_rng(5)
+    nums, dens = rng.integers(-9, 10, size=(3, 4, 2)), rng.integers(1, 5, size=(3, 4, 2))
+    arrays = [
+        (QQ, np.array([Fraction(int(a), int(b)) for a, b in zip(nums.flat, dens.flat)], dtype=object).reshape(3, 4, 2)),
+        (QQ, np.array([[1, Fraction(4, 2)], [-3, 0]], dtype=object)),
+        (GF(5), rng.integers(-20, 20, size=(2, 3, 2, 2))),
+        (GF(5), np.int64(7) * np.ones((), dtype=np.int64)),
+        (QQ, np.empty((2, 0, 3), dtype=object)),
+    ]
+    for field, arr in arrays:
+        assert field.format_array(arr) == _format_nested(field, arr)
