@@ -7,9 +7,11 @@ base-p digits, most significant first, so lexicographic grid order equals
 numeric index order.  Enumeration is deterministic, restartable from any
 index, and splittable into contiguous ranges whose results merge in order.
 Only the grids that pass a route's affine unit families (an exactly solved
-coset) are evaluated; every other grid is rejected by that route.  The
-cross-validation harness runs all three verification routes on the union of
-their cosets and reports the first disagreement (there is none).
+coset) are evaluated; every other grid is rejected by that route.  Each
+route thus gives one ascending stream of accepted indices.  The
+cross-validation harness walks the three verification routes on their own
+cosets, compares their streams index by index and reports the first index
+that not all three accept (there is none).
 """
 
 import time

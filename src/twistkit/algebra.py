@@ -103,20 +103,20 @@ def validate_algebra(algebra: FiniteDimAlgebra) -> VerificationReport:
     count.  Tags: ``assoc`` with witness (i, j, k, m); ``unit.left`` /
     ``unit.right`` with witness (i, k).
     """
-    return pairs_report(algebra.field, _algebra_pairs(algebra))
+    return pairs_report(algebra.field, _algebra_pairs(algebra.field, algebra.lam, algebra.unit))
 
 
-def _algebra_pairs(algebra: FiniteDimAlgebra):
-    field = algebra.field
-    lam = algebra.lam
-    left = field.tensordot(lam, lam, axes=([2], [0]))                    # (i, j, k, m)
-    right = field.tensordot(lam, lam, axes=([2], [1])).transpose(2, 0, 1, 3)
+def _algebra_pairs(field, lam: np.ndarray, unit: np.ndarray):
+    """The algebra identities of structure constants lam, one (m, m, m) array
+    or a stack (..., m, m, m), with the unit (m,): associativity with witness
+    axes (i, j, k, m), then the left and right unit with witness axes (i, k)."""
+    left = field.einsum("...xys,...szw->...xyzw", lam, lam)
+    right = field.einsum("...yzs,...xsw->...xyzw", lam, lam)
     yield "assoc", left, right
 
-    eye = field.identity(algebra.dim)
-    # (i, k) from lam[j, i, k], then from lam[i, j, k]
-    yield "unit.left", field.tensordot(algebra.unit, lam, axes=([0], [0])), eye
-    yield "unit.right", field.tensordot(algebra.unit, lam, axes=([0], [1])), eye
+    eye = field.identity(lam.shape[-1])
+    yield "unit.left", field.einsum("x,...xyw->...yw", unit, lam), eye
+    yield "unit.right", field.einsum("y,...xyw->...xw", unit, lam), eye
 
 
 def direct_product(b: FiniteDimAlgebra, c: FiniteDimAlgebra) -> FiniteDimAlgebra:

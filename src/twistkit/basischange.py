@@ -19,7 +19,7 @@ from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, MorphismError
 from .linalg import KMatrix, _alg_entry_product, _endo_products, _freeze, mat_inverse
 from .report import Failure, VerificationReport, family_failures, pairs_report
-from .twisting import GammaFamily, TwistingCandidate, _require_verified, _rho_tensor, certify
+from .twisting import GammaFamily, TwistingCandidate, _phi_tensor, _require_verified, _rho_tensor, certify
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +106,8 @@ def _induced_pairs(fam_chi: GammaFamily, fam_varpi: GammaFamily, z: np.ndarray):
 
     # matrix form: phi_varpi(a_x) M = M phi_chi(a_x); witness (x, i, j, w)
     mmat = field.tensordot(z, unitA, axes=0)                        # (m, n, d)
-    phi_chi = fam_chi.gamma.transpose(3, 1, 0, 2)                   # (x, j, k, w)
-    phi_varpi = fam_varpi.gamma.transpose(3, 1, 0, 2)
+    phi_chi = _phi_tensor(fam_chi.gamma)                            # (x, j, k, w)
+    phi_varpi = _phi_tensor(fam_varpi.gamma)
     left1 = _alg_entry_product(field, lamA, phi_varpi, mmat[None])[:, 0]
     right1 = _alg_entry_product(field, lamA, mmat[None], phi_chi)[0]
     yield "eq.matrix", left1, right1
@@ -168,8 +168,8 @@ def _conjugation_pairs(old: GammaFamily, new: GammaFamily, p: np.ndarray, pinv: 
     lamA, unitA = old.A.lam, old.A.unit
     m_a = field.tensordot(pinv, unitA, axes=0)
     minv_a = field.tensordot(p, unitA, axes=0)
-    phi_old = old.gamma.transpose(3, 1, 0, 2)
-    phi_new = new.gamma.transpose(3, 1, 0, 2)
+    phi_old = _phi_tensor(old.gamma)
+    phi_new = _phi_tensor(new.gamma)
     conj = _alg_entry_product(field, lamA, m_a[None], phi_old)[0]
     right = _alg_entry_product(field, lamA, conj, minv_a[None])[:, 0]
     yield "conj.phi", phi_new, right

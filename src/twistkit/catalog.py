@@ -318,10 +318,10 @@ def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> Twisting
     d = A.dim
     if n < 2 or len(first_row) != n:
         raise DimensionMismatchError(f"need n >= 2 and a first row of {n} endomorphisms of size {d} x {d}")
-    lam = truncated_poly_algebra(field, n).lam
+    carrier = truncated_poly_algebra(field, n)
     grid = field.zeros((n, n, d, d))
     grid[0, 0] = field.identity(d)
     grid[1] = [_endo_array(field, d, entry) for entry in first_row]
     for r in range(2, n):
-        grid[r] = _rule_compositions(field, lam, grid[r - 1 : r], grid[1:2])[0, 0]
-    return make_truncated(A, n, grid)
+        grid[r] = _rule_compositions(field, carrier.lam, grid[r - 1 : r], grid[1:2])[0, 0]
+    return TwistingCandidate(GammaFamily(A, carrier, grid))

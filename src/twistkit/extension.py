@@ -34,6 +34,7 @@ from .twisting import (
     TwistingCandidate,
     _check_image,
     _family_of,
+    _phi_tensor,
     _require_verified,
     _rho_tensor,
     certify,
@@ -268,7 +269,7 @@ def _extension_pairs(
 
     # phi[..., x, j, k] = gamma[k][j](e_x); the corner rules are blocks of
     # phi(a a') = phi(a) phi(a') except where a corner is dropped from the sum
-    phi = G.transpose(*range(G.ndim - 4), -1, -3, -4, -2)
+    phi = _phi_tensor(G)
     (_, *unit), (_, *mul) = rep  # phi.unit, phi.mul
     if require_gamma01_zero:
         yield "Gamma01", G[..., C, B, :, :], field.zeros(G[..., C, B, :, :].shape)

@@ -25,11 +25,12 @@ so [start, stop) maps to a range of ranks by one pass down the
 digits of each bound, and only the points of that range are built, at most
 ``_CHUNK`` at a time.  Off the coset the route rejects.  Each stack gets one
 ``pairs_ok`` verdict per generator of ``twisting.ROUTES``, on the grids that
-passed the generators before it (``all`` chains ``direct``, ``rep`` and
-``oracle`` on the ``direct`` coset, which holds the conjunction).
-``cross_validate`` merges the three cosets' ranked walks window by window,
-each window at most one chunk per route, and runs the three routes on their
-union, off which the verdicts are unanimous by construction.
+passed the generators before it, and the indices it accepts join the route's
+ascending stream (``all`` chains ``direct``, ``rep`` and ``oracle`` on the
+``direct`` coset, which holds the conjunction).  ``enumerate_space`` is one
+such stream; ``cross_validate`` merges the three routes' streams, each walked
+on its own coset, and reports the first index that not all three hold, with
+the three verdicts at that one grid.
 
 ``MAX_CANDIDATES`` bounds the full space; memory per call is bounded by
 ``_CHUNK`` points per route whatever the coset's size.
@@ -37,8 +38,9 @@ union, off which the verdicts are unanimous by construction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -215,36 +217,15 @@ def _span(space: SearchSpace, start, stop) -> range:
 
 
 def _walk(space: SearchSpace, route: str, span: range):
-    """(indices, grids, reach), ascending and at most ``_CHUNK`` points at a
-    time, of the route's coset points in ``span``: every such point up to the
-    index ``reach`` is in this chunk or an earlier one."""
+    """(indices, grids), ascending and at most ``_CHUNK`` points at a time,
+    of the route's coset points in ``span``."""
     coset = _coset(space, route) if span else None
     if coset is None:
         return
     lo, hi = coset.rank(span.start), coset.rank(span.stop)
     for r in range(lo, hi, _CHUNK):
         points = coset.points(r, min(r + _CHUNK, hi))
-        indices = space._indices(points)
-        reach = indices[-1] if r + _CHUNK < hi else span.stop - 1
-        yield indices, points.reshape((-1,) + space.grid_shape), reach
-
-
-def _windows(walks: list):
-    """The ascending union of the walks' points, one window at a time: every
-    point up to the least reach of the walks' current chunks, so at most one
-    chunk per walk.  A point on several walks appears once."""
-    heads = [next(walk, None) for walk in walks]
-    while any(head is not None for head in heads):
-        bound = min(head[2] for head in heads if head is not None)
-        parts = []
-        for w, head in enumerate(heads):
-            if head is not None:
-                indices, grids, reach = head
-                cut = int(np.searchsorted(indices, bound, side="right"))
-                parts.append((indices[:cut], grids[:cut]))
-                heads[w] = (indices[cut:], grids[cut:], reach) if cut < len(indices) else next(walks[w], None)
-        indices, first = np.unique(np.concatenate([i for i, _ in parts]), return_index=True)
-        yield indices, np.concatenate([grids for _, grids in parts])[first]
+        yield space._indices(points), points.reshape((-1,) + space.grid_shape)
 
 
 def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) -> np.ndarray:
@@ -257,6 +238,13 @@ def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) ->
             live = np.nonzero(ok)
             ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
     return ok
+
+
+def _accepted(space: SearchSpace, route: str, routes, span: range):
+    """Ascending indices in ``span`` of the grids on the route's coset that
+    pass every generator of ``routes``, one walked chunk at a time."""
+    for indices, G in _walk(space, route, span):
+        yield from indices[_verdict(space.A, space.B, routes, G)].tolist()
 
 
 def enumerate_space(
@@ -278,10 +266,7 @@ def enumerate_space(
         route, routes = checker, (checker,)
     else:
         raise ValueError(f"unknown checker {checker!r}")
-    accepted = []
-    for indices, G, _ in _walk(space, route, _span(space, start, stop)):
-        accepted += indices[_verdict(space.A, space.B, routes, G)].tolist()
-    return accepted
+    return list(_accepted(space, route, routes, _span(space, start, stop)))
 
 
 def cross_validate(
@@ -293,22 +278,22 @@ def cross_validate(
 
     The first candidate on which the structure-constant route, the combined
     representation route and the definition-level oracle disagree is reported
-    with its index, the three verdicts, and the full gamma grid.  The routes
-    are evaluated on the union of their unit-family cosets; every route
-    rejects every grid outside it.
+    with its index, the three verdicts, and the full gamma grid.  Each route
+    is evaluated on its own unit-family coset, off which it rejects, and the
+    three ascending streams of accepted indices are compared index by index.
     """
     space.guard()
     span = _span(space, start, stop)
-    for indices, G in _windows([_walk(space, route, span) for route in UNIT_FAMILIES]):
-        verdicts = np.array([_verdict(space.A, space.B, (route,), G) for route in UNIT_FAMILIES])
-        split = np.flatnonzero((verdicts != verdicts[0]).any(axis=0))
-        if split.size:
-            direct, rep, oracle = verdicts[:, split[0]].tolist()
+    streams = [_accepted(space, route, (route,), span) for route in UNIT_FAMILIES]
+    for index, holders in groupby(heapq.merge(*streams)):
+        if len(list(holders)) < len(streams):
+            G = space.gamma_of_index(index)
+            direct, rep, oracle = (bool(_verdict(space.A, space.B, (route,), G[None])[0]) for route in UNIT_FAMILIES)
             failure = Failure(
                 condition="cross.disagree",
-                witness=(int(indices[split[0]]),),
+                witness=(index,),
                 left=f"direct={direct} rep={rep} oracle={oracle}",
-                right=space.A.field.format_array(G[split[0]]),
+                right=space.A.field.format_array(G),
             )
             return VerificationReport(ok=False, failures=(failure,))
     return VerificationReport(ok=True)

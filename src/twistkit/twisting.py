@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteDimAlgebra
+from .algebra import FiniteDimAlgebra, _algebra_pairs
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
 from .fields import Field
 from .linalg import (
@@ -155,6 +155,12 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- identity kernels shared by the routes and the family checkers ---------------
 
 
+def _phi_tensor(G: np.ndarray) -> np.ndarray:
+    """The A-valued matrices of a grid or a stack G (..., n, n, d, d):
+    phi[..., x, j, k, w] = gamma[k][j](a_x)_w, batch axes in front (a view)."""
+    return G.transpose(*range(G.ndim - 4), -1, -3, -4, -2)
+
+
 def _unit_images(field, G: np.ndarray, unitA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the unit rule gamma[i][j](1) = delta_ij 1; axes (i, j, r)."""
     left = field.einsum("...ijrc,c->...ijr", G, unitA)
@@ -168,7 +174,7 @@ def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarra
     holds phi(a_x a_y) and the right side phi(a_x) phi(a_y), i.e.
     gamma[k][j](a_x a_y) against sum_l gamma[l][j](a_x) gamma[k][l](a_y).
     """
-    phi = G.transpose(*range(G.ndim - 4), -1, -3, -4, -2)
+    phi = _phi_tensor(G)
     left = field.einsum("...kjrc,xyc->...xyjkr", G, lamA)
     return left, _alg_entry_product(field, lamA, phi, phi)
 
@@ -385,14 +391,10 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
     lam, unit = _product_tensor(A, B, G)
 
-    # associativity of the assembled product; witness axes (x, y, z, w)
-    assoc_l = field.einsum("...xys,...szw->...xyzw", lam, lam)
-    assoc_r = field.einsum("...yzs,...xsw->...xyzw", lam, lam)
-    yield "oracle.assoc", assoc_l, assoc_r
-
-    eye_nd = field.identity(nd)
-    yield "oracle.unit-left", field.einsum("x,...xyw->...yw", unit, lam), eye_nd
-    yield "oracle.unit-right", field.einsum("y,...xyw->...xw", unit, lam), eye_nd
+    # the assembled product is an algebra: associativity, witness axes
+    # (x, y, z, w), then the two-sided unit
+    for tag, left, right in _algebra_pairs(field, lam, unit):
+        yield f"oracle.{tag.replace('.', '-')}", left, right
 
     # canonical inclusions are algebra maps
     ib = field.einsum("ij,r->ijr", eye_n, unitA).reshape(n, nd)
@@ -410,7 +412,7 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
     # i_B(b_i) i_A(a_p) = b_i (x) a_p; witness axes (i, p, m)
     prod_ba = field.einsum("...xtm,pt->...xpm", t1, ia)
-    yield "oracle.factor", prod_ba, eye_nd.reshape(n, d, nd)
+    yield "oracle.factor", prod_ba, field.identity(nd).reshape(n, d, nd)
 
 
 def oracle_check(c) -> VerificationReport:
@@ -528,10 +530,9 @@ def _faithful_tensor(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray) ->
     n, d = B.dim, A.dim
     # image of b_k: entry (i, j) = lamB[k, j, i] * 1_A
     pb = field.tensordot(B.lam, unitA, axes=0).transpose(0, 2, 1, 3)
-    # image of a_p: entry (i, j) = gamma[j][i](a_p)
-    pa = G.transpose(3, 1, 0, 2)
-    # image of b_k (x) a_p is the matrix product pb[k] pa[p]
-    return _alg_entry_product(field, lamA, pb, pa).reshape(n * d, n, n, d)
+    # image of a_p: phi[p], entry (i, j) = gamma[j][i](a_p); the image of
+    # b_k (x) a_p is the matrix product pb[k] phi[p]
+    return _alg_entry_product(field, lamA, pb, _phi_tensor(G)).reshape(n * d, n, n, d)
 
 
 def lift_structure_matrix(c, k: int) -> AlgMatrix:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -215,7 +216,7 @@ def test_enumerate_cli(tmp_path):
     b_path = write(tmp_path, "b.json", k1)
     out = str(tmp_path / "hits.jsonl")
     assert main(["enumerate", "--A", a_path, "--B", b_path, "--checker", "all", "--out", out]) == 0
-    lines = [json.loads(line) for line in open(out, encoding="utf-8")]
+    lines = [json.loads(line) for line in Path(out).read_text(encoding="utf-8").splitlines()]
     assert [line["index"] for line in lines] == [1]
     assert lines[0]["gamma"] == [[[["1"]]]]
 
@@ -257,7 +258,7 @@ def test_empty_ranges_exit_zero(tmp_path):
     for rng in (["--from", "9", "--to", "3"], ["--from", "65536"], ["--to", "-1"]):
         common = ["--A", a_path, "--B", a_path, *rng, "--out", out]
         assert main(["enumerate", *common]) == 0
-        assert open(out, encoding="utf-8").read() == ""
+        assert Path(out).read_text(encoding="utf-8") == ""
         assert main(["cross-validate", *common]) == 0
         assert read(out) == {"failures": [], "ok": True}
 

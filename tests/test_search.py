@@ -302,12 +302,17 @@ def _check_witness(monkeypatch, space, corruptions):
     lo, hi = _SLICE_22
     witness = _first_disagreement(space, lo, hi, corruptions)
     assert witness == min(i for indices in corruptions.values() for i in indices)
+    fam = space.family_at(witness)
+    left = " ".join(
+        f"{route}={route_ok(route, fam) ^ (witness in corruptions.get(route, ()))}" for route in UNIT_FAMILIES
+    )
     for start, stop in (_SLICE_22, (0, None)):
         report = cross_validate(space, start=start, stop=stop)
         assert not report.ok
         failure = report.failures[0]
         assert failure.condition == "cross.disagree"
         assert failure.witness == (witness,)
+        assert failure.left == left
         assert failure.right == F2.format_array(space.gamma_of_index(witness))
 
 
@@ -388,15 +393,13 @@ def _reference_coset(space, route):
 
 def _walked(space, route, lo, hi):
     """(indices, digit rows) of the ranked walk over [lo, hi), concatenated;
-    every chunk ascends, holds at most ``_CHUNK`` points and indexes its rows,
-    and reaches its last index, or the end of the range on the last chunk."""
+    every chunk ascends, holds at most ``_CHUNK`` points and indexes its rows."""
     span = search_mod._span(space, lo, hi)
-    walk = list(search_mod._walk(space, route, span))
-    chunks = [(indices, grids.reshape(len(grids), -1)) for indices, grids, _ in walk]
-    for t, (indices, points) in enumerate(chunks):
+    walk = search_mod._walk(space, route, span)
+    chunks = [(indices, grids.reshape(len(grids), -1)) for indices, grids in walk]
+    for indices, points in chunks:
         assert 0 < len(indices) <= search_mod._CHUNK
         assert (indices == space._indices(points)).all()
-        assert walk[t][2] == (span.stop - 1 if t == len(walk) - 1 else indices[-1])
     if not chunks:
         return np.zeros(0, dtype=np.int64), np.zeros((0, space.free_entries), dtype=np.int64)
     return np.concatenate([i for i, _ in chunks]), np.concatenate([r for _, r in chunks])
@@ -645,6 +648,31 @@ def test_zero_units_walk_the_whole_space_in_partial_chunks(monkeypatch):
         direct, rep, oracle = (route_ok(route, fam) for route in UNIT_FAMILIES)
         assert failure.left == f"direct={direct} rep={rep} oracle={oracle}"
         assert failure.right == F3.format_array(fam.gamma)
+
+
+@pytest.mark.parametrize("name", ["zero units F3", "zero product F3", "K2 x zero-unit dup F2"])
+def test_cross_validate_evaluates_each_route_on_its_own_coset(monkeypatch, name):
+    """Each route's verdict sees only the grids of its own coset, and the
+    witness: on "zero units F3" the ``rep`` coset is empty, so ``rep`` sees
+    the witness alone, not the 81 grids of the other two cosets."""
+    space = _walk_spaces()[name]
+    seen = {route: [] for route in UNIT_FAMILIES}
+    true_verdict = search_mod._verdict
+
+    def recording(A, B, routes, G):
+        (route,) = routes
+        seen[route] += space._indices(G.reshape(G.shape[:-4] + (-1,))).tolist()
+        return true_verdict(A, B, routes, G)
+
+    monkeypatch.setattr(search_mod, "_verdict", recording)
+    report = cross_validate(space)
+    witness = set(report.failures[0].witness) if report.failures else set()
+    for route, indices in seen.items():
+        coset = set(space._indices(_reference_coset(space, route)).tolist())
+        assert set(indices) <= coset | witness, route
+        assert len(indices) <= len(coset) + len(witness), route
+    if name == "zero units F3":
+        assert witness and len(seen["rep"]) == 1
 
 
 # -- the index codec refuses inexact input ---------------------------------------------------
