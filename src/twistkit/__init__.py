@@ -22,16 +22,13 @@ from .basischange import MorphismData, RebaseResult, check_induced_morphism, mak
 from .catalog import (
     Quiver,
     QuiverRep,
-    kn_admissible,
     kn_conditions,
     make_kn,
     make_ncd,
     make_quantum_duplicate,
     make_truncated,
     ncd_conditions,
-    ncd_predicate,
     qdup_conditions,
-    qdup_predicate,
     quiver_of,
     truncated_conditions,
     truncated_from_first_row,
@@ -79,14 +76,9 @@ from .twisting import (
     TwistingCandidate,
     build_twisted_product,
     certify,
-    check_conditions_direct,
-    check_phi_representation,
-    check_rho_representation,
     chi_eval,
-    direct_condition_flags,
     faithful_rep,
     lift_structure_matrix,
-    oracle_check,
     phi_hat,
     rho_hat,
     verify_faithful,

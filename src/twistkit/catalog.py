@@ -33,7 +33,7 @@ from .algebra import (
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
 from .linalg import KMatrix, _endo_identity
-from .report import VerificationReport, pairs_ok, pairs_report
+from .report import VerificationReport, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
@@ -67,9 +67,10 @@ def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
     return data
 
 
-def _fold(fold, pairs, family: GammaFamily):
-    """``pairs_report`` or ``pairs_ok`` of a generator on a validated family."""
-    return fold(family.field, pairs(family.A, family.B, family.gamma))
+def _report(pairs, candidate: TwistingCandidate) -> VerificationReport:
+    """The report of a generator's families on a freshly built candidate."""
+    family = candidate.family
+    return pairs_report(family.field, pairs(family.A, family.B, family.gamma))
 
 
 # -- shared condition families --------------------------------------------------
@@ -117,13 +118,7 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
 
     1 and 2 imply 3, and 5 and 6 imply 4, so {1, 2, 5, 6, 7} generate.
     """
-    return _fold(pairs_report, _ncd_pairs, make_ncd(A, f, delta).family)
-
-
-def ncd_predicate(A: FiniteDimAlgebra, f, delta) -> bool:
-    """f a unital multiplicative endomorphism, delta a twisted derivation
-    along (id, f) with delta o delta = delta and f = f^2 + delta o f + f o delta."""
-    return _fold(pairs_ok, _ncd_pairs, make_ncd(A, f, delta).family)
+    return _report(_ncd_pairs, make_ncd(A, f, delta))
 
 
 def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -161,11 +156,7 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     ``qdup.derivation`` delta(ab) = a delta(b) + delta(a) f(b)
     ``qdup.mult``       f(ab) = f(a) f(b)
     """
-    return _fold(pairs_report, _qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta).family)
-
-
-def qdup_predicate(A: FiniteDimAlgebra, alpha, beta, f, delta) -> bool:
-    return _fold(pairs_ok, _qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta).family)
+    return _report(_qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta))
 
 
 def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -199,7 +190,7 @@ def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport
     ``kn.3``  twisted multiplicativity on basis pairs
     ``kn.4``  grid[i][j](1) = delta_ij 1
     """
-    return _fold(pairs_report, _kn_pairs, make_kn(A, n, gamma_grid).family)
+    return _report(_kn_pairs, make_kn(A, n, gamma_grid))
 
 
 def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -214,13 +205,6 @@ def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
     yield _transposed("kn.3", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
     yield ("kn.4", *_unit_images(field, G, A.unit))
-
-
-def kn_admissible(candidate: TwistingCandidate | GammaFamily) -> VerificationReport:
-    """Family conditions evaluated on an existing K^n candidate."""
-    family = _family_of(candidate)
-    _require_kn_carrier(family)
-    return _fold(pairs_report, _kn_pairs, family)
 
 
 # -- quivers of K^n twists ---------------------------------------------------------
@@ -284,7 +268,7 @@ def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> Verificatio
 
     (u, v) is the entry of the d x d coordinate matrix.
     """
-    return _fold(pairs_report, _truncated_pairs, make_truncated(A, n, gamma_grid).family)
+    return _report(_truncated_pairs, make_truncated(A, n, gamma_grid))
 
 
 def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):

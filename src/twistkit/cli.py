@@ -79,7 +79,7 @@ def _certified(args) -> twisting.TwistingCandidate:
     """The input candidate, certified; a refused one has its report written."""
     candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
     if not candidate.verified:
-        report = twisting.check_conditions_direct(candidate.family)
+        report = twisting.route_reports(candidate.family, ["direct"])["direct"]
         _write_output({"ok": False, "report": serialize.report_to_json(report)}, args.out)
     return candidate
 
@@ -215,7 +215,7 @@ def _cmd_catalog(args) -> int:
         conditions = catalog.truncated_conditions(a, n, candidate.family.gamma)
     else:  # pragma: no cover - argparse restricts choices
         raise TwistKitError(f"unknown family {args.family}")
-    verdict = twisting.check_conditions_direct(candidate.family)
+    verdict = twisting.route_reports(candidate.family, ["direct"])["direct"]
     payload = {
         "candidate": serialize.candidate_to_json(candidate),
         "verdict": serialize.report_to_json(verdict),

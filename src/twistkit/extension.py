@@ -28,7 +28,7 @@ from .errors import (
     _require_int,
 )
 from .linalg import _alg_entry_product, _freeze
-from .report import VerificationReport, pairs_ok, pairs_report
+from .report import VerificationReport, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
@@ -189,12 +189,6 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
     """
     psi, image = _cut_grid(psi, n)
     return pairs_report(psi.field, _lemma_pairs(*image, n))
-
-
-def lemma_blocks_ok(psi, n: int) -> bool:
-    """Fast verdict of the block criterion."""
-    psi, image = _cut_grid(psi, n)
-    return pairs_ok(psi.field, _lemma_pairs(*image, n))
 
 
 def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):

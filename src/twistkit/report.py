@@ -85,6 +85,8 @@ def pairs_ok(fld, pairs, batch: tuple[int, ...] = ()):
     """Verdict of each grid of a stack of batch shape ``batch`` (``G.shape[:-4]``;
     the default, one grid, gives a ``bool``): no family mismatches on its
     non-batch axes.  Families are generated lazily, none once no grid passes."""
+    if not batch:
+        return not any(np.count_nonzero(fld.mismatch(left, right)) for _, left, right in pairs)
     ok = np.ones(batch, dtype=bool)
     if not ok.size:
         return ok
@@ -93,4 +95,4 @@ def pairs_ok(fld, pairs, batch: tuple[int, ...] = ()):
         ok &= ~np.logical_or.reduce(mismatch, axis=tuple(range(len(batch), mismatch.ndim)))
         if not np.count_nonzero(ok):
             break
-    return ok if batch else bool(ok)
+    return ok

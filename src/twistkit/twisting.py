@@ -5,20 +5,23 @@ by the grid of maps ``gamma[i][j]: A -> A`` through
 
     chi(a (x) b_i) = sum_j  b_j (x) gamma[i][j](a).
 
-Three independent routes decide whether ``chi`` is a twisting map:
+Three independent routes decide whether ``chi`` is a twisting map.
+``ROUTES`` maps each route key to its family generators:
 
-* ``check_conditions_direct``   the four structure-constant conditions on the
-  gamma grid (units, twisted multiplicativity, unit sums, product rule);
-* ``check_rho_representation`` + ``check_phi_representation``   the two
+* ``direct``   ``_direct_pairs``: the four structure-constant conditions on
+  the gamma grid (units, twisted multiplicativity, unit sums, product rule);
+* ``rep``      ``_rho_pairs`` then ``_phi_pairs``: the two
   matrix-representation criteria (an End-valued matrix family indexed by the
-  opposite of B, and an A-valued matrix family indexed by A);
-* ``oracle_check``   the definition itself: assemble the candidate product on
-  B (x) A unconditionally and test associativity, units and the canonical
-  inclusions.
+  opposite of B, and an A-valued matrix family indexed by A), also run alone
+  as the routes ``rho`` and ``phi``;
+* ``oracle``   ``_oracle_pairs``: the definition itself: assemble the
+  candidate product on B (x) A unconditionally and test associativity, units
+  and the canonical inclusions.
 
-``ROUTES`` lists each route's family generators (``rep`` is ``rho`` then
-``phi``) and ``UNIT_FAMILIES`` the affine unit families of the three
-independent routes; every check, verdict and search route derives from them.
+``route_reports`` folds a route's generators into its report on one
+candidate and ``route_ok`` into its verdict; ``UNIT_FAMILIES`` lists the
+affine unit families of the three independent routes, which the searches
+read.
 
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
@@ -211,10 +214,12 @@ def _direct_unit_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
 
 def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The four condition families, yielded lazily as (tag, left, right):
-    the unit families of ``_direct_unit_pairs`` as (1) and (3).  Like every
-    route generator it takes a grid G of shape (..., n, n, d, d): its batch
-    axes lead every side that depends on G."""
+    """The four structure-constant conditions on the gamma grid, yielded
+    lazily as (tag, left, right) and tagged ``direct.1`` .. ``direct.4``: the
+    unit families of ``_direct_unit_pairs`` as (1) and (3).  Conditions
+    quantified over A are checked on basis pairs, which suffices by
+    bilinearity.  Like every route generator it takes a grid G of shape
+    (..., n, n, d, d): its batch axes lead every side that depends on G."""
     field = A.field
     units = _direct_unit_pairs(A, B, G)
     yield next(units)
@@ -231,23 +236,8 @@ def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     yield "direct.4", left4, _rule_compositions(field, B.lam, G, G)
 
 
-def check_conditions_direct(c) -> VerificationReport:
-    """Verdict of the four structure-constant conditions on the gamma grid.
-
-    Condition tags ``direct.1`` .. ``direct.4``; conditions quantified over A
-    are checked on basis pairs, which suffices by bilinearity.
-    """
-    return route_reports(c, ["direct"])["direct"]
-
-
 def direct_ok(c) -> bool:
     return route_ok("direct", c)
-
-
-def direct_condition_flags(c) -> tuple[bool, bool, bool, bool]:
-    """Per-condition booleans (1, 2, 3, 4), each fully evaluated."""
-    failed = check_conditions_direct(c).conditions()
-    return tuple(f"direct.{k}" not in failed for k in range(1, 5))
 
 
 # -- route 2a: End-valued representation ---------------------------------------
@@ -266,6 +256,9 @@ def rho_hat(c, k: int) -> EndoMatrix:
 
 
 def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """Representation criterion for the End-valued matrix family, tagged
+    ``rho.unit`` and ``rho.mul``.  Equivalent to conditions (3) and (4) of
+    the direct route; entry products are compositions of endomorphisms."""
     field = B.field
     R = _rho_tensor(field, B.lam, G)
 
@@ -275,15 +268,6 @@ def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     # multiplication against the opposite product: sum_k lam[j, i, k] R_k = R_i R_j;
     # witness axes (i, j, u, v, r, c)
     yield "rho.mul", field.einsum("jik,...kuvrc->...ijuvrc", B.lam, R), _endo_products(field, R, R)
-
-
-def check_rho_representation(c) -> VerificationReport:
-    """Representation criterion for the End-valued matrix family.
-
-    Equivalent to conditions (3) and (4) of the direct route; entry products
-    are compositions of endomorphisms.
-    """
-    return route_reports(c, ["rho"])["rho"]
 
 
 # -- route 2b: A-valued representation -----------------------------------------
@@ -300,20 +284,15 @@ def phi_hat(c, a: np.ndarray) -> AlgMatrix:
 
 
 def _phi_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """Representation criterion for the A-valued matrix family, tagged
+    ``phi.unit`` and ``phi.mul``.  Equivalent to conditions (1) and (2) of
+    the direct route."""
     # unit: phi(1_A) = identity matrix; witness axes (j, k, r)
     yield _transposed("phi.unit", _unit_images(A.field, G, A.unit), (1, 0, 2))
 
     # multiplicativity on basis pairs: phi(a_p a_q) = phi(a_p) phi(a_q);
     # witness axes (p, q, j, l, w)
     yield ("phi.mul", *_twisted_products(A.field, G, A.lam))
-
-
-def check_phi_representation(c) -> VerificationReport:
-    """Representation criterion for the A-valued matrix family.
-
-    Equivalent to conditions (1) and (2) of the direct route.
-    """
-    return route_reports(c, ["phi"])["phi"]
 
 
 # -- twisted product ------------------------------------------------------------
@@ -371,8 +350,13 @@ def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
 
 
 def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """Definition-level families: chi-unit axioms, associativity and units of
-    the assembled product, and the canonical inclusions."""
+    """Definition-level families, computed without the condition formulas.
+
+    Assembles the product on B (x) A unconditionally and checks: the two
+    chi-unit axioms, associativity on all basis triples, the two-sided unit,
+    that both canonical inclusions are algebra morphisms, and the
+    factorization property.  Tags ``oracle.*``.
+    """
     field = A.field
     lamA, unitA = A.lam, A.unit
     lamB, unitB = B.lam, B.unit
@@ -413,17 +397,6 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     # i_B(b_i) i_A(a_p) = b_i (x) a_p; witness axes (i, p, m)
     prod_ba = field.einsum("...xtm,pt->...xpm", t1, ia)
     yield "oracle.factor", prod_ba, field.identity(nd).reshape(n, d, nd)
-
-
-def oracle_check(c) -> VerificationReport:
-    """Definition-level verdict computed without the condition formulas.
-
-    Assembles the product on B (x) A unconditionally and checks: the two
-    chi-unit axioms, associativity on all basis triples, the two-sided unit,
-    that both canonical inclusions are algebra morphisms, and the
-    factorization property.
-    """
-    return route_reports(c, ["oracle"])["oracle"]
 
 
 # -- the route table ---------------------------------------------------------------

@@ -53,9 +53,9 @@ from twistkit.twisting import (
     _oracle_pairs,
     _phi_pairs,
     _rho_pairs,
-    direct_condition_flags,
     direct_ok,
     route_ok,
+    route_reports,
 )
 
 F2 = GF(2)
@@ -103,10 +103,13 @@ def sweep22(space22):
     elapsed = time.monotonic() - started
     accepted = np.flatnonzero(direct).tolist()
     sample = set(random.Random(22).sample(range(space22.total), 512)) | set(accepted)
-    scalar_sample_ok = all(
-        (*direct_condition_flags(fam), route_ok("phi", fam), route_ok("rho", fam), route_ok("oracle", fam)) == tuple(flags[:, i])
-        for i, fam in ((i, space22.family_at(i)) for i in sorted(sample))
-    )
+
+    def scalar_flags(fam):
+        failed = route_reports(fam, ["direct"])["direct"].conditions()
+        conditions = (f"direct.{k}" not in failed for k in range(1, 5))
+        return (*conditions, *(route_ok(route, fam) for route in ("phi", "rho", "oracle")))
+
+    scalar_sample_ok = all(scalar_flags(space22.family_at(i)) == tuple(flags[:, i]) for i in sorted(sample))
     return {
         "accepted": accepted,
         "partition_ok": bool((phi == (c1 & c2)).all() and (rho == (c3 & c4)).all()),
@@ -324,7 +327,7 @@ def test_criterion_7_extensions(space22, sweep22, trunc_accepted):
 
     # quivers of the accepted idempotent-carrier candidates match the nonzero
     # pattern and satisfy the admissibility conditions
-    from twistkit import kn_admissible, quiver_of
+    from twistkit import kn_conditions, quiver_of
 
     for cand in pool[: len(sweep22["accepted"])]:
         quiver, rep_maps = quiver_of(cand)
@@ -336,7 +339,7 @@ def test_criterion_7_extensions(space22, sweep22, trunc_accepted):
         )
         assert quiver.arrows == expected_arrows
         assert set(rep_maps.maps) == set(expected_arrows)
-        assert kn_admissible(cand).ok
+        assert kn_conditions(cand.A, 2, cand.family.gamma).ok
 
     # both directions of the decomposition corollary on an exhaustive space:
     # D = K^2 x K, A = K over F_2 (512 candidates)

@@ -22,9 +22,7 @@ from twistkit import (
     make_quantum_duplicate,
     make_truncated,
     ncd_conditions,
-    ncd_predicate,
     qdup_conditions,
-    qdup_predicate,
     quadratic_algebra,
     quiver_of,
     truncated_conditions,
@@ -59,13 +57,13 @@ def test_ncd_flip_case():
     cand = make_ncd(a, QQ.identity(2), QQ.zeros((2, 2)))
     assert cand.family == GammaFamily.flip(a, duplicate_algebra(QQ))
     assert certify(cand).verified
-    assert ncd_predicate(a, QQ.identity(2), QQ.zeros((2, 2)))
+    assert ncd_conditions(a, QQ.identity(2), QQ.zeros((2, 2))).ok
 
 
 def test_ncd_idempotent_endomorphism_accepted():
     a = kn_algebra(QQ, 2)
     f = [[1, 0], [1, 0]]
-    assert ncd_predicate(a, f, [[0, 0], [0, 0]])
+    assert ncd_conditions(a, f, [[0, 0], [0, 0]]).ok
     assert certify(make_ncd(a, f, [[0, 0], [0, 0]])).verified
 
 
@@ -116,7 +114,7 @@ def test_ncd_implications_on_sampled_pairs():
 def test_ncd_verdict_equals_predicate_sampled():
     a = kn_algebra(F3, 2)
     for f, delta in seeded_pairs(F3, 200, seed=12):
-        assert ncd_predicate(a, f, delta) == direct_ok(make_ncd(a, f, delta).family)
+        assert ncd_conditions(a, f, delta).ok == direct_ok(make_ncd(a, f, delta).family)
 
 
 # -- quantum duplicates --------------------------------------------------------------
@@ -130,7 +128,7 @@ def test_qdup_swap_example():
     a = kn_algebra(QQ, 2)
     swap = [[0, 1], [1, 0]]
     zero = [[0, 0], [0, 0]]
-    assert qdup_predicate(a, 0, -1, swap, zero)
+    assert qdup_conditions(a, 0, -1, swap, zero).ok
     assert certify(make_quantum_duplicate(a, 0, -1, swap, zero)).verified
 
 
@@ -139,14 +137,14 @@ def test_qdup_swap_with_delta_f_fails():
     swap = [[0, 1], [1, 0]]
     report = qdup_conditions(a, 0, -1, swap, swap)
     assert "qdup.swap" in report.conditions()
-    assert not qdup_predicate(a, 0, -1, swap, swap)
+    assert not qdup_conditions(a, 0, -1, swap, swap).ok
     assert not direct_ok(make_quantum_duplicate(a, 0, -1, swap, swap).family)
 
 
 def test_qdup_at_one_zero_matches_ncd_sampled():
     a = kn_algebra(F3, 2)
     for f, delta in seeded_pairs(F3, 150, seed=13):
-        assert qdup_predicate(a, 1, 0, f, delta) == ncd_predicate(a, f, delta)
+        assert qdup_conditions(a, 1, 0, f, delta).ok == ncd_conditions(a, f, delta).ok
 
 
 def test_qdup_verdict_equals_predicate_sampled():
@@ -154,7 +152,7 @@ def test_qdup_verdict_equals_predicate_sampled():
     for alpha, beta in [(0, -1), (1, 1)]:
         for f, delta in seeded_pairs(F3, 120, seed=14 + alpha):
             cand = make_quantum_duplicate(a, alpha, beta, f, delta)
-            assert qdup_predicate(a, alpha, beta, f, delta) == direct_ok(cand.family)
+            assert qdup_conditions(a, alpha, beta, f, delta).ok == direct_ok(cand.family)
 
 
 # -- K^n twists -------------------------------------------------------------------------
@@ -426,13 +424,13 @@ def _qdup_case(alpha, beta):
         _qdup_pairs,
         lambda field: quadratic_algebra(field, alpha, beta),
         _duplicate_grids,
-        lambda a, G: qdup_predicate(a, alpha, beta, G[1, 1], G[1, 0]),
+        lambda a, G: qdup_conditions(a, alpha, beta, G[1, 1], G[1, 0]).ok,
     )
 
 
 #: generator, carrier, stack of grids and the public scalar entry at one grid
 _STACK_CASES = {
-    "ncd": (_ncd_pairs, duplicate_algebra, _duplicate_grids, lambda a, G: ncd_predicate(a, G[1, 1], G[1, 0])),
+    "ncd": (_ncd_pairs, duplicate_algebra, _duplicate_grids, lambda a, G: ncd_conditions(a, G[1, 1], G[1, 0]).ok),
     "qdup(0,-1)": _qdup_case(0, -1),
     "qdup(1,1)": _qdup_case(1, 1),
     "kn": (_kn_pairs, lambda field: kn_algebra(field, 2), _kn_grids, lambda a, G: kn_conditions(a, 2, G).ok),

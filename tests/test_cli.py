@@ -97,18 +97,18 @@ def test_build_product_refuses_nontwisting(bad_ncd_file, tmp_path):
 
 def test_refused_candidate_builds_its_report_once(bad_ncd_file, tmp_path, monkeypatch):
     """``certify`` decides with the lazy verdict; only the refusal report is full."""
-    full = twisting.check_conditions_direct
+    full = twisting.route_reports
     calls = []
 
-    def counted(c):
-        calls.append(c)
-        return full(c)
+    def counted(c, routes):
+        calls.append((c, routes))
+        return full(c, routes)
 
-    monkeypatch.setattr(twisting, "check_conditions_direct", counted)
+    monkeypatch.setattr(twisting, "route_reports", counted)
     out = str(tmp_path / "product.json")
     assert main(["build-product", bad_ncd_file, "--out", out]) == 1
     assert len(calls) == 1
-    assert read(out)["report"] == serialize.report_to_json(full(calls[0]))
+    assert read(out)["report"] == serialize.report_to_json(full(*calls[0])["direct"])
 
 
 def test_represent_shows_duplicate_matrices(ncd_file, tmp_path):

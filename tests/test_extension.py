@@ -25,7 +25,7 @@ from twistkit import (
     rho_hat,
     split_blocks,
 )
-from twistkit.extension import _extension_pairs, _lemma_pairs, lemma_blocks_ok
+from twistkit.extension import _extension_pairs, _lemma_pairs
 from twistkit.report import pairs_ok
 from twistkit.search import SearchSpace, _place_values
 from twistkit.twisting import direct_ok, route_ok, route_pairs
@@ -164,7 +164,6 @@ def test_cut_must_be_an_integer(psi_sum, cut):
         lambda: restrict(fam, "C", cut),
         lambda: factor_algebras(fam, cut),
         lambda: check_lemma_blocks(fam, cut),
-        lambda: lemma_blocks_ok(fam, cut),
         lambda: check_extension_given_theta(fam, cut),
         lambda: check_remark_delta(psi_sum, cut),
     ):
@@ -270,7 +269,7 @@ def test_lemma_blocks_match_checkers_exhaustively():
         fam = space.family_at(idx)
         assert F2.equal(fam.gamma, grids[idx])
         verdict = route_ok("rho", fam) and route_ok("phi", fam)
-        assert lemma_blocks_ok(fam, 1) == check_lemma_blocks(fam, 1).ok == verdict == lemma[idx], idx
+        assert check_lemma_blocks(fam, 1).ok == verdict == lemma[idx], idx
 
 
 def test_lemma_blocks_flag_mutual_annihilation():

@@ -31,13 +31,10 @@ from twistkit import (
     SingularMatrixError,
     TwistingCandidate,
     certify,
-    check_conditions_direct,
     check_extension_given_theta,
     check_induced_morphism,
     check_lemma_blocks,
-    check_phi_representation,
     check_remark_delta,
-    check_rho_representation,
     direct_product,
     direct_sum,
     duplicate_algebra,
@@ -47,9 +44,7 @@ from twistkit import (
     make_morphism,
     make_ncd,
     ncd_conditions,
-    ncd_predicate,
     qdup_conditions,
-    qdup_predicate,
     mat_inverse,
     rebase,
     serialize,
@@ -61,7 +56,6 @@ from twistkit import (
 )
 from twistkit.basischange import identity_morphism
 from twistkit.cli import main
-from twistkit.extension import lemma_blocks_ok
 from twistkit.twisting import ROUTES, route_ok, route_reports
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -401,15 +395,13 @@ def _rebase_inputs():
 
 
 def _reports():
-    routes = _route_families()
+    by_route = {k: route_reports(f, ROUTES) for k, f in _route_families().items()}
     kn, trunc = _grid_family_inputs()
     ext = _extension_inputs()
     uneven = _uneven_extension_inputs()
     ncd, qdup = _duplicate_inputs()
     return {
-        "check_conditions_direct": {k: check_conditions_direct(f) for k, f in routes.items()},
-        "check_phi_representation": {k: check_phi_representation(f) for k, f in routes.items()},
-        "check_rho_representation": {k: check_rho_representation(f) for k, f in routes.items()},
+        **{f"route_{route}": {k: reports[route] for k, reports in by_route.items()} for route in ROUTES},
         "ncd_conditions": {k: ncd_conditions(*args) for k, args in ncd.items()},
         "qdup_conditions": {k: qdup_conditions(*args) for k, args in qdup.items()},
         "verify_faithful": {k: verify_faithful(c) for k, c in _faithful_inputs().items()},
@@ -465,9 +457,7 @@ def reports():
 @pytest.mark.parametrize(
     "name",
     [
-        "check_conditions_direct",
-        "check_phi_representation",
-        "check_rho_representation",
+        *(f"route_{route}" for route in ROUTES),
         "ncd_conditions",
         "qdup_conditions",
         "verify_faithful",
@@ -520,18 +510,13 @@ def test_fast_verdicts_match_reports():
     on every route of the table, over F_p and Q."""
     families = _route_families()
     assert {fam.field.kind for fam in families.values()} == {"Fp", "Q"}
+    verdicts = set()
     for name, fam in families.items():
         for route in ROUTES:
-            assert route_ok(route, fam) == route_reports(fam, [route])[route].ok, (route, name)
-    ncd, qdup = _duplicate_inputs()
-    verdicts = [(ncd_predicate(*args), ncd_conditions(*args).ok) for args in ncd.values()]
-    verdicts += [(qdup_predicate(*args), qdup_conditions(*args).ok) for args in qdup.values()]
-    verdicts += [
-        (lemma_blocks_ok(psi, n), check_lemma_blocks(psi, n).ok)
-        for psi, n in [*_extension_inputs().values(), *_uneven_extension_inputs().values()]
-    ]
-    assert all(fast == full for fast, full in verdicts)
-    assert {full for _, full in verdicts} == {True, False}
+            verdict = route_ok(route, fam)
+            assert verdict == route_reports(fam, [route])[route].ok, (route, name)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from twistkit import (
     truncated_poly_algebra,
     validate_algebra,
 )
-from twistkit.twisting import UNIT_FAMILIES, direct_condition_flags, direct_ok, route_ok
+from twistkit.twisting import UNIT_FAMILIES, direct_ok, route_ok, route_reports
 from twistkit import search as search_mod
 from twistkit.errors import DimensionMismatchError, FieldError
 from twistkit.linalg import KMatrix, kernel_basis
@@ -180,7 +180,7 @@ def test_duplicate_carrier_enumeration_matches_predicate_count():
     """Full 65536-candidate run over the duplicate carrier: the accepted set
     is in bijection with the (f, delta) data passing the family predicate,
     through the forced identity-over-the-unit rows."""
-    from twistkit import make_ncd, ncd_predicate
+    from twistkit import make_ncd, ncd_conditions
 
     a = kn_algebra(F2, 2)
     space = SearchSpace(a, duplicate_algebra(F2))
@@ -193,7 +193,7 @@ def test_duplicate_carrier_enumeration_matches_predicate_count():
     predicate_indices = set()
     for f in endos:
         for delta in endos:
-            if ncd_predicate(a, f, delta):
+            if ncd_conditions(a, f, delta).ok:
                 cand = make_ncd(a, f, delta)
                 predicate_indices.add(space.index_of_gamma(cand.family.gamma))
     assert set(accepted) == predicate_indices
@@ -338,7 +338,8 @@ def test_cross_validate_witness_at_a_rejected_unit_solution(monkeypatch):
     lo, hi = _SLICE_22
     rejected = next(
         i for i in range(lo, hi)
-        if (flags := direct_condition_flags(space.family_at(i)))[0] and flags[2] and not all(flags)
+        if (failed := route_reports(space.family_at(i), ["direct"])["direct"].conditions())
+        and failed.isdisjoint({"direct.1", "direct.3"})
     )
     _check_witness(monkeypatch, space, {"oracle": {rejected}})
 

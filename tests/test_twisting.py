@@ -17,11 +17,7 @@ from twistkit import (
     UnverifiedCandidateError,
     build_twisted_product,
     certify,
-    check_conditions_direct,
-    check_phi_representation,
-    check_rho_representation,
     chi_eval,
-    direct_condition_flags,
     duplicate_algebra,
     faithful_rep,
     kn_algebra,
@@ -30,7 +26,6 @@ from twistkit import (
     make_ncd,
     make_quantum_duplicate,
     ncd_conditions,
-    oracle_check,
     phi_hat,
     quadratic_algebra,
     rho_hat,
@@ -38,7 +33,7 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
-from twistkit.twisting import ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs
+from twistkit.twisting import ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs, route_reports
 
 F3 = GF(3)
 F5 = GF(5)
@@ -121,10 +116,7 @@ def test_chi_right_unit_for_verified(ncd_idempotent_q):
 
 
 def test_flip_passes_everywhere(flip_22_f2):
-    assert check_conditions_direct(flip_22_f2).ok
-    assert check_rho_representation(flip_22_f2).ok
-    assert check_phi_representation(flip_22_f2).ok
-    assert oracle_check(flip_22_f2).ok
+    assert all(report.ok for report in route_reports(flip_22_f2, ROUTES).values())
 
 
 def test_idempotent_f_passes(ncd_idempotent_q):
@@ -133,10 +125,10 @@ def test_idempotent_f_passes(ncd_idempotent_q):
 
 def test_projection_f_fails_on_unit():
     fam = ncd_family(QQ, [[0, 1], [0, 0]], [[0, 0], [0, 0]])  # f(x, y) = (y, 0)
-    report = check_conditions_direct(fam)
-    assert not report.ok
-    assert "direct.1" in report.conditions()
-    assert not oracle_check(fam).ok
+    reports = route_reports(fam, ["direct", "oracle"])
+    assert not reports["direct"].ok
+    assert "direct.1" in reports["direct"].conditions()
+    assert not reports["oracle"].ok
 
 
 # -- displayed representation matrices ---------------------------------------------
@@ -255,7 +247,8 @@ def test_phi_route_equals_duplicate_conditions_4567():
 
 def test_condition_partition_on_random_grids():
     for fam in seeded_families(F3, 150):
-        c1, c2, c3, c4 = direct_condition_flags(fam)
+        failed = route_reports(fam, ["direct"])["direct"].conditions()
+        c1, c2, c3, c4 = (f"direct.{k}" not in failed for k in range(1, 5))
         assert route_ok("phi", fam) == (c1 and c2)
         assert route_ok("rho", fam) == (c3 and c4)
         assert direct_ok(fam) == (c1 and c2 and c3 and c4)
@@ -440,8 +433,7 @@ def test_direct_failures_are_listed_in_condition_order():
     a2 = kn_algebra(QQ, 2)
     grid = [[[[1, 2], [0, 1]], [[0, 1], [1, 0]]], [[[0, 0], [1, 0]], [[2, 0], [0, 1]]]]
     fam = GammaFamily(a2, a2, QQ.asarray(grid))
-    assert direct_condition_flags(fam) == (False, False, False, False)
-    report = check_conditions_direct(fam)
+    report = route_reports(fam, ["direct"])["direct"]
     assert [f.condition for f in report.failures] == ["direct.1", "direct.2", "direct.3", "direct.4"]
 
 
@@ -450,14 +442,14 @@ def test_direct_failures_are_listed_in_condition_order():
 
 def test_oracle_tags_unit_axiom_first():
     fam = ncd_family(QQ, [[0, 1], [0, 0]], [[0, 0], [0, 0]])
-    report = oracle_check(fam)
+    report = route_reports(fam, ["oracle"])["oracle"]
     assert not report.ok
     assert report.failures[0].condition == "oracle.chi-left-unit"
 
 
 def test_oracle_flip_truncated(trunc3_f2, k2_f2, f2):
     fam = GammaFamily.flip(k2_f2, trunc3_f2)
-    assert oracle_check(fam).ok
+    assert route_reports(fam, ["oracle"])["oracle"].ok
 
 
 # -- the intermediate left-multiplication identity ------------------------------------------
