@@ -17,7 +17,16 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldMismatchError, MorphismError
-from .linalg import KMatrix, _alg_entry_product, _endo_products, _freeze, mat_inverse
+from .linalg import (
+    KMatrix,
+    _alg_entry_product,
+    _alg_lift,
+    _endo_lift,
+    _endo_products,
+    _freeze,
+    _pull_back,
+    mat_inverse,
+)
 from .report import Failure, VerificationReport, family_failures, pairs_report
 from .twisting import GammaFamily, TwistingCandidate, _phi_tensor, _require_verified, _rho_tensor, certify
 
@@ -56,9 +65,9 @@ def make_morphism(source: FiniteDimAlgebra, target: FiniteDimAlgebra, zeta) -> M
         )
     if not field.equal(field.matmul(z, source.unit), target.unit):
         raise MorphismError("image of the unit is not the unit")
-    left = field.tensordot(source.lam, z, axes=([2], [1]))       # (i, j, r)
-    t = field.tensordot(z, target.lam, axes=([0], [0]))          # (i, v, w)
-    right = field.tensordot(z, t, axes=([0], [1])).transpose(1, 0, 2)
+    # f(b_i b_j) against f(b_i) f(b_j); witness axes (i, j, r)
+    left = _pull_back(field, z.T, source.lam, 2)
+    right = _pull_back(field, z, target.lam, 0, 1)
     for failure in family_failures(field, "mult", left, right):
         i, j, _ = failure.witness
         raise MorphismError(f"multiplicativity fails on basis pair ({i}, {j})")
@@ -105,7 +114,7 @@ def _induced_pairs(fam_chi: GammaFamily, fam_varpi: GammaFamily, z: np.ndarray):
     lamA, unitA = fam_chi.A.lam, fam_chi.A.unit
 
     # matrix form: phi_varpi(a_x) M = M phi_chi(a_x); witness (x, i, j, w)
-    mmat = field.tensordot(z, unitA, axes=0)                        # (m, n, d)
+    mmat = _alg_lift(field, z, unitA)                               # (m, n, d)
     phi_chi = _phi_tensor(fam_chi.gamma)                            # (x, j, k, w)
     phi_varpi = _phi_tensor(fam_varpi.gamma)
     left1 = _alg_entry_product(field, lamA, phi_varpi, mmat[None])[:, 0]
@@ -113,8 +122,8 @@ def _induced_pairs(fam_chi: GammaFamily, fam_varpi: GammaFamily, z: np.ndarray):
     yield "eq.matrix", left1, right1
 
     # gamma form: witness (x, j, k, r)
-    left2 = field.tensordot(z, fam_chi.gamma, axes=([1], [1])).transpose(3, 0, 1, 2)
-    right2 = field.tensordot(z, fam_varpi.gamma, axes=([0], [0])).transpose(3, 1, 0, 2)
+    left2 = _pull_back(field, z.T, fam_chi.gamma, 1).transpose(3, 1, 0, 2)
+    right2 = _pull_back(field, z, fam_varpi.gamma, 0).transpose(3, 1, 0, 2)
     yield "eq.gamma", left2, right2
 
 
@@ -146,15 +155,13 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix) -> RebaseResult:
     p = p_matrix.data
     pinv = mat_inverse(p_matrix).data
 
-    lam = family.B.lam
-    t1 = field.tensordot(p, lam, axes=([0], [0]))                   # (i, v, w)
-    t2 = field.tensordot(p, t1, axes=([0], [1]))                    # (j, i, w)
-    new_lam = field.tensordot(t2, pinv, axes=([2], [1])).transpose(1, 0, 2)
-    new_unit = field.matmul(pinv, family.B.unit)
+    # products and grid rows are pulled back along p, and the results pushed
+    # forward along pinv, that is pulled back along pinv.T
+    new_lam = _pull_back(field, pinv.T, _pull_back(field, p, family.B.lam, 0, 1), 2)
+    new_unit = _pull_back(field, pinv.T, family.B.unit, 0)
     new_b = FiniteDimAlgebra(field, n, tuple(f"v{i + 1}" for i in range(n)), new_lam, new_unit)
 
-    tg = field.tensordot(p, family.gamma, axes=([0], [0]))          # (i, v, r, c)
-    new_gamma = field.tensordot(pinv, tg, axes=([1], [1])).transpose(1, 0, 2, 3)
+    new_gamma = _pull_back(field, pinv.T, _pull_back(field, p, family.gamma, 0), 1)
     new_family = GammaFamily(family.A, new_b, new_gamma)
     candidate = certify(new_family)
 
@@ -166,8 +173,8 @@ def _conjugation_pairs(old: GammaFamily, new: GammaFamily, p: np.ndarray, pinv: 
     """Conjugation identities with M = pinv (A-valued) and M-hat = pinv (End-valued)."""
     field = old.field
     lamA, unitA = old.A.lam, old.A.unit
-    m_a = field.tensordot(pinv, unitA, axes=0)
-    minv_a = field.tensordot(p, unitA, axes=0)
+    m_a = _alg_lift(field, pinv, unitA)
+    minv_a = _alg_lift(field, p, unitA)
     phi_old = _phi_tensor(old.gamma)
     phi_new = _phi_tensor(new.gamma)
     conj = _alg_entry_product(field, lamA, m_a[None], phi_old)[0]
@@ -176,10 +183,9 @@ def _conjugation_pairs(old: GammaFamily, new: GammaFamily, p: np.ndarray, pinv: 
 
     rho_old = _rho_tensor(field, old.B.lam, old.gamma)              # (k, i, m, r, c)
     rho_new = _rho_tensor(field, new.B.lam, new.gamma)
-    eye_d = field.identity(old.A.dim)
-    m_e = field.reduce(pinv[:, :, None, None] * eye_d[None, None, :, :])
-    minv_e = field.reduce(p[:, :, None, None] * eye_d[None, None, :, :])
-    left_r = field.tensordot(pinv, rho_new, axes=([0], [0]))        # (k, i, m, r, c)
+    m_e = _endo_lift(field, pinv, old.A.dim)
+    minv_e = _endo_lift(field, p, old.A.dim)
+    left_r = _pull_back(field, pinv, rho_new, 0)                    # (k, i, m, r, c)
     conj_r = _endo_products(field, m_e[None], rho_old)[0]
     right_r = _endo_products(field, conj_r, minv_e[None])[:, 0]
     yield "conj.rho", left_r, right_r

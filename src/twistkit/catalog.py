@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
-from .linalg import KMatrix, _endo_identity
+from .linalg import KMatrix, _endo_lift
 from .report import VerificationReport, pairs_report
 from .twisting import (
     GammaFamily,
@@ -278,7 +278,7 @@ def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     n, d = B.dim, A.dim
     batch = G.shape[:-4]
 
-    yield "trunc.1", G[..., 0, :, :, :], _endo_identity(field, n, d)[0]
+    yield "trunc.1", G[..., 0, :, :, :], _endo_lift(field, field.unit_vector(n, 0), d)
 
     # conv[..., i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product
     # rule against the constants of the carrier

@@ -7,7 +7,8 @@ operations are exact; there is no floating point anywhere in the package.
 
 Every structure-constant product goes through ``Field.tensordot`` (and
 ``matmul``) or ``Field.einsum`` (the route kernels, ``...`` being a batch of
-grids), which passes ``tensordot`` each contraction it can write.
+grids), which passes ``tensordot`` each contraction it can write, or is one
+of the broadcast lifts ``linalg._alg_lift`` and ``linalg._endo_lift``.
 ``tensordot`` runs one planned ``np.dot``: a bounded cache keyed on the
 operand shapes and the normalised axes gives each operand's transpose and 2-D
 shape and the output shape, so a call does none of ``np.tensordot``'s

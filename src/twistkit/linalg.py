@@ -17,6 +17,11 @@ Everything is immutable after construction and all operations are pure.
 elimination, ``_rref``, on rows of Python ints for both fields: residues
 over F_p; over Q integer rows eliminated fraction-free (Bareiss), whose
 pivot rows become ``Fraction`` s once, at the end.
+
+Base-field matrices enter M(A) and M(End A) by two broadcast lifts,
+``_alg_lift`` (m (x) x) and ``_endo_lift`` (m (x) id_d); tensors move along
+a coefficient matrix z by ``_pull_back`` (its push-forward is the pull-back
+along z.T).
 """
 
 from __future__ import annotations
@@ -101,6 +106,14 @@ def mat_mul(x: KMatrix, y: KMatrix) -> KMatrix:
     if x.cols != y.rows:
         raise DimensionMismatchError(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
     return KMatrix(x.field, x.field.tensordot(x.data, y.data, axes=([1], [0])))
+
+
+def _pull_back(field: Field, z: np.ndarray, x: np.ndarray, *axes: int) -> np.ndarray:
+    """out[.., i, ..] = sum_u z[u, i] x[.., u, ..] on each of ``axes`` (>= 0)."""
+    for axis in axes:
+        moved = field.tensordot(z, x, axes=([0], [axis]))
+        x = moved.transpose(*range(1, axis + 1), 0, *range(axis + 1, x.ndim))
+    return x
 
 
 def _rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -206,19 +219,23 @@ def mat_inverse(x: KMatrix) -> KMatrix:
     return KMatrix(x.field, R[:, n:])
 
 
+def _null_space(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(basis, free): ``kernel_basis`` as one array, and its free columns."""
+    R, pivots = _rref(field, mat)
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    basis = field.zeros((len(free), mat.shape[1]))
+    basis[:, free] = field.identity(len(free))
+    basis[:, pivots] = field.reduce(-R[: len(pivots), free].T)
+    return basis, free
+
+
 def kernel_basis(x: KMatrix) -> list[np.ndarray]:
     """Echelonized basis of the right null space; empty iff injective.
 
     One vector per free column, in ascending column order, with a 1 in the
     free coordinate.
     """
-    field = x.field
-    R, pivots = _rref(field, x.data)
-    free = [c for c in range(x.cols) if c not in pivots]
-    basis = field.zeros((len(free), x.cols))
-    basis[:, free] = field.identity(len(free))
-    basis[:, pivots] = field.reduce(-R[: len(pivots), free].T)
-    return list(_freeze(basis))
+    return list(_freeze(_null_space(x.field, x.data)[0]))
 
 
 # -- matrices over End_K(A) ---------------------------------------------------
@@ -242,7 +259,7 @@ class EndoMatrix:
 
     @classmethod
     def identity(cls, field: Field, n: int, d: int) -> "EndoMatrix":
-        return cls(field, _endo_identity(field, n, d))
+        return cls(field, _endo_lift(field, field.identity(n), d))
 
     @property
     def rows(self) -> int:
@@ -267,10 +284,9 @@ class EndoMatrix:
         return self.field.is_zero(self.data)
 
 
-def _endo_identity(field: Field, size: int, d: int) -> np.ndarray:
-    """The identity of M_size(End A) for d = dim A; axes (i, m, r, c)."""
-    eye_size, eye_d = field.identity(size), field.identity(d)
-    return field.reduce(eye_size[:, :, None, None] * eye_d[None, None, :, :])
+def _endo_lift(field: Field, m, d: int):
+    """m (x) id_d: each entry of ``m`` (any shape) times the d x d identity."""
+    return field.reduce(m[..., None, None] * field.identity(d))
 
 
 def _endo_products(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -314,7 +330,7 @@ class AlgMatrix:
 
     @classmethod
     def identity(cls, algebra, n: int) -> "AlgMatrix":
-        return cls(algebra, _alg_identity(algebra.field, n, algebra.unit))
+        return cls(algebra, _alg_lift(algebra.field, algebra.field.identity(n), algebra.unit))
 
     @property
     def size(self) -> int:
@@ -332,9 +348,9 @@ class AlgMatrix:
         return algmat_mul(self, other)
 
 
-def _alg_identity(field: Field, n: int, unit: np.ndarray) -> np.ndarray:
-    """The identity of M_n(A) for A with unit ``unit``; axes (i, j, r)."""
-    return field.reduce(field.identity(n)[:, :, None] * unit[None, None, :])
+def _alg_lift(field: Field, m, x):
+    """m (x) x: each entry of ``m`` (any shape) times the A-vector ``x``."""
+    return field.reduce(m[..., None] * x)
 
 
 def _alg_entry_product(field: Field, lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

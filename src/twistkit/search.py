@@ -32,8 +32,10 @@ such stream; ``cross_validate`` merges the three routes' streams, each walked
 on its own coset, and reports the first index that not all three hold, with
 the three verdicts at that one grid.
 
-``MAX_CANDIDATES`` bounds the full space; memory per call is bounded by
-``_CHUNK`` points per route whatever the coset's size.
+``MAX_CANDIDATES`` bounds the coset of each walked route, not the space;
+memory per call is bounded by ``_CHUNK`` points per route whatever its size.
+``MAX_FREE_ENTRIES`` bounds N before any coset is solved, since the system
+of a route has N + 1 grids and about N rows, eliminated in Python ints.
 """
 
 from __future__ import annotations
@@ -46,12 +48,17 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError, _require_int
-from .linalg import _rref
+from .linalg import _null_space
 from .report import Failure, VerificationReport, pairs_ok
 from .twisting import ROUTES, UNIT_FAMILIES, GammaFamily
 
-#: Hard guard on the number of candidates a space may hold.
+#: Hard guard on the number of candidates the coset of a walked route may hold.
 MAX_CANDIDATES = 1 << 24
+
+#: Hard guard on the free entries N = (nd)^2 of a space whose cosets are
+#: solved.  At N = 256 one route's solve took at most 0.3 s and 18 MB on a
+#: 2-core x86 box (rep, B = K[x]/x^16, A = K); the cost grows about as N^3.
+MAX_FREE_ENTRIES = 256
 
 #: Most grids one verdict pass evaluates at once.  With zero units in A and B
 #: the ``direct`` and ``oracle`` cosets are the whole space, up to the guard.
@@ -96,12 +103,6 @@ class SearchSpace:
     def grid_shape(self) -> tuple[int, int, int, int]:
         n, d = self.B.dim, self.A.dim
         return (n, n, d, d)
-
-    def guard(self) -> None:
-        if self.total > MAX_CANDIDATES:
-            raise SearchSpaceTooLargeError(
-                f"{self.total} candidates exceed the guard of {MAX_CANDIDATES}"
-            )
 
     def gamma_of_index(self, index: int) -> np.ndarray:
         _require_int(index, "index")
@@ -186,23 +187,23 @@ def _coset(space: SearchSpace, route: str) -> _Coset | None:
     """The grids passing the route's unit families, or None when none does.
 
     The families are affine, F(x) = F(0) + M x; one batched residual at the
-    zero grid and the N unit grids gives F(0) and M.  The system
-    [M | F(0)] (x, 1) = 0 is brought to reduced echelon form with the digit
-    columns reversed.  There each free column's solution vector has a 1 on
-    it, 0 on the other free columns, and its other entries on pivot columns
-    before it, so read back in digit order it leads with that 1.  A pivot on
-    the constant column means no grid passes.
+    zero grid and the N unit grids gives F(0) and M.  The solutions (x, 1)
+    of [M | F(0)] (x, 1) = 0 are the null vector of the constant column (the
+    last) plus the span of the others, with the digit columns reversed
+    (``linalg._null_space``): each ends in a 1 on its free column, so read
+    back in digit order it leads with it.  A pivot on the constant column
+    means no grid passes.  A space of more than ``MAX_FREE_ENTRIES`` digits
+    is refused before any of this work.
     """
     field, N = space.A.field, space.free_entries
+    if N > MAX_FREE_ENTRIES:
+        raise SearchSpaceTooLargeError(f"{N} free entries exceed the guard of {MAX_FREE_ENTRIES}")
     F = _unit_residual(space, route, np.eye(N + 1, N, k=-1, dtype=np.int64))
-    R, pivots = _rref(field, np.concatenate([field.sub(F[:0:-1], F[0]).T, F[:1].T], axis=1))
-    if pivots and pivots[-1] == N:
+    vectors, free = _null_space(field, np.concatenate([field.sub(F[:0:-1], F[0]).T, F[:1].T], axis=1))
+    if free[-1:] != [N]:
         return None
-    free = [c for c in range(N) if c not in pivots]
-    vectors = np.zeros((len(free) + 1, N), dtype=np.int64)
-    vectors[range(len(free)), free] = 1
-    vectors[:, pivots] = field.reduce(-R[: len(pivots), free + [N]].T)
-    return _Coset(space.p, vectors[-1, ::-1], vectors[-2::-1, ::-1], tuple(N - 1 - c for c in reversed(free)))
+    digits = vectors[:, N - 1::-1]
+    return _Coset(space.p, digits[-1], digits[-2::-1], tuple(N - 1 - c for c in free[-2::-1]))
 
 
 def _span(space: SearchSpace, start, stop) -> range:
@@ -218,14 +219,16 @@ def _span(space: SearchSpace, start, stop) -> range:
 
 def _walk(space: SearchSpace, route: str, span: range):
     """(indices, grids), ascending and at most ``_CHUNK`` points at a time,
-    of the route's coset points in ``span``."""
+    of the route's coset points in ``span``.  The coset is solved and guarded
+    on the call, before any chunk is built."""
     coset = _coset(space, route) if span else None
     if coset is None:
-        return
+        return iter(())
+    if (size := coset.p ** len(coset.free)) > MAX_CANDIDATES:
+        raise SearchSpaceTooLargeError(f"{size} candidates on the {route} coset exceed the guard of {MAX_CANDIDATES}")
     lo, hi = coset.rank(span.start), coset.rank(span.stop)
-    for r in range(lo, hi, _CHUNK):
-        points = coset.points(r, min(r + _CHUNK, hi))
-        yield space._indices(points), points.reshape((-1,) + space.grid_shape)
+    chunks = (coset.points(r, min(r + _CHUNK, hi)) for r in range(lo, hi, _CHUNK))
+    return ((space._indices(points), points.reshape((-1,) + space.grid_shape)) for points in chunks)
 
 
 def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) -> np.ndarray:
@@ -243,8 +246,8 @@ def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) ->
 def _accepted(space: SearchSpace, route: str, routes, span: range):
     """Ascending indices in ``span`` of the grids on the route's coset that
     pass every generator of ``routes``, one walked chunk at a time."""
-    for indices, G in _walk(space, route, span):
-        yield from indices[_verdict(space.A, space.B, routes, G)].tolist()
+    walk = _walk(space, route, span)
+    return (i for indices, G in walk for i in indices[_verdict(space.A, space.B, routes, G)].tolist())
 
 
 def enumerate_space(
@@ -259,7 +262,6 @@ def enumerate_space(
     conjunction of the three).  Only the points of the route's unit-family
     coset are evaluated; ``all`` uses the ``direct`` coset.
     """
-    space.guard()
     if checker == "all":
         route, routes = "direct", tuple(UNIT_FAMILIES)
     elif checker in UNIT_FAMILIES:
@@ -282,7 +284,6 @@ def cross_validate(
     is evaluated on its own unit-family coset, off which it rejects, and the
     three ascending streams of accepted indices are compared index by index.
     """
-    space.guard()
     span = _span(space, start, stop)
     streams = [_accepted(space, route, (route,), span) for route in UNIT_FAMILIES]
     for index, holders in groupby(heapq.merge(*streams)):

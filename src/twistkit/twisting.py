@@ -42,8 +42,8 @@ from .linalg import (
     EndoMatrix,
     KMatrix,
     _alg_entry_product,
-    _alg_identity,
-    _endo_identity,
+    _alg_lift,
+    _endo_lift,
     _endo_products,
     _freeze,
     kernel_basis,
@@ -91,7 +91,7 @@ class GammaFamily:
     @classmethod
     def flip(cls, A: FiniteDimAlgebra, B: FiniteDimAlgebra) -> "GammaFamily":
         """The ordinary tensor product: gamma[i][j] = delta_ij * identity."""
-        return cls(A, B, _endo_identity(A.field, B.dim, A.dim))
+        return cls(A, B, _endo_lift(A.field, A.field.identity(B.dim), A.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +150,8 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) != d or len(b) != n:
         raise DimensionMismatchError("element lengths do not match the family")
     field = family.field
-    images = field.tensordot(family.gamma, field.asarray(a), axes=([3], [0]))  # (i, j, r)
-    out = field.tensordot(field.asarray(b), images, axes=([0], [0]))           # (j, r)
-    return out.reshape(n * d)
+    # phi(a) b: entry (j, r) = sum_k gamma[k][j](a)_r b_k
+    return field.tensordot(phi_hat(family, a).data, field.asarray(b), axes=([1], [0])).reshape(n * d)
 
 
 # -- identity kernels shared by the routes and the family checkers ---------------
@@ -167,7 +166,7 @@ def _phi_tensor(G: np.ndarray) -> np.ndarray:
 def _unit_images(field, G: np.ndarray, unitA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the unit rule gamma[i][j](1) = delta_ij 1; axes (i, j, r)."""
     left = field.einsum("...ijrc,c->...ijr", G, unitA)
-    return left, _alg_identity(field, G.shape[-3], unitA)
+    return left, _alg_lift(field, field.identity(G.shape[-3]), unitA)
 
 
 def _twisted_products(field, G: np.ndarray, lamA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +207,7 @@ def _direct_unit_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     yield ("direct.1", *_unit_images(field, G, A.unit))
 
     # (3) alpha_k id = sum_i alpha_i gamma_i^k; witness axes (k, r, c)
-    left3 = field.reduce(B.unit[:, None, None] * field.identity(A.dim)[None, :, :])
+    left3 = _endo_lift(field, B.unit, A.dim)
     right3 = field.einsum("i,...ikrc->...krc", B.unit, G)
     yield "direct.3", left3, right3
 
@@ -244,15 +243,16 @@ def direct_ok(c) -> bool:
 
 
 def _rho_tensor(field, lam: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """All matrices at once: R[k, i, m] = sum_l lam[m, l, i] G[k, l]."""
-    return field.einsum("mli,...klrc->...kimrc", lam, G)
+    """R[..., i, m] = sum_l lam[m, l, i] G[..., l] on grid rows: for a grid the
+    batch holds k, and R[k] is the matrix of the k-th opposite basis vector."""
+    return field.einsum("mli,...lrc->...imrc", lam, G)
 
 
 def rho_hat(c, k: int) -> EndoMatrix:
     """The End-valued matrix attached to the k-th opposite basis vector."""
     family = _family_of(c)
     k = family.B._basis_index(k)
-    return EndoMatrix(family.field, family.field.einsum("mli,lrc->imrc", family.B.lam, family.gamma[k]))
+    return EndoMatrix(family.field, _rho_tensor(family.field, family.B.lam, family.gamma[k]))
 
 
 def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -263,7 +263,7 @@ def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     R = _rho_tensor(field, B.lam, G)
 
     # unit: sum_k alpha_k R_k = identity; witness axes (i, m, r, c)
-    yield "rho.unit", field.einsum("k,...kimrc->...imrc", B.unit, R), _endo_identity(field, B.dim, A.dim)
+    yield "rho.unit", field.einsum("k,...kimrc->...imrc", B.unit, R), _endo_lift(field, field.identity(B.dim), A.dim)
 
     # multiplication against the opposite product: sum_k lam[j, i, k] R_k = R_i R_j;
     # witness axes (i, j, u, v, r, c)
@@ -279,8 +279,8 @@ def phi_hat(c, a: np.ndarray) -> AlgMatrix:
     if len(a) != family.A.dim:
         raise DimensionMismatchError("element length does not match dim A")
     field = family.field
-    images = field.tensordot(family.gamma, field.asarray(a), axes=([3], [0]))  # (k, j, r)
-    return AlgMatrix(family.A, images.transpose(1, 0, 2).copy())
+    # sum_x a_x phi[x]
+    return AlgMatrix(family.A, field.tensordot(field.asarray(a), _phi_tensor(family.gamma), axes=([0], [0])))
 
 
 def _phi_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -327,12 +327,12 @@ class TwistedTensorAlgebra:
     def include_B(self, b: np.ndarray) -> np.ndarray:
         """Coordinates of b (x) 1_A."""
         field = self.algebra.field
-        return field.tensordot(field.asarray(b), self.candidate.A.unit, axes=0).reshape(self.dim)
+        return _alg_lift(field, field.asarray(b), self.candidate.A.unit).reshape(self.dim)
 
     def include_A(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of 1_B (x) a."""
         field = self.algebra.field
-        return field.tensordot(self.candidate.B.unit, field.asarray(a), axes=0).reshape(self.dim)
+        return _alg_lift(field, self.candidate.B.unit, field.asarray(a)).reshape(self.dim)
 
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
@@ -363,12 +363,12 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     n, d, nd = B.dim, A.dim, B.dim * A.dim
     eye_n, eye_d = field.identity(n), field.identity(d)
 
-    # chi(1_A (x) b_i) = b_i (x) 1_A; witness axes (i, j, r)
+    # chi(1_A (x) b_i) = b_i (x) 1_A = i_B(b_i); witness axes (i, j, r)
     left_cu = field.einsum("...ijrc,c->...ijr", G, unitA)
     right_cu = field.reduce(eye_n[:, :, None] * unitA[None, None, :])
     yield "oracle.chi-left-unit", left_cu, right_cu
 
-    # chi(a_p (x) 1_B) = 1_B (x) a_p; witness axes (p, j, r)
+    # chi(a_p (x) 1_B) = 1_B (x) a_p = i_A(a_p); witness axes (p, j, r)
     left_ru = field.einsum("i,...ijrp->...pjr", unitB, G)
     right_ru = field.reduce(unitB[None, :, None] * eye_d[:, None, :])
     yield "oracle.chi-right-unit", left_ru, right_ru
@@ -380,9 +380,9 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     for tag, left, right in _algebra_pairs(field, lam, unit):
         yield f"oracle.{tag.replace('.', '-')}", left, right
 
-    # canonical inclusions are algebra maps
-    ib = field.einsum("ij,r->ijr", eye_n, unitA).reshape(n, nd)
-    ia = field.einsum("i,pr->pir", unitB, eye_d).reshape(d, nd)
+    # canonical inclusions (the right sides of the chi-unit families) are algebra maps
+    ib = right_cu.reshape(n, nd)
+    ia = right_ru.reshape(d, nd)
 
     t1 = field.einsum("xs,...stm->...xtm", ib, lam)
     prod_bb = field.einsum("yt,...xtm->...xym", ib, t1)
@@ -502,7 +502,7 @@ def _faithful_tensor(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray) ->
     lamA, unitA = A.lam, A.unit
     n, d = B.dim, A.dim
     # image of b_k: entry (i, j) = lamB[k, j, i] * 1_A
-    pb = field.tensordot(B.lam, unitA, axes=0).transpose(0, 2, 1, 3)
+    pb = _alg_lift(field, B.lam.transpose(0, 2, 1), unitA)
     # image of a_p: phi[p], entry (i, j) = gamma[j][i](a_p); the image of
     # b_k (x) a_p is the matrix product pb[k] phi[p]
     return _alg_entry_product(field, lamA, pb, _phi_tensor(G)).reshape(n * d, n, n, d)
@@ -515,9 +515,8 @@ def lift_structure_matrix(c, k: int) -> AlgMatrix:
     the image of ``b_k (x) 1`` under the faithful representation.
     """
     family = _family_of(c)
-    field = family.field
-    data = field.tensordot(family.B.lam[family.B._basis_index(k)], family.A.unit, axes=0).transpose(1, 0, 2)
-    return AlgMatrix(family.A, data.copy())
+    structure = family.B.lam[family.B._basis_index(k)].T
+    return AlgMatrix(family.A, _alg_lift(family.field, structure, family.A.unit))
 
 
 def faithful_rep(c: TwistingCandidate) -> FaithfulRep:
@@ -564,4 +563,4 @@ def _faithful_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray, ima
 
     # image of the product unit is the identity matrix
     unit_img = field.tensordot(unit, images, axes=([0], [0]))
-    yield "faithful.unit", unit_img, _alg_identity(field, B.dim, unitA)
+    yield "faithful.unit", unit_img, _alg_lift(field, field.identity(B.dim), unitA)

@@ -235,10 +235,27 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_oversized_search_is_usage_error(tmp_path):
-    k3 = serialize.algebra_to_json(kn_algebra(GF(3), 2))
+def test_oversized_search_is_usage_error(tmp_path, capsys):
+    """Every route's coset of F_2 K^3 x K^3 holds 2^36 grids, over the guard."""
+    k3 = serialize.algebra_to_json(kn_algebra(F2, 3))
     a_path = write(tmp_path, "a.json", k3)
     assert main(["enumerate", "--A", a_path, "--B", a_path]) == 2
+    assert main(["cross-validate", "--A", a_path, "--B", a_path]) == 2
+    assert capsys.readouterr().err.count("exceed the guard of 16777216") == 2
+
+
+def test_unsolvable_coset_system_is_usage_error(tmp_path, capsys, monkeypatch):
+    """Two 10-dimensional algebras give N = 10^4 free entries, over the guard
+    on N: both commands exit 2 before any unit-family system is built."""
+    from twistkit import search
+
+    built = []
+    monkeypatch.setattr(search, "_unit_residual", lambda *args: built.append(args))
+    a_path = write(tmp_path, "a.json", serialize.algebra_to_json(kn_algebra(F2, 10)))
+    assert main(["enumerate", "--A", a_path, "--B", a_path, "--checker", "rep"]) == 2
+    assert main(["cross-validate", "--A", a_path, "--B", a_path]) == 2
+    assert capsys.readouterr().err.count("10000 free entries exceed the guard of 256") == 2
+    assert built == []
 
 
 def test_negative_start_is_usage_error(tmp_path, capsys):

@@ -445,3 +445,86 @@ def test_stacked_products_match_entrywise_definition(field):
     for a, b, i, j in itertools.product(*map(range, prod.shape[:4])):
         expected = sum(field.matmul(ex[a, i, k], ey[b, k, j]) for k in range(3))
         assert field.equal(prod[a, b, i, j], expected)
+
+
+# -- the lift and transport kernels against per-entry loops -----------------------------
+
+
+def _rand_exact(field, rng, shape):
+    values = [rng.choice([Fraction(v, rng.choice((1, 2, 3))) for v in range(-3, 4)]) for _ in range(int(np.prod(shape)))]
+    if field.kind == "Fp":
+        values = [int(v.numerator * pow(v.denominator, -1, field.p)) for v in values]
+    return field.asarray(np.array(values, dtype=object).reshape(shape).tolist())
+
+
+def _lift_reference(field, m, tail):
+    """out[idx + t] = m[idx] * tail[t], one entry at a time."""
+    out = field.zeros(m.shape + tail.shape)
+    for idx in np.ndindex(*m.shape):
+        for t in np.ndindex(*tail.shape):
+            out[idx + t] = field.reduce(m[idx] * tail[t])
+    return out
+
+
+def _transport_reference(field, z, x, axes):
+    """out[.., i, ..] = sum_u z[u, i] x[.., u, ..] on each axis in turn, one
+    output entry at a time."""
+    for axis in axes:
+        shape = x.shape[:axis] + (z.shape[1],) + x.shape[axis + 1:]
+        out = field.zeros(shape)
+        for idx in np.ndindex(*shape):
+            terms = (z[u, idx[axis]] * x[idx[:axis] + (u,) + idx[axis + 1:]] for u in range(x.shape[axis]))
+            out[idx] = field.reduce(sum(terms, field.zero))
+        x = out
+    return x
+
+
+_KERNEL_FIELDS = [GF(7), QQ, "Q cleared"]
+
+
+@pytest.mark.parametrize("which", _KERNEL_FIELDS, ids=["F7", "Q", "Q-cleared"])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["one", "batch"])
+def test_lifts_match_the_per_entry_loop(which, batch):
+    """``_alg_lift`` (m (x) x) and ``_endo_lift`` (m (x) id_d) against the
+    loop, on a matrix or a stack of them; over Q also with either operand
+    cleared, which keeps the lift cleared."""
+    from twistkit.fields import _Cleared
+    from twistkit.linalg import _alg_lift, _endo_lift
+
+    field = QQ if which == "Q cleared" else which
+    rng = random.Random(f"lifts/{which}/{batch}")
+    m, x = _rand_exact(field, rng, batch + (3, 2)), _rand_exact(field, rng, (4,))
+    expected_alg = _lift_reference(field, m, x)
+    expected_endo = _lift_reference(field, m, field.identity(3))
+    if which == "Q cleared":
+        cases = [(field.cleared(m), x), (m, field.cleared(x)), (field.cleared(m), field.cleared(x))]
+        for mm, xx in cases:
+            lifted = _alg_lift(field, mm, xx)
+            assert isinstance(lifted, _Cleared) and field.equal(lifted, expected_alg)
+        lifted = _endo_lift(field, field.cleared(m), 3)
+        assert isinstance(lifted, _Cleared) and field.equal(lifted, expected_endo)
+        return
+    lifted = _alg_lift(field, m, x)
+    assert lifted.shape == batch + (3, 2, 4) and field.equal(lifted, expected_alg)
+    lifted = _endo_lift(field, m, 3)
+    assert lifted.shape == batch + (3, 2, 3, 3) and field.equal(lifted, expected_endo)
+
+
+@pytest.mark.parametrize("which", _KERNEL_FIELDS, ids=["F7", "Q", "Q-cleared"])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["one", "batch"])
+def test_transports_match_the_per_entry_loop(which, batch):
+    """``_pull_back`` along a non-square z, on one axis and on several, with
+    the other axes (a leading batch among them) in place; over Q also on a
+    cleared tensor."""
+    from twistkit.linalg import _pull_back
+
+    field = QQ if which == "Q cleared" else which
+    rng = random.Random(f"transports/{which}/{batch}")
+    z = _rand_exact(field, rng, (3, 2))
+    lead = len(batch)
+    x = _rand_exact(field, rng, batch + (3, 3, 2, 3))
+    clear = field.cleared if which == "Q cleared" else (lambda arr: arr)
+    for axes in ((0,), (1,), (0, 1), (1, 3), (0, 1, 3)):
+        shifted = tuple(a + lead for a in axes)
+        out = _pull_back(field, z, clear(x), *shifted)
+        assert field.equal(out, _transport_reference(field, z, x, shifted)), axes

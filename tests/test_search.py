@@ -128,11 +128,54 @@ def test_default_range_is_whole_space():
 
 
 def test_guard_rejects_oversized():
-    space = SearchSpace(kn_algebra(F3, 2), kn_algebra(F3, 2))  # 3^16 > 2^24
-    with pytest.raises(SearchSpaceTooLargeError):
-        enumerate_space(space)
-    with pytest.raises(SearchSpaceTooLargeError):
-        cross_validate(space)
+    """The guard bounds the coset each call walks: with zero units the
+    ``direct`` coset of F_3 K^2 x K^2 is the whole space (3^16 > 2^24), and
+    every route's coset of F_2 K^3 x K^3 holds 2^36 grids."""
+    zero_units = _zero_unit(kn_algebra(F3, 2))
+    k3 = kn_algebra(F2, 3)
+    for space, checkers in (
+        (SearchSpace(zero_units, zero_units), ("direct", "oracle", "all")),
+        (SearchSpace(k3, k3), ("direct", "rep", "oracle", "all")),
+    ):
+        for checker in checkers:
+            with pytest.raises(SearchSpaceTooLargeError, match="exceed the guard of 16777216"):
+                enumerate_space(space, checker)
+        with pytest.raises(SearchSpaceTooLargeError):
+            cross_validate(space)
+
+
+def test_guard_bounds_the_free_entries_before_solving(monkeypatch):
+    """A space of N = (nd)^2 free entries up to ``MAX_FREE_ENTRIES`` is
+    solved (K^16 x K: N = 256, one grid per coset); one digit beyond, no
+    unit-family system is built and every call is refused."""
+    k1 = kn_algebra(F2, 1)
+    at_bound = SearchSpace(k1, kn_algebra(F2, 16))
+    assert at_bound.free_entries == search_mod.MAX_FREE_ENTRIES
+    assert enumerate_space(at_bound, "all") == [at_bound.index_of_gamma(GammaFamily.flip(k1, at_bound.B).gamma)]
+    built = []
+    monkeypatch.setattr(search_mod, "_unit_residual", lambda *args: built.append(args))
+    over = SearchSpace(k1, kn_algebra(F2, 17))
+    for checker in (*UNIT_FAMILIES, "all"):
+        with pytest.raises(SearchSpaceTooLargeError, match="289 free entries exceed the guard of 256"):
+            enumerate_space(over, checker)
+    with pytest.raises(SearchSpaceTooLargeError, match="289 free entries"):
+        cross_validate(over)
+    assert built == []
+
+
+@pytest.mark.parametrize("field, maps", [(F3, 8), (F5, 10), (F7, 12)])
+def test_guard_admits_large_spaces_with_small_cosets(field, maps):
+    """K^2 x K^2 over F_3, F_5 and F_7 holds 3^16 to 7^16 grids, over the
+    guard, but each route's coset holds p^4: every checker walks it and
+    finds the same twisting maps, and the routes agree."""
+    k2 = kn_algebra(field, 2)
+    space = SearchSpace(k2, k2)
+    assert space.total > search_mod.MAX_CANDIDATES
+    accepted = {checker: enumerate_space(space, checker) for checker in (*UNIT_FAMILIES, "all")}
+    assert [len(indices) for indices in accepted.values()] == [maps] * 4
+    assert all(indices == accepted["direct"] for indices in accepted.values())
+    assert all(direct_ok(space.family_at(i)) for i in accepted["direct"])
+    assert cross_validate(space).ok
 
 
 def test_rational_field_rejected():

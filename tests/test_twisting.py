@@ -188,12 +188,21 @@ def test_rho_hat_is_one_slice_of_the_rho_tensor(field):
     def draw():
         return rng.randrange(3) if field is F3 else Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
 
+    grids = []
     for _ in range(5):
         grid = field.asarray([[[[draw() for _ in range(2)] for _ in range(2)] for _ in range(2)] for _ in range(2)])
         fam = GammaFamily(A, B, grid)
         whole = _rho_tensor(field, B.lam, fam.gamma)
         for k in range(B.dim):
             assert field.equal(rho_hat(fam, k).data, whole[k]), k
+            # R_k[i][m] = sum_l lam[m, l, i] gamma[k][l], one entry at a time
+            for i in range(B.dim):
+                for m in range(B.dim):
+                    expected = sum((B.lam[m, l, i] * grid[k, l] for l in range(B.dim)), field.zeros((2, 2)))
+                    assert field.equal(whole[k, i, m], field.reduce(expected)), (k, i, m)
+        grids.append(grid)
+    stack = _rho_tensor(field, B.lam, np.stack(grids))
+    assert all(field.equal(stack[s], _rho_tensor(field, B.lam, g)) for s, g in enumerate(grids))
 
 
 def test_phi_hat_duplicate_display(generic_markers_f5):
@@ -509,7 +518,7 @@ _UNIT_OK_NOT_MULT = [[[[0, 1], [0, 1]], [[1, 1], [0, 0]]], [[[1, 1], [0, 0]], [[
     [
         ("zero", {"direct": 1, "rep": 2, "oracle": 1}),
         ("unit-ok", {"direct": 4, "rep": 8, "oracle": 7}),
-        ("flip", {"direct": 8, "rep": 8, "oracle": 18}),
+        ("flip", {"direct": 8, "rep": 8, "oracle": 16}),
     ],
 )
 def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
@@ -596,3 +605,25 @@ def test_extension_takes_no_twisting_kernel_but_rho_tensor():
     private = {a.name for node in imports if node.module == "twisting" for a in node.names if a.name.startswith("_")}
     assert private == {"_check_image", "_family_of", "_phi_tensor", "_require_verified", "_rho_tensor"}
     assert all(a.name != "twisting" for node in imports for a in node.names)
+
+
+def test_oracle_takes_no_condition_or_shared_kernel():
+    """The oracle assembles the product and checks the definition with its
+    own formulas: ``_oracle_pairs`` and ``_product_tensor`` name none of the
+    kernels of the condition routes, nor the lift and transport kernels of
+    ``linalg``.  Routed through one of them, a fault in that kernel would
+    pass all three routes alike, and the cross-validation would show
+    nothing."""
+    shared = {
+        "_unit_images", "_twisted_products", "_rule_compositions", "_rho_tensor", "_phi_tensor",
+        "_alg_entry_product", "_endo_products", "_alg_lift", "_endo_lift", "_pull_back",
+    }
+    tree = ast.parse((Path(twistkit.__file__).parent / "twisting.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_oracle_pairs", "_product_tensor"):
+        named = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(bodies[name])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert named & shared == set(), name
