@@ -190,18 +190,18 @@ def _cmd_catalog(args) -> int:
         f = serialize.kmatrix_from_json(field, params["f"], "f")
         delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
         candidate = catalog.make_ncd(a, f, delta)
-        conditions = catalog.ncd_conditions(a, f, delta)
+        pairs = catalog._ncd_pairs
     elif args.family == "qdup":
         f = serialize.kmatrix_from_json(field, params["f"], "f")
         delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
         alpha, beta = params["alpha"], params["beta"]
         candidate = catalog.make_quantum_duplicate(a, alpha, beta, f, delta)
-        conditions = catalog.qdup_conditions(a, alpha, beta, f, delta)
+        pairs = catalog._qdup_pairs
     elif args.family == "kn":
         n = serialize._expect_int(params, "n", "catalog")
         grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
         candidate = catalog.make_kn(a, n, grid)
-        conditions = catalog.kn_conditions(a, n, grid)
+        pairs = catalog._kn_pairs
     elif args.family == "trunc":
         n = serialize._expect_int(params, "n", "catalog")
         if "first_row" in params:
@@ -212,9 +212,10 @@ def _cmd_catalog(args) -> int:
         else:
             grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
             candidate = catalog.make_truncated(a, n, grid)
-        conditions = catalog.truncated_conditions(a, n, candidate.family.gamma)
+        pairs = catalog._truncated_pairs
     else:  # pragma: no cover - argparse restricts choices
         raise TwistKitError(f"unknown family {args.family}")
+    conditions = catalog._report(pairs, candidate)
     verdict = twisting.route_reports(candidate.family, ["direct"])["direct"]
     payload = {
         "candidate": serialize.candidate_to_json(candidate),

@@ -112,31 +112,36 @@ class Field:
         """
         if isinstance(value, str):
             return self.parse(value)
-        if isinstance(value, (float, np.floating)):
-            raise FieldError(f"floating point value {value!r} rejected")
         if isinstance(value, (bool, np.bool_)):
             raise FieldError(f"boolean value {value!r} rejected")
-        if self.kind == "Q":
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, (int, np.integer)):
-                return Fraction(int(value))
-            raise FieldError(f"cannot coerce {value!r} into Q")
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise FieldError(f"cannot coerce {value} into F_{self.p}")
-            value = value.numerator
-        if not isinstance(value, (int, np.integer)):
-            raise FieldError(f"cannot coerce {value!r} into F_{self.p}")
-        return int(value) % self.p
+        # ints come before Fractions: ``isinstance(1, Fraction)`` is an ABC check
+        if isinstance(value, (int, np.integer)):
+            return Fraction(int(value)) if self.kind == "Q" else int(value) % self.p
+        if isinstance(value, (float, np.floating)):
+            raise FieldError(f"floating point value {value!r} rejected")
+        name = "Q" if self.kind == "Q" else f"F_{self.p}"
+        if not isinstance(value, Fraction):
+            raise FieldError(f"cannot coerce {value!r} into {name}")
+        if self.kind == "Fp" and value.denominator != 1:
+            raise FieldError(f"cannot coerce {value} into {name}")
+        return value if self.kind == "Q" else value.numerator % self.p
 
     def parse(self, text: str) -> Fraction | int:
-        if self.kind == "Q":
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise FieldError(f"zero denominator in {text!r}") from None
-        return int(text) % self.p
+        """A scalar string: an optionally signed integer, optionally followed
+        by ``/`` and an unsigned integer, each read with ``int()`` and then
+        coerced by ``scalar`` (so F_p takes "6/2" but not "1/2").  Decimal
+        points and exponents are refused: ``Fraction("1e999999999")`` hangs."""
+        num, slash, den = text.partition("/")
+        # int() also reads a sign and whitespace at either end: none may touch the slash
+        if slash and not (num[-1:].isdecimal() and den[:1].isdecimal()):
+            raise FieldError(f"not an exact scalar: {text!r}")
+        try:
+            value = Fraction(int(num), int(den)) if slash else int(num)
+        except ValueError:  # not an integer, or more digits than int() reads
+            raise FieldError(f"not an exact scalar: {text!r}") from None
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in {text!r}") from None
+        return self.scalar(value)
 
     def format(self, x) -> str:
         """Canonical string form: "3", "-2/5" over Q; residue "5" over F_p."""
@@ -167,32 +172,35 @@ class Field:
     # -- arrays -------------------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
-        """Exact array from nested ints / Fractions / canonical strings."""
-        if self.kind == "Fp":
-            arr = np.asarray(self._intify(data), dtype=np.int64)
-            return arr % self.p
-        nested = self._fractionify(data)
-        arr = np.empty(_shape_of(nested), dtype=object)
-        arr[...] = nested
-        # ragged input leaves lists in (or broadcasts them over) the entries
-        if not all(isinstance(x, Fraction) for x in arr.flat):
-            raise FieldError("ragged nested input")
-        return arr
-
-    def _intify(self, data):
-        if isinstance(data, np.ndarray) and data.dtype != object:
-            if not np.issubdtype(data.dtype, np.integer):
+        """Exact array from nested ints / Fractions / canonical strings in one
+        flat pass: numpy reads the nesting and ``scalar`` converts each entry.
+        Over F_p a non-object array skips the pass: integers only, reduced."""
+        if self.kind == "Fp" and isinstance(data, np.ndarray) and data.dtype != object:
+            if data.dtype.kind not in "iu":
                 raise FieldError(f"non-integer array dtype {data.dtype} rejected")
             # unsigned values above 2**63 would wrap in the int64 cast: reduce first
-            return data.astype(np.uint64) % self.p if data.dtype.kind == "u" else data
-        if isinstance(data, (list, tuple, np.ndarray)):
-            return [self._intify(x) for x in data]
-        return int(self.scalar(data))
-
-    def _fractionify(self, data):
-        if isinstance(data, (list, tuple, np.ndarray)):
-            return [self._fractionify(x) for x in data]
-        return self.scalar(data)
+            data = data.astype(np.uint64) % self.p if data.dtype.kind == "u" else data
+            return np.asarray(data, dtype=np.int64) % self.p
+        try:
+            arr = np.array(data, dtype=object)
+        except ValueError:  # nested arrays of clashing shapes
+            raise FieldError("ragged nested input") from None
+        # numpy fills a slot from a nested array by broadcasting (a 1 x 1 array
+        # fills a slot of shape (1,)), so each nested array needs its slot's shape
+        level = [data]
+        for depth in range(1, arr.ndim):
+            level = [x for node in level if not isinstance(node, np.ndarray) for x in node]
+            if any(isinstance(x, np.ndarray) and x.shape != arr.shape[depth:] for x in level):
+                raise FieldError("ragged nested input")
+        flat = arr.ravel().tolist()
+        try:
+            values = [self.scalar(x) for x in flat]
+        except FieldError:
+            # ragged input leaves lists (or arrays) in the entries
+            if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
+                raise FieldError("ragged nested input") from None
+            raise
+        return np.array(values, dtype=object if self.kind == "Q" else np.int64).reshape(arr.shape)
 
     def zeros(self, shape) -> np.ndarray:
         if self.kind == "Fp":
@@ -454,17 +462,6 @@ def _clear_denominators(arr) -> tuple[np.ndarray, int, int]:
     nums = [int(v.numerator) * (den // d) for v, d in zip(flat, dens)]
     bound = sum(map(abs, nums))
     return np.array(nums, dtype=_dtype(bound)).reshape(arr.shape), den, bound
-
-
-def _shape_of(nested) -> tuple[int, ...]:
-    shape = []
-    node = nested
-    while isinstance(node, list):
-        shape.append(len(node))
-        if not node:
-            break
-        node = node[0]
-    return tuple(shape)
 
 
 #: The field of rational numbers.

@@ -55,9 +55,6 @@ class VerificationReport:
         return cls(ok=not fails, failures=fails)
 
 
-PASS = VerificationReport(ok=True)
-
-
 def family_failures(fld, tag: str, left: np.ndarray, right: np.ndarray) -> Iterator[Failure]:
     """Yield at most one Failure for the condition family ``left == right``."""
     mismatch = fld.mismatch(left, right)

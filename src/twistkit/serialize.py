@@ -2,6 +2,10 @@
 
 Schemas (all arrays 0-based, scalars as canonical strings "3", "-2/5", "5"):
 
+* scalar     an optionally signed integer, optionally followed by "/" and an
+             unsigned integer ("3", "-2/5"); decimal points and exponents
+             ("0.5", "1e9") are refused.  Over F_p a fraction is accepted
+             when its reduced denominator is 1 ("6/2" is 3)
 * field      {"kind": "Q"} or {"kind": "Fp", "p": 7}
 * algebra    {"field": ..., "dim": n, "basis": [labels],
               "lambda": [[[...]]], "unit": [...]}
@@ -23,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
-from .errors import SchemaError
+from .errors import FieldError, SchemaError
 from .fields import Field
 from .linalg import AlgMatrix, EndoMatrix, KMatrix
 from .report import Failure, VerificationReport
@@ -83,12 +87,13 @@ def array_to_json(field: Field, arr: np.ndarray):
     return field.format_array(arr)
 
 
-def array_from_json(field: Field, data, shape: tuple[int, ...], context: str) -> np.ndarray:
+def array_from_json(field: Field, data, shape: tuple[int, ...] | None, context: str) -> np.ndarray:
+    """The exact array of ``data``, of the given ``shape`` (any shape for None)."""
     try:
         arr = field.asarray(data)
-    except Exception as exc:
+    except FieldError as exc:
         raise SchemaError(f"{context}: {exc}") from None
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise SchemaError(f"{context}: shape {arr.shape}, expected {shape}")
     return arr
 
@@ -156,10 +161,7 @@ def kmatrix_to_json(mat: KMatrix):
 
 
 def kmatrix_from_json(field: Field, data, context: str = "matrix") -> KMatrix:
-    try:
-        arr = field.asarray(data)
-    except Exception as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+    arr = array_from_json(field, data, None, context)
     if arr.ndim != 2:
         raise SchemaError(f"{context}: expected a 2-D array, got shape {arr.shape}")
     return KMatrix(field, arr)

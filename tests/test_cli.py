@@ -210,6 +210,35 @@ def test_catalog_cli(tmp_path):
     assert cand.B == duplicate_algebra(QQ)
 
 
+_ENDO, _ZERO = [["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]
+_CATALOG_PARAMS = {
+    "ncd": {"f": [["1", "0"], ["1", "0"]], "delta": _ZERO},
+    "qdup": {"f": _ENDO, "delta": _ZERO, "alpha": "1", "beta": "0"},
+    "kn": {"n": 2, "gamma": [[_ENDO, _ZERO], [_ZERO, _ENDO]]},
+    "trunc": {"n": 3, "first_row": [_ZERO, _ENDO, _ZERO]},
+    "trunc-gamma": {"n": 2, "gamma": [[_ENDO, _ZERO], [_ZERO, _ENDO]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_PARAMS))
+def test_catalog_cli_builds_its_candidate_once(name, tmp_path, monkeypatch):
+    """The family conditions run on the candidate the command builds and
+    validates, not on a second one built from the same parameters."""
+    from twistkit import catalog
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return twisting.GammaFamily(*args)
+
+    monkeypatch.setattr(catalog, "GammaFamily", counted)
+    params = {"A": serialize.algebra_to_json(kn_algebra(QQ, 2)), **_CATALOG_PARAMS[name]}
+    path = write(tmp_path, "params.json", params)
+    assert main(["catalog", name.split("-")[0], path, "--out", str(tmp_path / "out.json")]) in (0, 1)
+    assert len(built) == 1
+
+
 def test_enumerate_cli(tmp_path):
     k1 = serialize.algebra_to_json(kn_algebra(F2, 1))
     a_path = write(tmp_path, "a.json", k1)

@@ -5,6 +5,8 @@ a verdict)."""
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -266,3 +268,57 @@ def test_boolean_algebra_entries_are_usage_error(kind, tmp_path):
     code, _, err = _run(["validate-algebra", str(bad)])
     assert code == 2
     assert err.startswith("error: algebra.unit: ") and "boolean" in err
+
+
+def _placed(value) -> dict:
+    """argv heads and payloads with the Q scalar ``value`` as an algebra
+    entry, a grid entry and the ``alpha`` of a quantum duplicate."""
+    algebra = serialize.algebra_to_json(kn_algebra(QQ, 1))
+    candidate = _VALID["check-twisting"]
+    gamma = json.loads(json.dumps(candidate["gamma"]))
+    gamma[1][1][0][0] = value
+    return {
+        "algebra": (["validate-algebra"], {**algebra, "lambda": [[[value]]]}),
+        "grid": (["check-twisting"], {**candidate, "gamma": gamma}),
+        "alpha": (["catalog", "qdup"], {**_VALID["catalog-qdup"], "alpha": value}),
+    }
+
+
+def _run_process(args, payload, tmp_path) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, killed after 10 s: a parse that runs
+    without bound fails the test instead of hanging it."""
+    path = tmp_path / "input.json"
+    path.write_text(serialize.dumps(payload), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "twistkit", *args, str(path)], capture_output=True, text=True, timeout=10
+    )
+
+
+@pytest.mark.parametrize("place", ["algebra", "grid", "alpha"])
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999", "0.5"])
+def test_decimal_and_exponent_scalars_are_usage_errors(value, place, tmp_path):
+    """``Fraction("1e999999999")`` builds 10**999999999: the scalar grammar
+    refuses decimal points and exponents before any arithmetic."""
+    args, payload = _placed(value)[place]
+    proc = _run_process(args, payload, tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "not an exact scalar" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_prime_field_exponent_is_usage_error(tmp_path):
+    algebra = serialize.algebra_to_json(kn_algebra(GF(5), 1))
+    proc = _run_process(["validate-algebra"], {**algebra, "unit": ["1e9"]}, tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: algebra.unit: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_prime_field_reads_fractions_with_denominator_one():
+    """Over F_5 "6/2" is 3 and "2/2" is 1: the algebra equals its canonical form."""
+    canonical = serialize.algebra_to_json(kn_algebra(GF(5), 1))
+    spelled = {**canonical, "lambda": [[["2/2"]]], "unit": ["6/6"]}
+    assert serialize.algebra_from_json(spelled) == serialize.algebra_from_json(canonical)
+    three = {**canonical, "lambda": [[["6/2"]]], "unit": ["2"]}
+    assert serialize.algebra_from_json(three).lam.tolist() == [[[3]]]
+    code, _, err = _run_on("validate-algebra", {**canonical, "unit": ["1/2"]})
+    assert code == 2 and err.startswith("error: algebra.unit: ")

@@ -64,13 +64,226 @@ def test_asarray_reduces_unsigned_arrays():
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 @pytest.mark.parametrize("data", [[[1, 2], []], [[1], [[2]]], [[1, 2], [3]]], ids=repr)
 def test_asarray_rejects_ragged_input(field, data):
-    with pytest.raises((FieldError, ValueError)):
+    with pytest.raises(FieldError, match="ragged nested input"):
         field.asarray(data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_scalar_grammar(field):
+    """A scalar string is [sign] digits, optionally "/" and digits: every
+    integer or fraction form that ``int()`` and ``Fraction`` agree on is read,
+    and nothing with a decimal point or an exponent is."""
+    for text, value in [("3", 3), ("-3", -3), ("+3", 3), (" 7 ", 7), ("1_000", 1000),
+                        ("6/2", 3), ("-10/5", -2), (" 4/2\n", 2), ("0/7", 0)]:
+        assert field.parse(text) == field.scalar(value)
+        assert field.parse(text) == field.scalar(Fraction(text))
+    for text in ["1e999999999", "1e-999999999", "0.5", "1.", ".5", "1E3", "1/2.0", "3 /4",
+                 "3/ 4", "1/-2", "1/+2", "1//2", "1/2/3", "", " ", "-", "/2", "2/", "x", "0x10",
+                 "inf", "nan", "1__0", "_1"]:
+        with pytest.raises(FieldError, match="not an exact scalar"):
+            field.parse(text)
+    with pytest.raises(FieldError, match="zero denominator"):
+        field.parse("-3/0")
+    with pytest.raises(FieldError, match="not an exact scalar"):
+        field.parse("9" * 5000)  # int() reads at most 4300 digits
+
+
+def test_rational_scalars_read_with_their_sign():
+    assert QQ.parse("-2/6") == Fraction(-1, 3)
+    assert QQ.parse("+1_0/4") == Fraction(5, 2)
+
+
+def test_prime_field_takes_fractions_with_denominator_one():
+    """F_p reads a fraction string exactly when ``scalar`` takes the equal
+    ``Fraction``: "6/2" is 3, "1/2" is refused."""
+    f5 = GF(5)
+    assert f5.parse("6/2") == 3 == f5.scalar(Fraction(6, 2))
+    assert f5.parse("-14/7") == 3
+    for text in ("1/2", "5/10"):
+        with pytest.raises(FieldError, match="cannot coerce"):
+            f5.parse(text)
 
 
 def test_fraction_rejected_mod_p():
     with pytest.raises(FieldError):
         GF(5).scalar(Fraction(1, 2))
+
+
+# -- Field.asarray against a recursive reference ------------------------------------
+
+
+def _reference_asarray(field, data):
+    """``Field.asarray`` as a recursive walk: the nesting is turned into
+    lists entry by entry, and over Q the shape is read off the first entries.
+    A ragged nesting is a ``FieldError``, whichever step of numpy finds it."""
+
+    def intify(node):
+        if isinstance(node, np.ndarray) and node.dtype != object:
+            if not np.issubdtype(node.dtype, np.integer):
+                raise FieldError(f"non-integer array dtype {node.dtype} rejected")
+            return node.astype(np.uint64) % field.p if node.dtype.kind == "u" else node
+        if isinstance(node, (list, tuple, np.ndarray)):
+            return [intify(x) for x in node]
+        return int(field.scalar(node))
+
+    def fractionify(node):
+        if isinstance(node, (list, tuple, np.ndarray)):
+            return [fractionify(x) for x in node]
+        return field.scalar(node)
+
+    try:
+        if field.kind == "Fp":
+            return np.asarray(intify(data), dtype=np.int64) % field.p
+        nested = fractionify(data)
+        shape, node = [], nested
+        while isinstance(node, list):
+            shape.append(len(node))
+            if not node:
+                break
+            node = node[0]
+        arr = np.empty(tuple(shape), dtype=object)
+        arr[...] = nested
+    except ValueError:
+        raise FieldError("ragged nested input") from None
+    if not all(isinstance(x, Fraction) for x in arr.flat):
+        raise FieldError("ragged nested input")
+    return arr
+
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _leaf(draw):
+    """An int (beyond int64 too), a numpy integer, a ``Fraction`` or a
+    canonical string of one; now and then a value every field refuses."""
+    value = draw(RATIONALS | st.integers(-(2**70), 2**70).map(Fraction))
+    kind = draw(st.sampled_from(["int", "np", "fraction", "string", "string", "bad"]))
+    if kind == "bad":
+        return draw(st.sampled_from([0.5, True, None, "x", "1/0", {}]))
+    if kind == "string":
+        return str(value)
+    if kind == "fraction" or value.denominator != 1:
+        return value
+    n = value.numerator
+    return np.int64(n) if kind == "np" and -(2**63) <= n < 2**63 else n
+
+
+@st.composite
+def _array_shape(draw, walked, min_ndim=0):
+    """An ndarray shape with up to three axes.  An empty one is (0,) if the
+    reference walks the array (all arrays over Q, object arrays over F_p): it
+    reads the shape off first entries, so it drops the axes of an empty array
+    after the first (``test_asarray_keeps_empty_array_shapes``)."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=min_ndim, max_size=3)))
+    return (0,) if walked and 0 in shape else shape
+
+
+@st.composite
+def _int_ndarray(draw, field, min_ndim=0):
+    """An integer ndarray of any integer dtype over its full range (uint64
+    above 2**63 included), zero-length axes included."""
+    dtype = np.dtype(draw(st.sampled_from(_INT_DTYPES)))
+    shape = draw(_array_shape(field.kind == "Q", min_ndim))
+    info = np.iinfo(dtype)
+    bounds = st.integers(int(info.min), int(info.max))
+    values = draw(st.lists(bounds | st.sampled_from([int(info.min), int(info.max)]),
+                           min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def _exact_input(draw, field):
+    """Nested lists and tuples over a regular shape, integer ndarrays,
+    object arrays, the same with ndarrays among the items, and ragged
+    nestings."""
+    form = draw(st.sampled_from(["nested", "nested", "int array", "object array", "arrays", "ragged"]))
+    if form == "int array":
+        return draw(_int_ndarray(field))
+    if form == "ragged":
+        return draw(st.recursive(_leaf(), lambda inner: st.lists(inner, max_size=3), max_leaves=10))
+    shape = draw(_array_shape(walked=True))
+    leaves = draw(st.lists(_leaf(), min_size=math.prod(shape), max_size=math.prod(shape)))
+    arr = np.empty(len(leaves), dtype=object)
+    arr[:] = leaves
+    arr = arr.reshape(shape)
+    if form == "object array":
+        return arr
+    if form == "arrays":
+        # 0-d arrays among the items are refused as ragged (see CHANGES.md)
+        items = [draw(_int_ndarray(field, min_ndim=1)) for _ in range(draw(st.integers(1, 4)))]
+        return items if draw(st.booleans()) else [items[:2], items[2:]]
+
+    def nest(node):
+        if not isinstance(node, np.ndarray) or node.ndim == 0:
+            return node[()] if isinstance(node, np.ndarray) else node
+        items = [nest(x) for x in node]
+        return tuple(items) if draw(st.booleans()) else items
+
+    return nest(arr)
+
+
+def _assert_same_asarray(field, data):
+    """``field.asarray(data)`` against the reference; over Q a 0-d array,
+    which the walk cannot iterate (a ``TypeError``), against its scalar."""
+    reference_data = data[()] if isinstance(data, np.ndarray) and data.ndim == 0 else data
+    try:
+        expected = _reference_asarray(field, reference_data)
+    except FieldError:
+        with pytest.raises(FieldError):
+            field.asarray(data)
+        return
+    out = field.asarray(data)
+    assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
+    assert out.ravel().tolist() == expected.ravel().tolist()
+    assert [type(x) for x in out.ravel().tolist()] == [type(x) for x in expected.ravel().tolist()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(65521)], ids=str)
+def test_asarray_matches_recursive_reference(field, data):
+    """The flat pass gives the values, dtype and shape of the recursive walk,
+    and raises ``FieldError`` on the same inputs."""
+    _assert_same_asarray(field, data.draw(_exact_input(field)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_asarray_edge_cases_match_recursive_reference(field):
+    """Empty shapes, 0-d input, uint64 above 2**63 and ragged nestings that
+    numpy meets at different steps."""
+    big = np.array([2**64 - 1, 2**63, 5], dtype=np.uint64)
+    cases = [
+        [], [[]], [[], []], ((), ()), np.zeros((0,), dtype=np.int64), np.empty((0,), dtype=object),
+        5, "-3/6" if field.kind == "Q" else "6/3", Fraction(4), big, [big, big], [big, big[:2]],
+        [[1, 2], 3], [[1], [2, 3]], [[[1]], [2]], [[], [1]], [[1, [2, 3]], [4, [5, 6]]],
+        [np.zeros(2, dtype=np.int8), np.zeros(3, dtype=np.int8)],
+        [np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)],
+        np.array([[1, 2], [3]], dtype=object), [[1, 2], (3,)],
+        [np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64)],
+        [[np.ones(2, dtype=np.int64)], [np.ones((1, 2), dtype=np.int64)]],
+    ]
+    for data in cases:
+        _assert_same_asarray(field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_asarray_keeps_empty_array_shapes(field):
+    """An empty array keeps every axis, and empty arrays of different shapes
+    are ragged; the recursive walk over Q read both as ``[]``."""
+    for shape in [(0, 3), (2, 0, 4), (0, 0)]:
+        for data in (np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=object)):
+            assert field.asarray(data).shape == shape
+    assert field.asarray([np.zeros((0, 2), dtype=np.int64)] * 3).shape == (3, 0, 2)
+    with pytest.raises(FieldError, match="ragged"):
+        field.asarray([np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)])
+
+
+def test_asarray_refuses_arrays_among_the_items():
+    """An ndarray left in an entry is ragged, a 0-d one too."""
+    for field in (QQ, GF(7)):
+        with pytest.raises(FieldError, match="ragged"):
+            field.asarray([np.array(5), np.array(6)])
 
 
 def test_floats_rejected_everywhere():
