@@ -24,8 +24,11 @@ every route check and verdict), ``twisting.verify_faithful`` and the block
 checkers of ``extension`` run on the image of the check
 (``twisting._check_image``): the structure constants and units of A and B
 and the gamma grid, each turned into integer numerators over one
-denominator once per check with ``Field.cleared``.  A contraction with a
-cleared operand returns the cleared product (the denominators multiply), a
+denominator once per check with ``Field.cleared``.  The field of the image
+builds the constants of the check (``zeros``, ``identity``,
+``unit_vector``) cleared, as ``int64`` numerators over 1, so nothing but
+those inputs is ever cleared in a check.  A contraction with a cleared
+operand returns the cleared product (the denominators multiply), a
 broadcast ``*`` of a cleared array with an exact array does too, and
 ``Field.mismatch`` compares cleared sides by cross-multiplied numerators.
 
@@ -43,9 +46,11 @@ on Python ints (``object`` arrays) otherwise.  The bound alone picks the
 dtype, so no ``int64`` value can wrap.
 
 No ``Fraction`` is built inside a route: the cleared form leaves only
-through ``Field.format``, one ``Fraction`` per witness entry of a report, and
+through ``Field.format``, one ``Fraction`` per witness entry of a report,
 ``Field.numerators``, which hands Python ints to the exact elimination of
-``linalg``.  Contractions of ``Fraction`` operands alone (the public
+``linalg``, and ``_Cleared.fractions``, which turns the twisted product that
+``twisting.build_twisted_product`` computes on the image into ``Fraction``
+arrays once.  Contractions of ``Fraction`` operands alone (the public
 constructions, ``linalg``) return ``Fraction`` arrays, and no public function
 returns a cleared array.  Over F_p ``cleared`` is the identity.
 
@@ -174,13 +179,15 @@ class Field:
     def asarray(self, data) -> np.ndarray:
         """Exact array from nested ints / Fractions / canonical strings in one
         flat pass: numpy reads the nesting and ``scalar`` converts each entry.
-        Over F_p a non-object array skips the pass: integers only, reduced."""
-        if self.kind == "Fp" and isinstance(data, np.ndarray) and data.dtype != object:
+        A non-object array must have an integer dtype on both fields; over F_p
+        it skips the pass and is reduced."""
+        if isinstance(data, np.ndarray) and data.dtype != object:
             if data.dtype.kind not in "iu":
                 raise FieldError(f"non-integer array dtype {data.dtype} rejected")
-            # unsigned values above 2**63 would wrap in the int64 cast: reduce first
-            data = data.astype(np.uint64) % self.p if data.dtype.kind == "u" else data
-            return np.asarray(data, dtype=np.int64) % self.p
+            if self.kind == "Fp":
+                # unsigned values above 2**63 would wrap in the int64 cast: reduce first
+                data = data.astype(np.uint64) % self.p if data.dtype.kind == "u" else data
+                return np.asarray(data, dtype=np.int64) % self.p
         try:
             arr = np.array(data, dtype=object)
         except ValueError:  # nested arrays of clashing shapes
@@ -273,11 +280,8 @@ class Field:
         bound = bx * by
         dtype = _dtype(bx, by, bound)
         z = np.asarray(contract(nx.astype(dtype, copy=False), ny.astype(dtype, copy=False)))
-        if isinstance(x, _Cleared) or isinstance(y, _Cleared):
-            return _Cleared(z, dx * dy, bound)
-        flat = z.ravel().tolist()
-        by_numerator = {v: Fraction(v, dx * dy) for v in set(flat)}
-        return np.array([by_numerator[v] for v in flat], dtype=object).reshape(z.shape)
+        product = _Cleared(z, dx * dy, bound)
+        return product if isinstance(x, _Cleared) or isinstance(y, _Cleared) else product.fractions()
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.tensordot(x, y, axes=([x.ndim - 1], [0]))
@@ -444,6 +448,29 @@ class _Cleared:
 
     __rmul__ = __mul__
 
+    def fractions(self) -> np.ndarray:
+        """The ``Fraction`` array ``num / den``: one ``Fraction`` per distinct
+        numerator, shared by the entries that hold it."""
+        flat = self.num.ravel().tolist()
+        by_numerator = {v: Fraction(v, self.den) for v in set(flat)}
+        return np.array([by_numerator[v] for v in flat], dtype=object).reshape(self.shape)
+
+
+class _ClearedField(Field):
+    """Q as the image of a check sees it (``twisting._check_image``):
+    ``zeros``, ``identity`` and ``unit_vector`` are cleared ``int64``
+    constants over the denominator 1, so a check contracts and compares them
+    without clearing them first."""
+
+    def zeros(self, shape) -> _Cleared:
+        return _Cleared(np.zeros(shape, dtype=np.int64), 1, 0)
+
+    def identity(self, n: int) -> _Cleared:
+        return _Cleared(np.eye(n, dtype=np.int64), 1, n)
+
+    def unit_vector(self, n: int, i: int) -> _Cleared:
+        return _Cleared(np.eye(1, n, i, dtype=np.int64)[0], 1, 1)
+
 
 def _clear_denominators(arr) -> tuple[np.ndarray, int, int]:
     """Integer array N, int D > 0 and the bound sum(|N|), with N / D equal to
@@ -466,6 +493,9 @@ def _clear_denominators(arr) -> tuple[np.ndarray, int, int]:
 
 #: The field of rational numbers.
 QQ = Field("Q")
+
+#: The rationals of a check's image, whose constants are cleared.
+_CLEARED_QQ = _ClearedField("Q")
 
 
 def GF(p: int) -> Field:

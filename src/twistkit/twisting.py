@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import FiniteDimAlgebra, _algebra_pairs
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
-from .fields import Field
+from .fields import _CLEARED_QQ, Field
 from .linalg import (
     AlgMatrix,
     EndoMatrix,
@@ -336,9 +336,14 @@ class TwistedTensorAlgebra:
 
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
-    """The twisted tensor product algebra of a verified candidate."""
+    """The twisted tensor product algebra of a verified candidate.  Its
+    structure constants and unit are computed on the image of the check
+    (``_check_image``); over Q they leave the cleared form once, as
+    ``Fraction`` arrays."""
     family = _require_verified(c, "build_twisted_product")
-    lam, unit = _product_tensor(family.A, family.B, family.gamma)
+    lam, unit = _product_tensor(*_check_image(family))
+    if family.field.kind == "Q":
+        lam, unit = lam.fractions(), unit.fractions()
     labels = tuple(
         f"{bl}⊗{al}" for bl in family.B.basis for al in family.A.basis
     )
@@ -433,13 +438,15 @@ class _AlgebraImage(NamedTuple):
 def _check_image(family: GammaFamily) -> tuple:
     """(A, B, G): the algebras and grid one check of ``family`` runs on.  Over
     Q the structure constants, the units and the grid are each cleared once
-    (``Field.cleared``; an algebra used on both sides once); over F_p they
-    are the family's own."""
+    (``Field.cleared``; an algebra used on both sides once), and the field of
+    both images builds its constants (``zeros``, ``identity``,
+    ``unit_vector``) cleared, so nothing else is cleared in the check; over
+    F_p they are the family's own."""
     field, A, B = family.field, family.A, family.B
     if field.kind == "Fp":
         return A, B, family.gamma
     images = [
-        _AlgebraImage(field, algebra.dim, field.cleared(algebra.lam), field.cleared(algebra.unit))
+        _AlgebraImage(_CLEARED_QQ, algebra.dim, field.cleared(algebra.lam), field.cleared(algebra.unit))
         for algebra in ((A,) if B is A else (A, B))
     ]
     return images[0], images[-1], field.cleared(family.gamma)

@@ -117,16 +117,22 @@ def _reference_asarray(field, data):
     lists entry by entry, and over Q the shape is read off the first entries.
     A ragged nesting is a ``FieldError``, whichever step of numpy finds it."""
 
+    def integer_array(node) -> bool:
+        if not isinstance(node, np.ndarray) or node.dtype == object:
+            return False
+        if not np.issubdtype(node.dtype, np.integer):
+            raise FieldError(f"non-integer array dtype {node.dtype} rejected")
+        return True
+
     def intify(node):
-        if isinstance(node, np.ndarray) and node.dtype != object:
-            if not np.issubdtype(node.dtype, np.integer):
-                raise FieldError(f"non-integer array dtype {node.dtype} rejected")
+        if integer_array(node):
             return node.astype(np.uint64) % field.p if node.dtype.kind == "u" else node
         if isinstance(node, (list, tuple, np.ndarray)):
             return [intify(x) for x in node]
         return int(field.scalar(node))
 
     def fractionify(node):
+        integer_array(node)
         if isinstance(node, (list, tuple, np.ndarray)):
             return [fractionify(x) for x in node]
         return field.scalar(node)
@@ -284,6 +290,24 @@ def test_asarray_refuses_arrays_among_the_items():
     for field in (QQ, GF(7)):
         with pytest.raises(FieldError, match="ragged"):
             field.asarray([np.array(5), np.array(6)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_asarray_refuses_non_integer_array_dtypes_on_both_fields(field):
+    """A non-object ndarray must have an integer dtype: numpy strings,
+    floats and booleans are refused alike, before any entry is read."""
+    for data in (
+        np.array(["1/2", "3"]),
+        np.array([["6"]]),
+        np.array([0.5, 1.0]),
+        np.array([[2.0]]),
+        np.array([True, False]),
+        np.zeros((0,), dtype=np.float64),
+    ):
+        with pytest.raises(FieldError, match=f"non-integer array dtype {data.dtype} rejected"):
+            field.asarray(data)
+    # the same entries in lists are read by ``scalar``
+    assert field.asarray(["6", 3]).tolist() == [field.scalar(6), field.scalar(3)]
 
 
 def test_floats_rejected_everywhere():
