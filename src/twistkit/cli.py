@@ -181,6 +181,14 @@ def _cmd_quiver(args) -> int:
     return 0
 
 
+def _catalog_n(params: dict) -> int:
+    """The size n of a K^n or truncated-polynomial carrier."""
+    n = serialize._expect_int(params, "n", "catalog")
+    if n <= 0:
+        raise SchemaError(f"catalog: n must be a positive integer, got {n!r}")
+    return n
+
+
 def _cmd_catalog(args) -> int:
     params = _read_object(args.input, "catalog")
     a = serialize.algebra_from_json(params["A"])
@@ -198,12 +206,12 @@ def _cmd_catalog(args) -> int:
         candidate = catalog.make_quantum_duplicate(a, alpha, beta, f, delta)
         pairs = catalog._qdup_pairs
     elif args.family == "kn":
-        n = serialize._expect_int(params, "n", "catalog")
+        n = _catalog_n(params)
         grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
         candidate = catalog.make_kn(a, n, grid)
         pairs = catalog._kn_pairs
     elif args.family == "trunc":
-        n = serialize._expect_int(params, "n", "catalog")
+        n = _catalog_n(params)
         if "first_row" in params:
             row = serialize.array_from_json(
                 field, params["first_row"], (n, d, d), "catalog.first_row"

@@ -178,9 +178,13 @@ class Field:
 
     def asarray(self, data) -> np.ndarray:
         """Exact array from nested ints / Fractions / canonical strings in one
-        flat pass: numpy reads the nesting and ``scalar`` converts each entry.
-        A non-object array must have an integer dtype on both fields; over F_p
-        it skips the pass and is reduced."""
+        flat pass: numpy reads the nesting and ``scalar`` converts each entry,
+        in row-major order, so the first bad entry names the error.  Each
+        distinct ``str`` entry is parsed once per call: an array of structure
+        constants holds a few distinct strings in many entries.  Only entries
+        of exact type ``str`` are looked up among the parses, so ``True`` is
+        never read as an equal ``1``.  A non-object array must have an integer
+        dtype on both fields; over F_p it skips the pass and is reduced."""
         if isinstance(data, np.ndarray) and data.dtype != object:
             if data.dtype.kind not in "iu":
                 raise FieldError(f"non-integer array dtype {data.dtype} rejected")
@@ -200,14 +204,22 @@ class Field:
             if any(isinstance(x, np.ndarray) and x.shape != arr.shape[depth:] for x in level):
                 raise FieldError("ragged nested input")
         flat = arr.ravel().tolist()
+        parsed = {}  # each distinct string is parsed once, on its first occurrence
         try:
-            values = [self.scalar(x) for x in flat]
+            values = [
+                (parsed[x] if x in parsed else parsed.setdefault(x, self.parse(x)))
+                if type(x) is str
+                else self.scalar(x)
+                for x in flat
+            ]
         except FieldError:
             # ragged input leaves lists (or arrays) in the entries
             if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
                 raise FieldError("ragged nested input") from None
             raise
-        return np.array(values, dtype=object if self.kind == "Q" else np.int64).reshape(arr.shape)
+        # np.array would probe every Fraction for a nested sequence; fromiter does not
+        dtype = object if self.kind == "Q" else np.int64
+        return np.fromiter(values, dtype=dtype, count=len(values)).reshape(arr.shape)
 
     def zeros(self, shape) -> np.ndarray:
         if self.kind == "Fp":

@@ -17,11 +17,23 @@ Schemas (all arrays 0-based, scalars as canonical strings "3", "-2/5", "5"):
 
 Serialization is canonical: sorted keys, no floats, stable scalar strings.
 Every emitted value re-parses to an equal value.
+
+``dumps`` writes the indented form, byte for byte
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+newline.  The json module has no C encoder for ``indent``, so ``_indented``
+writes the canonical grammar itself: dicts with ``str`` keys (sorted), lists
+and tuples, ``str`` (through ``json.encoder.encode_basestring``), ``int``,
+``bool`` and ``None``.  A list of strings that the ``json.encoder.ESCAPE``
+pattern does not match, such as every row of scalar strings, is one
+``join``.  A value outside the grammar (a float, a numpy scalar, a non-``str``
+key, a ``str`` subclass key, a cycle) goes to that exact ``json.dumps`` call,
+so its bytes or its error are json's own.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import ESCAPE, encode_basestring
 from typing import Any
 
 import numpy as np
@@ -35,9 +47,63 @@ from .twisting import GammaFamily, TwistingCandidate, _family_of
 
 
 def dumps(obj: Any, *, compact: bool = False) -> str:
+    """Canonical JSON text of ``obj``: sorted keys, non-ASCII kept as is.
+
+    The default form is ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline, written by ``_indented`` when ``obj``
+    is in the canonical grammar.  A value outside it goes to that exact
+    ``json.dumps`` call, so its bytes or its error are json's own.  The
+    ``compact`` form is one line, without the newline."""
     if compact:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    try:
+        return _indented(obj, "") + "\n"
+    except (_OutsideGrammar, RecursionError):  # a cycle recurses until json names it
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class _OutsideGrammar(Exception):
+    """A value that ``_indented`` leaves to ``json.dumps``."""
+
+
+def _indented(obj: Any, pad: str) -> str:
+    """``obj`` as ``json.dumps`` writes it with ``indent=2`` at indentation
+    ``pad``: dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool`` and ``None``, and nothing else.  A list of strings that need no
+    escape is one ``join``."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if type(obj[0]) is str:
+            try:
+                text = "".join(obj)
+            except TypeError:  # a later entry is no string
+                pass
+            else:
+                if not ESCAPE.search(text):
+                    return "[\n" + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + pad + "]"
+        return "[\n" + inner + (",\n" + inner).join([_indented(x, inner) for x in obj]) + "\n" + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            raise _OutsideGrammar
+        inner = pad + "  "
+        items = [encode_basestring(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise _OutsideGrammar
 
 
 def loads(text: str) -> Any:

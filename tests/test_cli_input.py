@@ -142,6 +142,20 @@ def test_non_integer_size_field_is_usage_error(case, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "family, key", [("kn", "gamma"), ("kn", "first_row"), ("trunc", "gamma"), ("trunc", "first_row")]
+)
+def test_non_positive_catalog_size_is_usage_error(family, key, n, tmp_path):
+    """n <= 0 is refused by name, before any grid is read against it."""
+    grid = [[_ENDO] * 2] * 2 if key == "gamma" else [_ENDO] * 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize.dumps({"A": _A, "n": n, key: grid}), encoding="utf-8")
+    code, out, err = _run(["catalog", family, str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog: n must be a positive integer, got {n}\n"
+
+
 _KEYS = st.sampled_from(
     ["A", "B", "gamma", "psi", "n", "m", "f", "delta", "alpha", "beta", "first_row",
      "field", "kind", "p", "dim", "basis", "lambda", "unit"]

@@ -310,6 +310,44 @@ def test_asarray_refuses_non_integer_array_dtypes_on_both_fields(field):
     assert field.asarray(["6", 3]).tolist() == [field.scalar(6), field.scalar(3)]
 
 
+_MIXED = {
+    "Q": [[["1/2", 3, Fraction(-2, 3)], ["1/2", "-4", "1/2"]], [[0, "-4", Fraction(5)], ["7/1", "1/2", -1]]],
+    "F_7": [[["6/2", 3, Fraction(10)], ["6/2", "-4", "6/2"]], [[0, "-4", Fraction(-9)], ["8", "6/2", -1]]],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_asarray_parses_each_distinct_string_once(field, monkeypatch):
+    """One ``parse`` per distinct string of a call, results equal to the
+    per-entry ``scalar``; a boolean never shares the slot of an equal int,
+    and the first bad entry in row-major order names the error."""
+    data = _MIXED["Q" if field.kind == "Q" else f"F_{field.p}"]
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(data)))
+    reference = [field.scalar(x) for x in flat]
+    calls = []
+    parse = Field.parse
+
+    def counting(self, text):
+        calls.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(Field, "parse", counting)
+    got = field.asarray(data)
+    assert sorted(calls) == sorted({x for x in flat if isinstance(x, str)})
+    assert got.shape == (2, 2, 3) and got.ravel().tolist() == reference
+    if field.kind == "Q":
+        assert all(type(x) is Fraction for x in got.ravel())
+    else:
+        assert got.dtype == np.int64
+    for bad in (["1", True], [1, True], [True, "1"]):
+        with pytest.raises(FieldError, match="boolean"):
+            field.asarray(bad)
+    with pytest.raises(FieldError, match="floating point value"):
+        field.asarray([1.5, "x"])
+    with pytest.raises(FieldError, match="not an exact scalar"):
+        field.asarray(["x", 1.5])
+
+
 def test_floats_rejected_everywhere():
     with pytest.raises(FieldError):
         QQ.scalar(0.5)

@@ -1,4 +1,9 @@
+import json
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistkit import (
     Failure,
@@ -85,6 +90,101 @@ def test_dumps_is_canonical():
     assert one.startswith("{\n")
     compact = serialize.dumps({"b": 1, "a": 2}, compact=True)
     assert compact == '{"a":2,"b":1}'
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _outcome(dump, obj):
+    """The text of ``dump(obj)``, or the type and message of its error."""
+    try:
+        return dump(obj)
+    except Exception as exc:  # any error: it is compared with json's own
+        return type(exc), str(exc)
+
+
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é中-123') | st.characters(), max_size=6)
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | _TEXT
+    | st.sampled_from(["0", "1", "-2/5", "13/7"])
+)
+_GRAMMAR = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_TEXT, max_size=4)
+    | st.builds(lambda head, tail: [head, *tail], _TEXT, st.lists(inner, min_size=1, max_size=3))
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _as_loaded(obj):
+    """What ``loads`` gives back for ``obj``: tuples become lists."""
+    if isinstance(obj, (list, tuple)):
+        return [_as_loaded(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _as_loaded(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAMMAR)
+@example(['a"b', "c"])
+@example(["c", "a\\b"])
+@example(["x", "\x01"])
+@example({"k": ["1", 2, "3"], "": [], "\n": {}, "é": ()})
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    """The indented writer is byte-identical to ``json.dumps`` with
+    ``sort_keys=True, indent=2, ensure_ascii=False`` on the canonical
+    grammar, and ``loads`` reads its text back."""
+    text = serialize.dumps(obj)
+    assert text == _reference_dumps(obj)
+    assert serialize.loads(text) == _as_loaded(obj)
+
+
+class _Str(str):
+    pass
+
+
+_CIRCULAR = []
+_CIRCULAR.append(_CIRCULAR)
+_DEEP = ["deep"]
+for _ in range(5000):  # deeper than the recursion limit
+    _DEEP = [_DEEP]
+_OUTSIDE = {
+    "float": 1.5,
+    "nan": float("nan"),
+    "inf-in-list": [1, float("inf")],
+    "negative-zero-in-dict": {"a": ["x", -0.0]},
+    "int-key": {1: "a"},
+    "mixed-keys": {"a": 1, 2: "b"},
+    "tuple-key": {(1, 2): "a"},
+    "int64-entry": [np.int64(3)],
+    "nested-int64": {"a": [np.int64(3)]},
+    "str-subclass-entry": [_Str("a")],
+    "str-subclass-after-str": ["a", _Str("b\n")],
+    "str-subclass-key": {_Str("k"): "v"},
+    "str-subclass": _Str("s"),
+    "object": [object()],
+    "set": {"x": {1, 2}},
+    "circular": _CIRCULAR,
+    "too-deep": _DEEP,
+    "int-beyond-the-str-digit-limit": [10**5000],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUTSIDE))
+def test_dumps_outside_the_grammar_is_json_dumps(name):
+    """Values outside the canonical grammar, and an int too long for
+    ``str``, give json's own bytes or error."""
+    obj = _OUTSIDE[name]
+    assert _outcome(serialize.dumps, obj) == _outcome(_reference_dumps, obj)
 
 
 def test_loads_rejects_bad_json():
