@@ -12,7 +12,6 @@ from .algebra import (
     FiniteDimAlgebra,
     direct_product,
     duplicate_algebra,
-    field_algebra,
     kn_algebra,
     quadratic_algebra,
     truncated_poly_algebra,

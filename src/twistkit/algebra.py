@@ -40,11 +40,6 @@ class FiniteDimAlgebra:
         _freeze(self.lam)
         _freeze(self.unit)
 
-    @classmethod
-    def from_data(cls, field: Field, basis, lam, unit) -> "FiniteDimAlgebra":
-        basis = tuple(basis)
-        return cls(field, len(basis), basis, field.asarray(lam), field.asarray(unit))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDimAlgebra):
             return NotImplemented
@@ -137,13 +132,14 @@ def direct_product(b: FiniteDimAlgebra, c: FiniteDimAlgebra) -> FiniteDimAlgebra
 # -- stock presentations ------------------------------------------------------
 
 
-def field_algebra(field: Field) -> FiniteDimAlgebra:
-    """The base field as a 1-dimensional algebra."""
-    return FiniteDimAlgebra.from_data(field, ("1",), [[[1]]], [1])
+def _require_positive(n: int) -> None:
+    if n <= 0:
+        raise DimensionMismatchError(f"carrier size n must be positive, got {n}")
 
 
 def kn_algebra(field: Field, n: int) -> FiniteDimAlgebra:
     """K^n with e_i e_j = delta_ij e_i and unit (1, ..., 1)."""
+    _require_positive(n)
     lam = field.zeros((n, n, n))
     for i in range(n):
         lam[i, i, i] = field.one
@@ -173,6 +169,7 @@ def duplicate_algebra(field: Field) -> FiniteDimAlgebra:
 
 def truncated_poly_algebra(field: Field, n: int) -> FiniteDimAlgebra:
     """K[Y] / (Y^n) with basis {1, Y, ..., Y^(n-1)}."""
+    _require_positive(n)
     lam = field.zeros((n, n, n))
     for i in range(n):
         for j in range(n):

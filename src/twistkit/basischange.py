@@ -74,10 +74,6 @@ def make_morphism(source: FiniteDimAlgebra, target: FiniteDimAlgebra, zeta) -> M
     return MorphismData(source, target, z)
 
 
-def identity_morphism(b: FiniteDimAlgebra) -> MorphismData:
-    return MorphismData(b, b, b.field.identity(b.dim))
-
-
 def check_induced_morphism(
     chi: TwistingCandidate, varpi: TwistingCandidate, f: MorphismData
 ) -> VerificationReport:

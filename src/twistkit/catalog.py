@@ -3,16 +3,16 @@
 Each family comes with a constructor (which always builds; verification is a
 separate call) and the family's own acceptance conditions, exposed as a
 tagged report so the equivalence with the generic checkers can be swept
-family by family.  The conditions come from generators with the signature of
-the route generators of ``twisting``: (A, B, G), G one grid or a stack of
-shape (..., n, n, d, d).  They read the family's data off the carrier and the
-grid and validate nothing; each public entry validates once, through the
-constructor it mirrors.  The families:
+family by family.  The conditions are checks of the table
+``twisting.CHECKS``, under the family's key: each ``*_conditions`` entry
+validates its data once, through the constructor it mirrors, and reads the
+report of that key off ``twisting.route_reports``, on the image of the check
+like the routes.  The families and their keys:
 
-* duplicates           carrier K[X]/(X^2 - X), data a pair (f, delta);
-* quantum duplicates   carrier K[X]/(X^2 - alpha X + beta), same data;
-* K^n twists           carrier K^n, data an n x n grid of endomorphisms;
-* truncated twists     carrier K[Y]/(Y^n), grid indexed by exponents 0..n-1.
+* ``ncd``    duplicates          carrier K[X]/(X^2 - X), data a pair (f, delta);
+* ``qdup``   quantum duplicates  carrier K[X]/(X^2 - alpha X + beta), same data;
+* ``kn``     K^n twists          carrier K^n, data an n x n grid of endomorphisms;
+* ``trunc``  truncated twists    carrier K[Y]/(Y^n), grid indexed by exponents 0..n-1.
 
 K^n candidates also yield a quiver (one vertex per basis idempotent, an arrow
 per nonzero grid entry) carrying the grid maps as a representation.
@@ -32,17 +32,9 @@ from .algebra import (
 )
 from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
-from .linalg import KMatrix, _endo_lift
-from .report import VerificationReport, pairs_report
-from .twisting import (
-    GammaFamily,
-    TwistingCandidate,
-    _family_of,
-    _rule_compositions,
-    _transposed,
-    _twisted_products,
-    _unit_images,
-)
+from .linalg import KMatrix
+from .report import VerificationReport
+from .twisting import GammaFamily, TwistingCandidate, _family_of, _rule_compositions, route_reports
 
 
 def _endo_array(field: Field, d: int, value) -> np.ndarray:
@@ -67,33 +59,8 @@ def _grid_array(field: Field, n: int, d: int, grid) -> np.ndarray:
     return data
 
 
-def _report(pairs, candidate: TwistingCandidate) -> VerificationReport:
-    """The report of a generator's families on a freshly built candidate."""
-    family = candidate.family
-    return pairs_report(family.field, pairs(family.A, family.B, family.gamma))
-
-
-# -- shared condition families --------------------------------------------------
-
-
-def _duplicate_compositions(field: Field, G: np.ndarray) -> np.ndarray:
-    """comps[a][b] = X_a o X_b for (X_0, X_1) = (delta, f) = (G[..., 1, 0],
-    G[..., 1, 1]), on a grid or a stack of duplicate grids."""
-    X = G[..., 1, :, :, :]
-    return field.einsum("...ars,...bsc->ab...rc", X, X)
-
-
-def _duplicate_rule_pairs(A: FiniteDimAlgebra, G: np.ndarray, units, rules):
-    """Entries of the unit rule at gamma[1][j] for each (tag, j) of ``units``,
-    then of twisted multiplicativity at delta and f, tagged ``rules``: delta(a_p
-    a_q) = a_p delta(a_q) + delta(a_p) f(a_q), f(a_p a_q) = f(a_p) f(a_q)."""
-    field = A.field
-    left, right = _unit_images(field, G, A.unit)
-    for tag, j in units:
-        yield tag, left[..., 1, j, :], right[1, j]
-    products = _twisted_products(field, G, A.lam)
-    for tag, j in zip(rules, (0, 1)):
-        yield (tag, *(side[..., j, 1, :] for side in products))
+def _grid_candidate(A: FiniteDimAlgebra, carrier: FiniteDimAlgebra, gamma_grid) -> TwistingCandidate:
+    return TwistingCandidate(GammaFamily(A, carrier, _grid_array(A.field, carrier.dim, A.dim, gamma_grid)))
 
 
 # -- duplicates (carrier K[X]/(X^2 - X)) -----------------------------------------
@@ -118,20 +85,7 @@ def ncd_conditions(A: FiniteDimAlgebra, f, delta) -> VerificationReport:
 
     1 and 2 imply 3, and 5 and 6 imply 4, so {1, 2, 5, 6, 7} generate.
     """
-    return _report(_ncd_pairs, make_ncd(A, f, delta))
-
-
-def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The duplicate families on a grid or a stack G of duplicate grids,
-    (f, delta) = (G[..., 1, 1], G[..., 1, 0])."""
-    field = A.field
-    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
-    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
-
-    yield "ncd.1", dd, delta
-    yield "ncd.2", field.reduce(fd + df + ff), f
-    yield "ncd.3", field.reduce(dd + df + fd + ff), field.add(delta, f)
-    yield from _duplicate_rule_pairs(A, G, (("ncd.4", 0), ("ncd.5", 1)), ("ncd.6", "ncd.7"))
+    return route_reports(make_ncd(A, f, delta), ["ncd"])["ncd"]
 
 
 # -- quantum duplicates (carrier K[X]/(X^2 - alpha X + beta)) ---------------------
@@ -156,30 +110,14 @@ def qdup_conditions(A: FiniteDimAlgebra, alpha, beta, f, delta) -> VerificationR
     ``qdup.derivation`` delta(ab) = a delta(b) + delta(a) f(b)
     ``qdup.mult``       f(ab) = f(a) f(b)
     """
-    return _report(_qdup_pairs, make_quantum_duplicate(A, alpha, beta, f, delta))
-
-
-def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The quantum-duplicate families on a grid or a stack G of duplicate
-    grids; alpha and beta are read off the carrier, X^2 = alpha X - beta."""
-    field = A.field
-    a, b = B.lam[1, 1, 1], -B.lam[1, 1, 0]
-    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
-    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
-
-    yield "qdup.P", field.reduce(dd - a * delta + b * field.identity(A.dim)), field.reduce(b * ff)
-    yield "qdup.swap", field.reduce(fd + df), field.reduce(a * (f - ff))
-    yield from _duplicate_rule_pairs(A, G, (("qdup.unital", 1),), ("qdup.derivation", "qdup.mult"))
+    return route_reports(make_quantum_duplicate(A, alpha, beta, f, delta), ["qdup"])["qdup"]
 
 
 # -- K^n twists -------------------------------------------------------------------
 
 
 def make_kn(A: FiniteDimAlgebra, n: int, gamma_grid) -> TwistingCandidate:
-    field = A.field
-    carrier = kn_algebra(field, n)
-    grid = _grid_array(field, n, A.dim, gamma_grid)
-    return TwistingCandidate(GammaFamily(A, carrier, grid))
+    return _grid_candidate(A, kn_algebra(A.field, n), gamma_grid)
 
 
 def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport:
@@ -190,21 +128,7 @@ def kn_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport
     ``kn.3``  twisted multiplicativity on basis pairs
     ``kn.4``  grid[i][j](1) = delta_ij 1
     """
-    return _report(_kn_pairs, make_kn(A, n, gamma_grid))
-
-
-def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The K^n families on a grid or a stack G of shape (..., n, n, d, d)."""
-    field = A.field
-    comps = field.einsum("...iprs,...jpsc->...ijprc", G, G)
-    expected = field.reduce(field.identity(B.dim)[:, :, None, None, None] * G[..., :, None, :, :, :])
-    yield "kn.1", comps, expected
-
-    row_sums = field.reduce(G.sum(axis=-4))                         # (i, r, c)
-    yield "kn.2", row_sums, np.broadcast_to(field.identity(A.dim), row_sums.shape)
-
-    yield _transposed("kn.3", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
-    yield ("kn.4", *_unit_images(field, G, A.unit))
+    return route_reports(make_kn(A, n, gamma_grid), ["kn"])["kn"]
 
 
 # -- quivers of K^n twists ---------------------------------------------------------
@@ -248,10 +172,7 @@ def quiver_of(candidate: TwistingCandidate | GammaFamily) -> tuple[Quiver, Quive
 
 
 def make_truncated(A: FiniteDimAlgebra, n: int, gamma_grid) -> TwistingCandidate:
-    field = A.field
-    carrier = truncated_poly_algebra(field, n)
-    grid = _grid_array(field, n, A.dim, gamma_grid)
-    return TwistingCandidate(GammaFamily(A, carrier, grid))
+    return _grid_candidate(A, truncated_poly_algebra(A.field, n), gamma_grid)
 
 
 def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> VerificationReport:
@@ -268,31 +189,7 @@ def truncated_conditions(A: FiniteDimAlgebra, n: int, gamma_grid) -> Verificatio
 
     (u, v) is the entry of the d x d coordinate matrix.
     """
-    return _report(_truncated_pairs, make_truncated(A, n, gamma_grid))
-
-
-def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """The truncated-carrier families on a grid or a stack G of shape
-    (..., n, n, d, d)."""
-    field = A.field
-    n, d = B.dim, A.dim
-    batch = G.shape[:-4]
-
-    yield "trunc.1", G[..., 0, :, :, :], _endo_lift(field, field.unit_vector(n, 0), d)
-
-    # conv[..., i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product
-    # rule against the constants of the carrier
-    conv = _rule_compositions(field, B.lam, G, G)
-    r, i = np.tril_indices(n - 1, -1)      # 0 < i < r < n, r slowest
-    r, i = r + 1, i + 1
-    left2 = G[..., r, :, :, :].reshape(*batch, -1, d, d)
-    yield "trunc.2", left2, conv[..., i, r - i, :, :, :].reshape(left2.shape)
-    i = np.arange(1, n)
-    left3 = conv[..., i, n - i, :, :, :].reshape(*batch, -1, d, d)
-    yield "trunc.3", left3, field.zeros(left3.shape)
-
-    yield _transposed("trunc.4", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
-    yield ("trunc.5", *_unit_images(field, G, A.unit))
+    return route_reports(make_truncated(A, n, gamma_grid), ["trunc"])["trunc"]
 
 
 def truncated_from_first_row(A: FiniteDimAlgebra, n: int, first_row) -> TwistingCandidate:

@@ -198,19 +198,16 @@ def _cmd_catalog(args) -> int:
         f = serialize.kmatrix_from_json(field, params["f"], "f")
         delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
         candidate = catalog.make_ncd(a, f, delta)
-        pairs = catalog._ncd_pairs
     elif args.family == "qdup":
         f = serialize.kmatrix_from_json(field, params["f"], "f")
         delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
         alpha, beta = params["alpha"], params["beta"]
         candidate = catalog.make_quantum_duplicate(a, alpha, beta, f, delta)
-        pairs = catalog._qdup_pairs
     elif args.family == "kn":
         n = _catalog_n(params)
         grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
         candidate = catalog.make_kn(a, n, grid)
-        pairs = catalog._kn_pairs
-    elif args.family == "trunc":
+    else:  # trunc: argparse restricts the choices
         n = _catalog_n(params)
         if "first_row" in params:
             row = serialize.array_from_json(
@@ -220,18 +217,14 @@ def _cmd_catalog(args) -> int:
         else:
             grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
             candidate = catalog.make_truncated(a, n, grid)
-        pairs = catalog._truncated_pairs
-    else:  # pragma: no cover - argparse restricts choices
-        raise TwistKitError(f"unknown family {args.family}")
-    conditions = catalog._report(pairs, candidate)
-    verdict = twisting.route_reports(candidate.family, ["direct"])["direct"]
+    reports = twisting.route_reports(candidate, [args.family, "direct"])
     payload = {
         "candidate": serialize.candidate_to_json(candidate),
-        "verdict": serialize.report_to_json(verdict),
-        "family_conditions": serialize.report_to_json(conditions),
+        "verdict": serialize.report_to_json(reports["direct"]),
+        "family_conditions": serialize.report_to_json(reports[args.family]),
     }
     _write_output(payload, args.out)
-    return 0 if verdict.ok else 1
+    return _exit_for(reports["direct"])
 
 
 def _space_from_args(args) -> search.SearchSpace:

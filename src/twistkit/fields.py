@@ -20,8 +20,9 @@ on numerators over common denominators (``int64`` under the bound below).
 
 Over Q a checker keeps its arrays in cleared form from its inputs to the
 comparison.  ``twisting.route_ok`` and ``twisting.route_reports`` (behind
-every route check and verdict), ``twisting.verify_faithful`` and the block
-checkers of ``extension`` run on the image of the check
+every check of ``twisting.CHECKS``: the routes and the catalog conditions),
+``twisting.verify_faithful`` and the block checkers of ``extension`` run on
+the image of the check
 (``twisting._check_image``): the structure constants and units of A and B
 and the gamma grid, each turned into integer numerators over one
 denominator once per check with ``Field.cleared``.  The field of the image
@@ -29,8 +30,9 @@ builds the constants of the check (``zeros``, ``identity``,
 ``unit_vector``) cleared, as ``int64`` numerators over 1, so nothing but
 those inputs is ever cleared in a check.  A contraction with a cleared
 operand returns the cleared product (the denominators multiply), a
-broadcast ``*`` of a cleared array with an exact array does too, and
-``Field.mismatch`` compares cleared sides by cross-multiplied numerators.
+broadcast ``*`` of a cleared array with an exact array, ``+`` and ``-`` of
+two cleared arrays and ``sum`` do too, and ``Field.mismatch`` compares
+cleared sides by cross-multiplied numerators.
 
 Each cleared array carries an upper bound on the sum of the absolute values
 of its numerators (its L1 norm): ``Field.cleared`` counts it, views keep it,
@@ -38,9 +40,12 @@ and a contraction or broadcast product of operands with bounds bx and by gets
 bx * by.  That is proven: every output entry, and every partial sum that
 ``np.dot`` or ``np.einsum`` forms on the way, is a sum of products
 x_a * y_b over distinct pairs (a, b) of operand entries, so its absolute
-value is at most sum|x| * sum|y|, and so is the sum of the outputs.  The
-numerators are ``int64`` while the bounds allow it: a contraction or product
-runs in ``int64`` when bx, by and bx * by are all below 2**63, and a
+value is at most sum|x| * sum|y|, and so is the sum of the outputs.  A sum
+``x + y`` scales the numerators to the lcm of the denominators, by sx and
+sy, and gets sx * bx * (N / Nx) + sy * by * (N / Ny) for N entries out of Nx
+and Ny; ``sum`` keeps the bound.  The numerators are ``int64`` while the
+bounds allow it: a contraction or product runs in ``int64`` when bx, by and
+bx * by are all below 2**63, a sum when its bound and both scales are, and a
 comparison when both cross-multiplied bounds (and both factors) are; it runs
 on Python ints (``object`` arrays) otherwise.  The bound alone picks the
 dtype, so no ``int64`` value can wrap.
@@ -164,16 +169,6 @@ class Field:
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
 
-    def inv(self, x):
-        if self.kind == "Q":
-            if x == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / x
-        x = int(x) % self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, self.p - 2, self.p)
-
     # -- arrays -------------------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
@@ -291,7 +286,7 @@ class Field:
         ny, dy, by = _clear_denominators(y)
         bound = bx * by
         dtype = _dtype(bx, by, bound)
-        z = np.asarray(contract(nx.astype(dtype, copy=False), ny.astype(dtype, copy=False)))
+        z = np.asarray(contract(nx.astype(dtype, copy=False), ny.astype(dtype, copy=False)), dtype=dtype)
         product = _Cleared(z, dx * dy, bound)
         return product if isinstance(x, _Cleared) or isinstance(y, _Cleared) else product.fractions()
 
@@ -424,9 +419,10 @@ class _Cleared:
     ``den`` a positive int and ``bound`` an upper bound on the sum of
     ``|num|``; ``num`` is ``int64`` only when ``bound`` is below 2**63, and
     Python ints (an object array) otherwise.  It has the view operations the
-    route generators apply to a grid and to contraction outputs, each keeping
-    ``den`` and ``bound``, and the broadcast product with an exact array on
-    either side."""
+    check generators apply to a grid and to contraction outputs, each keeping
+    ``den`` and ``bound``, ``sum`` along an axis, the broadcast product with
+    an exact array on either side, and the broadcast ``+`` and ``-`` of two
+    cleared arrays."""
 
     num: np.ndarray
     den: int
@@ -450,7 +446,44 @@ class _Cleared:
         return _Cleared(self.num.reshape(*shape), self.den, self.bound)
 
     def __getitem__(self, key) -> "_Cleared":
-        return _Cleared(self.num[key], self.den, self.bound)
+        """The entries at ``key``; one entry of an object array is a 0-d
+        array, not a Python int.  A view picks each entry at most once and
+        keeps the bound; a copy (an integer-array index) may pick one entry k
+        times, and the bound grows k-fold."""
+        num = self.num[key]
+        if type(num) is int:
+            num = np.asarray(num, dtype=object)
+        elif type(num) is np.ndarray and not np.may_share_memory(num, self.num):
+            picks = np.arange(self.num.size).reshape(self.shape)[key].ravel()
+            return _Cleared(num, self.den, self.bound * int(np.bincount(picks, minlength=1).max()))
+        return _Cleared(num, self.den, self.bound)
+
+    def sum(self, axis) -> "_Cleared":
+        return _Cleared(np.asarray(self.num.sum(axis=axis), dtype=self.num.dtype), self.den, self.bound)
+
+    def __neg__(self) -> "_Cleared":
+        return _Cleared(np.asarray(-self.num, dtype=self.num.dtype), self.den, self.bound)
+
+    def __add__(self, other) -> "_Cleared":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other) -> "_Cleared":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op) -> "_Cleared":
+        """``op`` (``np.add`` or ``np.subtract``) of two cleared arrays over
+        the lcm of their denominators, broadcast: a side of Nx entries holds
+        each one N / Nx times among the N entries out."""
+        if not isinstance(other, _Cleared):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        size = math.prod(np.broadcast_shapes(self.shape, other.shape))
+        sides = [(side.num, den // side.den, side.bound * (size // max(side.num.size, 1))) for side in (self, other)]
+        bound = sum(s * b for _, s, b in sides)
+        dtype = _dtype(bound, *(s for _, s, _ in sides))
+        # numpy gives 0-d results as scalars: keep each one an array of ``dtype``
+        nx, ny = (np.asarray(num.astype(dtype, copy=False) * s, dtype=dtype) for num, s, _ in sides)
+        return _Cleared(np.asarray(op(nx, ny), dtype=dtype), den, bound)
 
     def __mul__(self, other) -> "_Cleared":
         """The broadcast product, through the exactness wrapper of the

@@ -24,7 +24,7 @@ points then ascend by index as their coefficient vectors count up in base p,
 so [start, stop) maps to a range of ranks by one pass down the
 digits of each bound, and only the points of that range are built, at most
 ``_CHUNK`` at a time.  Off the coset the route rejects.  Each stack gets one
-``pairs_ok`` verdict per generator of ``twisting.ROUTES``, on the grids that
+``pairs_ok`` verdict per generator of ``twisting.CHECKS``, on the grids that
 passed the generators before it, and the indices it accepts join the route's
 ascending stream (``all`` chains ``direct``, ``rep`` and ``oracle`` on the
 ``direct`` coset, which holds the conjunction).  ``enumerate_space`` is one
@@ -50,7 +50,7 @@ from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError, _require_int
 from .linalg import _null_space
 from .report import Failure, VerificationReport, pairs_ok
-from .twisting import ROUTES, UNIT_FAMILIES, GammaFamily
+from .twisting import CHECKS, UNIT_FAMILIES, GammaFamily
 
 #: Hard guard on the number of candidates the coset of a walked route may hold.
 MAX_CANDIDATES = 1 << 24
@@ -231,13 +231,13 @@ def _walk(space: SearchSpace, route: str, span: range):
     return ((space._indices(points), points.reshape((-1,) + space.grid_shape)) for points in chunks)
 
 
-def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, routes, G: np.ndarray) -> np.ndarray:
+def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, checks, G: np.ndarray) -> np.ndarray:
     """One boolean per grid of the stack G (batch shape ``G.shape[:-4]``):
-    every family of every generator of ``routes`` holds.  Each generator runs
-    only on the grids that passed the ones before it."""
+    every family of every generator of ``checks`` (keys of ``CHECKS``) holds.
+    Each generator runs only on the grids that passed the ones before it."""
     ok = np.ones(G.shape[:-4], dtype=bool)
-    for route in routes:
-        for pairs in ROUTES[route]:
+    for check in checks:
+        for pairs in CHECKS[check]:
             live = np.nonzero(ok)
             ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
     return ok

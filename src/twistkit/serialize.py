@@ -16,7 +16,7 @@ Schemas (all arrays 0-based, scalars as canonical strings "3", "-2/5", "5"):
               "left": ..., "right": ..., "count": int}]}
 
 Serialization is canonical: sorted keys, no floats, stable scalar strings.
-Every emitted value re-parses to an equal value.
+Every emitted value but a report re-parses to an equal value.
 
 ``dumps`` writes the indented form, byte for byte
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` and a
@@ -42,7 +42,7 @@ from .algebra import FiniteDimAlgebra
 from .errors import FieldError, SchemaError
 from .fields import Field
 from .linalg import AlgMatrix, EndoMatrix, KMatrix
-from .report import Failure, VerificationReport
+from .report import VerificationReport
 from .twisting import GammaFamily, TwistingCandidate, _family_of
 
 
@@ -258,18 +258,3 @@ def report_to_json(report: VerificationReport) -> dict:
             for f in report.failures
         ],
     }
-
-
-def report_from_json(obj: Any) -> VerificationReport:
-    ok = _expect(obj, "ok", "report")
-    failures = tuple(
-        Failure(
-            condition=str(_expect(f, "condition", "failure")),
-            witness=tuple(int(w) for w in f.get("witness", [])),
-            left=f.get("left"),
-            right=f.get("right"),
-            count=int(f.get("count", 1)),
-        )
-        for f in obj.get("failures", [])
-    )
-    return VerificationReport(ok=bool(ok), failures=failures)

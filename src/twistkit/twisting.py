@@ -5,8 +5,8 @@ by the grid of maps ``gamma[i][j]: A -> A`` through
 
     chi(a (x) b_i) = sum_j  b_j (x) gamma[i][j](a).
 
-Three independent routes decide whether ``chi`` is a twisting map.
-``ROUTES`` maps each route key to its family generators:
+Three independent routes decide whether ``chi`` is a twisting map, each a
+key of ``ROUTES`` with its family generators in the table ``CHECKS``:
 
 * ``direct``   ``_direct_pairs``: the four structure-constant conditions on
   the gamma grid (units, twisted multiplicativity, unit sums, product rule);
@@ -18,10 +18,13 @@ Three independent routes decide whether ``chi`` is a twisting map.
   candidate product on B (x) A unconditionally and test associativity, units
   and the canonical inclusions.
 
-``route_reports`` folds a route's generators into its report on one
-candidate and ``route_ok`` into its verdict; ``UNIT_FAMILIES`` lists the
-affine unit families of the three independent routes, which the searches
-read.
+``CHECKS`` then holds the conditions of the ``twistkit.catalog`` families
+under their names ``ncd``, ``qdup``, ``kn`` and ``trunc``.  Every generator
+takes (A, B, G), G one grid or a stack of shape (..., n, n, d, d).
+``route_reports`` folds a check's generators into its report on one
+candidate and ``route_ok`` into its verdict, both on the image of the check
+(``_check_image``); ``UNIT_FAMILIES`` lists the affine unit families of the
+three independent routes, which the searches read.
 
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
@@ -404,16 +407,111 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     yield "oracle.factor", prod_ba, field.identity(nd).reshape(n, d, nd)
 
 
-# -- the route table ---------------------------------------------------------------
+# -- the catalog conditions (tags documented at the entries of ``catalog``) -------
 
-#: Each route's family generators; their order is the report and verdict order.
-ROUTES = {
+
+def _duplicate_compositions(field, G: np.ndarray) -> np.ndarray:
+    """comps[a][b] = X_a o X_b for (X_0, X_1) = (delta, f) = (G[..., 1, 0],
+    G[..., 1, 1]), on a grid or a stack of duplicate grids."""
+    X = G[..., 1, :, :, :]
+    return field.einsum("...ars,...bsc->ab...rc", X, X)
+
+
+def _duplicate_rule_pairs(A: FiniteDimAlgebra, G: np.ndarray, units, rules):
+    """Entries of the unit rule at gamma[1][j] for each (tag, j) of ``units``,
+    then of twisted multiplicativity at delta and f, tagged ``rules``: delta(a_p
+    a_q) = a_p delta(a_q) + delta(a_p) f(a_q), f(a_p a_q) = f(a_p) f(a_q)."""
+    field = A.field
+    left, right = _unit_images(field, G, A.unit)
+    for tag, j in units:
+        yield tag, left[..., 1, j, :], right[1, j]
+    products = _twisted_products(field, G, A.lam)
+    for tag, j in zip(rules, (0, 1)):
+        yield (tag, *(side[..., j, 1, :] for side in products))
+
+
+def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The duplicate families ``ncd.1`` .. ``ncd.7`` on a grid or a stack G of
+    duplicate grids, (f, delta) = (G[..., 1, 1], G[..., 1, 0])."""
+    field = A.field
+    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
+    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
+
+    yield "ncd.1", dd, delta
+    yield "ncd.2", field.reduce(fd + df + ff), f
+    yield "ncd.3", field.reduce(dd + df + fd + ff), field.add(delta, f)
+    yield from _duplicate_rule_pairs(A, G, (("ncd.4", 0), ("ncd.5", 1)), ("ncd.6", "ncd.7"))
+
+
+def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The quantum-duplicate families ``qdup.*`` on a grid or a stack G of
+    duplicate grids; alpha and beta are read off the carrier, X^2 = alpha X - beta."""
+    field = A.field
+    a, b = B.lam[1, 1, 1], -B.lam[1, 1, 0]
+    delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
+    (dd, df), (fd, ff) = _duplicate_compositions(field, G)
+
+    yield "qdup.P", field.reduce(dd - a * delta + b * field.identity(A.dim)), field.reduce(b * ff)
+    yield "qdup.swap", field.reduce(fd + df), field.reduce(a * (f - ff))
+    yield from _duplicate_rule_pairs(A, G, (("qdup.unital", 1),), ("qdup.derivation", "qdup.mult"))
+
+
+def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The K^n families ``kn.1`` .. ``kn.4`` on a grid or a stack G of shape
+    (..., n, n, d, d); the identities of ``kn.2`` are the unit of K^n, (1, ..,
+    1), lifted to End(A)."""
+    field = A.field
+    comps = field.einsum("...iprs,...jpsc->...ijprc", G, G)
+    expected = field.reduce(field.identity(B.dim)[:, :, None, None, None] * G[..., :, None, :, :, :])
+    yield "kn.1", comps, expected
+
+    yield "kn.2", field.reduce(G.sum(axis=-4)), _endo_lift(field, B.unit, A.dim)  # (i, r, c)
+    yield _transposed("kn.3", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
+    yield ("kn.4", *_unit_images(field, G, A.unit))
+
+
+def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The truncated-carrier families ``trunc.1`` .. ``trunc.5`` on a grid or a
+    stack G of shape (..., n, n, d, d)."""
+    field = A.field
+    n, d = B.dim, A.dim
+    batch = G.shape[:-4]
+
+    yield "trunc.1", G[..., 0, :, :, :], _endo_lift(field, field.unit_vector(n, 0), d)
+
+    # conv[..., i, r, j] = sum_{l<=j} grid[r][j-l] o grid[i][l]: the product
+    # rule against the constants of the carrier
+    conv = _rule_compositions(field, B.lam, G, G)
+    r, i = np.tril_indices(n - 1, -1)      # 0 < i < r < n, r slowest
+    r, i = r + 1, i + 1
+    left2 = G[..., r, :, :, :].reshape(*batch, -1, d, d)
+    yield "trunc.2", left2, conv[..., i, r - i, :, :, :].reshape(left2.shape)
+    i = np.arange(1, n)
+    left3 = conv[..., i, n - i, :, :, :].reshape(*batch, -1, d, d)
+    yield "trunc.3", left3, field.zeros(left3.shape)
+
+    yield _transposed("trunc.4", _twisted_products(field, G, A.lam), (3, 2, 0, 1, 4))
+    yield ("trunc.5", *_unit_images(field, G, A.unit))
+
+
+# -- the table of checks -------------------------------------------------------------
+
+#: Each check's family generators, in report and verdict order: the routes,
+#: then the catalog conditions.
+CHECKS = {
     "direct": (_direct_pairs,),
     "rho": (_rho_pairs,),
     "phi": (_phi_pairs,),
     "rep": (_rho_pairs, _phi_pairs),
     "oracle": (_oracle_pairs,),
+    "ncd": (_ncd_pairs,),
+    "qdup": (_qdup_pairs,),
+    "kn": (_kn_pairs,),
+    "trunc": (_truncated_pairs,),
 }
+
+#: The keys of the routes.
+ROUTES = ("direct", "rho", "phi", "rep", "oracle")
 
 #: The affine unit families of each independent route: each generator with how
 #: many families it yields first.  ``direct.2`` lies between ``direct.1`` and
@@ -452,31 +550,31 @@ def _check_image(family: GammaFamily) -> tuple:
     return images[0], images[-1], field.cleared(family.gamma)
 
 
-def route_pairs(route: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
-    """Every family of the route, lazily and in report order, on one grid or a
+def route_pairs(check: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """Every family of the check, lazily and in report order, on one grid or a
     stack G of shape (..., n, n, d, d)."""
-    for pairs in ROUTES[route]:
+    for pairs in CHECKS[check]:
         yield from pairs(A, B, G)
 
 
-def route_ok(route: str, c) -> bool:
-    """The route's verdict on one candidate; it stops at the first failing family."""
+def route_ok(check: str, c) -> bool:
+    """The check's verdict on one candidate; it stops at the first failing family."""
     family = _family_of(c)
-    return pairs_ok(family.field, route_pairs(route, *_check_image(family)))
+    return pairs_ok(family.field, route_pairs(check, *_check_image(family)))
 
 
-def route_reports(c, routes) -> dict[str, VerificationReport]:
-    """The report of each of ``routes`` on one candidate, in the order given.
-    All run on one image of the check (``_check_image``) and each distinct
-    generator runs once: the ``rep`` report is the ``rho`` failures, then the
-    ``phi`` failures."""
+def route_reports(c, checks) -> dict[str, VerificationReport]:
+    """The report of each of ``checks`` (keys of ``CHECKS``) on one
+    candidate, in the order given.  All run on one image of the check
+    (``_check_image``) and each distinct generator runs once: the ``rep``
+    report is the ``rho`` failures, then the ``phi`` failures."""
     family = _family_of(c)
     image = _check_image(family)
-    generators = dict.fromkeys(pairs for route in routes for pairs in ROUTES[route])
+    generators = dict.fromkeys(pairs for check in checks for pairs in CHECKS[check])
     failures = {g: pairs_report(family.field, g(*image)).failures for g in generators}
     return {
-        route: VerificationReport.from_failures(f for pairs in ROUTES[route] for f in failures[pairs])
-        for route in routes
+        check: VerificationReport.from_failures(f for pairs in CHECKS[check] for f in failures[pairs])
+        for check in checks
     }
 
 

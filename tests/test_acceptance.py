@@ -31,6 +31,7 @@ from twistkit import (
     kn_algebra,
     lift_structure_matrix,
     make_kn,
+    make_morphism,
     make_ncd,
     make_quantum_duplicate,
     mat_inverse,
@@ -45,8 +46,6 @@ from twistkit import (
     verify_faithful,
 )
 from twistkit import serialize
-from twistkit.basischange import identity_morphism
-from twistkit.catalog import _ncd_pairs, _qdup_pairs
 from twistkit.report import pairs_ok
 from twistkit.twisting import (
     _direct_pairs,
@@ -55,6 +54,7 @@ from twistkit.twisting import (
     _rho_pairs,
     direct_ok,
     route_ok,
+    route_pairs,
     route_reports,
 )
 
@@ -233,7 +233,7 @@ def test_criterion_4_duplicate_predicate_sweep():
     batch = G.shape[:-4]
     assert batch == (6561,)
     started = time.monotonic()
-    flags = {tag: pairs_ok(F3, [(tag, *sides)], batch) for tag, *sides in _ncd_pairs(a, b, G)}
+    flags = {tag: pairs_ok(F3, [(tag, *sides)], batch) for tag, *sides in route_pairs("ncd", a, b, G)}
     verdict = pairs_ok(F3, _direct_pairs(a, b, G), batch)
     elapsed = time.monotonic() - started
     assert (verdict == np.logical_and.reduce(list(flags.values()))).all()
@@ -262,7 +262,7 @@ def test_criterion_5_quantum_duplicate_sweep():
     for alpha, beta in [(0, -1), (1, 0), (1, 1)]:
         b = quadratic_algebra(F3, alpha, beta)
         verdict = pairs_ok(F3, _direct_pairs(a, b, G), batch)
-        assert (verdict == pairs_ok(F3, _qdup_pairs(a, b, G), batch)).all()
+        assert (verdict == pairs_ok(F3, route_pairs("qdup", a, b, G), batch)).all()
         counts[(alpha, beta)] = int(np.count_nonzero(verdict))
     assert counts == N_QDUP_F3
     _announce(
@@ -410,7 +410,7 @@ def test_criterion_8_base_change(space22, sweep22):
     # the two induced-morphism criterion forms agree on every call
     calls = passes = 0
     for chi, varpi in itertools.product(candidates, candidates):
-        report = check_induced_morphism(chi, varpi, identity_morphism(chi.B))
+        report = check_induced_morphism(chi, varpi, make_morphism(chi.B, chi.B, chi.B.field.identity(chi.B.dim)))
         assert "eq.agreement" not in report.conditions()
         calls += 1
         passes += report.ok

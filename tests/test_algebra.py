@@ -12,7 +12,6 @@ from twistkit import (
     QQ,
     direct_product,
     duplicate_algebra,
-    field_algebra,
     kn_algebra,
     quadratic_algebra,
     truncated_poly_algebra,
@@ -167,7 +166,7 @@ def test_opposite_preserves_validation_verdicts(k2_q):
 
 
 def test_k_times_k_is_k2():
-    k1 = field_algebra(QQ)
+    k1 = kn_algebra(QQ, 1)
     prod = direct_product(k1, k1)
     k2 = kn_algebra(QQ, 2)
     assert QQ.equal(prod.lam, k2.lam)

@@ -25,10 +25,14 @@ from twistkit import (
     rebase,
     validate_algebra,
 )
-from twistkit.basischange import identity_morphism
 from twistkit.twisting import TwistingCandidate
 
 F5 = GF(5)
+
+
+def _identity(b):
+    """The identity morphism of b."""
+    return make_morphism(b, b, b.field.identity(b.dim))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +57,7 @@ def random_invertible(field, n, rng):
 
 def test_identity_morphism():
     dup = duplicate_algebra(QQ)
-    m = identity_morphism(dup)
+    m = _identity(dup)
     assert QQ.equal(m.zeta, QQ.identity(2))
 
 
@@ -100,7 +104,7 @@ def test_unit_violation_rejected():
 
 
 def test_identity_morphism_induces(ncd_q):
-    rep = check_induced_morphism(ncd_q, ncd_q, identity_morphism(ncd_q.B))
+    rep = check_induced_morphism(ncd_q, ncd_q, _identity(ncd_q.B))
     assert rep.ok
 
 
@@ -158,7 +162,7 @@ def test_rho_intertwining_follows_induced_morphism(ncd_q):
 def test_mismatched_targets_fail(ncd_q):
     a = ncd_q.A
     flip = certify(GammaFamily.flip(a, ncd_q.B))
-    rep = check_induced_morphism(ncd_q, flip, identity_morphism(ncd_q.B))
+    rep = check_induced_morphism(ncd_q, flip, _identity(ncd_q.B))
     assert not rep.ok
     # both criterion forms must carry the failure coherently
     assert "eq.agreement" not in rep.conditions()
@@ -167,7 +171,7 @@ def test_mismatched_targets_fail(ncd_q):
 def test_induced_requires_verified(ncd_q):
     bad = TwistingCandidate(ncd_q.family)
     with pytest.raises(UnverifiedCandidateError):
-        check_induced_morphism(bad, ncd_q, identity_morphism(ncd_q.B))
+        check_induced_morphism(bad, ncd_q, _identity(ncd_q.B))
 
 
 # -- rebase ------------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from twistkit import (
     truncated_from_first_row,
     truncated_poly_algebra,
 )
-from twistkit.catalog import _kn_pairs, _ncd_pairs, _qdup_pairs, _truncated_pairs
 from twistkit.report import pairs_ok
-from twistkit.twisting import direct_ok, route_ok
+from twistkit.twisting import direct_ok, route_ok, route_pairs
 
 F2 = GF(2)
 F3 = GF(3)
@@ -363,6 +362,21 @@ def test_first_row_must_have_exactly_n_entries():
     assert gamma[1].tolist() == [zero.tolist(), eye.tolist()]
 
 
+_SIZED_CONSTRUCTORS = {
+    "kn_algebra": lambda n: kn_algebra(QQ, n),
+    "truncated_poly_algebra": lambda n: truncated_poly_algebra(QQ, n),
+    "make_kn": lambda n: make_kn(kn_algebra(QQ, 2), n, []),
+    "make_truncated": lambda n: make_truncated(kn_algebra(QQ, 2), n, []),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", sorted(_SIZED_CONSTRUCTORS))
+def test_non_positive_carrier_size_is_refused(build, n):
+    with pytest.raises(DimensionMismatchError, match=f"carrier size n must be positive, got {n}$"):
+        _SIZED_CONSTRUCTORS[build](n)
+
+
 _F5_MATRIX = KMatrix.from_rows(GF(5), [[4, 0], [0, 4]])
 _F3_EYE = KMatrix.from_rows(F3, [[1, 0], [0, 1]])
 
@@ -421,21 +435,22 @@ def _truncated_grids(field, rng):
 
 def _qdup_case(alpha, beta):
     return (
-        _qdup_pairs,
+        "qdup",
         lambda field: quadratic_algebra(field, alpha, beta),
         _duplicate_grids,
         lambda a, G: qdup_conditions(a, alpha, beta, G[1, 1], G[1, 0]).ok,
     )
 
 
-#: generator, carrier, stack of grids and the public scalar entry at one grid
+#: key of the table of checks, carrier, stack of grids and the public scalar
+#: entry at one grid
 _STACK_CASES = {
-    "ncd": (_ncd_pairs, duplicate_algebra, _duplicate_grids, lambda a, G: ncd_conditions(a, G[1, 1], G[1, 0]).ok),
+    "ncd": ("ncd", duplicate_algebra, _duplicate_grids, lambda a, G: ncd_conditions(a, G[1, 1], G[1, 0]).ok),
     "qdup(0,-1)": _qdup_case(0, -1),
     "qdup(1,1)": _qdup_case(1, 1),
-    "kn": (_kn_pairs, lambda field: kn_algebra(field, 2), _kn_grids, lambda a, G: kn_conditions(a, 2, G).ok),
+    "kn": ("kn", lambda field: kn_algebra(field, 2), _kn_grids, lambda a, G: kn_conditions(a, 2, G).ok),
     "trunc": (
-        _truncated_pairs,
+        "trunc",
         lambda field: truncated_poly_algebra(field, 3),
         _truncated_grids,
         lambda a, G: truncated_conditions(a, 3, G).ok,
@@ -446,18 +461,18 @@ _STACK_CASES = {
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
 @pytest.mark.parametrize("case", sorted(_STACK_CASES))
 def test_stack_verdict_equals_scalar_entry(case, field):
-    """The verdict of a catalog generator on a stack equals the public scalar
+    """The verdict of a catalog check on a stack equals the public scalar
     entry on a seeded sample of 512 of its grids (all of a smaller stack) and
     on every grid it accepts; a stack with two batch axes gives the same
     verdicts."""
-    pairs, carrier, grids, scalar = _STACK_CASES[case]
+    check, carrier, grids, scalar = _STACK_CASES[case]
     a, b = kn_algebra(field, 2), carrier(field)
     G = grids(field, np.random.default_rng(field.p))
-    verdict = pairs_ok(field, pairs(a, b, G), G.shape[:-4])
+    verdict = pairs_ok(field, route_pairs(check, a, b, G), G.shape[:-4])
     accepted = np.flatnonzero(verdict).tolist()
     assert verdict[0] and len(accepted) < len(G)  # the flip, and some rejection
     sample = set(random.Random(field.p).sample(range(len(G)), min(512, len(G)))) | set(accepted)
     assert [bool(verdict[i]) for i in sorted(sample)] == [scalar(a, G[i]) for i in sorted(sample)]
     even = len(G) // 2 * 2
     halves = G[:even].reshape(2, -1, *G.shape[1:])
-    assert (pairs_ok(field, pairs(a, b, halves), halves.shape[:-4]) == verdict[:even].reshape(2, -1)).all()
+    assert (pairs_ok(field, route_pairs(check, a, b, halves), halves.shape[:-4]) == verdict[:even].reshape(2, -1)).all()

@@ -29,11 +29,15 @@ from twistkit import (
     direct_sum,
     duplicate_algebra,
     kn_algebra,
+    kn_conditions,
     make_kn,
     make_ncd,
     make_quantum_duplicate,
+    ncd_conditions,
+    qdup_conditions,
     quadratic_algebra,
     rebase,
+    truncated_conditions,
     truncated_from_first_row,
     truncated_poly_algebra,
     verify_faithful,
@@ -43,6 +47,7 @@ from twistkit.fields import _Cleared
 
 _K1, _K2 = kn_algebra(QQ, 1), kn_algebra(QQ, 2)
 _QUAD = quadratic_algebra(QQ, Fraction(1, 2), Fraction(-2, 3))
+_TRUNC3 = truncated_poly_algebra(QQ, 3)
 _TRI = _tri_algebra(QQ)
 
 
@@ -91,20 +96,55 @@ def _uncleared_clears(monkeypatch, call) -> list[int]:
     return seen
 
 
+def _rational_endos(count: int, d: int) -> list:
+    """``count`` distinct d x d matrices with non-integral rational entries."""
+    return [
+        QQ.asarray([[Fraction(k + 2 * i - j, 3 + i + k) for j in range(d)] for i in range(d)]) for k in range(count)
+    ]
+
+
+def _family_conditions(A) -> dict:
+    """The four ``*_conditions`` entries on rational data over A, each on a
+    twisting map (the flip) and on data that is not one."""
+    d = A.dim
+    eye, zero = QQ.identity(d), QQ.zeros((d, d))
+    f, delta, *grid = _rational_endos(12, d)
+    kn = [grid[:2], grid[2:4]]
+    trunc = [grid[4:7], [zero, eye, zero], grid[7:10]]
+    return {
+        "ncd_conditions": lambda: ncd_conditions(A, f, delta),
+        "ncd_conditions.flip": lambda: ncd_conditions(A, eye, zero),
+        "qdup_conditions": lambda: qdup_conditions(A, "1/2", "-2/3", f, delta),
+        "qdup_conditions.flip": lambda: qdup_conditions(A, "1/2", "0", eye, zero),
+        "kn_conditions": lambda: kn_conditions(A, 2, kn),
+        "kn_conditions.flip": lambda: kn_conditions(A, 2, [[eye, zero], [zero, eye]]),
+        "truncated_conditions": lambda: truncated_conditions(A, 3, trunc),
+        "truncated_conditions.flip": lambda: truncated_conditions(A, 3, GammaFamily.flip(A, _TRUNC3).gamma),
+    }
+
+
 @pytest.mark.parametrize("nd", sorted(_CHECKED))
 def test_a_check_clears_only_its_inputs(monkeypatch, nd):
+    """The route checks, the product and the faithful form of a candidate,
+    and the four family conditions over its A, whose entries build the
+    candidate they check: each check clears only the inputs of the one
+    family it takes the image of."""
     c = _CHECKED[nd]
     assert c.verified and c.B.dim * c.A.dim == nd
     rejected = _perturbed(c)
-    calls = [
-        ("route_reports", c.family, lambda: twisting.route_reports(c, twisting.ROUTES)),
-        ("route_reports.rejected", rejected, lambda: twisting.route_reports(rejected, twisting.ROUTES)),
-        ("verify_faithful", c.family, lambda: verify_faithful(c)),
-        ("build_twisted_product", c.family, lambda: build_twisted_product(c)),
-    ]
-    for name, family, call in calls:
+    calls = {
+        "route_reports": lambda: twisting.route_reports(c, twisting.ROUTES),
+        "route_reports.rejected": lambda: twisting.route_reports(rejected, twisting.ROUTES),
+        "verify_faithful": lambda: verify_faithful(c),
+        "build_twisted_product": lambda: build_twisted_product(c),
+        **_family_conditions(c.A),
+    }
+    imaged, image = [], twisting._check_image
+    monkeypatch.setattr(twisting, "_check_image", lambda family: imaged.append(family) or image(family))
+    for name, call in calls.items():
+        imaged.clear()
         seen = _uncleared_clears(monkeypatch, call)
-        assert seen and set(seen) <= _inputs(family), name
+        assert len(imaged) == 1 and seen and set(seen) <= _inputs(imaged[0]), name
 
 
 @pytest.mark.parametrize("strengthened", [True, False])

@@ -39,6 +39,7 @@ from twistkit import (
     quadratic_algebra,
     rebase,
     rho_hat,
+    truncated_from_first_row,
     truncated_poly_algebra,
 )
 from twistkit import twisting
@@ -228,3 +229,58 @@ def test_an_algebra_on_both_sides_of_a_check_is_cleared_once(monkeypatch):
     A_image, B_image, _ = twisting._check_image(family)
     assert A_image is B_image
     assert [id(x) for x in calls] == [id(A.lam), id(A.unit), id(family.gamma)]
+
+
+# -- every check of the table against the Fraction fold ------------------------------
+
+#: The carrier of each catalog check.
+CARRIERS = {
+    "ncd": st.just(duplicate_algebra(QQ)),
+    "qdup": st.builds(quadratic_algebra, st.just(QQ), RATIONALS, RATIONALS),
+    "kn": st.integers(1, 3).map(lambda n: kn_algebra(QQ, n)),
+    "trunc": st.integers(1, 4).map(lambda n: truncated_poly_algebra(QQ, n)),
+}
+
+
+@st.composite
+def catalog_candidates(draw, key):
+    """(A, B, G) on the carrier of a catalog check: the flip, a grid of the
+    family's shape (a duplicate grid, or a truncated grid generated from a
+    random exponent-1 row), or a random grid of small or large entries; then
+    possibly perturbed in one entry."""
+    A, B = draw(st.sampled_from(ALGEBRAS)), draw(CARRIERS[key])
+    n, d = B.dim, A.dim
+    G = GammaFamily.flip(A, B).gamma.copy()
+    kind = draw(st.sampled_from(["flip", "family", "random", "large"]))
+    if kind in ("random", "large"):
+        values = RATIONALS if kind == "random" else RATIONALS | LARGE_RATIONALS
+        G = np.array(draw(st.lists(values, min_size=G.size, max_size=G.size)), dtype=object).reshape(G.shape)
+    elif kind == "family" and key in ("ncd", "qdup"):
+        G[1] = np.array(draw(st.lists(RATIONALS, min_size=2 * d * d, max_size=2 * d * d)), dtype=object).reshape(2, d, d)
+    elif kind == "family" and key == "trunc" and n >= 2:
+        row = np.array(draw(st.lists(RATIONALS, min_size=n * d * d, max_size=n * d * d)), dtype=object)
+        G = truncated_from_first_row(A, n, row.reshape(n, d, d)).family.gamma.copy()
+    if draw(st.booleans()):
+        index = tuple(draw(st.integers(0, k - 1)) for k in G.shape)
+        G[index] += draw(RATIONALS.filter(bool))
+    return A, B, G
+
+
+def _checked(key):
+    return st.tuples(st.just(key), q_candidates() if key in twisting.ROUTES else catalog_candidates(key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(twisting.CHECKS)).flatmap(_checked))
+def test_every_check_reports_like_the_fraction_fold(case):
+    """``route_reports`` of each key of ``CHECKS``, which runs on the image of
+    the check, equals ``pairs_report`` of the key's generators on the raw
+    ``Fraction`` arrays; every cleared side holds its bound."""
+    key, (A, B, G) = case
+    fraction = [family for pairs in twisting.CHECKS[key] for family in pairs(A, B, G)]
+    assert not any(isinstance(side, _Cleared) for _, *sides in fraction for side in sides)
+    family = GammaFamily(A, B, G)
+    assert twisting.route_reports(family, [key])[key] == pairs_report(QQ, fraction)
+    for tag, *sides in twisting.route_pairs(key, *twisting._check_image(family)):
+        for side in sides:
+            _check_numerators(side)

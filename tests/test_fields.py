@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, fields, kn_algebra
-from twistkit.basischange import identity_morphism
+from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, fields, kn_algebra, make_morphism
 from twistkit.fields import _Cleared, _dot_plan
 from twistkit.twisting import direct_ok
 
@@ -26,7 +26,6 @@ def test_prime_field_scalars():
     f7 = GF(7)
     assert f7.parse("-3") == 4
     assert f7.format(12) == "5"
-    assert f7.inv(3) == 5
     assert f7.scalar(Fraction(10)) == 3
 
 
@@ -383,7 +382,7 @@ def _element_calls(field):
         "chi_eval.a": lambda v: chi_eval(flip, [v, 0], [1, 0]),
         "chi_eval.b": lambda v: chi_eval(flip, [1, 0], [v, 0]),
         "KMatrix.apply": lambda v: KMatrix.identity(field, 2).apply([v, 0]),
-        "MorphismData.apply": lambda v: identity_morphism(a).apply([v, 0]),
+        "MorphismData.apply": lambda v: make_morphism(a, a, a.field.identity(a.dim)).apply([v, 0]),
     }
 
 
@@ -947,6 +946,94 @@ def test_broadcast_product_of_a_cleared_and_a_fraction_array_both_ways(scale):
         bx, by = _l1(diagonal), _l1(unit)
         _check_numerators(out, bx * by, max(bx, by, bx * by) < 2**63)
         assert out.shape == expected.shape and _value(out) == _value(expected)
+
+
+#: Entries of cleared sums: small ones, and numerators and denominators near
+#: 2**31 and 2**62, so that the scaled bounds land on both sides of 2**63.
+SUM_ENTRIES = st.builds(
+    Fraction,
+    st.integers(-9, 9) | st.sampled_from([2**31, 2**62, -(2**62)]).flatmap(lambda s: st.integers(s - 3, s + 3)),
+    st.sampled_from([1, 1, 2, 3, 2**31 - 1, 2**33]),
+)
+
+
+@st.composite
+def cleared_operands(draw):
+    """Two ``Fraction`` arrays of mutually broadcastable shapes."""
+    shapes = draw(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3)).input_shapes
+    return [
+        np.array(draw(st.lists(SUM_ENTRIES, min_size=math.prod(s), max_size=math.prod(s))), dtype=object).reshape(s)
+        for s in shapes
+    ]
+
+
+def _true_l1(c) -> int:
+    return sum(abs(v) for v in np.ravel(c.num).tolist())
+
+
+def _check_dtype(c) -> None:
+    """The bound holds, and the numerators are ``int64`` exactly when it is
+    below 2**63 (the scales of a sum are checked by the caller)."""
+    assert _true_l1(c) <= c.bound
+    assert (c.num.dtype == np.int64) is (c.bound < 2**63)
+    assert c.num.dtype == np.int64 or all(type(v) is int for v in c.num.flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cleared_operands())
+def test_cleared_sums_differences_negation_and_axis_sums_match_fractions(operands):
+    """``+`` and ``-`` of two cleared arrays, broadcast, take the lcm of the
+    denominators and the bound sx * bx * (N / Nx) + sy * by * (N / Ny); ``-x``
+    and ``sum(axis)`` keep the bound.  Each value equals the ``Fraction``
+    arithmetic and each dtype is ``int64`` exactly when the bound (and, for a
+    sum, both scales) allow it."""
+    x, y = operands
+    cx, cy = QQ.cleared(x), QQ.cleared(y)
+    size = math.prod(np.broadcast_shapes(x.shape, y.shape))
+    den = math.lcm(cx.den, cy.den)
+    scales = [den // cx.den, den // cy.den]
+    bound = sum(s * c.bound * (size // max(c.num.size, 1)) for s, c in zip(scales, (cx, cy)))
+    for out, expected in ((cx + cy, x + y), (cx - cy, x - y)):
+        assert out.shape == np.shape(expected) and out.den == den and out.bound == bound
+        assert _value(out) == _value(expected)
+        assert _true_l1(out) <= bound
+        assert (out.num.dtype == np.int64) is (max(bound, *scales) < 2**63)
+    for c, a in ((cx, x), (cy, y)):
+        neg = -c
+        assert (neg.den, neg.bound, neg.num.dtype) == (c.den, c.bound, c.num.dtype)
+        assert _value(neg) == _value(-a)
+        _check_dtype(neg)
+        for axis in range(a.ndim):
+            total = c.sum(axis=axis)
+            assert (total.den, total.bound, total.num.dtype) == (c.den, c.bound, c.num.dtype)
+            expected = np.sum(a, axis=axis, initial=Fraction(0))
+            assert total.shape == np.shape(expected) and _value(total) == _value(expected)
+            _check_dtype(total)
+
+
+def test_cleared_sums_take_cleared_operands_only():
+    c = QQ.cleared(QQ.asarray([1, "1/2"]))
+    for other in (QQ.asarray([1, 2]), 1):
+        with pytest.raises(TypeError):
+            c + other
+        with pytest.raises(TypeError):
+            other - c
+
+
+def test_cleared_indexing_gives_arrays_and_counts_repeated_picks():
+    """An integer index gives one entry of the numerators' dtype (a 0-d
+    array for Python ints) and a slice keeps the bound; an integer-array index
+    that picks one entry k times multiplies the bound by k, so it still holds."""
+    for entries in ([1, "-1/2", 3], [2**70, "-1/2", 3]):
+        c = QQ.cleared(QQ.asarray(entries))
+        scalar = c[1]
+        assert scalar.num.dtype == c.num.dtype and scalar.shape == ()
+        assert QQ.format(scalar) == "-1/2" and QQ.format(-scalar) == "1/2"
+        _check_dtype(scalar * scalar)  # numpy gives the 0-d product as a scalar
+        picked = c[np.array([0, 0, 2, 0])]
+        assert picked.bound == 3 * c.bound and _value(picked) == _value(QQ.asarray(entries)[[0, 0, 2, 0]])
+        assert _true_l1(picked) <= picked.bound
+        assert c[1:].bound == c[[1, 2]].bound == c.bound and c[np.array([], dtype=int)].bound == 0
 
 
 def _fractions(arr) -> bool:

@@ -54,7 +54,6 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
-from twistkit.basischange import identity_morphism
 from twistkit.cli import main
 from twistkit.twisting import ROUTES, route_ok, route_reports
 
@@ -62,6 +61,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 F3 = GF(3)
 F5 = GF(5)
+
+
+def _identity(b):
+    """The identity morphism of b."""
+    return make_morphism(b, b, b.field.identity(b.dim))
 
 
 def _triangular(field):
@@ -366,12 +370,12 @@ def _morphism_inputs():
     ncd5 = _ncd(a5, [[1, 0], [1, 0]], [[0, 0], [0, 0]])
     flip5 = certify(GammaFamily.flip(a5, ncd5.B))
     return {
-        "q_identity": (ncd, ncd, identity_morphism(ncd.B)),
+        "q_identity": (ncd, ncd, _identity(ncd.B)),
         "q_dictionary": (ncd, varpi, to_k2),
-        "q_mismatched": (ncd, other, identity_morphism(ncd.B)),
+        "q_mismatched": (ncd, other, _identity(ncd.B)),
         "q_dictionary_wrong_target": (other, varpi, to_k2),
         "q_swapped_target": (ncd, swap, to_k2),
-        "f5_against_flip": (ncd5, flip5, identity_morphism(ncd5.B)),
+        "f5_against_flip": (ncd5, flip5, _identity(ncd5.B)),
     }
 
 

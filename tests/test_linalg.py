@@ -128,7 +128,8 @@ def _rref_reference(field, mat):
             continue
         if pivot_row != r:
             R[[r, pivot_row]] = R[[pivot_row, r]]
-        R[r] = field.reduce(R[r] * field.inv(R[r, c]))
+        inverse = Fraction(1) / R[r, c] if field.kind == "Q" else pow(int(R[r, c]), -1, field.p)
+        R[r] = field.reduce(R[r] * inverse)
         for i in range(rows):
             if i != r and R[i, c] != 0:
                 R[i] = field.reduce(R[i] - R[i, c] * R[r])

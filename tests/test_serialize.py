@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistkit import (
-    Failure,
     GF,
     GammaFamily,
     QQ,
     SchemaError,
-    VerificationReport,
     certify,
     duplicate_algebra,
     kn_algebra,
@@ -70,17 +68,6 @@ def test_candidate_schema_validation():
     payload2["gamma"] = [[["1"]]]
     with pytest.raises(SchemaError):
         serialize.candidate_from_json(payload2)
-
-
-def test_report_roundtrip():
-    report = VerificationReport(
-        ok=False,
-        failures=(
-            Failure(condition="direct.1", witness=(0, 1, 0), left="1", right="0", count=3),
-        ),
-    )
-    back = serialize.report_from_json(serialize.report_to_json(report))
-    assert back == report
 
 
 def test_dumps_is_canonical():

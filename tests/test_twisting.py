@@ -33,7 +33,7 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
-from twistkit.twisting import ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs, route_reports
+from twistkit.twisting import CHECKS, ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs, route_reports
 
 F3 = GF(3)
 F5 = GF(5)
@@ -555,8 +555,9 @@ def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
 
 
 def test_rep_route_is_rho_then_phi():
-    assert ROUTES["rep"] == ROUTES["rho"] + ROUTES["phi"]
-    assert list(ROUTES) == ["direct", "rho", "phi", "rep", "oracle"]
+    assert CHECKS["rep"] == CHECKS["rho"] + CHECKS["phi"]
+    assert ROUTES == ("direct", "rho", "phi", "rep", "oracle")
+    assert list(CHECKS) == [*ROUTES, "ncd", "qdup", "kn", "trunc"]
     assert list(UNIT_FAMILIES) == ["direct", "rep", "oracle"]
     a2 = kn_algebra(_F2, 2)
     tags = [tag for tag, _, _ in route_pairs("rep", a2, a2, GammaFamily.flip(a2, a2).gamma)]
