@@ -6,7 +6,8 @@ coefficient matrix ``zeta`` (column j = coordinates of the image of the j-th
 basis vector of B).  Whether the induced map of twisted products is an algebra
 morphism is decided by two equivalent criteria, both implemented and
 cross-checked: an intertwining identity of the faithful representations and
-an entrywise identity of the gamma grids.
+an entrywise identity of the gamma grids.  Like the conjugation identities
+of ``rebase`` they run on the families' images (``GammaFamily._image``).
 """
 
 from __future__ import annotations
@@ -106,20 +107,22 @@ def check_induced_morphism(
 
 
 def _induced_pairs(fam_chi: GammaFamily, fam_varpi: GammaFamily, z: np.ndarray):
-    field = fam_chi.field
-    lamA, unitA = fam_chi.A.lam, fam_chi.A.unit
+    A, _, G_chi = fam_chi._image
+    G_varpi = fam_varpi._image[2]
+    field = A.field
+    z = field.cleared(z)
 
     # matrix form: phi_varpi(a_x) M = M phi_chi(a_x); witness (x, i, j, w)
-    mmat = _alg_lift(field, z, unitA)                               # (m, n, d)
-    phi_chi = _phi_tensor(fam_chi.gamma)                            # (x, j, k, w)
-    phi_varpi = _phi_tensor(fam_varpi.gamma)
-    left1 = _alg_entry_product(field, lamA, phi_varpi, mmat[None])[:, 0]
-    right1 = _alg_entry_product(field, lamA, mmat[None], phi_chi)[0]
+    mmat = _alg_lift(field, z, A.unit)                              # (m, n, d)
+    phi_chi = _phi_tensor(G_chi)                                    # (x, j, k, w)
+    phi_varpi = _phi_tensor(G_varpi)
+    left1 = _alg_entry_product(field, A.lam, phi_varpi, mmat[None])[:, 0]
+    right1 = _alg_entry_product(field, A.lam, mmat[None], phi_chi)[0]
     yield "eq.matrix", left1, right1
 
     # gamma form: witness (x, j, k, r)
-    left2 = _pull_back(field, z.T, fam_chi.gamma, 1).transpose(3, 1, 0, 2)
-    right2 = _pull_back(field, z, fam_varpi.gamma, 0).transpose(3, 1, 0, 2)
+    left2 = _pull_back(field, z.transpose(), G_chi, 1).transpose(3, 1, 0, 2)
+    right2 = _pull_back(field, z, G_varpi, 0).transpose(3, 1, 0, 2)
     yield "eq.gamma", left2, right2
 
 
@@ -167,20 +170,20 @@ def rebase(chi: TwistingCandidate, p_matrix: KMatrix) -> RebaseResult:
 
 def _conjugation_pairs(old: GammaFamily, new: GammaFamily, p: np.ndarray, pinv: np.ndarray):
     """Conjugation identities with M = pinv (A-valued) and M-hat = pinv (End-valued)."""
-    field = old.field
-    lamA, unitA = old.A.lam, old.A.unit
-    m_a = _alg_lift(field, pinv, unitA)
-    minv_a = _alg_lift(field, p, unitA)
-    phi_old = _phi_tensor(old.gamma)
-    phi_new = _phi_tensor(new.gamma)
-    conj = _alg_entry_product(field, lamA, m_a[None], phi_old)[0]
-    right = _alg_entry_product(field, lamA, conj, minv_a[None])[:, 0]
-    yield "conj.phi", phi_new, right
+    A, B_old, G_old = old._image
+    _, B_new, G_new = new._image
+    field = A.field
+    p, pinv = field.cleared(p), field.cleared(pinv)
+    m_a = _alg_lift(field, pinv, A.unit)
+    minv_a = _alg_lift(field, p, A.unit)
+    conj = _alg_entry_product(field, A.lam, m_a[None], _phi_tensor(G_old))[0]
+    right = _alg_entry_product(field, A.lam, conj, minv_a[None])[:, 0]
+    yield "conj.phi", _phi_tensor(G_new), right
 
-    rho_old = _rho_tensor(field, old.B.lam, old.gamma)              # (k, i, m, r, c)
-    rho_new = _rho_tensor(field, new.B.lam, new.gamma)
-    m_e = _endo_lift(field, pinv, old.A.dim)
-    minv_e = _endo_lift(field, p, old.A.dim)
+    rho_old = _rho_tensor(field, B_old.lam, G_old)                  # (k, i, m, r, c)
+    rho_new = _rho_tensor(field, B_new.lam, G_new)
+    m_e = _endo_lift(field, pinv, A.dim)
+    minv_e = _endo_lift(field, p, A.dim)
     left_r = _pull_back(field, pinv, rho_new, 0)                    # (k, i, m, r, c)
     conj_r = _endo_products(field, m_e[None], rho_old)[0]
     right_r = _endo_products(field, conj_r, minv_e[None])[:, 0]

@@ -34,7 +34,14 @@ from .errors import DimensionMismatchError, FieldMismatchError
 from .fields import Field
 from .linalg import KMatrix
 from .report import VerificationReport
-from .twisting import GammaFamily, TwistingCandidate, _family_of, _rule_compositions, route_reports
+from .twisting import (
+    GammaFamily,
+    TwistingCandidate,
+    _family_of,
+    _require_carrier,
+    _rule_compositions,
+    route_reports,
+)
 
 
 def _endo_array(field: Field, d: int, value) -> np.ndarray:
@@ -150,16 +157,11 @@ class QuiverRep:
     maps: dict[tuple[int, int], KMatrix]
 
 
-def _require_kn_carrier(family: GammaFamily) -> None:
-    expected = kn_algebra(family.field, family.B.dim)
-    if family.B != expected:
-        raise DimensionMismatchError("carrier is not K^n in the idempotent basis")
-
-
 def quiver_of(candidate: TwistingCandidate | GammaFamily) -> tuple[Quiver, QuiverRep]:
-    """Quiver with an arrow j -> i exactly at each nonzero grid entry."""
+    """Quiver with an arrow j -> i exactly at each nonzero grid entry; the
+    carrier must be K^n in the idempotent basis, that of the ``kn`` check."""
     family = _family_of(candidate)
-    _require_kn_carrier(family)
+    _require_carrier(family, "kn")
     field = family.field
     nonzero = field.mismatch(family.gamma, field.zero).any(axis=(2, 3))
     arrows = tuple((j, i) for j, i in np.argwhere(nonzero).tolist())

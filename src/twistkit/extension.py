@@ -7,9 +7,9 @@ block criterion is therefore a slice of the ``rep`` route on D: each
 End-valued block condition an index-block x matrix-block slice of
 ``rho.mul`` / ``rho.unit``, each A-valued one a corner of ``phi.unit`` /
 ``phi.mul``, on one grid or a stack G of shape (..., N, N, d, d) like the
-route generators.  The checkers here decide, given that the restriction to B
-is already a twisting map, whether the whole candidate is one, by testing the
-block conditions directly.
+route generators, and on the family's image like the routes.  The checkers
+decide, given that the restriction to B is already a twisting map, whether
+the whole candidate is one, by testing the block conditions directly.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .report import VerificationReport, pairs_report
 from .twisting import (
     GammaFamily,
     TwistingCandidate,
-    _check_image,
     _family_of,
     _phi_tensor,
     _require_verified,
@@ -160,14 +159,6 @@ def _corner(tag: str, sides, rows: slice, cols: slice) -> tuple:
     return (tag, *(side[..., rows, cols, :] for side in sides))
 
 
-def _cut_grid(psi, n: int):
-    """The family of a candidate with its cut validated, and the image
-    (A, D, G) of its check (``twisting._check_image``)."""
-    psi = _family_of(psi)
-    _check_block_structure(psi, n)
-    return psi, _check_image(psi)
-
-
 def check_lemma_blocks(psi, n: int) -> VerificationReport:
     """Block form of the two representation criteria on D = B x C.
 
@@ -187,8 +178,9 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
 
     Agrees with the combined representation checkers on D for every candidate.
     """
-    psi, image = _cut_grid(psi, n)
-    return pairs_report(psi.field, _lemma_pairs(*image, n))
+    psi = _family_of(psi)
+    _check_block_structure(psi, n)
+    return pairs_report(psi.field, _lemma_pairs(*psi._image, n))
 
 
 def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):
@@ -237,10 +229,11 @@ def check_extension_given_theta(
     Raises ``UnverifiedCandidateError`` when the B-restriction fails its own
     verification.
     """
-    psi, image = _cut_grid(psi, n)
+    psi = _family_of(psi)
+    _check_block_structure(psi, n)
     if not direct_ok(_corner_family(psi, slice(0, n))):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
-    return pairs_report(psi.field, _extension_pairs(*image, n, require_gamma01_zero))
+    return pairs_report(psi.field, _extension_pairs(*psi._image, n, require_gamma01_zero))
 
 
 def _extension_pairs(
@@ -320,7 +313,7 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     field = family.field
     if not field.is_zero(family.gamma[C, B]):
         raise BlockFormError("upper-right corner block does not vanish")
-    _, (_, *mul) = route_pairs("phi", *_check_image(family))
+    _, (_, *mul) = route_pairs("phi", *family._image)
     families = (
         _corner("phiB.mul", mul, B, B),
         _corner("phiC.mul", mul, C, C),

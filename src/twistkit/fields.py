@@ -19,13 +19,13 @@ summed length below 2**31; over Q one integer multiply and add per term,
 on numerators over common denominators (``int64`` under the bound below).
 
 Over Q a checker keeps its arrays in cleared form from its inputs to the
-comparison.  ``twisting.route_ok`` and ``twisting.route_reports`` (behind
-every check of ``twisting.CHECKS``: the routes and the catalog conditions),
-``twisting.verify_faithful`` and the block checkers of ``extension`` run on
-the image of the check
-(``twisting._check_image``): the structure constants and units of A and B
-and the gamma grid, each turned into integer numerators over one
-denominator once per check with ``Field.cleared``.  The field of the image
+comparison.  Every check on a candidate (``twisting.route_ok`` and
+``twisting.route_reports`` behind ``twisting.CHECKS``, ``verify_faithful``,
+and the criteria of ``extension`` and ``basischange``) runs on the image of
+its family (``twisting.GammaFamily._image``): the structure constants and
+units of A and B and the gamma grid, each turned into integer numerators
+over one denominator once per family with ``Field.cleared``, as are the
+base-change matrices.  The field of the image
 builds the constants of the check (``zeros``, ``identity``,
 ``unit_vector``) cleared, as ``int64`` numerators over 1, so nothing but
 those inputs is ever cleared in a check.  A contraction with a cleared
@@ -104,10 +104,14 @@ class Field:
             if self.p is not None:
                 raise FieldError("rational field takes no modulus")
         elif self.kind == "Fp":
+            # a float, bool or string modulus would leak into every residue
+            if isinstance(self.p, (bool, np.bool_)) or not isinstance(self.p, (int, np.integer)):
+                raise FieldError(f"modulus {self.p!r} is not an integer")
+            object.__setattr__(self, "p", int(self.p))
             # the cap comes first: trial division of a huge modulus runs for hours
-            if self.p is not None and self.p >= _PRIME_CAP:
+            if self.p >= _PRIME_CAP:
                 raise FieldError(f"modulus {self.p} exceeds the 2**16 cap")
-            if self.p is None or not _is_prime(self.p):
+            if not _is_prime(self.p):
                 raise FieldError(f"modulus {self.p!r} is not prime")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")
@@ -502,7 +506,7 @@ class _Cleared:
 
 
 class _ClearedField(Field):
-    """Q as the image of a check sees it (``twisting._check_image``):
+    """Q as the image of a family sees it (``twisting.GammaFamily._image``):
     ``zeros``, ``identity`` and ``unit_vector`` are cleared ``int64``
     constants over the denominator 1, so a check contracts and compares them
     without clearing them first."""

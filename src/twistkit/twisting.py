@@ -19,12 +19,13 @@ key of ``ROUTES`` with its family generators in the table ``CHECKS``:
   and the canonical inclusions.
 
 ``CHECKS`` then holds the conditions of the ``twistkit.catalog`` families
-under their names ``ncd``, ``qdup``, ``kn`` and ``trunc``.  Every generator
+under their names ``ncd``, ``qdup``, ``kn`` and ``trunc``, each written for
+the carrier that ``CARRIERS`` builds from B.  Every generator
 takes (A, B, G), G one grid or a stack of shape (..., n, n, d, d).
 ``route_reports`` folds a check's generators into its report on one
-candidate and ``route_ok`` into its verdict, both on the image of the check
-(``_check_image``); ``UNIT_FAMILIES`` lists the affine unit families of the
-three independent routes, which the searches read.
+candidate and ``route_ok`` into its verdict, both on the family's one image
+(``GammaFamily._image``); ``UNIT_FAMILIES`` lists the affine unit families of
+the three independent routes, which the searches read.
 
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
@@ -33,11 +34,19 @@ The routes agree on every candidate; the exhaustive searches in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteDimAlgebra, _algebra_pairs
+from .algebra import (
+    FiniteDimAlgebra,
+    _algebra_pairs,
+    duplicate_algebra,
+    kn_algebra,
+    quadratic_algebra,
+    truncated_poly_algebra,
+)
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
 from .fields import _CLEARED_QQ, Field
 from .linalg import (
@@ -52,6 +61,16 @@ from .linalg import (
     kernel_basis,
 )
 from .report import VerificationReport, Failure, pairs_ok, pairs_report
+
+
+class _AlgebraImage(NamedTuple):
+    """What the family generators read of an algebra, in the cleared form of
+    a check: its field, dimension, structure constants and unit."""
+
+    field: Field
+    dim: int
+    lam: object
+    unit: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +100,24 @@ class GammaFamily:
     @property
     def field(self):
         return self.A.field
+
+    @cached_property
+    def _image(self) -> tuple:
+        """(A, B, G): the algebras and grid every check of the family runs on,
+        built once from arrays that the constructors freeze.  Over Q the
+        structure constants, units and grid are each cleared once
+        (``Field.cleared``; an algebra on both sides once) and both images
+        build their constants (``zeros``, ``identity``, ``unit_vector``)
+        cleared, so nothing else is cleared in a check; over F_p they are the
+        family's own arrays."""
+        field, A, B = self.field, self.A, self.B
+        if field.kind == "Fp":
+            return A, B, self.gamma
+        images = [
+            _AlgebraImage(_CLEARED_QQ, algebra.dim, field.cleared(algebra.lam), field.cleared(algebra.unit))
+            for algebra in ((A,) if B is A else (A, B))
+        ]
+        return images[0], images[-1], field.cleared(self.gamma)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaFamily):
@@ -340,11 +377,11 @@ class TwistedTensorAlgebra:
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
     """The twisted tensor product algebra of a verified candidate.  Its
-    structure constants and unit are computed on the image of the check
-    (``_check_image``); over Q they leave the cleared form once, as
+    structure constants and unit are computed on the image of the family
+    (``GammaFamily._image``); over Q they leave the cleared form once, as
     ``Fraction`` arrays."""
     family = _require_verified(c, "build_twisted_product")
-    lam, unit = _product_tensor(*_check_image(family))
+    lam, unit = _product_tensor(*family._image)
     if family.field.kind == "Q":
         lam, unit = lam.fractions(), unit.fractions()
     labels = tuple(
@@ -513,6 +550,33 @@ CHECKS = {
 #: The keys of the routes.
 ROUTES = ("direct", "rho", "phi", "rep", "oracle")
 
+
+def _quadratic_carrier(B: FiniteDimAlgebra):
+    """K[X]/(X^2 - alpha X + beta) with X^2 = alpha X - beta read off B, or
+    None when B is not two-dimensional."""
+    return quadratic_algebra(B.field, B.lam[1, 1, 1], -B.lam[1, 1, 0]) if B.dim == 2 else None
+
+
+#: The carrier each catalog check reads its constants in, built from the
+#: candidate's B (None: no such carrier); the routes take any carrier.
+CARRIERS = {
+    "ncd": lambda B: duplicate_algebra(B.field),
+    "qdup": _quadratic_carrier,
+    "kn": lambda B: kn_algebra(B.field, B.dim),
+    "trunc": lambda B: truncated_poly_algebra(B.field, B.dim),
+}
+
+
+def _require_carrier(family: GammaFamily, check: str) -> None:
+    """Refuse a catalog check on a candidate whose B is not the check's carrier."""
+    carrier = CARRIERS.get(check)
+    if carrier is None:
+        return
+    expected = carrier(family.B)
+    if expected is None or family.B != expected:
+        raise DimensionMismatchError(f"carrier B is not the carrier of the {check!r} check")
+
+
 #: The affine unit families of each independent route: each generator with how
 #: many families it yields first.  ``direct.2`` lies between ``direct.1`` and
 #: ``direct.3``, so ``direct`` names the generator of those two alone.
@@ -523,33 +587,6 @@ UNIT_FAMILIES = {
 }
 
 
-class _AlgebraImage(NamedTuple):
-    """What the family generators read of an algebra, in the cleared form of
-    a check: its field, dimension, structure constants and unit."""
-
-    field: Field
-    dim: int
-    lam: object
-    unit: object
-
-
-def _check_image(family: GammaFamily) -> tuple:
-    """(A, B, G): the algebras and grid one check of ``family`` runs on.  Over
-    Q the structure constants, the units and the grid are each cleared once
-    (``Field.cleared``; an algebra used on both sides once), and the field of
-    both images builds its constants (``zeros``, ``identity``,
-    ``unit_vector``) cleared, so nothing else is cleared in the check; over
-    F_p they are the family's own."""
-    field, A, B = family.field, family.A, family.B
-    if field.kind == "Fp":
-        return A, B, family.gamma
-    images = [
-        _AlgebraImage(_CLEARED_QQ, algebra.dim, field.cleared(algebra.lam), field.cleared(algebra.unit))
-        for algebra in ((A,) if B is A else (A, B))
-    ]
-    return images[0], images[-1], field.cleared(family.gamma)
-
-
 def route_pairs(check: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Every family of the check, lazily and in report order, on one grid or a
     stack G of shape (..., n, n, d, d)."""
@@ -558,18 +595,23 @@ def route_pairs(check: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndar
 
 
 def route_ok(check: str, c) -> bool:
-    """The check's verdict on one candidate; it stops at the first failing family."""
+    """The check's verdict on one candidate; it stops at the first failing
+    family.  A catalog check refuses a candidate off its carrier."""
     family = _family_of(c)
-    return pairs_ok(family.field, route_pairs(check, *_check_image(family)))
+    _require_carrier(family, check)
+    return pairs_ok(family.field, route_pairs(check, *family._image))
 
 
 def route_reports(c, checks) -> dict[str, VerificationReport]:
     """The report of each of ``checks`` (keys of ``CHECKS``) on one
-    candidate, in the order given.  All run on one image of the check
-    (``_check_image``) and each distinct generator runs once: the ``rep``
-    report is the ``rho`` failures, then the ``phi`` failures."""
+    candidate, in the order given.  All run on the image of the family
+    (``GammaFamily._image``) and each distinct generator runs once: the
+    ``rep`` report is the ``rho`` failures, then the ``phi`` failures.  A
+    catalog check refuses a candidate off its carrier."""
     family = _family_of(c)
-    image = _check_image(family)
+    for check in checks:
+        _require_carrier(family, check)
+    image = family._image
     generators = dict.fromkeys(pairs for check in checks for pairs in CHECKS[check])
     failures = {g: pairs_report(family.field, g(*image)).failures for g in generators}
     return {
@@ -638,11 +680,11 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
 
     Tags: ``faithful.mul`` (all product-basis pairs), ``faithful.unit`` and
     ``faithful.kernel`` (the underlying linear map must be injective).  All
-    three run on one image of the check (``_check_image``).
+    three run on the image of the family (``GammaFamily._image``).
     """
     family = _require_verified(c, "verify_faithful")
     field = family.field
-    A, B, G = _check_image(family)
+    A, B, G = family._image
     n, d = B.dim, A.dim
     images = _faithful_tensor(A, B, G)
     report = pairs_report(field, _faithful_pairs(A, B, G, images))

@@ -30,7 +30,7 @@ from twistkit import (
     truncated_poly_algebra,
 )
 from twistkit.report import pairs_ok
-from twistkit.twisting import direct_ok, route_ok, route_pairs
+from twistkit.twisting import direct_ok, route_ok, route_pairs, route_reports
 
 F2 = GF(2)
 F3 = GF(3)
@@ -238,6 +238,45 @@ def test_quiver_of_direct_sum_has_no_cross_arrows():
     quiver, _ = quiver_of(psi)
     for source, target in quiver.arrows:
         assert (source < 2) == (target < 2)
+
+
+#: A catalog check on a carrier that is not its own: each misbehaved before
+#: the carrier was required (``IndexError``, ``ValueError``, a spurious
+#: ``trunc.3`` or ``kn.2`` failure on a twisting map, and a pass that means
+#: nothing).
+_FOREIGN_CARRIERS = {
+    "qdup on K^1": ("qdup", lambda field: kn_algebra(field, 1)),
+    "ncd on K^3": ("ncd", lambda field: kn_algebra(field, 3)),
+    "trunc on K^2": ("trunc", lambda field: kn_algebra(field, 2)),
+    "kn on K[Y]/(Y^2)": ("kn", lambda field: truncated_poly_algebra(field, 2)),
+    "ncd on K^2": ("ncd", lambda field: kn_algebra(field, 2)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", sorted(_FOREIGN_CARRIERS))
+def test_catalog_checks_refuse_foreign_carriers(field, name):
+    key, carrier = _FOREIGN_CARRIERS[name]
+    flip = GammaFamily.flip(kn_algebra(field, 2), carrier(field))
+    assert direct_ok(flip)
+    with pytest.raises(DimensionMismatchError, match=repr(key)):
+        route_ok(key, flip)
+    with pytest.raises(DimensionMismatchError, match=repr(key)):
+        route_reports(flip, ["direct", key])
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_catalog_checks_pass_the_flip_on_their_own_carriers(field):
+    A = kn_algebra(field, 2)
+    carriers = {
+        "ncd": duplicate_algebra(field),
+        "qdup": quadratic_algebra(field, 2, 1),
+        "kn": kn_algebra(field, 3),
+        "trunc": truncated_poly_algebra(field, 3),
+    }
+    for key, B in carriers.items():
+        flip = GammaFamily.flip(A, B)
+        assert route_ok(key, flip) and route_reports(flip, [key])[key].ok, key
 
 
 def test_quiver_rejects_other_carriers():

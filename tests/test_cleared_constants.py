@@ -1,17 +1,20 @@
 """Over Q a check builds its constants cleared, and the twisted product leaves
 the cleared form once.
 
-The image of a check (``twisting._check_image``) carries a field whose
-``zeros``, ``identity`` and ``unit_vector`` are cleared integer arrays, so
-inside a check the only arrays ever cleared are its inputs: the structure
-constants and units of A and B and the gamma grid.  ``build_twisted_product``
-runs ``_product_tensor`` on that image and turns the cleared result into
-``Fraction`` arrays once; it must equal the ``Fraction`` contraction of the
-public arrays.  The public field keeps its ``Fraction`` constants, and F_p is
-untouched.
+The image of a family (``GammaFamily._image``, built once per family)
+carries a field whose ``zeros``, ``identity`` and ``unit_vector`` are cleared
+integer arrays, so inside a check the only arrays ever cleared are its
+inputs: the structure constants and units of A and B and the gamma grid,
+each once per family, and the matrices of a base change.
+``build_twisted_product`` runs ``_product_tensor`` on that image and turns
+the cleared result into ``Fraction`` arrays once; it must equal the
+``Fraction`` contraction of the public arrays.  The public field keeps its
+``Fraction`` constants, and F_p is untouched.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,16 +26,20 @@ from twistkit import (
     QQ,
     GammaFamily,
     KMatrix,
+    TwistingCandidate,
     build_twisted_product,
     certify,
     check_extension_given_theta,
+    check_induced_morphism,
     direct_sum,
     duplicate_algebra,
     kn_algebra,
     kn_conditions,
     make_kn,
+    make_morphism,
     make_ncd,
     make_quantum_duplicate,
+    mat_inverse,
     ncd_conditions,
     qdup_conditions,
     quadratic_algebra,
@@ -43,7 +50,7 @@ from twistkit import (
     verify_faithful,
 )
 from twistkit import extension, fields, twisting
-from twistkit.fields import _Cleared
+from twistkit.fields import Field, _Cleared
 
 _K1, _K2 = kn_algebra(QQ, 1), kn_algebra(QQ, 2)
 _QUAD = quadratic_algebra(QQ, Fraction(1, 2), Fraction(-2, 3))
@@ -76,8 +83,38 @@ _EXTENDED = {
 }
 
 
+def _input_arrays(family) -> list:
+    """The arrays the image of ``family`` clears: an algebra on both sides once."""
+    algebras = (family.A,) if family.B is family.A else (family.A, family.B)
+    return [x for algebra in algebras for x in (algebra.lam, algebra.unit)] + [family.gamma]
+
+
 def _inputs(family) -> set[int]:
-    return {id(x) for x in (family.A.lam, family.A.unit, family.B.lam, family.B.unit, family.gamma)}
+    return set(map(id, _input_arrays(family)))
+
+
+def _fresh(c) -> TwistingCandidate:
+    """``c`` on a new family of the same arrays, whose image is not built yet."""
+    return TwistingCandidate(GammaFamily(c.A, c.B, c.family.gamma), c.verified)
+
+
+def _recording_images(monkeypatch) -> list:
+    """The families whose image is built while the patch holds, in order."""
+    imaged, build = [], GammaFamily._image.func
+    recording = cached_property(lambda family: imaged.append(family) or build(family))
+    recording.__set_name__(GammaFamily, "_image")
+    monkeypatch.setattr(GammaFamily, "_image", recording)
+    return imaged
+
+
+def _cleared_by_field(monkeypatch, call) -> list:
+    """Every array that ``Field.cleared`` receives while ``call()`` runs; the
+    list holds them, so no two live arrays share an id."""
+    seen, original = [], Field.cleared
+    with monkeypatch.context() as patch:
+        patch.setattr(Field, "cleared", lambda self, x: seen.append(x) or original(self, x))
+        call()
+    return seen
 
 
 def _uncleared_clears(monkeypatch, call) -> list[int]:
@@ -125,26 +162,91 @@ def _family_conditions(A) -> dict:
 
 @pytest.mark.parametrize("nd", sorted(_CHECKED))
 def test_a_check_clears_only_its_inputs(monkeypatch, nd):
-    """The route checks, the product and the faithful form of a candidate,
-    and the four family conditions over its A, whose entries build the
-    candidate they check: each check clears only the inputs of the one
-    family it takes the image of."""
+    """The route checks, the product and the faithful form of a candidate
+    (each on a fresh family of its arrays), and the four family conditions
+    over its A, whose entries build the candidate they check: each check
+    builds one image and clears only the inputs of its family."""
     c = _CHECKED[nd]
     assert c.verified and c.B.dim * c.A.dim == nd
-    rejected = _perturbed(c)
     calls = {
-        "route_reports": lambda: twisting.route_reports(c, twisting.ROUTES),
-        "route_reports.rejected": lambda: twisting.route_reports(rejected, twisting.ROUTES),
-        "verify_faithful": lambda: verify_faithful(c),
-        "build_twisted_product": lambda: build_twisted_product(c),
+        "route_reports": lambda: twisting.route_reports(_fresh(c), twisting.ROUTES),
+        "route_reports.rejected": lambda: twisting.route_reports(_perturbed(c), twisting.ROUTES),
+        "verify_faithful": lambda: verify_faithful(_fresh(c)),
+        "build_twisted_product": lambda: build_twisted_product(_fresh(c)),
         **_family_conditions(c.A),
     }
-    imaged, image = [], twisting._check_image
-    monkeypatch.setattr(twisting, "_check_image", lambda family: imaged.append(family) or image(family))
+    imaged = _recording_images(monkeypatch)
     for name, call in calls.items():
         imaged.clear()
         seen = _uncleared_clears(monkeypatch, call)
         assert len(imaged) == 1 and seen and set(seen) <= _inputs(imaged[0]), name
+
+
+#: Q candidates for the chains below: with nd = 4, 6 and 9, and with A is B.
+_CHAINED = {**{str(nd): c for nd, c in _CHECKED.items()}, "A is B": _flip(_QUAD, _QUAD)}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINED))
+def test_certify_product_and_faithful_form_clear_each_input_once(monkeypatch, name):
+    """certify, then build_twisted_product and verify_faithful of the
+    certified candidate, share one image: each input is cleared once in all,
+    and nothing else is cleared."""
+    c = _CHAINED[name]
+    family = _fresh(c).family
+    assert (family.A is family.B) is (name == "A is B")
+    imaged = _recording_images(monkeypatch)
+
+    def chain():
+        checked = certify(family)
+        assert checked.verified
+        build_twisted_product(checked)
+        assert verify_faithful(checked).ok
+
+    cleared = _cleared_by_field(monkeypatch, chain)
+    assert imaged == [family]
+    assert sorted(map(id, cleared)) == sorted(map(id, _input_arrays(family)))
+    assert family._image is family._image
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINED))
+def test_rebase_and_induced_morphism_clear_each_input_once(monkeypatch, name):
+    """rebase, then the induced-morphism criterion between the candidate and
+    its rebased form: each family's image is built once and clears that
+    family's inputs once (the two families share A, and each image clears
+    it), and P, its inverse and the morphism's matrix are each cleared once."""
+    c = _CHAINED[name]
+    chi = _fresh(c)
+    n = c.B.dim
+    p = KMatrix(QQ, QQ.asarray([[Fraction(i + 1, j + 2) if i <= j else 0 for j in range(n)] for i in range(n)]))
+    imaged = _recording_images(monkeypatch)
+    out = {}
+
+    def chain():
+        out["rebased"] = rebase(chi, p)
+        f = make_morphism(chi.B, out["rebased"].algebra, mat_inverse(p).data)
+        out["f"] = f
+        out["report"] = check_induced_morphism(chi, out["rebased"].candidate, f)
+
+    cleared = _cleared_by_field(monkeypatch, chain)
+    rebased = out["rebased"]
+    assert rebased.conjugation.ok and out["report"].ok and rebased.candidate.verified
+    new = rebased.candidate.family
+    assert imaged == [new, chi.family]
+    expected = Counter(map(id, _input_arrays(chi.family) + _input_arrays(new) + [p.data, out["f"].zeta]))
+    counts = Counter(map(id, cleared))
+    assert all(counts[key] == k for key, k in expected.items())
+    # the one array left is P^-1, which rebase computes
+    (extra,) = [x for x in cleared if id(x) not in expected]
+    assert QQ.equal(extra, mat_inverse(p).data)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_prime_field_image_is_the_family_itself(p):
+    """Over F_p the image holds the family's own algebras and grid, no copies."""
+    family = GammaFamily.flip(_tri_algebra(GF(p)), truncated_poly_algebra(GF(p), 3))
+    A, B, G = family._image
+    assert A is family.A and B is family.B and G is family.gamma
+    assert family._image is family._image
 
 
 @pytest.mark.parametrize("strengthened", [True, False])
@@ -168,7 +270,7 @@ def test_an_extension_check_clears_only_its_inputs(monkeypatch, nd, strengthened
 
 
 def test_the_check_field_builds_cleared_constants():
-    field = twisting._check_image(_CHECKED[6].family)[0].field
+    field = _CHECKED[6].family._image[0].field
     assert field.kind == "Q" and field is not QQ
     for built, public in [
         (field.zeros((2, 3)), QQ.zeros((2, 3))),
@@ -219,7 +321,7 @@ def test_cleared_product_equals_the_fraction_contraction(name):
 
 
 def test_large_product_runs_on_python_ints():
-    lam, _ = twisting._product_tensor(*twisting._check_image(_large_rebased().family))
+    lam, _ = twisting._product_tensor(*_large_rebased().family._image)
     assert isinstance(lam, _Cleared) and lam.num.dtype == object and lam.bound >= 2**63
 
 

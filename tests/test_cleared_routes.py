@@ -1,6 +1,6 @@
 """Over Q the route checks run on the image of the check (``A`` and ``B``
 with cleared structure constants and units, and the cleared grid:
-integer numerators over one denominator, ``twisting._check_image``) instead
+integer numerators over one denominator, ``GammaFamily._image``) instead
 of ``Fraction`` arrays.
 
 The cleared path must give the reports of the ``Fraction`` path family by
@@ -125,7 +125,7 @@ def _kernel(field, A, B, images):
 @given(q_candidates())
 def test_cleared_path_reports_equal_fraction_path_reports(candidate):
     A, B, G = candidate
-    image = twisting._check_image(GammaFamily(A, B, G))
+    image = GammaFamily(A, B, G)._image
     assert all(isinstance(a, _Cleared) for a in (image[0].lam, image[1].unit, image[2]))
     # the image of the check, and the cleared grid alone with Fraction algebras
     for cA, cB, C in (image, (A, B, image[2])):
@@ -164,7 +164,7 @@ def test_large_grids_check_on_both_dtypes_and_report_like_fractions():
     A, B = ALGEBRAS[3], ALGEBRAS[2]
     G = GammaFamily.flip(A, B).gamma.copy()
     G[0, 0, 0, 0] += Fraction(2**40 + 3, 3)
-    image = twisting._check_image(GammaFamily(A, B, G))
+    image = GammaFamily(A, B, G)._image
     pairs = twisting._oracle_pairs(*image)
     dtypes = {tag: {side.num.dtype for side in sides if isinstance(side, _Cleared)} for tag, *sides in pairs}
     assert dtypes["oracle.chi-left-unit"] == {np.dtype(np.int64)}
@@ -226,7 +226,7 @@ def test_an_algebra_on_both_sides_of_a_check_is_cleared_once(monkeypatch):
     monkeypatch.setattr(Field, "cleared", lambda self, x: calls.append(x) or original(self, x))
     A = ALGEBRAS[3]
     family = GammaFamily.flip(A, A)
-    A_image, B_image, _ = twisting._check_image(family)
+    A_image, B_image, _ = family._image
     assert A_image is B_image
     assert [id(x) for x in calls] == [id(A.lam), id(A.unit), id(family.gamma)]
 
@@ -281,6 +281,6 @@ def test_every_check_reports_like_the_fraction_fold(case):
     assert not any(isinstance(side, _Cleared) for _, *sides in fraction for side in sides)
     family = GammaFamily(A, B, G)
     assert twisting.route_reports(family, [key])[key] == pairs_report(QQ, fraction)
-    for tag, *sides in twisting.route_pairs(key, *twisting._check_image(family)):
+    for tag, *sides in twisting.route_pairs(key, *family._image):
         for side in sides:
             _check_numerators(side)

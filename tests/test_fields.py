@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, fields, kn_algebra, make_morphism
+from twistkit import Field, FieldError, GF, GammaFamily, KMatrix, QQ, chi_eval, fields, kn_algebra, make_morphism, serialize
 from twistkit.fields import _Cleared, _dot_plan
 from twistkit.twisting import direct_ok
 
@@ -41,6 +42,22 @@ def test_prime_validation():
     GF(65521)  # largest prime below 2**16
     with pytest.raises(FieldError):
         Field("R")
+
+
+@pytest.mark.parametrize("modulus", [7.0, 7.5, np.int64(7), True, "7"], ids=repr)
+def test_modulus_must_be_an_integer(modulus):
+    """A float, bool or string modulus is refused; a numpy integer is stored
+    as an int, so residues, JSON and equality are those of ``GF(7)``."""
+    if not isinstance(modulus, np.integer):
+        with pytest.raises(FieldError, match="not an integer"):
+            Field("Fp", modulus)
+        return
+    field = Field("Fp", modulus)
+    assert type(field.p) is int and field == GF(7) and hash(field) == hash(GF(7))
+    assert type(field.scalar(10)) is int and field.asarray(np.array([3, 9])).dtype == np.int64
+    algebra = kn_algebra(field, 2)
+    assert serialize.algebra_from_json(json.loads(serialize.dumps(serialize.algebra_to_json(algebra)))) == algebra
+
 
 
 def test_asarray_shapes_and_reduction():

@@ -597,14 +597,14 @@ def test_route_generators_are_named_only_in_twisting():
 
 def test_extension_takes_no_twisting_kernel_but_rho_tensor():
     """The block criteria read their sides from the ``rep`` and ``phi``
-    routes: of the private names of ``twisting``, ``extension`` imports the
-    candidate helpers (``_check_image`` among them: the image each block
-    check runs on), the identity kernel ``_rho_tensor`` (for ``C1.zero``)
-    and the layout view ``_phi_tensor`` (for the corner products) alone."""
+    routes, on the image of the family (``GammaFamily._image``): of the
+    private names of ``twisting``, ``extension`` imports the candidate
+    helpers, the identity kernel ``_rho_tensor`` (for ``C1.zero``) and the
+    layout view ``_phi_tensor`` (for the corner products) alone."""
     source = (Path(twistkit.__file__).parent / "extension.py").read_text(encoding="utf-8")
     imports = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
     private = {a.name for node in imports if node.module == "twisting" for a in node.names if a.name.startswith("_")}
-    assert private == {"_check_image", "_family_of", "_phi_tensor", "_require_verified", "_rho_tensor"}
+    assert private == {"_family_of", "_phi_tensor", "_require_verified", "_rho_tensor"}
     assert all(a.name != "twisting" for node in imports for a in node.names)
 
 
