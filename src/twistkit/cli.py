@@ -191,21 +191,22 @@ def _catalog_n(params: dict) -> int:
 
 def _cmd_catalog(args) -> int:
     params = _read_object(args.input, "catalog")
-    a = serialize.algebra_from_json(params["A"])
+    param = functools.partial(serialize._expect, params, context="catalog")
+    a = serialize.algebra_from_json(param("A"))
     field = a.field
     d = a.dim
     if args.family == "ncd":
-        f = serialize.kmatrix_from_json(field, params["f"], "f")
-        delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
+        f = serialize.kmatrix_from_json(field, param("f"), "f")
+        delta = serialize.kmatrix_from_json(field, param("delta"), "delta")
         candidate = catalog.make_ncd(a, f, delta)
     elif args.family == "qdup":
-        f = serialize.kmatrix_from_json(field, params["f"], "f")
-        delta = serialize.kmatrix_from_json(field, params["delta"], "delta")
-        alpha, beta = params["alpha"], params["beta"]
+        f = serialize.kmatrix_from_json(field, param("f"), "f")
+        delta = serialize.kmatrix_from_json(field, param("delta"), "delta")
+        alpha, beta = param("alpha"), param("beta")
         candidate = catalog.make_quantum_duplicate(a, alpha, beta, f, delta)
     elif args.family == "kn":
         n = _catalog_n(params)
-        grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
+        grid = serialize.array_from_json(field, param("gamma"), (n, n, d, d), "catalog.gamma")
         candidate = catalog.make_kn(a, n, grid)
     else:  # trunc: argparse restricts the choices
         n = _catalog_n(params)
@@ -215,7 +216,7 @@ def _cmd_catalog(args) -> int:
             )
             candidate = catalog.truncated_from_first_row(a, n, row)
         else:
-            grid = serialize.array_from_json(field, params["gamma"], (n, n, d, d), "catalog.gamma")
+            grid = serialize.array_from_json(field, param("gamma"), (n, n, d, d), "catalog.gamma")
             candidate = catalog.make_truncated(a, n, grid)
     reports = twisting.route_reports(candidate, [args.family, "direct"])
     payload = {

@@ -185,7 +185,8 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
 
 def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):
     """Condition families of the block criterion at the cut n, yielded lazily
-    as slices of the ``rep`` families on one grid or a stack G."""
+    as slices of the ``rep`` families on one grid or a stack G.  Every side
+    has at most two factors of G."""
     parts = B, C = slice(0, n), slice(n, None)
     rep = route_pairs("rep", A, D, G)
     (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
@@ -240,7 +241,8 @@ def _extension_pairs(
     A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int, require_gamma01_zero: bool
 ):
     """Condition families of the extension criterion at the cut n, in report
-    order, as slices of the ``rep`` families on one grid or a stack G."""
+    order, as slices of the ``rep`` families on one grid or a stack G.  Every
+    side has at most two factors of G."""
     field = A.field
     B, C = slice(0, n), slice(n, None)
     rep = route_pairs("rep", A, D, G)

@@ -237,7 +237,7 @@ def _verdict(A: FiniteDimAlgebra, B: FiniteDimAlgebra, checks, G: np.ndarray) ->
     Each generator runs only on the grids that passed the ones before it."""
     ok = np.ones(G.shape[:-4], dtype=bool)
     for check in checks:
-        for pairs in CHECKS[check]:
+        for pairs in CHECKS[check].pairs:
             live = np.nonzero(ok)
             ok[live] = pairs_ok(A.field, pairs(A, B, G[live]), live[0].shape)
     return ok

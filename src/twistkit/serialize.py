@@ -9,7 +9,8 @@ Schemas (all arrays 0-based, scalars as canonical strings "3", "-2/5", "5"):
 * field      {"kind": "Q"} or {"kind": "Fp", "p": 7}
 * algebra    {"field": ..., "dim": n, "basis": [labels],
               "lambda": [[[...]]], "unit": [...]}
-             with lambda[i][j][k] the coefficient of basis k in basis_i * basis_j
+             with lambda[i][j][k] the coefficient of basis k in basis_i * basis_j;
+             every label is a string
 * candidate  {"A": algebra, "B": algebra, "gamma": [[M, ...], ...]}
              with gamma[i][j] a (dim A) x (dim A) matrix of scalar strings
 * report     {"ok": bool, "failures": [{"condition": str, "witness": [...],
@@ -186,9 +187,12 @@ def algebra_from_json(obj: Any) -> FiniteDimAlgebra:
     basis = _expect(obj, "basis", "algebra")
     if not isinstance(basis, list) or len(basis) != dim:
         raise SchemaError("algebra: basis must list one label per dimension")
+    for label in basis:
+        if not isinstance(label, str):
+            raise SchemaError(f"algebra.basis: a label must be a string, got {json.dumps(label)}")
     lam = array_from_json(field, _expect(obj, "lambda", "algebra"), (dim, dim, dim), "algebra.lambda")
     unit = array_from_json(field, _expect(obj, "unit", "algebra"), (dim,), "algebra.unit")
-    return FiniteDimAlgebra(field, dim, tuple(str(b) for b in basis), lam, unit)
+    return FiniteDimAlgebra(field, dim, tuple(basis), lam, unit)
 
 
 # -- candidate --------------------------------------------------------------------

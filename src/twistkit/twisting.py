@@ -6,7 +6,7 @@ by the grid of maps ``gamma[i][j]: A -> A`` through
     chi(a (x) b_i) = sum_j  b_j (x) gamma[i][j](a).
 
 Three independent routes decide whether ``chi`` is a twisting map, each a
-key of ``ROUTES`` with its family generators in the table ``CHECKS``:
+key of the table ``CHECKS``, whose entry holds its family generators:
 
 * ``direct``   ``_direct_pairs``: the four structure-constant conditions on
   the gamma grid (units, twisted multiplicativity, unit sums, product rule);
@@ -19,13 +19,14 @@ key of ``ROUTES`` with its family generators in the table ``CHECKS``:
   and the canonical inclusions.
 
 ``CHECKS`` then holds the conditions of the ``twistkit.catalog`` families
-under their names ``ncd``, ``qdup``, ``kn`` and ``trunc``, each written for
-the carrier that ``CARRIERS`` builds from B.  Every generator
-takes (A, B, G), G one grid or a stack of shape (..., n, n, d, d).
-``route_reports`` folds a check's generators into its report on one
-candidate and ``route_ok`` into its verdict, both on the family's one image
-(``GammaFamily._image``); ``UNIT_FAMILIES`` lists the affine unit families of
-the three independent routes, which the searches read.
+under their names ``ncd``, ``qdup``, ``kn`` and ``trunc``, each entry with the
+builder of the carrier its conditions are written for.  Every generator takes
+(A, B, G), G one grid or a stack of shape (..., n, n, d, d), and every side
+of its families has at most two factors of G.  ``route_reports`` folds a
+check's generators into its report on one candidate and ``route_ok`` into its
+verdict, both on the family's one image (``GammaFamily._image``).  ``ROUTES``
+(the keys without a carrier) and ``UNIT_FAMILIES`` (the affine unit families
+of the three independent routes, which the searches read) are read off it.
 
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
@@ -240,7 +241,8 @@ def _transposed(tag: str, sides, axes) -> tuple:
 
 def _direct_unit_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """The two unit families ``direct.1`` and ``direct.3``, the ones affine in
-    the grid, yielded lazily as (tag, left, right)."""
+    the grid, yielded lazily as (tag, left, right): every side has at most one
+    factor of G."""
     field = A.field
 
     # (1) gamma_i^j(1) = delta_ij 1; witness axes (i, j, r)
@@ -258,7 +260,8 @@ def _direct_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     unit families of ``_direct_unit_pairs`` as (1) and (3).  Conditions
     quantified over A are checked on basis pairs, which suffices by
     bilinearity.  Like every route generator it takes a grid G of shape
-    (..., n, n, d, d): its batch axes lead every side that depends on G."""
+    (..., n, n, d, d): its batch axes lead every side that depends on G.
+    Every side has at most two factors of G."""
     field = A.field
     units = _direct_unit_pairs(A, B, G)
     yield next(units)
@@ -298,7 +301,8 @@ def rho_hat(c, k: int) -> EndoMatrix:
 def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Representation criterion for the End-valued matrix family, tagged
     ``rho.unit`` and ``rho.mul``.  Equivalent to conditions (3) and (4) of
-    the direct route; entry products are compositions of endomorphisms."""
+    the direct route; entry products are compositions of endomorphisms.
+    Every side has at most two factors of G."""
     field = B.field
     R = _rho_tensor(field, B.lam, G)
 
@@ -326,7 +330,7 @@ def phi_hat(c, a: np.ndarray) -> AlgMatrix:
 def _phi_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Representation criterion for the A-valued matrix family, tagged
     ``phi.unit`` and ``phi.mul``.  Equivalent to conditions (1) and (2) of
-    the direct route."""
+    the direct route.  Every side has at most two factors of G."""
     # unit: phi(1_A) = identity matrix; witness axes (j, k, r)
     yield _transposed("phi.unit", _unit_images(A.field, G, A.unit), (1, 0, 2))
 
@@ -400,7 +404,8 @@ def _oracle_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     Assembles the product on B (x) A unconditionally and checks: the two
     chi-unit axioms, associativity on all basis triples, the two-sided unit,
     that both canonical inclusions are algebra morphisms, and the
-    factorization property.  Tags ``oracle.*``.
+    factorization property.  Tags ``oracle.*``.  The product is linear in G,
+    so every side has at most two factors of G.
     """
     field = A.field
     lamA, unitA = A.lam, A.unit
@@ -469,7 +474,8 @@ def _duplicate_rule_pairs(A: FiniteDimAlgebra, G: np.ndarray, units, rules):
 
 def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """The duplicate families ``ncd.1`` .. ``ncd.7`` on a grid or a stack G of
-    duplicate grids, (f, delta) = (G[..., 1, 1], G[..., 1, 0])."""
+    duplicate grids, (f, delta) = (G[..., 1, 1], G[..., 1, 0]).  Every side
+    has at most two factors of G."""
     field = A.field
     delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
     (dd, df), (fd, ff) = _duplicate_compositions(field, G)
@@ -482,7 +488,8 @@ def _ncd_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
 def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """The quantum-duplicate families ``qdup.*`` on a grid or a stack G of
-    duplicate grids; alpha and beta are read off the carrier, X^2 = alpha X - beta."""
+    duplicate grids; alpha and beta are read off the carrier, X^2 = alpha X - beta.
+    Every side has at most two factors of G."""
     field = A.field
     a, b = B.lam[1, 1, 1], -B.lam[1, 1, 0]
     delta, f = G[..., 1, 0, :, :], G[..., 1, 1, :, :]
@@ -496,7 +503,7 @@ def _qdup_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """The K^n families ``kn.1`` .. ``kn.4`` on a grid or a stack G of shape
     (..., n, n, d, d); the identities of ``kn.2`` are the unit of K^n, (1, ..,
-    1), lifted to End(A)."""
+    1), lifted to End(A).  Every side has at most two factors of G."""
     field = A.field
     comps = field.einsum("...iprs,...jpsc->...ijprc", G, G)
     expected = field.reduce(field.identity(B.dim)[:, :, None, None, None] * G[..., :, None, :, :, :])
@@ -509,7 +516,8 @@ def _kn_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
 def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """The truncated-carrier families ``trunc.1`` .. ``trunc.5`` on a grid or a
-    stack G of shape (..., n, n, d, d)."""
+    stack G of shape (..., n, n, d, d).  Every side has at most two factors
+    of G."""
     field = A.field
     n, d = B.dim, A.dim
     batch = G.shape[:-4]
@@ -533,22 +541,13 @@ def _truncated_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 
 # -- the table of checks -------------------------------------------------------------
 
-#: Each check's family generators, in report and verdict order: the routes,
-#: then the catalog conditions.
-CHECKS = {
-    "direct": (_direct_pairs,),
-    "rho": (_rho_pairs,),
-    "phi": (_phi_pairs,),
-    "rep": (_rho_pairs, _phi_pairs),
-    "oracle": (_oracle_pairs,),
-    "ncd": (_ncd_pairs,),
-    "qdup": (_qdup_pairs,),
-    "kn": (_kn_pairs,),
-    "trunc": (_truncated_pairs,),
-}
 
-#: The keys of the routes.
-ROUTES = ("direct", "rho", "phi", "rep", "oracle")
+class _Check(NamedTuple):
+    """One check of the table."""
+
+    pairs: tuple  # its family generators, in report and verdict order
+    carrier: object = None  # a catalog check's carrier built from B (None when B has none)
+    units: tuple = ()  # a route's affine unit families: (generator, how many it yields first)
 
 
 def _quadratic_carrier(B: FiniteDimAlgebra):
@@ -557,19 +556,31 @@ def _quadratic_carrier(B: FiniteDimAlgebra):
     return quadratic_algebra(B.field, B.lam[1, 1, 1], -B.lam[1, 1, 0]) if B.dim == 2 else None
 
 
-#: The carrier each catalog check reads its constants in, built from the
-#: candidate's B (None: no such carrier); the routes take any carrier.
-CARRIERS = {
-    "ncd": lambda B: duplicate_algebra(B.field),
-    "qdup": _quadratic_carrier,
-    "kn": lambda B: kn_algebra(B.field, B.dim),
-    "trunc": lambda B: truncated_poly_algebra(B.field, B.dim),
+#: Every check, in report and verdict order: the routes, then the catalog
+#: conditions.  ``direct.2`` lies between ``direct.1`` and ``direct.3``, so the
+#: unit families of ``direct`` come from the generator of those two alone.
+CHECKS = {
+    "direct": _Check((_direct_pairs,), units=((_direct_unit_pairs, 2),)),
+    "rho": _Check((_rho_pairs,)),
+    "phi": _Check((_phi_pairs,)),
+    "rep": _Check((_rho_pairs, _phi_pairs), units=((_rho_pairs, 1), (_phi_pairs, 1))),
+    "oracle": _Check((_oracle_pairs,), units=((_oracle_pairs, 2),)),
+    "ncd": _Check((_ncd_pairs,), lambda B: duplicate_algebra(B.field)),
+    "qdup": _Check((_qdup_pairs,), _quadratic_carrier),
+    "kn": _Check((_kn_pairs,), lambda B: kn_algebra(B.field, B.dim)),
+    "trunc": _Check((_truncated_pairs,), lambda B: truncated_poly_algebra(B.field, B.dim)),
 }
+
+#: The keys of the routes, the checks that take any carrier.
+ROUTES = tuple(key for key, check in CHECKS.items() if check.carrier is None)
+
+#: The affine unit families of each independent route, which the searches read.
+UNIT_FAMILIES = {key: check.units for key, check in CHECKS.items() if check.units}
 
 
 def _require_carrier(family: GammaFamily, check: str) -> None:
     """Refuse a catalog check on a candidate whose B is not the check's carrier."""
-    carrier = CARRIERS.get(check)
+    carrier = CHECKS[check].carrier
     if carrier is None:
         return
     expected = carrier(family.B)
@@ -577,20 +588,10 @@ def _require_carrier(family: GammaFamily, check: str) -> None:
         raise DimensionMismatchError(f"carrier B is not the carrier of the {check!r} check")
 
 
-#: The affine unit families of each independent route: each generator with how
-#: many families it yields first.  ``direct.2`` lies between ``direct.1`` and
-#: ``direct.3``, so ``direct`` names the generator of those two alone.
-UNIT_FAMILIES = {
-    "direct": ((_direct_unit_pairs, 2),),
-    "rep": ((_rho_pairs, 1), (_phi_pairs, 1)),
-    "oracle": ((_oracle_pairs, 2),),
-}
-
-
 def route_pairs(check: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
     """Every family of the check, lazily and in report order, on one grid or a
     stack G of shape (..., n, n, d, d)."""
-    for pairs in CHECKS[check]:
+    for pairs in CHECKS[check].pairs:
         yield from pairs(A, B, G)
 
 
@@ -612,10 +613,10 @@ def route_reports(c, checks) -> dict[str, VerificationReport]:
     for check in checks:
         _require_carrier(family, check)
     image = family._image
-    generators = dict.fromkeys(pairs for check in checks for pairs in CHECKS[check])
+    generators = dict.fromkeys(pairs for check in checks for pairs in CHECKS[check].pairs)
     failures = {g: pairs_report(family.field, g(*image)).failures for g in generators}
     return {
-        check: VerificationReport.from_failures(f for pairs in CHECKS[check] for f in failures[pairs])
+        check: VerificationReport.from_failures(f for pairs in CHECKS[check].pairs for f in failures[pairs])
         for check in checks
     }
 

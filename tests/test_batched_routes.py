@@ -187,7 +187,7 @@ def test_stack_failing_the_first_family_costs_that_family(monkeypatch, route):
         return original(self, contract, x, y)
 
     monkeypatch.setattr(Field, "_contract", counted)
-    first = CHECKS[route][0]
+    first = CHECKS[route].pairs[0]
     for A, B in _pairs_of_algebras(field):
         stack = _stack(field, A, B, rng).reshape((-1, B.dim, B.dim, A.dim, A.dim))
         family = next(first(A, B, stack))

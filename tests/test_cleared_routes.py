@@ -277,7 +277,7 @@ def test_every_check_reports_like_the_fraction_fold(case):
     the check, equals ``pairs_report`` of the key's generators on the raw
     ``Fraction`` arrays; every cleared side holds its bound."""
     key, (A, B, G) = case
-    fraction = [family for pairs in twisting.CHECKS[key] for family in pairs(A, B, G)]
+    fraction = [family for pairs in twisting.CHECKS[key].pairs for family in pairs(A, B, G)]
     assert not any(isinstance(side, _Cleared) for _, *sides in fraction for side in sides)
     family = GammaFamily(A, B, G)
     assert twisting.route_reports(family, [key])[key] == pairs_report(QQ, fraction)

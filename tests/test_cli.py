@@ -391,9 +391,9 @@ def test_check_twisting_all_runs_each_representation_once(ncd_file, bad_ncd_file
 
         return counted
 
-    counted = {pairs: counting(pairs) for table in twisting.CHECKS.values() for pairs in table}
-    for check, table in list(twisting.CHECKS.items()):
-        monkeypatch.setitem(twisting.CHECKS, check, tuple(counted[pairs] for pairs in table))
+    counted = {pairs: counting(pairs) for entry in twisting.CHECKS.values() for pairs in entry.pairs}
+    for check, entry in list(twisting.CHECKS.items()):
+        monkeypatch.setitem(twisting.CHECKS, check, entry._replace(pairs=tuple(counted[pairs] for pairs in entry.pairs)))
     out = str(tmp_path / "verdict.json")
     for path, code in ((ncd_file, 0), (bad_ncd_file, 1)):
         runs.clear()

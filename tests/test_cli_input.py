@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistkit import GF, QQ, GammaFamily, certify, direct_sum, kn_algebra, make_ncd, serialize
+from twistkit import GF, QQ, GammaFamily, SchemaError, certify, direct_sum, kn_algebra, make_ncd, serialize
 from twistkit.cli import main
 
 F2 = GF(2)
@@ -336,3 +336,43 @@ def test_prime_field_reads_fractions_with_denominator_one():
     assert serialize.algebra_from_json(three).lam.tolist() == [[[3]]]
     code, _, err = _run_on("validate-algebra", {**canonical, "unit": ["1/2"]})
     assert code == 2 and err.startswith("error: algebra.unit: ")
+
+
+@pytest.mark.parametrize("label", [None, True, 3, {"x": 1}, ["x"]], ids=repr)
+def test_non_string_basis_label_is_usage_error(label):
+    """A basis label is a JSON string: any other value is refused by name,
+    by the parser and by the CLI, instead of being kept through ``str``."""
+    algebra = {**serialize.algebra_to_json(kn_algebra(F2, 2)), "basis": ["e1", label]}
+    with pytest.raises(SchemaError, match=r"^algebra\.basis: a label must be a string, got "):
+        serialize.algebra_from_json(algebra)
+    candidate = _VALID["build-product"]
+    code, out, err = _run_on("build-product", {**candidate, "B": {**candidate["B"], "basis": [label, "X"]}})
+    assert (code, out) == (2, "")
+    assert err == f"error: algebra.basis: a label must be a string, got {json.dumps(label)}\n"
+
+
+def _missing_catalog_keys():
+    """(family, payload, key): a valid catalog input of the family with one
+    required key removed.  A truncated grid is required only without a first row."""
+    trunc_grid = {"A": _A, "n": 2, "gamma": [[_ENDO, _ZERO], [_ZERO, _ENDO]]}
+    for family, valid in (
+        ("ncd", _VALID["catalog-ncd"]),
+        ("qdup", _VALID["catalog-qdup"]),
+        ("kn", _VALID["catalog-kn"]),
+        ("trunc", _VALID["catalog-trunc"]),
+        ("trunc", trunc_grid),
+    ):
+        for key in valid:
+            if key != "first_row":
+                yield family, {k: v for k, v in valid.items() if k != key}, key
+    for family in ("ncd", "qdup", "kn", "trunc"):
+        yield family, {}, "A"
+
+
+@pytest.mark.parametrize("family, payload, key", list(_missing_catalog_keys()))
+def test_missing_catalog_key_is_named(family, payload, key, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize.dumps(payload), encoding="utf-8")
+    code, out, err = _run(["catalog", family, str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog: missing key {key!r}\n"

@@ -13,7 +13,10 @@ passes it.  These two identities test the layer against the algebra instead.
   matrix, its grid is gamma'[r][p][i][j] = M^-1[(p, i), (j, r)].
 
 Each space is enumerated with ``enumerate_space(..., "all")``; the counts are
-those of a whole-space walk.
+those of a whole-space walk.  Both identities also hold of the products that
+``build_twisted_product`` assembles: the twisted product of the opposite map
+is the opposite product up to the swap of tensor factors, and chi itself is
+an isomorphism from the product of chi^-1 onto the product of chi.
 """
 
 import itertools
@@ -24,11 +27,15 @@ import pytest
 from test_search import _presentations, _tri_algebra
 from twistkit import (
     GF,
+    GammaFamily,
     KMatrix,
     SearchSpace,
     SingularMatrixError,
+    build_twisted_product,
+    certify,
     enumerate_space,
     kn_algebra,
+    make_morphism,
     mat_inverse,
     truncated_poly_algebra,
 )
@@ -113,3 +120,46 @@ def test_the_opposite_relation_needs_the_opposite_algebras():
         if {_flat(G.transpose(3, 2, 1, 0)) for G in _grids(2, "tri", b)} != _accepted(2, b, "tri")
     ]
     assert differ == ["K2", "trunc2"]
+
+
+def _product(A, B, G):
+    """The twisted product of (A, B, G), on the basis b_i (x) a_p at index
+    i * dim A + p."""
+    candidate = certify(GammaFamily(A, B, G))
+    assert candidate.verified
+    return build_twisted_product(candidate).algebra
+
+
+def _swap(field, n: int, d: int):
+    """The permutation matrix sending the column of (p, i), at p * n + i, to
+    the row of (i, p), at i * d + p."""
+    swap = field.zeros((n * d, d * n))
+    for i, p in itertools.product(range(n), range(d)):
+        swap[i * d + p, p * n + i] = 1
+    return swap
+
+
+def test_products_of_opposite_and_inverse_maps_are_isomorphic():
+    """Over every space of the identities, for every accepted map chi with
+    product P: the swap is an isomorphism from the product of the opposite
+    map on (B^op, A^op) onto P^op, and the matrix M of chi, M[(j, r), (p, i)]
+    = gamma[i][j][r][p], one from the product of chi^-1 on (B, A) onto P."""
+    opposites = inverses = 0
+    for p, spaces, _, _ in _SPACES.values():
+        field = GF(p)
+        algebras = _algebras(field)
+        for a, b in spaces:
+            A, B = algebras[a], algebras[b]
+            n, d = B.dim, A.dim
+            swap = _swap(field, n, d)
+            for G in _grids(p, a, b):
+                P = _product(A, B, G)
+                opposite = _product(B.opposite(), A.opposite(), G.transpose(3, 2, 1, 0))
+                make_morphism(opposite, P.opposite(), swap)
+                opposites += 1
+                inverse = _inverse_grid(field, G)
+                if inverse is not None:
+                    M = G.transpose(1, 2, 3, 0).reshape(n * d, d * n)
+                    make_morphism(_product(B, A, inverse), P, M)
+                    inverses += 1
+    assert (opposites, inverses) == (134, 73)

@@ -555,7 +555,7 @@ def test_fast_verdicts_stop_at_first_failing_family(monkeypatch, grid, counts):
 
 
 def test_rep_route_is_rho_then_phi():
-    assert CHECKS["rep"] == CHECKS["rho"] + CHECKS["phi"]
+    assert CHECKS["rep"].pairs == CHECKS["rho"].pairs + CHECKS["phi"].pairs
     assert ROUTES == ("direct", "rho", "phi", "rep", "oracle")
     assert list(CHECKS) == [*ROUTES, "ncd", "qdup", "kn", "trunc"]
     assert list(UNIT_FAMILIES) == ["direct", "rep", "oracle"]
