@@ -31,6 +31,11 @@ class FiniteDimAlgebra:
         n = self.dim
         if n <= 0:
             raise DimensionMismatchError("dimension must be positive")
+        if isinstance(self.basis, str):
+            raise TypeError(f"basis must be a sequence of labels, got the string {self.basis!r}")
+        for label in self.basis:
+            if not isinstance(label, str):
+                raise TypeError(f"a basis label must be a string, got {label!r}")
         if len(self.basis) != n:
             raise DimensionMismatchError(f"{len(self.basis)} labels for dimension {n}")
         if self.lam.shape != (n, n, n):

@@ -16,7 +16,11 @@ Everything is immutable after construction and all operations are pure.
 ``rank``, ``mat_inverse`` and ``kernel_basis`` share one exact Gauss-Jordan
 elimination, ``_rref``, on rows of Python ints for both fields: residues
 over F_p; over Q integer rows eliminated fraction-free (Bareiss), whose
-pivot rows become ``Fraction`` s once, at the end.
+pivot rows become ``Fraction`` s once, at the end.  Over Q ``kernel_basis``
+first reduces the integer rows mod the prime ``_P`` = 2^31 - 1: rank equal
+to the column count there certifies an empty kernel over Q (a maximal minor
+that is nonzero mod ``_P`` is a nonzero integer), and only a matrix that
+fails the certificate is eliminated fraction-free.
 
 Base-field matrices enter M(A) and M(End A) by two broadcast lifts,
 ``_alg_lift`` (m (x) x) and ``_endo_lift`` (m (x) id_d); tensors move along
@@ -202,6 +206,36 @@ def _integral_row(row: list) -> list[int]:
     return [int(v.numerator) * (den // v.denominator) for v in row]
 
 
+#: The prime of the injectivity certificate over Q; residues stay below 2^31.
+_P = 2**31 - 1
+
+
+def _injective_mod_p(mat: np.ndarray) -> bool:
+    """Whether the rational matrix ``mat``, each row scaled to integers, has
+    rank equal to its column count mod ``_P``.  True proves an empty kernel
+    over Q: some maximal minor of the integer rows is nonzero mod ``_P``, so
+    it is a nonzero integer.  False proves nothing (the rank may drop only
+    mod ``_P``).
+
+    The rows are reduced one at a time against the independent rows kept so
+    far, each scaled to 1 on its pivot column and zero on the earlier ones;
+    the pass stops once ``cols`` are kept, or when too few rows are left."""
+    rows, cols = mat.shape
+    basis = []
+    for k, row in enumerate(mat.tolist()):
+        if len(basis) == cols or rows - k < cols - len(basis):
+            break
+        row = [v % _P for v in _integral_row(row)]
+        for c, top in basis:
+            if f := row[c]:
+                row = [(a - f * b) % _P for a, b in zip(row, top)]
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is not None:
+            inv = pow(row[c], -1, _P)
+            basis.append((c, [v * inv % _P for v in row]))
+    return len(basis) == cols
+
+
 def rank(x: KMatrix) -> int:
     return len(_rref(x.field, x.data)[1])
 
@@ -220,7 +254,11 @@ def mat_inverse(x: KMatrix) -> KMatrix:
 
 
 def _null_space(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(basis, free): ``kernel_basis`` as one array, and its free columns."""
+    """(basis, free): ``kernel_basis`` as one array, and its free columns.
+    Over Q an empty kernel is first certified mod ``_P``
+    (``_injective_mod_p``)."""
+    if field.kind == "Q" and _injective_mod_p(mat):
+        return field.zeros((0, mat.shape[1])), []
     R, pivots = _rref(field, mat)
     free = [c for c in range(mat.shape[1]) if c not in pivots]
     basis = field.zeros((len(free), mat.shape[1]))
@@ -233,7 +271,11 @@ def kernel_basis(x: KMatrix) -> list[np.ndarray]:
     """Echelonized basis of the right null space; empty iff injective.
 
     One vector per free column, in ascending column order, with a 1 in the
-    free coordinate.
+    free coordinate.  Over Q a rank equal to the column count mod the prime
+    ``_P`` answers an injective matrix without the fraction-free elimination;
+    that answer is exact, because a minor nonzero mod ``_P`` is nonzero.
+    Every other matrix (a non-empty kernel, or a prime dividing every
+    maximal minor) is eliminated fraction-free.
     """
     return list(_freeze(_null_space(x.field, x.data)[0]))
 

@@ -120,6 +120,13 @@ class GammaFamily:
         ]
         return images[0], images[-1], field.cleared(self.gamma)
 
+    @cached_property
+    def _product(self) -> tuple:
+        """(lam, unit): the candidate product on B (x) A, built once on the
+        image (``_product_tensor(*_image)``) for the twisted product and its
+        faithful form."""
+        return _product_tensor(*self._image)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaFamily):
             return NotImplemented
@@ -381,11 +388,11 @@ class TwistedTensorAlgebra:
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
     """The twisted tensor product algebra of a verified candidate.  Its
-    structure constants and unit are computed on the image of the family
-    (``GammaFamily._image``); over Q they leave the cleared form once, as
+    structure constants and unit are the family's product on its image
+    (``GammaFamily._product``); over Q they leave the cleared form once, as
     ``Fraction`` arrays."""
     family = _require_verified(c, "build_twisted_product")
-    lam, unit = _product_tensor(*family._image)
+    lam, unit = family._product
     if family.field.kind == "Q":
         lam, unit = lam.fractions(), unit.fractions()
     labels = tuple(
@@ -681,14 +688,16 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
 
     Tags: ``faithful.mul`` (all product-basis pairs), ``faithful.unit`` and
     ``faithful.kernel`` (the underlying linear map must be injective).  All
-    three run on the image of the family (``GammaFamily._image``).
+    three run on the image of the family (``GammaFamily._image``), and the
+    first two on the product that ``build_twisted_product`` reads too
+    (``GammaFamily._product``).
     """
     family = _require_verified(c, "verify_faithful")
     field = family.field
     A, B, G = family._image
     n, d = B.dim, A.dim
     images = _faithful_tensor(A, B, G)
-    report = pairs_report(field, _faithful_pairs(A, B, G, images))
+    report = pairs_report(field, _faithful_pairs(A, B, images, family._product))
 
     # injectivity of the underlying linear map (n*d -> n*n*d); a positive
     # multiple of the images has the same RREF, so the same kernel basis
@@ -700,10 +709,12 @@ def verify_faithful(c: TwistingCandidate) -> VerificationReport:
     return VerificationReport.from_failures((*report.failures, failure))
 
 
-def _faithful_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray, images: np.ndarray):
+def _faithful_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, images: np.ndarray, product: tuple):
+    """The faithful form's families: ``images`` from ``_faithful_tensor`` and
+    ``product`` = (lam, unit) from ``_product_tensor``, both of (A, B, G)."""
     field = A.field
     lamA, unitA = A.lam, A.unit
-    lam, unit = _product_tensor(A, B, G)
+    lam, unit = product
 
     # multiplicativity on all product-basis pairs; witness axes (x, y, i, l, w)
     prod = _alg_entry_product(field, lamA, images, images)

@@ -65,6 +65,21 @@ def test_malformed_shapes_rejected(k2_q):
         FiniteDimAlgebra(QQ, 2, ("a",), k2_q.lam, k2_q.unit)
 
 
+@pytest.mark.parametrize("basis", [(None,), (3,), "x"])
+def test_labels_that_are_not_strings_rejected(basis):
+    """Every label must be a string, so the algebra reads back from the JSON
+    that ``serialize`` writes for it; a bare string is not a tuple of labels."""
+    k1 = kn_algebra(GF(2), 1)
+    with pytest.raises(TypeError):
+        FiniteDimAlgebra(GF(2), 1, basis, k1.lam, k1.unit)
+
+
+def test_a_string_is_not_two_labels(k2_q):
+    with pytest.raises(TypeError):
+        FiniteDimAlgebra(QQ, 2, "ab", k2_q.lam, k2_q.unit)
+    assert FiniteDimAlgebra(QQ, 2, ("a", "b"), k2_q.lam, k2_q.unit).basis == ("a", "b")
+
+
 # -- multiply ---------------------------------------------------------------------
 
 

@@ -190,11 +190,14 @@ _CHAINED = {**{str(nd): c for nd, c in _CHECKED.items()}, "A is B": _flip(_QUAD,
 def test_certify_product_and_faithful_form_clear_each_input_once(monkeypatch, name):
     """certify, then build_twisted_product and verify_faithful of the
     certified candidate, share one image: each input is cleared once in all,
-    and nothing else is cleared."""
+    and nothing else is cleared.  They share one product tensor too:
+    ``_product_tensor`` runs once in all."""
     c = _CHAINED[name]
     family = _fresh(c).family
     assert (family.A is family.B) is (name == "A is B")
     imaged = _recording_images(monkeypatch)
+    products, product_tensor = [], twisting._product_tensor
+    monkeypatch.setattr(twisting, "_product_tensor", lambda *args: products.append(args) or product_tensor(*args))
 
     def chain():
         checked = certify(family)
@@ -206,6 +209,8 @@ def test_certify_product_and_faithful_form_clear_each_input_once(monkeypatch, na
     assert imaged == [family]
     assert sorted(map(id, cleared)) == sorted(map(id, _input_arrays(family)))
     assert family._image is family._image
+    assert len(products) == 1 and all(x is y for x, y in zip(products[0], family._image, strict=True))
+    assert family._product is family._product
 
 
 @pytest.mark.parametrize("name", sorted(_CHAINED))

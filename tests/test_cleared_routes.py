@@ -142,8 +142,9 @@ def test_cleared_path_reports_equal_fraction_path_reports(candidate):
             assert pairs_ok(QQ, pairs(cA, cB, C)) is report.ok
         images, f_images = twisting._faithful_tensor(cA, cB, C), twisting._faithful_tensor(A, B, G)
         assert QQ.equal(images, f_images)
-        assert pairs_report(QQ, twisting._faithful_pairs(cA, cB, C, images)) == pairs_report(
-            QQ, twisting._faithful_pairs(A, B, G, f_images)
+        product, f_product = twisting._product_tensor(cA, cB, C), twisting._product_tensor(A, B, G)
+        assert pairs_report(QQ, twisting._faithful_pairs(cA, cB, images, product)) == pairs_report(
+            QQ, twisting._faithful_pairs(A, B, f_images, f_product)
         )
         assert _kernel(QQ, A, B, images) == _kernel(QQ, A, B, f_images)
 

@@ -54,6 +54,8 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
+from test_cleared_constants import _product_candidates
+from twistkit import linalg
 from twistkit.cli import main
 from twistkit.twisting import ROUTES, route_ok, route_reports
 
@@ -483,6 +485,22 @@ def reports():
 )
 def test_reports_match_golden(reports, name):
     assert _payload(reports[name]) == (GOLDEN / f"reports_{name}.json").read_bytes()
+
+
+def test_faithful_reports_when_the_kernel_certificate_falls_back(monkeypatch):
+    """With the prime of ``kernel_basis``'s certificate patched to 2, some
+    injective faithful forms over Q fail it and are eliminated fraction-free;
+    the golden candidates and the Q product candidates report byte for byte
+    as with the real prime."""
+    candidates = {f"product.{k}": c for k, c in _product_candidates().items()}
+    expected = _payload({k: verify_faithful(c) for k, c in candidates.items()})
+    eliminations, bareiss = [], linalg._rref_bareiss
+    monkeypatch.setattr(linalg, "_P", 2)
+    monkeypatch.setattr(linalg, "_rref_bareiss", lambda rows: eliminations.append(rows) or bareiss(rows))
+    golden = _payload({k: verify_faithful(c) for k, c in _faithful_inputs().items()})
+    assert golden == (GOLDEN / "reports_verify_faithful.json").read_bytes() and eliminations
+    eliminations.clear()
+    assert _payload({k: verify_faithful(c) for k, c in candidates.items()}) == expected and eliminations
 
 
 def _extend_blocks_runs():

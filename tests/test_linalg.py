@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistkit import (
@@ -26,7 +26,12 @@ from twistkit import (
     truncated_poly_algebra,
 )
 from twistkit import linalg
-from twistkit.linalg import _rref
+from twistkit.linalg import _P, _rref
+
+try:
+    import sympy
+except ImportError:  # the sympy comparison is optional
+    sympy = None
 
 
 def km(field, rows):
@@ -281,6 +286,78 @@ def test_elimination_is_an_rref_with_the_same_row_space(name, rows, cols, r, see
     rank_of = len(_rref_reference(field, mat)[1])
     both = np.concatenate([mat, R], axis=0)
     assert len(pivots) == rank_of == len(_rref_reference(field, both)[1])
+
+
+# -- the injectivity certificate mod _P against the fraction-free path -------------
+
+
+def _fraction_free_kernel(x):
+    """``kernel_basis`` with the certificate switched off: the fraction-free
+    elimination alone."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(linalg, "_injective_mod_p", lambda mat: False)
+        return kernel_basis(x)
+
+
+@st.composite
+def _q_matrices(draw):
+    """Integer, rational and rank-deficient matrices, zero-width and empty
+    ones, entries that are multiples of _P, and full-rank matrices singular
+    mod _P (a column times _P)."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["int", "rational", "low-rank", "multiples", "column-times-p"]))
+    if kind == "rational":
+        entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    elif kind == "multiples":
+        entries = st.builds(lambda k, r: k * _P + r, st.integers(-3, 3), st.integers(-1, 1))
+    else:
+        entries = st.integers(-9, 9)
+    if kind == "low-rank":
+        r = draw(st.integers(0, min(rows, cols)))
+        left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=r, max_size=r))
+        data = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if right else [0] * cols for row in left]
+    else:
+        data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if kind == "column-times-p" and cols:
+        j = draw(st.integers(0, cols - 1))
+        data = [[v * _P if k == j else v for k, v in enumerate(row)] for row in data]
+    return KMatrix(QQ, np.array([[Fraction(v) for v in row] for row in data], dtype=object).reshape(rows, cols))
+
+
+@given(_q_matrices())
+@example(km(QQ, [[1, 0], [0, _P]]))
+@example(km(QQ, [[_P, 2 * _P], [1, 2]]))
+@example(km(QQ, [[_P, 1], [0, _P], [_P, _P]]))
+@example(KMatrix.zeros(QQ, 3, 0))
+@example(KMatrix.zeros(QQ, 0, 3))
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_over_q_equals_the_fraction_free_path(x):
+    """The certificate only answers empty kernels, so ``kernel_basis`` gives
+    the fraction-free path's basis on every matrix, and sympy's
+    ``nullspace`` (same normalisation: a 1 on each free column) where sympy
+    is installed."""
+    basis, expected = kernel_basis(x), _fraction_free_kernel(x)
+    assert len(basis) == len(expected) == x.cols - rank(x)
+    for vec, ref in zip(basis, expected):
+        _assert_same(vec, ref)
+        assert not vec.flags.writeable
+    if linalg._injective_mod_p(x.data):
+        assert basis == []
+    if sympy is not None:
+        reference = sympy.Matrix(x.rows, x.cols, [sympy.Rational(v.numerator, v.denominator) for v in x.data.flat])
+        assert [vec.tolist() for vec in basis] == [
+            [Fraction(int(v.p), int(v.q)) for v in column] for column in reference.nullspace()
+        ]
+
+
+def test_full_rank_matrices_singular_mod_p_fall_back():
+    """Rank over Q is full but drops mod _P: the certificate fails and the
+    fraction-free path proves the kernel empty."""
+    for rows in ([[1, 0], [0, _P]], [[_P, 1], [0, _P], [_P, _P]], [[2 * _P, 3 * _P], [1, 1]]):
+        x = km(QQ, rows)
+        assert not linalg._injective_mod_p(x.data)
+        assert kernel_basis(x) == [] and rank(x) == x.cols
 
 
 # -- exact algebra laws (random) ----------------------------------------------------
