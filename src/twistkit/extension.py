@@ -7,9 +7,11 @@ block criterion is therefore a slice of the ``rep`` route on D: each
 End-valued block condition an index-block x matrix-block slice of
 ``rho.mul`` / ``rho.unit``, each A-valued one a corner of ``phi.unit`` /
 ``phi.mul``, on one grid or a stack G of shape (..., N, N, d, d) like the
-route generators, and on the family's image like the routes.  The checkers
-decide, given that the restriction to B is already a twisting map, whether
-the whole candidate is one, by testing the block conditions directly.
+route generators.  On a candidate those four families are evaluated once per
+candidate, on the family's image (``GammaFamily._rep``), and every criterion
+slices the same arrays.  The checkers decide, given that the restriction to
+B is already a twisting map, whether the whole candidate is one, by testing
+the block conditions directly.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .twisting import (
     certify,
     direct_ok,
     phi_hat,
-    route_pairs,
 )
 
 
@@ -180,15 +181,17 @@ def check_lemma_blocks(psi, n: int) -> VerificationReport:
     """
     psi = _family_of(psi)
     _check_block_structure(psi, n)
-    return pairs_report(psi.field, _lemma_pairs(*psi._image, n))
+    return pairs_report(psi.field, _lemma_pairs(psi._rep, n))
 
 
-def _lemma_pairs(A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int):
+def _lemma_pairs(rep, n: int):
     """Condition families of the block criterion at the cut n, yielded lazily
-    as slices of the ``rep`` families on one grid or a stack G.  Every side
-    has at most two factors of G."""
+    as slices of ``rep``, the four ``rep`` families on (A, D, G) for one grid
+    or a stack G (``GammaFamily._rep`` of a candidate, or
+    ``route_pairs("rep", A, D, G)``).  Every side has at most two factors of
+    G."""
     parts = B, C = slice(0, n), slice(n, None)
-    rep = route_pairs("rep", A, D, G)
+    rep = iter(rep)
     (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
     mul = products, combination
     for l, block in ((1, B), (2, C)):
@@ -234,18 +237,19 @@ def check_extension_given_theta(
     _check_block_structure(psi, n)
     if not direct_ok(_corner_family(psi, slice(0, n))):
         raise UnverifiedCandidateError("the restriction to the first factor is not a twisting map")
-    return pairs_report(psi.field, _extension_pairs(*psi._image, n, require_gamma01_zero))
+    return pairs_report(psi.field, _extension_pairs(*psi._image, psi._rep, n, require_gamma01_zero))
 
 
 def _extension_pairs(
-    A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, n: int, require_gamma01_zero: bool
+    A: FiniteDimAlgebra, D: FiniteDimAlgebra, G: np.ndarray, rep, n: int, require_gamma01_zero: bool
 ):
     """Condition families of the extension criterion at the cut n, in report
-    order, as slices of the ``rep`` families on one grid or a stack G.  Every
-    side has at most two factors of G."""
+    order, as slices of ``rep``, the four ``rep`` families on (A, D, G) for
+    one grid or a stack G, as in ``_lemma_pairs``.  Every side has at most two
+    factors of G."""
     field = A.field
     B, C = slice(0, n), slice(n, None)
-    rep = route_pairs("rep", A, D, G)
+    rep = iter(rep)
     (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
     mul = products, combination
     yield _diagonal_block("B2.mul", mul, (B, B), C)
@@ -315,7 +319,7 @@ def check_remark_delta(psi: TwistingCandidate, n: int) -> VerificationReport:
     field = family.field
     if not field.is_zero(family.gamma[C, B]):
         raise BlockFormError("upper-right corner block does not vanish")
-    _, (_, *mul) = route_pairs("phi", *family._image)
+    _, (_, *mul) = family._rep[2:]  # phi.unit, phi.mul
     families = (
         _corner("phiB.mul", mul, B, B),
         _corner("phiC.mul", mul, C, C),

@@ -219,13 +219,19 @@ def _injective_mod_p(mat: np.ndarray) -> bool:
 
     The rows are reduced one at a time against the independent rows kept so
     far, each scaled to 1 on its pivot column and zero on the earlier ones;
-    the pass stops once ``cols`` are kept, or when too few rows are left."""
+    the pass stops once ``cols`` are kept, or when too few rows are left.
+    Python-int entries (the numerators ``verify_faithful`` passes) are
+    reduced in one pass; other rows are scaled by ``_integral_row`` as they
+    are reached."""
     rows, cols = mat.shape
+    if set(map(type, mat.flat)) <= {int}:
+        residues = (mat % _P).tolist()
+    else:
+        residues = ([v % _P for v in _integral_row(row)] for row in mat.tolist())
     basis = []
-    for k, row in enumerate(mat.tolist()):
+    for k, row in enumerate(residues):
         if len(basis) == cols or rows - k < cols - len(basis):
             break
-        row = [v % _P for v in _integral_row(row)]
         for c, top in basis:
             if f := row[c]:
                 row = [(a - f * b) % _P for a, b in zip(row, top)]

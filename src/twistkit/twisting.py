@@ -49,7 +49,7 @@ from .algebra import (
     truncated_poly_algebra,
 )
 from .errors import DimensionMismatchError, FieldMismatchError, UnverifiedCandidateError
-from .fields import _CLEARED_QQ, Field
+from .fields import _CLEARED_QQ, Field, _Cleared
 from .linalg import (
     AlgMatrix,
     EndoMatrix,
@@ -110,7 +110,8 @@ class GammaFamily:
         (``Field.cleared``; an algebra on both sides once) and both images
         build their constants (``zeros``, ``identity``, ``unit_vector``)
         cleared, so nothing else is cleared in a check; over F_p they are the
-        family's own arrays."""
+        family's own arrays.  ``_product`` and ``_rep`` are built on it, each
+        once per family."""
         field, A, B = self.field, self.A, self.B
         if field.kind == "Fp":
             return A, B, self.gamma
@@ -126,6 +127,19 @@ class GammaFamily:
         image (``_product_tensor(*_image)``) for the twisted product and its
         faithful form."""
         return _product_tensor(*self._image)
+
+    @cached_property
+    def _rep(self) -> tuple:
+        """The four ``rep`` families (``rho.unit``, ``rho.mul``, ``phi.unit``,
+        ``phi.mul``) as (tag, left, right) on the image, evaluated once for
+        the block criteria of ``twistkit.extension``, which slice them.
+        Every array is frozen (over Q, each numerator).  ``route_ok`` and
+        ``route_reports`` do not read it: they stay lazy."""
+        families = tuple(route_pairs("rep", *self._image))
+        for _, *sides in families:
+            for side in sides:
+                _freeze(side.num if isinstance(side, _Cleared) else side)
+        return families
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaFamily):

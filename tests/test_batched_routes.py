@@ -38,6 +38,7 @@ from twistkit.twisting import (
     _phi_pairs,
     _rho_pairs,
     route_ok,
+    route_pairs,
 )
 
 GENERATORS = {
@@ -49,9 +50,9 @@ GENERATORS = {
 
 #: The block criteria at a cut n: the lemma and both forms of the extension criterion.
 BLOCK_GENERATORS = {
-    "lemma": _lemma_pairs,
-    "extension": lambda A, D, G, n: _extension_pairs(A, D, G, n, True),
-    "extension-staged": lambda A, D, G, n: _extension_pairs(A, D, G, n, False),
+    "lemma": lambda A, D, G, n: _lemma_pairs(route_pairs("rep", A, D, G), n),
+    "extension": lambda A, D, G, n: _extension_pairs(A, D, G, route_pairs("rep", A, D, G), n, True),
+    "extension-staged": lambda A, D, G, n: _extension_pairs(A, D, G, route_pairs("rep", A, D, G), n, False),
 }
 
 FIELDS = [GF(2), GF(3), GF(65521), QQ]

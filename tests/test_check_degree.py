@@ -64,9 +64,13 @@ def _generators(field):
     for key in CHECKS:
         B = _carrier(field, key)
         out[key] = (A, B, lambda G, key=key, B=B: route_pairs(key, A, B, G))
-    out["lemma"] = (A, D, lambda G: _lemma_pairs(A, D, G, 1))
+    out["lemma"] = (A, D, lambda G: _lemma_pairs(route_pairs("rep", A, D, G), 1))
     for flag in (True, False):
-        out[f"extension.{flag}"] = (A, D, lambda G, flag=flag: _extension_pairs(A, D, G, 1, flag))
+        out[f"extension.{flag}"] = (
+            A,
+            D,
+            lambda G, flag=flag: _extension_pairs(A, D, G, route_pairs("rep", A, D, G), 1, flag),
+        )
     out["control"] = (A, D, lambda G: _cube(field, G))
     return out
 

@@ -259,7 +259,7 @@ def test_lemma_blocks_match_checkers_exhaustively():
     d_alg = direct_product(kn_algebra(F2, 1), kn_algebra(F2, 1))
     space, grids = _all_grids(a, d_alg)
     assert len(grids) == space.total == 65536
-    lemma = _stack_verdict(F2, lambda G: _lemma_pairs(a, d_alg, G, 1), grids)
+    lemma = _stack_verdict(F2, lambda G: _lemma_pairs(route_pairs("rep", a, d_alg, G), 1), grids)
     rep = _stack_verdict(F2, lambda G: route_pairs("rep", a, d_alg, G), grids)
     assert (lemma == rep).all()
     accepted = np.flatnonzero(lemma).tolist()
@@ -353,7 +353,7 @@ def test_extension_stages_match_oracle_exhaustively():
     oracle = _stack_verdict(F2, lambda G: route_pairs("oracle", a2, d2, G), grids)
     assert oracle.any()
     for require_gamma01_zero in (True, False):
-        staged = _stack_verdict(F2, lambda G: _extension_pairs(a2, d2, G, 1, require_gamma01_zero), grids)
+        staged = _stack_verdict(F2, lambda G: _extension_pairs(a2, d2, G, route_pairs("rep", a2, d2, G), 1, require_gamma01_zero), grids)
         assert (staged == oracle).all(), require_gamma01_zero
 
 
