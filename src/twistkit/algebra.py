@@ -28,7 +28,7 @@ class FiniteDimAlgebra:
     unit: np.ndarray  # (dim,)
 
     def __post_init__(self):
-        n = self.dim
+        n = _require_int(self.dim, "dimension")
         if n <= 0:
             raise DimensionMismatchError("dimension must be positive")
         if isinstance(self.basis, str):

@@ -253,7 +253,9 @@ def _extension_pairs(
     (_, *unit), (_, combination, products) = islice(rep, 2)  # rho.unit, rho.mul
     mul = products, combination
     yield _diagonal_block("B2.mul", mul, (B, B), C)
-    C1 = _rho_tensor(field, D.lam, G)[..., C, B, B, :, :]
+    # C1_k = R_k[B, B] at C-basis vectors: D's constants are block-diagonal,
+    # so only the B x B x B block and the grid rows (C, B) enter
+    C1 = _rho_tensor(field, D.lam[B, B, B], G[..., C, B, :, :])
     yield "C1.zero", C1, field.zeros(C1.shape)
     yield _diagonal_block("C2.mul", mul, (C, C), C)
     yield _diagonal_block("B2C2.zero", mul, (B, C), C)

@@ -36,8 +36,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FieldMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, FieldMismatchError, SingularMatrixError, _require_int
 from .fields import Field
+
+
+def _entry_index(k, size: int, what: str) -> int:
+    """``k``, refused unless it numbers one of ``size`` rows or columns:
+    ``TypeError`` for a ``bool`` or non-integer, ``IndexError`` outside
+    [0, size)."""
+    if not 0 <= _require_int(k, f"{what} index") < size:
+        raise IndexError(f"{what} index {k} out of range for {size} {what}s")
+    return k
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -318,7 +327,9 @@ class EndoMatrix:
         return self.data.shape[1]
 
     def entry(self, i: int, j: int) -> KMatrix:
-        return KMatrix(self.field, self.data[i, j])
+        """The endomorphism at row i and column j: ``TypeError`` for a ``bool``
+        or non-integer index, ``IndexError`` outside the rows or columns."""
+        return KMatrix(self.field, self.data[_entry_index(i, self.rows, "row"), _entry_index(j, self.cols, "column")])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndoMatrix):
@@ -385,7 +396,9 @@ class AlgMatrix:
         return self.data.shape[0]
 
     def entry(self, i: int, j: int) -> np.ndarray:
-        return self.data[i, j]
+        """The coordinates of the entry at row i and column j: ``TypeError``
+        for a ``bool`` or non-integer index, ``IndexError`` outside [0, size)."""
+        return self.data[_entry_index(i, self.size, "row"), _entry_index(j, self.size, "column")]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgMatrix):

@@ -6,14 +6,17 @@ identity, quantifier indices as leading axes).  A report carries at most one
 ``Failure`` per family: the first mismatching entry in row-major scan order
 plus the family's total violation count.
 
-Checkers yield their families lazily as ``(tag, left, right)`` triples;
-``pairs_report`` folds them into a report and ``pairs_ok`` into the verdict
-of one grid or of each grid of a stack.  Both compare the two sides through
-``Field.mismatch``, the one comparison of exact arrays.
+Checkers yield their families lazily as ``(tag, left, right)`` triples, and
+three folds read such a stream: ``pairs_report`` folds it into a report,
+``pairs_ok`` into the verdict of one grid or of each grid of a stack, and
+``pairs_residual`` into the flat residual ``left - right`` of each grid over
+F_p.  The first two compare the two sides through ``Field.mismatch``, the one
+comparison of exact arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -93,3 +96,15 @@ def pairs_ok(fld, pairs, batch: tuple[int, ...] = ()):
         if not np.count_nonzero(ok):
             break
     return ok
+
+
+def pairs_residual(fld, pairs, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """The residual of each grid of a stack of batch shape ``batch`` over
+    F_p: ``left - right`` of every family, flattened behind the batch axes in
+    row-major order and concatenated in stream order, reduced once, as rows
+    (*batch, R) (the default, one grid, gives one row).  Every family's
+    difference carries the batch axes in front (a side that does not depend
+    on the grid broadcasts)."""
+    diffs = (left - right for _, left, right in pairs)
+    parts = [diff.reshape(batch + (math.prod(diff.shape[len(batch):]),)) for diff in diffs]
+    return fld.reduce(np.concatenate(parts, axis=-1))

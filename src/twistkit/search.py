@@ -12,18 +12,19 @@ integers, never ``bool``; a grid to encode is exact and of ``grid_shape``.
 
 Only grids that can pass are visited.  Each route has unit families that
 are affine in the gamma grid: ``direct.1`` / ``direct.3``, ``rho.unit`` /
-``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``, yielded
-first by the generators ``twisting.UNIT_FAMILIES`` names (the routes' own, so
-no formula is written twice and the oracle stays independent).  One pass of
-them over the stack of the zero grid and the N = n^2 d^2 unit grids gives
-the linear system of those families.  Each call solves it once for each
-route it walks, by one exact elimination with the digit columns reversed,
-into an echelon description of its affine coset of F_p^N: an offset and a
-basis whose vectors each lead with a 1 in their own free digit.  The coset
-points then ascend by index as their coefficient vectors count up in base p,
-so [start, stop) maps to a range of ranks by one pass down the
-digits of each bound, and only the points of that range are built, at most
-``_CHUNK`` at a time.  Off the coset the route rejects.  Each stack gets one
+``phi.unit``, ``oracle.chi-left-unit`` / ``oracle.chi-right-unit``, which
+``twisting.unit_pairs`` yields for each route of ``twisting.UNIT_FAMILIES``
+from the route's own generators (so no formula is written twice and the
+oracle stays independent).  One pass of them over the stack of the zero grid
+and the N = n^2 d^2 unit grids, folded by ``report.pairs_residual`` into one
+residual row per grid, gives the linear system of those families.  Each call
+solves it once for each route it walks, by one exact elimination with the
+digit columns reversed, into an echelon description of its affine coset of
+F_p^N: an offset and a basis whose vectors each lead with a 1 in their own
+free digit.  The coset points then ascend by index as their coefficient
+vectors count up in base p, so [start, stop) maps to a range of ranks by one
+pass down the digits of each bound, and only the points of that range are
+built, at most ``_CHUNK`` at a time.  Off the coset the route rejects.  Each stack gets one
 ``pairs_ok`` verdict per generator of ``twisting.CHECKS``, on the grids that
 passed the generators before it, and the indices it accepts join the route's
 ascending stream (``all`` chains ``direct``, ``rep`` and ``oracle`` on the
@@ -42,15 +43,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 
 import numpy as np
 
 from .algebra import FiniteDimAlgebra
 from .errors import DimensionMismatchError, FieldError, SearchSpaceTooLargeError, _require_int
 from .linalg import _null_space
-from .report import Failure, VerificationReport, pairs_ok
-from .twisting import CHECKS, UNIT_FAMILIES, GammaFamily
+from .report import Failure, VerificationReport, pairs_ok, pairs_residual
+from .twisting import CHECKS, UNIT_FAMILIES, GammaFamily, unit_pairs
 
 #: Hard guard on the number of candidates the coset of a walked route may hold.
 MAX_CANDIDATES = 1 << 24
@@ -131,12 +132,7 @@ def _unit_residual(space: SearchSpace, route: str, digits: np.ndarray) -> np.nda
     grids: digit rows (..., N) in, residual rows (..., R) out."""
     batch = digits.shape[:-1]
     G = digits.reshape(batch + space.grid_shape)
-    parts = [
-        (left - right).reshape(batch + (-1,))
-        for pairs, count in UNIT_FAMILIES[route]
-        for _, left, right in islice(pairs(space.A, space.B, G), count)
-    ]
-    return space.A.field.reduce(np.concatenate(parts, axis=-1))
+    return pairs_residual(space.A.field, unit_pairs(route, space.A, space.B, G), batch)
 
 
 @dataclass(frozen=True, eq=False)

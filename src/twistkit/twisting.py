@@ -25,8 +25,9 @@ builder of the carrier its conditions are written for.  Every generator takes
 of its families has at most two factors of G.  ``route_reports`` folds a
 check's generators into its report on one candidate and ``route_ok`` into its
 verdict, both on the family's one image (``GammaFamily._image``).  ``ROUTES``
-(the keys without a carrier) and ``UNIT_FAMILIES`` (the affine unit families
-of the three independent routes, which the searches read) are read off it.
+(the keys without a carrier) and ``UNIT_FAMILIES`` (the keys of the three
+independent routes, the ones with affine unit families) are read off it, and
+``unit_pairs`` yields a route's unit families, which the searches read.
 
 The routes agree on every candidate; the exhaustive searches in
 ``twistkit.search`` cross-validate them.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -390,14 +392,16 @@ class TwistedTensorAlgebra:
         return self.algebra.dim
 
     def include_B(self, b: np.ndarray) -> np.ndarray:
-        """Coordinates of b (x) 1_A."""
-        field = self.algebra.field
-        return _alg_lift(field, field.asarray(b), self.candidate.A.unit).reshape(self.dim)
+        """Coordinates of b (x) 1_A; ``DimensionMismatchError`` unless b has
+        dim B coordinates."""
+        candidate = self.candidate
+        return _alg_lift(self.algebra.field, candidate.B.element(b), candidate.A.unit).reshape(self.dim)
 
     def include_A(self, a: np.ndarray) -> np.ndarray:
-        """Coordinates of 1_B (x) a."""
-        field = self.algebra.field
-        return _alg_lift(field, self.candidate.B.unit, field.asarray(a)).reshape(self.dim)
+        """Coordinates of 1_B (x) a; ``DimensionMismatchError`` unless a has
+        dim A coordinates."""
+        candidate = self.candidate
+        return _alg_lift(self.algebra.field, candidate.B.unit, candidate.A.element(a)).reshape(self.dim)
 
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
@@ -595,8 +599,8 @@ CHECKS = {
 #: The keys of the routes, the checks that take any carrier.
 ROUTES = tuple(key for key, check in CHECKS.items() if check.carrier is None)
 
-#: The affine unit families of each independent route, which the searches read.
-UNIT_FAMILIES = {key: check.units for key, check in CHECKS.items() if check.units}
+#: The keys of the three independent routes, the checks with affine unit families.
+UNIT_FAMILIES = tuple(key for key, check in CHECKS.items() if check.units)
 
 
 def _require_carrier(family: GammaFamily, check: str) -> None:
@@ -614,6 +618,14 @@ def route_pairs(check: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndar
     stack G of shape (..., n, n, d, d)."""
     for pairs in CHECKS[check].pairs:
         yield from pairs(A, B, G)
+
+
+def unit_pairs(route: str, A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
+    """The route's affine unit families, lazily, on one grid or a stack G of
+    shape (..., n, n, d, d): the first ``count`` families of each
+    ``(generator, count)`` of its entry's ``units``, in that order."""
+    for pairs, count in CHECKS[route].units:
+        yield from islice(pairs(A, B, G), count)
 
 
 def route_ok(check: str, c) -> bool:

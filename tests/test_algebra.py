@@ -74,6 +74,15 @@ def test_labels_that_are_not_strings_rejected(basis):
         FiniteDimAlgebra(GF(2), 1, basis, k1.lam, k1.unit)
 
 
+@pytest.mark.parametrize("dim", [True, np.bool_(True), 1.0], ids=["bool", "np.bool_", "float"])
+def test_dimension_must_be_an_integer(dim):
+    """``True`` equals 1 and passes every shape check, yet is no dimension."""
+    k1 = kn_algebra(GF(2), 1)
+    with pytest.raises(TypeError, match="dimension must be an integer"):
+        FiniteDimAlgebra(GF(2), dim, ("x",), k1.lam, k1.unit)
+    assert FiniteDimAlgebra(GF(2), np.int64(1), ("x",), k1.lam, k1.unit) == k1
+
+
 def test_a_string_is_not_two_labels(k2_q):
     with pytest.raises(TypeError):
         FiniteDimAlgebra(QQ, 2, "ab", k2_q.lam, k2_q.unit)

@@ -7,14 +7,17 @@ not depend on the grid carry no batch axes and broadcast.  The stack verdict
 of each route must equal the scalar verdict slice by slice, and keep its
 laziness: a stack no grid of which passes stops where one such grid would.
 The block criteria of ``twistkit.extension``, slices of the ``rep`` route on
-D = B x C, are held to the same slice-by-slice equality.
+D = B x C, are held to the same slice-by-slice equality, and so is the flat
+residual ``report.pairs_residual`` of every check and block criterion.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from test_check_degree import _generators
 from test_search import _tri_algebra
 from twistkit import (
     GF,
@@ -29,7 +32,7 @@ from twistkit import (
 from twistkit import search as search_mod
 from twistkit.extension import _extension_pairs, _lemma_pairs
 from twistkit.fields import Field
-from twistkit.report import pairs_ok
+from twistkit.report import pairs_ok, pairs_residual
 from twistkit.twisting import (
     CHECKS,
     UNIT_FAMILIES,
@@ -136,6 +139,25 @@ def test_unit_residual_rows_equal_single_grid_residuals(route):
         rows = search_mod._unit_residual(space, route, digits)
         for b in np.ndindex(*BATCH):
             assert (rows[b] == search_mod._unit_residual(space, route, digits[b])).all()
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521], ids=["F2", "F5", "F65521"])
+@pytest.mark.parametrize("name", [*CHECKS, "lemma", "extension.True", "extension.False"])
+def test_pairs_residual_rows_equal_single_grid_rows(name, p):
+    """Every check on its carrier and the three block criteria: the residual
+    row of each grid of a stack is the row of that grid alone, one entry per
+    family entry, nonzero exactly where the family's two sides differ."""
+    field = GF(p)
+    A, B, pairs = _generators(field)[name]
+    stack = np.random.default_rng(23).integers(0, p, size=BATCH + (B.dim, B.dim, A.dim, A.dim))
+    rows = pairs_residual(field, pairs(stack), BATCH)
+    for b in np.ndindex(*BATCH):
+        families = list(pairs(stack[b]))
+        row = pairs_residual(field, families)
+        assert row.shape == (sum(math.prod(np.broadcast_shapes(l.shape, r.shape)) for _, l, r in families),)
+        assert (rows[b] == row).all() and ((0 <= row) & (row < p)).all(), (name, b)
+        mismatch = np.concatenate([field.mismatch(left, right).ravel() for _, left, right in families])
+        assert ((row != 0) == mismatch).all(), (name, b)
 
 
 @pytest.mark.parametrize("route", sorted(GENERATORS))

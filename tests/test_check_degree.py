@@ -26,6 +26,7 @@ from twistkit import (
     truncated_poly_algebra,
 )
 from twistkit.extension import _extension_pairs, _lemma_pairs
+from twistkit.report import pairs_residual
 from twistkit.twisting import CHECKS, ROUTES, route_pairs
 
 PRIMES = (2, 3, 5, 7)
@@ -86,14 +87,7 @@ def _third_difference(field, A, B, pairs, rng) -> np.ndarray:
         + s[None, :, None, None, None, None, None] * b
         + s[None, None, :, None, None, None, None] * c
     )
-    witnesses = [np.broadcast_shapes(left.shape, right.shape) for _, left, right in pairs(stack[0, 0, 0])]
-    residual = np.concatenate(
-        [
-            np.broadcast_to(field.sub(left, right), (2, 2, 2) + witness).reshape(2, 2, 2, -1)
-            for (_, left, right), witness in zip(pairs(stack), witnesses, strict=True)
-        ],
-        axis=-1,
-    )
+    residual = pairs_residual(field, pairs(stack), (2, 2, 2))
     return field.reduce(np.einsum("ijk,ijk...->...", _SIGNS, residual))
 
 

@@ -413,6 +413,48 @@ def test_endo_mat_mul_composes_entries():
     assert endo_mat_mul(x, y) != endo_mat_mul(y, x)
 
 
+def _entry_takers():
+    """``entry`` of a 2 x 3 EndoMatrix and of a 2 x 2 AlgMatrix over F_3,
+    each entry holding its own (row, column)."""
+    field = GF(3)
+    endo = EndoMatrix(field, field.asarray([[[[i, j], [0, 0]] for j in range(3)] for i in range(2)]))
+    alg = AlgMatrix(kn_algebra(field, 2), field.asarray([[[i, j] for j in range(2)] for i in range(2)]))
+    return {"endo": lambda i, j: endo.entry(i, j).data[0], "alg": alg.entry}
+
+
+@pytest.mark.parametrize("matrix", ["endo", "alg"])
+@pytest.mark.parametrize("index", [True, np.bool_(False), 1.0, "1"], ids=["bool", "np.bool_", "float", "str"])
+def test_entry_index_must_be_an_integer(matrix, index):
+    """``True`` is no index 1: numpy would read it as a mask."""
+    take = _entry_takers()[matrix]
+    with pytest.raises(TypeError, match="row index must be an integer"):
+        take(index, 0)
+    with pytest.raises(TypeError, match="column index must be an integer"):
+        take(0, index)
+
+
+@pytest.mark.parametrize("matrix", ["endo", "alg"])
+@pytest.mark.parametrize("index", [-1, np.int64(-2)], ids=["-1", "np.int64(-2)"])
+def test_entry_index_out_of_range(matrix, index):
+    """A negative index does not count from the end."""
+    take = _entry_takers()[matrix]
+    with pytest.raises(IndexError, match="row index .* out of range for 2 rows"):
+        take(index, 0)
+    with pytest.raises(IndexError, match="column index .* out of range"):
+        take(0, index)
+
+
+@pytest.mark.parametrize("matrix", ["endo", "alg"])
+def test_entry_at_every_index(matrix):
+    take = _entry_takers()[matrix]
+    cols = 3 if matrix == "endo" else 2
+    for i in range(2):
+        for j in (*range(cols), np.int64(cols - 1)):
+            assert take(i, j).tolist() == [i, j]
+    with pytest.raises(IndexError, match=f"column index {cols} out of range for {cols} columns"):
+        take(0, cols)
+
+
 # -- algebra-valued matrices -----------------------------------------------------------
 
 

@@ -1,6 +1,5 @@
 import ast
 import random
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 import twistkit
 from twistkit import (
+    DimensionMismatchError,
     EndoMatrix,
     GF,
     GammaFamily,
@@ -33,7 +33,16 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
-from twistkit.twisting import CHECKS, ROUTES, UNIT_FAMILIES, direct_ok, route_ok, route_pairs, route_reports
+from twistkit.twisting import (
+    CHECKS,
+    ROUTES,
+    UNIT_FAMILIES,
+    direct_ok,
+    route_ok,
+    route_pairs,
+    route_reports,
+    unit_pairs,
+)
 
 F3 = GF(3)
 F5 = GF(5)
@@ -324,6 +333,18 @@ def test_product_refuses_unverified(k2_q):
         build_twisted_product(TwistingCandidate(fam))
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("coords", [[1], [1, 0, 0], [[1, 0]]], ids=["short", "long", "2-D"])
+def test_inclusion_refuses_a_wrong_length_element(ncd_idempotent_q, side, coords):
+    """Both factors are 2-dimensional: an element of another shape is refused
+    as bad input, not reshaped by numpy."""
+    prod = build_twisted_product(ncd_idempotent_q)
+    include = {"A": prod.include_A, "B": prod.include_B}[side]
+    with pytest.raises(DimensionMismatchError, match=r"expected 2 coordinates"):
+        include(QQ.asarray(coords))
+    assert QQ.equal(include([1, 0]), include(QQ.asarray([1, 0])))
+
+
 def test_product_commutation_rule(ncd_idempotent_q):
     """(1 (x) a)(X (x) 1) lands on X (x) f(a) when the derivation part vanishes."""
     prod = build_twisted_product(ncd_idempotent_q)
@@ -569,10 +590,7 @@ def test_unit_families_select_the_unit_tags():
     generator, so a reordered generator fails here, not in a search."""
     a2, dup = kn_algebra(_F2, 2), duplicate_algebra(_F2)
     G = GammaFamily.flip(a2, dup).gamma
-    selected = {
-        route: [tag for pairs, count in entries for tag, _, _ in islice(pairs(a2, dup, G), count)]
-        for route, entries in UNIT_FAMILIES.items()
-    }
+    selected = {route: [tag for tag, _, _ in unit_pairs(route, a2, dup, G)] for route in UNIT_FAMILIES}
     assert selected == {
         "direct": ["direct.1", "direct.3"],
         "rep": ["rho.unit", "phi.unit"],
