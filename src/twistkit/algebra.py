@@ -58,9 +58,15 @@ class FiniteDimAlgebra:
     # -- elements -------------------------------------------------------------
 
     def element(self, coords) -> np.ndarray:
+        return self._element(coords, "element")
+
+    def _element(self, coords, name: str) -> np.ndarray:
+        """``coords`` read as one element, frozen: the one shape check of the
+        evaluators, with ``DimensionMismatchError`` naming ``name`` unless
+        the shape is (dim,).  No copy beyond ``Field.asarray``."""
         vec = self.field.asarray(coords)
         if vec.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected {self.dim} coordinates, got shape {vec.shape}")
+            raise DimensionMismatchError(f"{name}: expected {self.dim} coordinates, got shape {vec.shape}")
         return _freeze(vec)
 
     def basis_element(self, i: int) -> np.ndarray:
@@ -77,10 +83,9 @@ class FiniteDimAlgebra:
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("element length does not match algebra dimension")
-        partial = self.field.tensordot(self.field.asarray(x), self.lam, axes=([0], [0]))
-        return self.field.tensordot(self.field.asarray(y), partial, axes=([0], [0]))
+        x, y = self._element(x, "x"), self._element(y, "y")
+        partial = self.field.tensordot(x, self.lam, axes=([0], [0]))
+        return self.field.tensordot(y, partial, axes=([0], [0]))
 
     def structure_matrix(self, k: int) -> KMatrix:
         """Left-multiplication matrix of ``b_k``: entry (i, j) = lam[k, j, i]."""
@@ -88,7 +93,7 @@ class FiniteDimAlgebra:
 
     def left_mul_matrix(self, x: np.ndarray) -> KMatrix:
         """Left multiplication by an arbitrary element, as a coordinate matrix."""
-        mat = self.field.tensordot(self.field.asarray(x), self.lam, axes=([0], [0]))  # (j, k)
+        mat = self.field.tensordot(self._element(x, "x"), self.lam, axes=([0], [0]))  # (j, k)
         return KMatrix(self.field, mat.T.copy())
 
     def opposite(self) -> "FiniteDimAlgebra":

@@ -48,9 +48,7 @@ class MorphismData:
         return self.source.field
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if len(x) != self.source.dim:
-            raise DimensionMismatchError(f"expected {self.source.dim} coordinates, got {len(x)}")
-        return self.field.matmul(self.zeta, self.field.asarray(x))
+        return self.field.matmul(self.zeta, self.source._element(x, "x"))
 
 
 def make_morphism(source: FiniteDimAlgebra, target: FiniteDimAlgebra, zeta) -> MorphismData:

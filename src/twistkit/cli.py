@@ -1,8 +1,15 @@
 """Command-line surface: JSON files in, canonical JSON reports out.
 
+Each subcommand handler ``_cmd_*`` maps its parsed arguments to
+``(payload, ok)``: the JSON-ready value it emits (for ``enumerate``, its
+JSON-lines text as a ``str``) and its verdict.  No handler writes: ``main``
+alone serializes the payload, writes it to stdout or ``--out`` and picks the
+exit code, so each subcommand writes exactly one output.
+
 Exit codes: 0 when every verification passed (or the construction succeeded),
 1 when a verification returned ok = false (the report is still written),
-2 on input or usage errors (including oversized enumeration requests).
+2 on input or usage errors (including oversized enumeration requests), with
+the error on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from pathlib import Path
 
 from . import basischange, catalog, extension, search, serialize, twisting
 from .errors import DimensionMismatchError, SchemaError, TwistKitError
-from .report import VerificationReport
 
 
 def _read_json(path: str):
@@ -42,63 +48,51 @@ def _write_text(text: str, out: str | None) -> None:
             raise TwistKitError(f"cannot write {out}: {exc}") from None
 
 
-def _write_output(payload, out: str | None) -> None:
-    _write_text(serialize.dumps(payload), out)
-
-
-def _exit_for(report: VerificationReport) -> int:
-    return 0 if report.ok else 1
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_validate_algebra(args) -> int:
+def _cmd_validate_algebra(args):
     from .algebra import validate_algebra
 
-    algebra = serialize.algebra_from_json(_read_json(args.input))
-    report = validate_algebra(algebra)
-    _write_output(serialize.report_to_json(report), args.out)
-    return _exit_for(report)
+    report = validate_algebra(serialize.algebra_from_json(_read_json(args.input)))
+    return serialize.report_to_json(report), report.ok
 
 
-def _cmd_check_twisting(args) -> int:
+def _cmd_check_twisting(args):
     candidate = serialize.candidate_from_json(_read_json(args.input))
-    if args.checker == "all":
-        reports = twisting.route_reports(candidate.family, twisting.ROUTES)
-        ok = all(r.ok for r in reports.values())
-        payload = {"ok": ok, "reports": {k: serialize.report_to_json(r) for k, r in reports.items()}}
-        _write_output(payload, args.out)
-        return 0 if ok else 1
-    report = twisting.route_reports(candidate.family, [args.checker])[args.checker]
-    _write_output(serialize.report_to_json(report), args.out)
-    return _exit_for(report)
+    if args.checker != "all":
+        report = twisting.route_reports(candidate.family, [args.checker])[args.checker]
+        return serialize.report_to_json(report), report.ok
+    reports = twisting.route_reports(candidate.family, twisting.ROUTES)
+    ok = all(r.ok for r in reports.values())
+    return {"ok": ok, "reports": {k: serialize.report_to_json(r) for k, r in reports.items()}}, ok
 
 
-def _certified(args) -> twisting.TwistingCandidate:
-    """The input candidate, certified; a refused one has its report written."""
-    candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
-    if not candidate.verified:
+def _certified(handler):
+    """``handler(args, candidate)`` as a handler of ``args``, given the input
+    candidate once certified.  A refused candidate gives the refusal
+    ``{"ok": false, "report": <direct report>}`` instead, before ``handler``
+    reads anything else (``rebase``'s ``--matrix``)."""
+
+    @functools.wraps(handler)
+    def run(args):
+        candidate = twisting.certify(serialize.candidate_from_json(_read_json(args.input)))
+        if candidate.verified:
+            return handler(args, candidate)
         report = twisting.route_reports(candidate.family, ["direct"])["direct"]
-        _write_output({"ok": False, "report": serialize.report_to_json(report)}, args.out)
-    return candidate
+        return {"ok": False, "report": serialize.report_to_json(report)}, False
+
+    return run
 
 
-def _cmd_build_product(args) -> int:
-    candidate = _certified(args)
-    if not candidate.verified:
-        return 1
+@_certified
+def _cmd_build_product(args, candidate):
     product = twisting.build_twisted_product(candidate)
-    _write_output(
-        {"ok": True, "product": serialize.algebra_to_json(product.algebra)}, args.out
-    )
-    return 0
+    return {"ok": True, "product": serialize.algebra_to_json(product.algebra)}, True
 
 
-def _cmd_represent(args) -> int:
-    candidate = _certified(args)
-    if not candidate.verified:
-        return 1
+@_certified
+def _cmd_represent(args, candidate):
     family = candidate.family
     n, d = family.B.dim, family.A.dim
     payload = {
@@ -117,14 +111,11 @@ def _cmd_represent(args) -> int:
             serialize.endomatrix_to_json(twisting.rho_hat(family, k)) for k in range(n)
         ],
     }
-    _write_output(payload, args.out)
-    return 0
+    return payload, True
 
 
-def _cmd_rebase(args) -> int:
-    candidate = _certified(args)
-    if not candidate.verified:
-        return 1
+@_certified
+def _cmd_rebase(args, candidate):
     p_mat = serialize.kmatrix_from_json(
         candidate.family.field, _read_json(args.matrix), "change-of-basis matrix"
     )
@@ -135,11 +126,10 @@ def _cmd_rebase(args) -> int:
         "conjugation": serialize.report_to_json(result.conjugation),
         "verified": result.candidate.verified,
     }
-    _write_output(payload, args.out)
-    return 0 if payload["ok"] else 1
+    return payload, payload["ok"]
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     obj = _read_object(args.input, "extend")
     family = serialize.candidate_from_json(obj.get("psi", obj)).family
     n = serialize._expect_int(obj, "n", "extend") if "n" in obj else args.n
@@ -159,11 +149,10 @@ def _cmd_extend(args) -> int:
             name: serialize.array_to_json(family.field, getattr(blocks, name))
             for name in ("B1", "B2", "C1", "C2")
         }
-    _write_output(payload, args.out)
-    return 0 if report.ok else 1
+    return payload, report.ok
 
 
-def _cmd_quiver(args) -> int:
+def _cmd_quiver(args):
     candidate = serialize.candidate_from_json(_read_json(args.input))
     quiver, rep = catalog.quiver_of(candidate)
     payload = {
@@ -177,8 +166,7 @@ def _cmd_quiver(args) -> int:
             for source, target in quiver.arrows
         ],
     }
-    _write_output(payload, args.out)
-    return 0
+    return payload, True
 
 
 def _catalog_n(params: dict) -> int:
@@ -189,7 +177,7 @@ def _catalog_n(params: dict) -> int:
     return n
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     params = _read_object(args.input, "catalog")
     param = functools.partial(serialize._expect, params, context="catalog")
     a = serialize.algebra_from_json(param("A"))
@@ -224,8 +212,7 @@ def _cmd_catalog(args) -> int:
         "verdict": serialize.report_to_json(reports["direct"]),
         "family_conditions": serialize.report_to_json(reports[args.family]),
     }
-    _write_output(payload, args.out)
-    return _exit_for(reports["direct"])
+    return payload, reports["direct"].ok
 
 
 def _space_from_args(args) -> search.SearchSpace:
@@ -234,7 +221,7 @@ def _space_from_args(args) -> search.SearchSpace:
     return search.SearchSpace(a, b)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     space = _space_from_args(args)
     accepted = search.enumerate_space(space, checker=args.checker, start=args.start, stop=args.to)
     field = space.A.field
@@ -246,15 +233,13 @@ def _cmd_enumerate(args) -> int:
         + "\n"
         for idx in accepted
     )
-    _write_text("".join(lines), args.out)
-    return 0
+    return "".join(lines), True
 
 
-def _cmd_cross_validate(args) -> int:
+def _cmd_cross_validate(args):
     space = _space_from_args(args)
     report = search.cross_validate(space, start=args.start, stop=args.to)
-    _write_output(serialize.report_to_json(report), args.out)
-    return _exit_for(report)
+    return serialize.report_to_json(report), report.ok
 
 
 # -- parser -------------------------------------------------------------------------
@@ -323,13 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: write its payload and return its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, ok = args.handler(args)
+        _write_text(payload if isinstance(payload, str) else serialize.dumps(payload), args.out)
     except (TwistKitError, ValueError, IndexError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

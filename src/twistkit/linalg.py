@@ -99,10 +99,11 @@ class KMatrix:
         return mat_mul(self, other)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix times coordinate column."""
-        if self.cols != len(vec):
-            raise DimensionMismatchError(f"cannot apply {self.rows}x{self.cols} to length {len(vec)}")
-        return self.field.matmul(self.data, self.field.asarray(vec))
+        """Matrix times coordinate vector, of shape (cols,)."""
+        vec = self.field.asarray(vec)
+        if vec.shape != (self.cols,):
+            raise DimensionMismatchError(f"cannot apply {self.rows}x{self.cols} to a vector of shape {vec.shape}")
+        return self.field.matmul(self.data, vec)
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.data)

@@ -210,12 +210,10 @@ def chi_eval(c, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The result has length n*d with entry (j, r) at position j*d + r.
     """
     family = _family_of(c)
-    n, d = family.B.dim, family.A.dim
-    if len(a) != d or len(b) != n:
-        raise DimensionMismatchError("element lengths do not match the family")
-    field = family.field
+    phi = phi_hat(family, a).data
     # phi(a) b: entry (j, r) = sum_k gamma[k][j](a)_r b_k
-    return field.tensordot(phi_hat(family, a).data, field.asarray(b), axes=([1], [0])).reshape(n * d)
+    product = family.field.tensordot(phi, family.B._element(b, "b"), axes=([1], [0]))
+    return product.reshape(family.B.dim * family.A.dim)
 
 
 # -- identity kernels shared by the routes and the family checkers ---------------
@@ -343,11 +341,9 @@ def _rho_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
 def phi_hat(c, a: np.ndarray) -> AlgMatrix:
     """The A-valued matrix of an element a: entry (j, k) = gamma[k][j](a)."""
     family = _family_of(c)
-    if len(a) != family.A.dim:
-        raise DimensionMismatchError("element length does not match dim A")
-    field = family.field
+    a = family.A._element(a, "a")
     # sum_x a_x phi[x]
-    return AlgMatrix(family.A, field.tensordot(field.asarray(a), _phi_tensor(family.gamma), axes=([0], [0])))
+    return AlgMatrix(family.A, family.field.tensordot(a, _phi_tensor(family.gamma), axes=([0], [0])))
 
 
 def _phi_pairs(A: FiniteDimAlgebra, B: FiniteDimAlgebra, G: np.ndarray):
@@ -395,13 +391,13 @@ class TwistedTensorAlgebra:
         """Coordinates of b (x) 1_A; ``DimensionMismatchError`` unless b has
         dim B coordinates."""
         candidate = self.candidate
-        return _alg_lift(self.algebra.field, candidate.B.element(b), candidate.A.unit).reshape(self.dim)
+        return _alg_lift(self.algebra.field, candidate.B._element(b, "b"), candidate.A.unit).reshape(self.dim)
 
     def include_A(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of 1_B (x) a; ``DimensionMismatchError`` unless a has
         dim A coordinates."""
         candidate = self.candidate
-        return _alg_lift(self.algebra.field, candidate.B.unit, candidate.A.element(a)).reshape(self.dim)
+        return _alg_lift(self.algebra.field, candidate.B.unit, candidate.A._element(a, "a")).reshape(self.dim)
 
 
 def build_twisted_product(c: TwistingCandidate) -> TwistedTensorAlgebra:
@@ -669,11 +665,9 @@ class FaithfulRep:
     on_basis: tuple[AlgMatrix, ...]
 
     def apply(self, coords: np.ndarray) -> AlgMatrix:
-        if len(coords) != len(self.on_basis):
-            raise DimensionMismatchError(f"expected {len(self.on_basis)} coordinates, got {len(coords)}")
-        field = self.product.algebra.field
+        algebra = self.product.algebra
         stack = np.stack([m.data for m in self.on_basis])
-        data = field.tensordot(field.asarray(coords), stack, axes=([0], [0]))
+        data = algebra.field.tensordot(algebra._element(coords, "coords"), stack, axes=([0], [0]))
         return AlgMatrix(self.on_basis[0].algebra, data)
 
 

@@ -102,6 +102,16 @@ def test_multiply_unital(coords):
     assert QQ.equal(alg.multiply(one, x), x)
 
 
+def test_multiply_refuses_a_matrix_element(dup_q):
+    with pytest.raises(DimensionMismatchError, match=r"^x: expected 2 coordinates, got shape \(2, 2\)$"):
+        dup_q.multiply([[1, 0], [0, 1]], [1, 0])
+
+
+def test_left_mul_matrix_refuses_a_wrong_length_element():
+    with pytest.raises(DimensionMismatchError, match=r"^x: expected 2 coordinates, got shape \(3,\)$"):
+        kn_algebra(QQ, 2).left_mul_matrix([1, 0, 0])
+
+
 def test_x_squared_is_x(dup_q):
     x = dup_q.basis_element(1)
     assert QQ.equal(dup_q.multiply(x, x), x)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from twistkit import (
     rebase,
     validate_algebra,
 )
+from twistkit.report import Failure, VerificationReport
 from twistkit.twisting import TwistingCandidate
 
 F5 = GF(5)
@@ -84,12 +86,14 @@ def test_scaled_image_fails_multiplicativity():
 
 
 def test_apply_rejects_vectors_of_the_wrong_length(ncd_q):
+    """A wrong length or a column is refused, with the element named."""
     morphism = make_morphism(duplicate_algebra(QQ), kn_algebra(QQ, 2), [[1, 0], [1, 1]])
     rep = faithful_rep(ncd_q)
-    for apply, dim in ((morphism.apply, 2), (rep.apply, 4)):
-        for length in (dim - 1, dim + 1):
-            with pytest.raises(DimensionMismatchError):
-                apply(QQ.zeros((length,)))
+    for apply, name, dim in ((morphism.apply, "x", 2), (rep.apply, "coords", 4)):
+        for shape in ((dim - 1,), (dim + 1,), (dim, 1)):
+            message = f"^{name}: expected {dim} coordinates, got shape {re.escape(str(shape))}$"
+            with pytest.raises(DimensionMismatchError, match=message):
+                apply(QQ.zeros(shape))
         assert apply(QQ.zeros((dim,))) is not None
 
 
@@ -157,6 +161,27 @@ def test_rho_intertwining_follows_induced_morphism(ncd_q):
             acc = QQ.add(acc, QQ.reduce(image[u] * rho_hat(varpi.family, u).data))
         rho_varpi_fb = EndoMatrix(QQ, acc)
         assert endo_mat_mul(rho_varpi_fb, m_hat) == endo_mat_mul(m_hat, rho_chi)
+
+
+def test_disagreeing_forms_are_reported(ncd_q, monkeypatch):
+    """A passing ``eq.matrix`` beside a failing ``eq.gamma`` adds
+    ``eq.agreement`` after the gamma failure.  The theorem makes the two
+    forms agree, so the disagreement is forced here."""
+    from twistkit import basischange
+
+    def pairs(fam_chi, fam_varpi, z):
+        yield "eq.matrix", QQ.asarray([[1, 2]]), QQ.asarray([[1, 2]])
+        yield "eq.gamma", QQ.asarray([[0, 1], [3, 3]]), QQ.asarray([[0, 2], [3, 4]])
+
+    monkeypatch.setattr(basischange, "_induced_pairs", pairs)
+    report = check_induced_morphism(ncd_q, ncd_q, _identity(ncd_q.B))
+    assert report == VerificationReport(
+        ok=False,
+        failures=(
+            Failure("eq.gamma", witness=(0, 1), left="1", right="2", count=2),
+            Failure("eq.agreement", witness=(), left="True", right="False", count=1),
+        ),
+    )
 
 
 def test_mismatched_targets_fail(ncd_q):

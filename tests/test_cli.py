@@ -89,10 +89,21 @@ def test_build_product_roundtrips(ncd_file, tmp_path):
     assert validate_algebra(product).ok
 
 
-def test_build_product_refuses_nontwisting(bad_ncd_file, tmp_path):
+@pytest.mark.parametrize("command", ["build-product", "represent", "rebase"])
+def test_build_product_refuses_nontwisting(command, bad_ncd_file, tmp_path, capsys):
+    """Every certified subcommand writes the same refusal, the direct report,
+    and exits 1; ``rebase`` refuses before it reads ``--matrix``, so a
+    missing matrix file is never opened."""
+    extra = ["--matrix", str(tmp_path / "missing.json")] if command == "rebase" else []
     out = str(tmp_path / "product.json")
-    assert main(["build-product", bad_ncd_file, "--out", out]) == 1
+    assert main([command, bad_ncd_file, *extra, "--out", out]) == 1
     assert read(out)["ok"] is False
+    family = serialize.candidate_from_json(read(bad_ncd_file)).family
+    report = twisting.route_reports(family, ["direct"])["direct"]
+    refusal = serialize.dumps({"ok": False, "report": serialize.report_to_json(report)})
+    assert Path(out).read_text(encoding="utf-8") == refusal
+    assert main([command, bad_ncd_file, *extra]) == 1
+    assert capsys.readouterr() == (refusal, "")
 
 
 def test_refused_candidate_builds_its_report_once(bad_ncd_file, tmp_path, monkeypatch):

@@ -115,6 +115,14 @@ def test_kernel_annihilates_and_counts(entries):
         assert QQ.is_zero(mat.apply(vec))
 
 
+@pytest.mark.parametrize("vec", [[[1], [0]], [[1, 0], [0, 1]]], ids=["column", "matrix"])
+def test_apply_takes_a_vector_only(vec):
+    """A column or a matrix is refused, not multiplied as a matrix."""
+    with pytest.raises(DimensionMismatchError, match=r"cannot apply 2x2 to a vector of shape \(2, "):
+        KMatrix.identity(QQ, 2).apply(vec)
+    assert KMatrix.identity(QQ, 2).apply([1, 0]).shape == (2,)
+
+
 def _rref_reference(field, mat):
     """The per-row numpy elimination ``_rref`` replaced, kept as the reference:
     one scaled pivot row and one numpy row operation per nonzero entry of

@@ -33,6 +33,7 @@ from twistkit import (
     validate_algebra,
     verify_faithful,
 )
+from twistkit.report import Failure, VerificationReport
 from twistkit.twisting import (
     CHECKS,
     ROUTES,
@@ -119,6 +120,22 @@ def test_chi_right_unit_for_verified(ncd_idempotent_q):
         expected = QQ.zeros((4,))
         expected[0:2] = a  # 1_B (x) a, unit of the carrier is its first basis vector
         assert QQ.equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([1, 0], [[1, 0], [0, 1]], r"^b: expected 2 coordinates, got shape \(2, 2\)$"),
+        ([1, 0], [[1], [0]], r"^b: expected 2 coordinates, got shape \(2, 1\)$"),
+        ([[1], [0]], [1, 0], r"^a: expected 2 coordinates, got shape \(2, 1\)$"),
+    ],
+    ids=["matrix-b", "column-b", "column-a"],
+)
+def test_chi_eval_refuses_a_wrong_shape_element(ncd_idempotent_q, a, b, message):
+    """A matrix or a column is refused as an element, not reshaped or
+    multiplied by numpy, and the refusal names the element."""
+    with pytest.raises(DimensionMismatchError, match=message):
+        chi_eval(ncd_idempotent_q, a, b)
 
 
 # -- the direct checker ----------------------------------------------------------
@@ -230,6 +247,12 @@ def test_phi_hat_of_unit_is_identity(ncd_idempotent_q):
     from twistkit import AlgMatrix
 
     assert phi_hat(fam, fam.A.unit) == AlgMatrix.identity(fam.A, 2)
+
+
+def test_phi_hat_names_a_wrong_shape_element(ncd_idempotent_q):
+    """The refusal names the element a and its shape, not the matrix shape."""
+    with pytest.raises(DimensionMismatchError, match=r"^a: expected 2 coordinates, got shape \(2, 2\)$"):
+        phi_hat(ncd_idempotent_q, [[1, 0], [0, 1]])
 
 
 def test_phi_hat_kn_full_grid():
@@ -443,12 +466,43 @@ def test_verify_faithful_passes(ncd_idempotent_q):
     assert verify_faithful(ncd_idempotent_q).ok
 
 
+def test_verify_faithful_reports_a_kernel(ncd_idempotent_q, monkeypatch):
+    """A non-injective map is reported as ``faithful.kernel``: its first
+    kernel vector on the left, no witness or right side, the count of kernel
+    vectors.  The theorem makes the kernel empty, so it is forced here."""
+    from twistkit import twisting
+
+    matrices = []
+
+    def kernel(x):
+        matrices.append(x)
+        return [QQ.asarray([1, -1, 0, "1/2"]), QQ.asarray([0, 0, 1, 0])]
+
+    monkeypatch.setattr(twisting, "kernel_basis", kernel)
+    report = verify_faithful(ncd_idempotent_q)
+    assert [(x.rows, x.cols) for x in matrices] == [(8, 4)]
+    assert report == VerificationReport(
+        ok=False, failures=(Failure("faithful.kernel", left=["1", "-1", "0", "1/2"], count=2),)
+    )
+
+
 def test_verify_faithful_catches_forged_flag():
     fam = ncd_family(QQ, [[0, 1], [0, 0]], [[0, 0], [0, 0]])
     forged = TwistingCandidate(fam, verified=True)  # the flag is a lie
     report = verify_faithful(forged)
     assert not report.ok
     assert "faithful.mul" in report.conditions()
+
+
+def test_candidates_compare_by_family_and_flag(ncd_idempotent_q):
+    family = ncd_idempotent_q.family
+    twin = GammaFamily(family.A, family.B, family.gamma.copy())
+    assert TwistingCandidate(twin, verified=True) == ncd_idempotent_q
+    assert TwistingCandidate(twin) == TwistingCandidate(family)
+    assert TwistingCandidate(twin) != ncd_idempotent_q
+    other = ncd_family(QQ, [[0, 1], [0, 0]], [[0, 0], [0, 0]])
+    assert TwistingCandidate(other, verified=True) != ncd_idempotent_q
+    assert ncd_idempotent_q != family
 
 
 def test_faithful_rep_refuses_unverified():
